@@ -53,3 +53,23 @@ func BenchmarkAdder64(b *testing.B) {
 		c.AddPOWord("s", c.AddWords(x, y))
 	}
 }
+
+// BenchmarkEvalLanes16 simulates 1024 patterns (16 lane words) per call
+// through a reused Evaluator, the shape of a wide oracle batch.
+func BenchmarkEvalLanes16(b *testing.B) {
+	const w = 16
+	rng := rand.New(rand.NewSource(1))
+	c := randomCircuit(rng, 128, 10000, 4)
+	lanes := make([]uint64, c.NumPI()*w)
+	for i := range lanes {
+		lanes[i] = rng.Uint64()
+	}
+	out := make([]uint64, c.NumPO()*w)
+	ev := c.NewEvaluator()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev.EvalLanes(lanes, w, out)
+	}
+	b.ReportMetric(float64(64*w*10000)/(float64(b.Elapsed().Nanoseconds())/float64(b.N)), "gate-evals/ns")
+}

@@ -15,6 +15,7 @@ package circuit
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // GateType enumerates node kinds.
@@ -288,18 +289,18 @@ func (c *Circuit) Eval(assignment []bool) []bool {
 	if len(assignment) != len(c.pis) {
 		panic(fmt.Sprintf("circuit: Eval got %d inputs, want %d", len(assignment), len(c.pis)))
 	}
-	vals := make([]uint64, len(c.nodes))
 	in := make([]uint64, len(assignment))
 	for i, b := range assignment {
 		if b {
 			in[i] = 1
 		}
 	}
-	c.evalWords(in, vals)
+	vals := c.simulateWord(in)
 	out := make([]bool, len(c.pos))
 	for i, s := range c.pos {
-		out[i] = vals[s]&1 == 1
+		out[i] = (*vals)[s]&1 == 1
 	}
+	wordScratch.Put(vals)
 	return out
 }
 
@@ -309,20 +310,47 @@ func (c *Circuit) EvalWords(inputs []uint64) []uint64 {
 	if len(inputs) != len(c.pis) {
 		panic(fmt.Sprintf("circuit: EvalWords got %d inputs, want %d", len(inputs), len(c.pis)))
 	}
-	vals := make([]uint64, len(c.nodes))
-	c.evalWords(inputs, vals)
+	vals := c.simulateWord(inputs)
 	out := make([]uint64, len(c.pos))
 	for i, s := range c.pos {
-		out[i] = vals[s]
+		out[i] = (*vals)[s]
 	}
+	wordScratch.Put(vals)
 	return out
 }
 
-// Evaluator amortizes simulation scratch across repeated word evaluations of
-// the same circuit — the hot path of batched oracle queries, where EvalWords'
-// per-call value-array allocation dominates on small circuits. An Evaluator
-// is not safe for concurrent use; create one per goroutine. It tolerates the
-// circuit growing between calls.
+// wordScratch recycles the node-value arrays of the one-word entry points
+// (Eval, EvalWords, EvalSignalWords) across calls and circuits. In a
+// topologically ordered circuit the kernel writes every node's word before
+// reading it, so a recycled array needs no clearing (as with an Evaluator's
+// scratch).
+var wordScratch sync.Pool
+
+// simulateWord runs the kernel on one word per PI in a pooled value array,
+// which the caller returns to wordScratch when done with it.
+func (c *Circuit) simulateWord(inputs []uint64) *[]uint64 {
+	vals, _ := wordScratch.Get().(*[]uint64)
+	if vals == nil {
+		vals = new([]uint64)
+	}
+	if cap(*vals) < len(c.nodes) {
+		*vals = make([]uint64, len(c.nodes))
+	}
+	*vals = (*vals)[:len(c.nodes)]
+	c.simulate(inputs, 1, 0, 1, *vals)
+	return vals
+}
+
+// kernelWords is the number of 64-pattern words the simulation kernel
+// carries through one pass over the nodes: up to 1024 patterns per gate
+// dispatch.
+const kernelWords = 16
+
+// Evaluator amortizes simulation scratch across repeated evaluations of the
+// same circuit — the hot path of batched oracle queries, where a per-call
+// value array would dominate. An Evaluator is not safe for concurrent use;
+// create one per goroutine (or pool them). It tolerates the circuit growing
+// between calls.
 type Evaluator struct {
 	c    *Circuit
 	vals []uint64
@@ -332,28 +360,41 @@ type Evaluator struct {
 func (c *Circuit) NewEvaluator() *Evaluator { return &Evaluator{c: c} }
 
 // EvalWordsInto evaluates 64 patterns in parallel, writing one word per PO
-// into out (which must have length NumPO()).
+// into out (which must have length NumPO()). It is EvalLanes with one word
+// per lane.
 //
 //logicreg:hotpath
 func (e *Evaluator) EvalWordsInto(inputs, out []uint64) {
+	e.EvalLanes(inputs, 1, out)
+}
+
+// EvalLanes evaluates a batch of 64*w patterns in lane layout: input lane i
+// occupies patterns[i*w : (i+1)*w], bit k of a lane (word k/64, bit k%64)
+// holding PI i in pattern k. It writes the PO lanes in the same layout into
+// out, which must have length NumPO()*w. The batch is simulated
+// kernelWords words at a time through the reused scratch.
+//
+//logicreg:hotpath
+func (e *Evaluator) EvalLanes(patterns []uint64, w int, out []uint64) {
 	c := e.c
-	if len(inputs) != len(c.pis) {
-		panic(fmt.Sprintf("circuit: EvalWordsInto got %d inputs, want %d", len(inputs), len(c.pis)))
+	if w < 1 || len(patterns) != len(c.pis)*w {
+		panic(fmt.Sprintf("circuit: EvalLanes got %d input words, want %d inputs x %d words", len(patterns), len(c.pis), w))
 	}
-	if len(out) != len(c.pos) {
-		panic(fmt.Sprintf("circuit: EvalWordsInto got %d output words, want %d", len(out), len(c.pos)))
+	if len(out) != len(c.pos)*w {
+		panic(fmt.Sprintf("circuit: EvalLanes got %d output words, want %d", len(out), len(c.pos)*w))
 	}
-	if len(e.vals) < len(c.nodes) {
-		//logicreg:allow hotalloc amortized scratch growth, only when the circuit grew
-		e.vals = make([]uint64, len(c.nodes))
+	k := min(w, kernelWords)
+	if len(e.vals) < len(c.nodes)*k {
+		//logicreg:allow hotalloc amortized scratch growth, only when the circuit or the batch grew
+		e.vals = make([]uint64, len(c.nodes)*k)
 	}
-	vals := e.vals[:len(c.nodes)]
-	c.evalWords(inputs, vals)
-	for i, s := range c.pos {
-		if s < 0 || s >= len(vals) {
-			panic(fmt.Sprintf("circuit: PO %d signal %d out of range", i, s))
+	for b := 0; b < w; b += k {
+		kb := min(k, w-b)
+		vals := e.vals[:len(c.nodes)*kb]
+		c.simulate(patterns, w, b, kb, vals)
+		for j, s := range c.pos {
+			copy(out[j*w+b:j*w+b+kb], vals[s*kb:s*kb+kb])
 		}
-		out[i] = vals[s]
 	}
 }
 
@@ -364,63 +405,88 @@ func (c *Circuit) EvalSignalWords(inputs []uint64, sigs ...Signal) []uint64 {
 	if len(inputs) != len(c.pis) {
 		panic(fmt.Sprintf("circuit: EvalSignalWords got %d inputs, want %d", len(inputs), len(c.pis)))
 	}
-	vals := make([]uint64, len(c.nodes))
-	c.evalWords(inputs, vals)
+	vals := c.simulateWord(inputs)
 	out := make([]uint64, len(sigs))
 	for i, s := range sigs {
 		c.checkSignal(s)
-		out[i] = vals[s]
+		out[i] = (*vals)[s]
 	}
+	wordScratch.Put(vals)
 	return out
 }
 
-// evalWords is the 64-way simulation kernel shared by every Eval entry
-// point: one word op per gate, no allocation.
+// simulate is the word-parallel simulation kernel behind every Eval entry
+// point: one type switch per node, then one word op per lane word, for k
+// words (1 <= k <= kernelWords) of 64 patterns each. Scratch is
+// node-major: node id's k words are vals[id*k : id*k+k]. PI i reads its k
+// words from inputs[i*stride+off : i*stride+off+k], so one-word callers pass
+// stride 1 and lane-layout callers the lane width. No allocation.
 //
-// The explicit prologue and fanin guards restate the circuit invariants
-// (vals covers every node, fanins point below the current node) where the
-// bounds-check eliminator — ours and the compiler's — can see them, so the
-// per-gate slice loads compile without implicit checks.
+// The explicit guards restate the layout invariants (vals holds k words per
+// node, every row is k words long) where the bounds-check eliminator — ours
+// and the compiler's — can see them, so the per-word loads compile without
+// implicit checks. Row slicing itself panics on a fanin out of range.
 //
 //logicreg:hotpath
-func (c *Circuit) evalWords(inputs []uint64, vals []uint64) {
+func (c *Circuit) simulate(inputs []uint64, stride, off, k int, vals []uint64) {
 	nodes := c.nodes
-	if len(vals) < len(nodes) {
-		panic(fmt.Sprintf("circuit: evalWords got %d value words for %d nodes", len(vals), len(nodes)))
+	if k < 1 || k > kernelWords || len(vals) != len(nodes)*k {
+		panic(fmt.Sprintf("circuit: simulate got %d value words for %d nodes x %d words", len(vals), len(nodes), k))
 	}
-	pi := 0
+	for i, s := range c.pis {
+		p := i*stride + off
+		copy(vals[s*k:s*k+k], inputs[p:p+k])
+	}
 	for id, n := range nodes {
-		in0, in1 := n.In0, n.In1
-		if in0 < 0 || in0 >= len(vals) || in1 < 0 || in1 >= len(vals) {
-			panic(fmt.Sprintf("circuit: node %d fanin out of range", id))
+		d := vals[id*k : id*k+k : id*k+k]
+		a := vals[n.In0*k : n.In0*k+k : n.In0*k+k]
+		b := vals[n.In1*k : n.In1*k+k : n.In1*k+k]
+		if len(a) != len(d) || len(b) != len(d) {
+			panic("circuit: simulation rows of unequal width")
 		}
 		switch n.Type {
 		case PI:
-			if pi >= len(inputs) {
-				panic("circuit: more PI nodes than input words")
-			}
-			vals[id] = inputs[pi]
-			pi++
+			// Loaded above.
 		case Const0:
-			vals[id] = 0
+			for j := range d {
+				d[j] = 0
+			}
 		case Const1:
-			vals[id] = ^uint64(0)
+			for j := range d {
+				d[j] = ^uint64(0)
+			}
 		case Not:
-			vals[id] = ^vals[in0]
+			for j := range d {
+				d[j] = ^a[j]
+			}
 		case Buf:
-			vals[id] = vals[in0]
+			for j := range d {
+				d[j] = a[j]
+			}
 		case And:
-			vals[id] = vals[in0] & vals[in1]
+			for j := range d {
+				d[j] = a[j] & b[j]
+			}
 		case Or:
-			vals[id] = vals[in0] | vals[in1]
+			for j := range d {
+				d[j] = a[j] | b[j]
+			}
 		case Xor:
-			vals[id] = vals[in0] ^ vals[in1]
+			for j := range d {
+				d[j] = a[j] ^ b[j]
+			}
 		case Nand:
-			vals[id] = ^(vals[in0] & vals[in1])
+			for j := range d {
+				d[j] = ^(a[j] & b[j])
+			}
 		case Nor:
-			vals[id] = ^(vals[in0] | vals[in1])
+			for j := range d {
+				d[j] = ^(a[j] | b[j])
+			}
 		case Xnor:
-			vals[id] = ^(vals[in0] ^ vals[in1])
+			for j := range d {
+				d[j] = ^(a[j] ^ b[j])
+			}
 		default:
 			panic(fmt.Sprintf("circuit: unknown gate type %v", n.Type))
 		}

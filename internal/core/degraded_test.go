@@ -49,10 +49,24 @@ func checkDegraded(t *testing.T, res *Result, wantPOs int) {
 	}
 }
 
+// faultFreeCalls measures a learn's oracle call count with no faults, in
+// the units chaos.Config.FailAfter counts (one call per Eval or batch, not
+// per pattern), so the drills below can kill the box at a fixed share of the
+// learn however the learner groups its queries.
+func faultFreeCalls(t *testing.T, opts Options) int64 {
+	t.Helper()
+	probe := chaos.Wrap(oracle.FromCircuit(twoOutputGolden()), chaos.Config{})
+	if res := Learn(probe, opts); res.Degraded {
+		t.Fatalf("fault-free learn degraded: %s", res.DegradedReason)
+	}
+	return probe.Calls()
+}
+
 func TestLearnDegradesOnPermanentDeath(t *testing.T) {
-	g := twoOutputGolden()
-	o := chaos.Wrap(oracle.FromCircuit(g), chaos.Config{FailAfter: 10})
-	res := Learn(o, Options{Seed: 1, SupportR: 64})
+	opts := Options{Seed: 1, SupportR: 64}
+	budget := max(1, faultFreeCalls(t, opts)/4)
+	o := chaos.Wrap(oracle.FromCircuit(twoOutputGolden()), chaos.Config{FailAfter: budget})
+	res := Learn(o, opts)
 	checkDegraded(t, res, 2)
 	degraded := 0
 	for _, or := range res.Outputs {
@@ -61,14 +75,15 @@ func TestLearnDegradesOnPermanentDeath(t *testing.T) {
 		}
 	}
 	if degraded == 0 {
-		t.Fatal("no output marked MethodDegraded after a death 10 queries in")
+		t.Fatalf("no output marked MethodDegraded after a death %d calls in", budget)
 	}
 }
 
 func TestLearnDegradesOnPermanentDeathParallel(t *testing.T) {
-	g := twoOutputGolden()
-	o := chaos.Wrap(oracle.FromCircuit(g), chaos.Config{FailAfter: 10})
-	res := Learn(o, Options{Seed: 1, SupportR: 64, Parallel: 2})
+	opts := Options{Seed: 1, SupportR: 64, Parallel: 2}
+	budget := max(1, faultFreeCalls(t, opts)/4)
+	o := chaos.Wrap(oracle.FromCircuit(twoOutputGolden()), chaos.Config{FailAfter: budget})
+	res := Learn(o, opts)
 	checkDegraded(t, res, 2)
 }
 
@@ -76,18 +91,11 @@ func TestLearnDegradesOnPermanentDeathParallel(t *testing.T) {
 // to finish the first output before dying: best-so-far means that output
 // survives intact, not that everything collapses to constants.
 func TestLearnKeepsOutputsLearnedBeforeDeath(t *testing.T) {
-	g := twoOutputGolden()
-	// Measure the learn's call count fault-free, in the same units FailAfter
-	// uses (one call per Eval or batch frame, not per pattern).
-	probe := chaos.Wrap(oracle.FromCircuit(g), chaos.Config{})
-	full := Learn(probe, Options{Seed: 1, SupportR: 64})
-	if full.Degraded {
-		t.Fatalf("fault-free learn degraded: %s", full.DegradedReason)
-	}
-	budget := probe.Calls() * 3 / 4
+	opts := Options{Seed: 1, SupportR: 64}
+	budget := faultFreeCalls(t, opts) * 3 / 4
 
-	o := chaos.Wrap(oracle.FromCircuit(g), chaos.Config{FailAfter: budget})
-	res := Learn(o, Options{Seed: 1, SupportR: 64})
+	o := chaos.Wrap(oracle.FromCircuit(twoOutputGolden()), chaos.Config{FailAfter: budget})
+	res := Learn(o, opts)
 	checkDegraded(t, res, 2)
 	intact := 0
 	for _, or := range res.Outputs {

@@ -8,6 +8,7 @@ package oracle_test
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"logicregression/internal/bitvec"
@@ -77,7 +78,9 @@ func TestEvalBatchParityAllCases(t *testing.T) {
 			t.Parallel()
 			o := cs.Oracle()
 			rng := rand.New(rand.NewSource(int64(len(cs.Name)) * 7919))
-			for _, n := range []int{1, 63, 64, 200} {
+			// 1100 patterns span 18 words: one full 16-word kernel pass
+			// plus a short one.
+			for _, n := range []int{1, 63, 64, 200, 1100} {
 				lanes := randomLanes(rng, o.NumInputs(), n)
 				want := scalarReference(o, lanes, n)
 
@@ -99,6 +102,48 @@ func TestEvalBatchParityAllCases(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCircuitOracleConcurrentBatches drives one CircuitOracle (as Fork hands
+// it out) from several goroutines with batches of different widths, so the
+// pooled evaluators are borrowed, regrown and returned concurrently. Every
+// answer must equal the one computed alone beforehand; run under -race this
+// is the pool's safety witness.
+func TestCircuitOracleConcurrentBatches(t *testing.T) {
+	cs, err := cases.ByName("case_14") // 9030 nodes
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := cs.Oracle()
+	rng := rand.New(rand.NewSource(3))
+	sizes := []int{1, 64, 700, 1024, 1500, 3000}
+	lanes := make([][]bitvec.Word, len(sizes))
+	want := make([][]bitvec.Word, len(sizes))
+	for i, n := range sizes {
+		lanes[i] = randomLanes(rng, o.NumInputs(), n)
+		want[i] = oracle.EvalBatch(o, lanes[i], n)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			fork := o.(oracle.Forker).Fork()
+			for round := 0; round < 3; round++ {
+				for j := range sizes {
+					i := (j + g) % len(sizes)
+					got := oracle.EvalBatch(fork, lanes[i], sizes[i])
+					for w := range got {
+						if got[w] != want[i][w] {
+							t.Errorf("goroutine %d, %d patterns: word %d differs", g, sizes[i], w)
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestBatchTranscriptRecordReplay pushes a batch through a Recorder and

@@ -247,14 +247,13 @@ func (o *Memo) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 	out := make([]bitvec.Word, nOut*w)
 
 	assign := make([]bool, nIn)
-	keys := make([]string, n)
-	missOf := make(map[string]int) // key -> index into missAssign
-	ref := make([]int, n)          // per pattern: miss index, or -1 on hit
-	var missAssign [][]bool
+	missOf := make(map[string]int, n) // key -> index into missAssign
+	ref := make([]int, n)             // per pattern: miss index, or -1 on hit
+	missAssign := make([][]bool, 0, n)
+	missKeys := make([]string, 0, n)
 	for k := 0; k < n; k++ {
 		patternBools(patterns, w, nIn, k, assign)
 		key := assignKey(assign)
-		keys[k] = key
 		if m, dup := missOf[key]; dup {
 			ref[k] = m
 			continue
@@ -267,6 +266,7 @@ func (o *Memo) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 		missOf[key] = len(missAssign)
 		ref[k] = len(missAssign)
 		missAssign = append(missAssign, append([]bool(nil), assign...))
+		missKeys = append(missKeys, key)
 	}
 	if len(missAssign) == 0 {
 		return out
@@ -276,11 +276,10 @@ func (o *Memo) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 	missOut := AsBatch(o.inner).EvalBatch(missLanes, len(missAssign))
 	mw := Words(len(missAssign))
 	missVals := make([][]bool, len(missAssign))
-	for m := range missAssign {
+	for m, key := range missKeys {
 		v := make([]bool, nOut)
 		patternBools(missOut, mw, nOut, m, v)
 		missVals[m] = v
-		key := assignKey(missAssign[m])
 		o.put(o.shard(key), key, v)
 	}
 	for k := 0; k < n; k++ {

@@ -14,7 +14,11 @@
 //	           see batch.go) — the engine the pipeline actually drives
 //
 // Every wrapper in this package (Counter, Memo, Project, Recorder, Replay)
-// preserves the batch capability of the oracle it wraps.
+// preserves the batch capability of the oracle it wraps. The circuit-backed
+// oracle answers a batch with the circuit's k-word simulation kernel (up to
+// 1024 patterns per pass over the gates) on pooled scratch, so the pipeline's
+// wide batches — a whole PatternSampling sweep per call — cost no per-call
+// scratch allocation.
 package oracle
 
 import (
@@ -51,6 +55,9 @@ type WordOracle interface {
 // CircuitOracle wraps a circuit as a black box.
 type CircuitOracle struct {
 	c *circuit.Circuit
+	// evals pools simulation scratch across calls and goroutines: each
+	// EvalBatch borrows one *circuit.Evaluator for its duration.
+	evals sync.Pool
 }
 
 // FromCircuit returns an oracle backed by the given circuit.
@@ -67,31 +74,25 @@ func (o *CircuitOracle) EvalWords(in []uint64) []uint64 {
 	return o.c.EvalWords(in)
 }
 
-// EvalBatch rides the circuit's 64-way word-parallel evaluator, reusing the
-// simulation scratch across blocks (the per-block allocation is what makes
-// EvalWords-in-a-loop slower than a true batch on small circuits).
+// EvalBatch simulates the lane-layout batch directly with the circuit's
+// k-word kernel (circuit.Evaluator.EvalLanes), on an Evaluator borrowed from
+// the oracle's pool, so a call allocates only its result lanes.
 func (o *CircuitOracle) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
-	nIn, nOut := o.c.NumPI(), o.c.NumPO()
 	w := Words(n)
-	checkBatch(len(patterns), nIn, n)
-	out := make([]bitvec.Word, nOut*w)
-	ev := o.c.NewEvaluator()
-	in := make([]uint64, nIn)
-	po := make([]uint64, nOut)
-	for b := 0; b < w; b++ {
-		for i := 0; i < nIn; i++ {
-			in[i] = patterns[i*w+b]
-		}
-		ev.EvalWordsInto(in, po)
-		for j := 0; j < nOut; j++ {
-			out[j*w+b] = po[j]
-		}
+	checkBatch(len(patterns), o.c.NumPI(), n)
+	out := make([]bitvec.Word, o.c.NumPO()*w)
+	ev, _ := o.evals.Get().(*circuit.Evaluator)
+	if ev == nil {
+		ev = o.c.NewEvaluator()
 	}
+	ev.EvalLanes(patterns, w, out)
+	o.evals.Put(ev)
 	return out
 }
 
 // Fork returns the oracle itself: circuit evaluation keeps all mutable state
-// in per-call scratch, so one CircuitOracle may serve many goroutines.
+// in pooled per-call scratch, so one CircuitOracle may serve many
+// goroutines.
 func (o *CircuitOracle) Fork() Oracle { return o }
 
 // FuncOracle adapts a Go function to the Oracle interface, for tests.

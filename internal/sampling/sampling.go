@@ -7,6 +7,12 @@
 // 1s among sampled output values). Assignments can be constrained by a cube,
 // which is how the decision tree samples within a node (Sec. IV-D).
 //
+// A sweep's 2*r*|Free| queries reach the oracle as one batch: every free
+// input's alpha_i/alpha_not_i sub-batches are drawn in per-input order and
+// packed densely, at most 2^14 patterns per EvalBatch call (or one
+// sub-batch, when r alone exceeds that), so a sweep costs one call or a few
+// instead of two per input, with the same query count and pattern order.
+//
 // Following the paper's observation that some outputs only reveal
 // sensitivities under assignments with an uneven ratio of 0s and 1s, the
 // generator draws each 64-pattern word from a pool of one-bias ratios
@@ -119,56 +125,115 @@ func PatternSampling(o oracle.Oracle, out int, cube sop.Cube, cfg Config, rng *r
 		return res
 	}
 
+	// Every free input i contributes two sub-batches of R patterns each,
+	// alpha_i (input i forced to 1) then alpha_not_i (forced to 0), drawn in
+	// exactly the order of a per-input loop: block-major, inputs within a
+	// block, one bias ratio per block. Sub-batch u = 2*g+pol (g the index
+	// into Free) is packed densely at pattern offset u*R of the sweep, and
+	// the sweep goes to the oracle in calls of whole sub-batches, at most
+	// sweepChunk patterns each (one sub-batch when R alone exceeds it).
+	r := cfg.R
 	ratios := cfg.ratios()
-	words := (cfg.R + 63) / 64
+	words := (r + 63) / 64
+	per := max(1, sweepChunk/r) // sub-batches per oracle call
+	units := 2 * len(res.Free)
+	b := oracle.AsBatch(o)
+	draw := make([]uint64, n*words) // the current input's R patterns, lane layout
+	one := make([]uint64, words)    // alpha_i's outputs, kept for alpha_not_i
+	got := make([]uint64, words)
+	var lanes []uint64
 	ones := 0
 	ratioIdx := 0
-	b := oracle.AsBatch(o)
-	lanes := make([]uint64, n*words)
-	for _, i := range res.Free {
-		// Draw all R patterns for this input up front, in exactly the order
-		// the per-block reference would (block-major, inputs within a
-		// block, one bias ratio per block), then issue the oracle queries
-		// as two whole batches: alpha_i (input i forced to 1) and
-		// alpha_not_i (forced to 0).
-		for w := 0; w < words; w++ {
-			p := ratios[ratioIdx%len(ratios)]
-			ratioIdx++
-			for j := 0; j < n; j++ {
-				lanes[j*words+w] = BiasedWord(rng, p)
-			}
-			for _, l := range cube {
-				if l.Neg {
-					lanes[l.Var*words+w] = 0
-				} else {
-					lanes[l.Var*words+w] = ^uint64(0)
+	for u0 := 0; u0 < units; u0 += per {
+		cnt := min(per, units-u0)
+		m := cnt * r
+		bw := oracle.Words(m)
+		if cap(lanes) < n*bw {
+			lanes = make([]uint64, n*bw)
+		}
+		lanes = lanes[:n*bw]
+		clear(lanes)
+		for u := u0; u < u0+cnt; u++ {
+			i := res.Free[u/2]
+			lane := draw[i*words : (i+1)*words]
+			if u%2 == 0 {
+				for w := 0; w < words; w++ {
+					p := ratios[ratioIdx%len(ratios)]
+					ratioIdx++
+					for j := 0; j < n; j++ {
+						draw[j*words+w] = BiasedWord(rng, p)
+					}
+					for _, l := range cube {
+						if l.Neg {
+							draw[l.Var*words+w] = 0
+						} else {
+							draw[l.Var*words+w] = ^uint64(0)
+						}
+					}
 				}
+				for w := range lane {
+					lane[w] = ^uint64(0) // alpha_i: input forced to 1
+				}
+			} else {
+				clear(lane) // alpha_not_i: input forced to 0
+			}
+			at := (u - u0) * r
+			for j := 0; j < n; j++ {
+				packBits(lanes[j*bw:(j+1)*bw], at, draw[j*words:(j+1)*words], r)
 			}
 		}
-		lane := lanes[i*words : (i+1)*words]
-		for w := range lane {
-			lane[w] = ^uint64(0) // alpha_i: input forced to 1
-		}
-		out1 := b.EvalBatch(lanes, cfg.R)[out*words : (out+1)*words]
-		for w := range lane {
-			lane[w] = 0 // alpha_not_i: input forced to 0
-		}
-		out0 := b.EvalBatch(lanes, cfg.R)[out*words : (out+1)*words]
-
-		remaining := cfg.R
-		for w := 0; w < words; w++ {
-			batch := min(remaining, 64)
-			remaining -= batch
-			mask := maskLow(batch)
-			res.D[i] += popcount((out1[w] ^ out0[w]) & mask)
-			ones += popcount(out1[w]&mask) + popcount(out0[w]&mask)
-			res.Samples += 2 * batch
+		outLane := b.EvalBatch(lanes, m)[out*bw : (out+1)*bw]
+		for u := u0; u < u0+cnt; u++ {
+			unpackBits(got, outLane, (u-u0)*r, r)
+			if u%2 == 0 {
+				copy(one, got)
+				continue
+			}
+			i := res.Free[u/2]
+			for w := range got {
+				res.D[i] += popcount(one[w] ^ got[w])
+				ones += popcount(one[w]) + popcount(got[w])
+			}
+			res.Samples += 2 * r
 		}
 	}
 	if res.Samples > 0 {
 		res.TruthRatio = float64(ones) / float64(res.Samples)
 	}
 	return res
+}
+
+// sweepChunk caps the patterns of one PatternSampling oracle call, bounding
+// the lane buffer to |I| * sweepChunk/64 words (as fbdt's exhaustive
+// enumeration does) while amortizing per-call overhead over many inputs.
+const sweepChunk = 1 << 14
+
+// packBits ORs the low r bits of src (bit k = pattern k) into dst starting
+// at bit offset at. dst must be zero over [at, at+r).
+func packBits(dst []uint64, at int, src []uint64, r int) {
+	for w := 0; w*64 < r; w++ {
+		x := src[w] & maskLow(r-w*64)
+		p := at + w*64
+		sh := uint(p & 63)
+		dst[p>>6] |= x << sh
+		if sh != 0 && p>>6+1 < len(dst) {
+			dst[p>>6+1] |= x >> (64 - sh)
+		}
+	}
+}
+
+// unpackBits copies r bits of src starting at bit offset at into dst (bit k
+// = pattern k), clearing dst's tail beyond r.
+func unpackBits(dst []uint64, src []uint64, at int, r int) {
+	for w := 0; w*64 < r; w++ {
+		p := at + w*64
+		sh := uint(p & 63)
+		x := src[p>>6] >> sh
+		if sh != 0 && p>>6+1 < len(src) {
+			x |= src[p>>6+1] << (64 - sh)
+		}
+		dst[w] = x & maskLow(r-w*64)
+	}
 }
 
 func maskLow(n int) uint64 {
