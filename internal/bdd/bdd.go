@@ -3,11 +3,23 @@
 // In the optimization pipeline it plays the role of ABC's `collapse`
 // command: small-support logic cones are collapsed into their canonical
 // function and resynthesized from a compact cover.
+//
+// The core is map-free, in the CUDD/BuDDy style. Nodes are 12-byte
+// (level, lo, hi) int32 triples appended to one slice, so a node's Ref is
+// its creation index: numbering depends only on the sequence of operations.
+// The unique table is an open-addressed array of node indices with linear
+// probing, doubled whenever it is half full. The ITE computed table is a
+// direct-mapped, lossy cache of (f, g, h) -> r entries with as many slots as
+// the unique table: a colliding result overwrites the old one. An evicted
+// entry only costs a recomputation, which walks nodes that already exist,
+// so eviction never changes a returned Ref, the node numbering or where the
+// node budget trips (mk checks the budget only when it creates a node).
 package bdd
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"logicregression/internal/aig"
 	"logicregression/internal/sop"
@@ -25,18 +37,31 @@ const (
 	True  Ref = 1
 )
 
+// bnode is one node; terminals use level == manager.nvars.
 type bnode struct {
-	level  int // variable index; terminals use level == manager.nvars
-	lo, hi Ref
+	level  int32
+	lo, hi int32
 }
+
+// iteEntry is one ITE cache slot. f is never a terminal in a stored entry,
+// so the zero value (f == 0) marks an empty slot.
+type iteEntry struct{ f, g, h, r int32 }
+
+// minTableBits sizes the unique table and ITE cache of a new manager.
+const minTableBits = 8
 
 // Manager owns BDD nodes over a fixed variable count and order (variable i
 // is at level i).
 type Manager struct {
-	nvars    int
-	nodes    []bnode
-	unique   map[bnode]Ref
-	iteCache map[[3]Ref]Ref
+	nvars int
+	nodes []bnode
+	// unique holds the index of every non-terminal node at its probe slot;
+	// 0 (the False terminal, never stored) marks an empty slot.
+	unique []int32
+	cache  []iteEntry
+	// shift turns a 64-bit hash into a slot of unique or cache, which
+	// always have the same power-of-two length.
+	shift    uint
 	maxNodes int
 }
 
@@ -48,13 +73,14 @@ func NewManager(nvars, maxNodes int) *Manager {
 	}
 	m := &Manager{
 		nvars:    nvars,
-		unique:   make(map[bnode]Ref),
-		iteCache: make(map[[3]Ref]Ref),
-		maxNodes: maxNodes,
+		unique:   make([]int32, 1<<minTableBits),
+		cache:    make([]iteEntry, 1<<minTableBits),
+		shift:    64 - minTableBits,
+		maxNodes: min(maxNodes, math.MaxInt32),
 	}
 	m.nodes = append(m.nodes,
-		bnode{level: nvars}, // False
-		bnode{level: nvars}, // True
+		bnode{level: int32(nvars)}, // False
+		bnode{level: int32(nvars)}, // True
 	)
 	return m
 }
@@ -64,21 +90,51 @@ func (m *Manager) NumNodes() int { return len(m.nodes) }
 
 type budgetPanic struct{}
 
-func (m *Manager) mk(level int, lo, hi Ref) Ref {
+// hash3 mixes three int32 keys into 64 bits; the top bits pick the slot.
+func hash3(a, b, c int32) uint64 {
+	return ((uint64(uint32(a))*0x9E3779B97F4A7C15+uint64(uint32(b)))*0xBF58476D1CE4E5B9 +
+		uint64(uint32(c))) * 0x94D049BB133111EB
+}
+
+func (m *Manager) mk(level, lo, hi int32) int32 {
 	if lo == hi {
 		return lo
 	}
-	key := bnode{level: level, lo: lo, hi: hi}
-	if r, ok := m.unique[key]; ok {
-		return r
+	mask := uint64(len(m.unique) - 1)
+	i := hash3(level, lo, hi) >> m.shift
+	for ; m.unique[i] != 0; i = (i + 1) & mask {
+		r := m.unique[i]
+		if n := m.nodes[r]; n.level == level && n.lo == lo && n.hi == hi {
+			return r
+		}
 	}
 	if len(m.nodes) >= m.maxNodes {
 		panic(budgetPanic{})
 	}
-	m.nodes = append(m.nodes, key)
-	r := Ref(len(m.nodes) - 1)
-	m.unique[key] = r
+	r := int32(len(m.nodes))
+	m.nodes = append(m.nodes, bnode{level: level, lo: lo, hi: hi})
+	m.unique[i] = r
+	if 2*len(m.nodes) > len(m.unique) {
+		m.grow()
+	}
 	return r
+}
+
+// grow doubles the unique table and the ITE cache. The unique table is
+// rebuilt from the node slice; the cache restarts empty.
+func (m *Manager) grow() {
+	m.shift--
+	m.unique = make([]int32, 2*len(m.unique))
+	m.cache = make([]iteEntry, len(m.unique))
+	mask := uint64(len(m.unique) - 1)
+	for r := 2; r < len(m.nodes); r++ {
+		n := m.nodes[r]
+		i := hash3(n.level, n.lo, n.hi) >> m.shift
+		for m.unique[i] != 0 {
+			i = (i + 1) & mask
+		}
+		m.unique[i] = int32(r)
+	}
 }
 
 // Var returns the BDD of variable i.
@@ -86,43 +142,52 @@ func (m *Manager) Var(i int) Ref {
 	if i < 0 || i >= m.nvars {
 		panic(fmt.Sprintf("bdd: variable %d out of range [0,%d)", i, m.nvars))
 	}
-	return m.mk(i, False, True)
+	return Ref(m.mk(int32(i), 0, 1))
 }
 
-func (m *Manager) level(r Ref) int { return m.nodes[r].level }
+func (m *Manager) level(r Ref) int { return int(m.nodes[r].level) }
 
 func (m *Manager) cofactors(r Ref, level int) (lo, hi Ref) {
-	if m.nodes[r].level != level {
-		return r, r
-	}
-	return m.nodes[r].lo, m.nodes[r].hi
+	l, h := split(int32(r), m.nodes[r], int32(level))
+	return Ref(l), Ref(h)
 }
 
 // ITE computes if-then-else(f, g, h).
-func (m *Manager) ITE(f, g, h Ref) Ref {
+func (m *Manager) ITE(f, g, h Ref) Ref { return Ref(m.ite(int32(f), int32(g), int32(h))) }
+
+func (m *Manager) ite(f, g, h int32) int32 {
 	switch {
-	case f == True:
+	case f == 1:
 		return g
-	case f == False:
+	case f == 0:
 		return h
 	case g == h:
 		return g
-	case g == True && h == False:
+	case g == 1 && h == 0:
 		return f
 	}
-	key := [3]Ref{f, g, h}
-	if r, ok := m.iteCache[key]; ok {
-		return r
+	if e := m.cache[hash3(f, g, h)>>m.shift]; e.f == f && e.g == g && e.h == h {
+		return e.r
 	}
-	level := min(m.level(f), min(m.level(g), m.level(h)))
-	f0, f1 := m.cofactors(f, level)
-	g0, g1 := m.cofactors(g, level)
-	h0, h1 := m.cofactors(h, level)
-	lo := m.ITE(f0, g0, h0)
-	hi := m.ITE(f1, g1, h1)
+	nf, ng, nh := m.nodes[f], m.nodes[g], m.nodes[h]
+	level := min(nf.level, ng.level, nh.level)
+	f0, f1 := split(f, nf, level)
+	g0, g1 := split(g, ng, level)
+	h0, h1 := split(h, nh, level)
+	lo := m.ite(f0, g0, h0)
+	hi := m.ite(f1, g1, h1)
 	r := m.mk(level, lo, hi)
-	m.iteCache[key] = r
+	// The recursion may have grown the cache: hash again.
+	m.cache[hash3(f, g, h)>>m.shift] = iteEntry{f: f, g: g, h: h, r: r}
 	return r
+}
+
+// split returns the cofactors of node r (stored as n) at level.
+func split(r int32, n bnode, level int32) (lo, hi int32) {
+	if n.level != level {
+		return r, r
+	}
+	return n.lo, n.hi
 }
 
 // Not returns the complement.
@@ -142,9 +207,9 @@ func (m *Manager) Eval(f Ref, assignment []bool) bool {
 	for f != False && f != True {
 		n := m.nodes[f]
 		if assignment[n.level] {
-			f = n.hi
+			f = Ref(n.hi)
 		} else {
-			f = n.lo
+			f = Ref(n.lo)
 		}
 	}
 	return f == True
@@ -168,7 +233,7 @@ func (m *Manager) SatCount(f Ref) float64 {
 			return v
 		}
 		n := m.nodes[r]
-		v := (frac(n.lo) + frac(n.hi)) / 2
+		v := (frac(Ref(n.lo)) + frac(Ref(n.hi))) / 2
 		memo[r] = v
 		return v
 	}
@@ -193,9 +258,10 @@ func (m *Manager) Support(f Ref) []int {
 			return
 		}
 		seen[r] = true
-		vars[m.nodes[r].level] = true
-		walk(m.nodes[r].lo)
-		walk(m.nodes[r].hi)
+		n := m.nodes[r]
+		vars[int(n.level)] = true
+		walk(Ref(n.lo))
+		walk(Ref(n.hi))
 	}
 	walk(f)
 	out := make([]int, 0, len(vars))
@@ -283,28 +349,23 @@ func FromTruthTable(m *Manager, table []bool, vars []int) Ref {
 			panic("bdd: vars must be strictly ascending")
 		}
 	}
-	return m.fromTT(table, vars)
+	return Ref(m.fromTT(table, 0, 1, vars))
 }
 
-// fromTT recursively splits on vars[0] (the topmost level): the subfunction
-// with vars[0]=0 lives at even minterm indices, =1 at odd indices.
-func (m *Manager) fromTT(table []bool, vars []int) Ref {
+// fromTT builds the subfunction at minterm indices off, off+stride,
+// off+2*stride, ... of table, splitting on vars[0] (the topmost level): its
+// vars[0]=0 half starts at off and its vars[0]=1 half at off+stride, each
+// with twice the stride. The lo half is built before the hi half.
+func (m *Manager) fromTT(table []bool, off, stride int, vars []int) int32 {
 	if len(vars) == 0 {
-		if table[0] {
-			return True
+		if table[off] {
+			return 1
 		}
-		return False
+		return 0
 	}
-	half := len(table) / 2
-	lo := make([]bool, half)
-	hi := make([]bool, half)
-	for i := 0; i < half; i++ {
-		lo[i] = table[2*i]
-		hi[i] = table[2*i+1]
-	}
-	l := m.fromTT(lo, vars[1:])
-	h := m.fromTT(hi, vars[1:])
-	return m.mk(vars[0], l, h)
+	l := m.fromTT(table, off, 2*stride, vars[1:])
+	h := m.fromTT(table, off+stride, 2*stride, vars[1:])
+	return m.mk(int32(vars[0]), l, h)
 }
 
 // ISOP computes an irredundant sum-of-products cover of f using the

@@ -13,11 +13,12 @@ import (
 // procedure, fully independent of the SAT path (no AIG, no CNF, no solver).
 //
 // Mutants share almost all structure with the original circuit, so the
-// harness keeps one manager per campaign: the original is built once and
-// every mutant's build mostly hits the unique/ITE tables instead of
-// recomputing the shared cone. A node-budget overrun resets the manager and
-// retries the mutant in isolation once; if it still overruns, that mutant's
-// BDD verdict is a skip, not a pass.
+// harness keeps one manager per campaign: the original is built once, and a
+// mutant's build of the shared cone finds its nodes already in the unique
+// table. The ITE cache is lossy, so part of that cone may be recomputed, but
+// a recomputation only walks existing nodes and creates none. A node-budget
+// overrun resets the manager and retries the mutant in isolation once; if it
+// still overruns, that mutant's BDD verdict is a skip, not a pass.
 
 // bddChecker is the per-campaign shared-manager equivalence checker.
 type bddChecker struct {

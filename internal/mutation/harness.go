@@ -88,8 +88,8 @@ type MutantResult struct {
 // caseContext caches the per-circuit state shared by every mutant of a
 // campaign: the original's lint profile and its BDD build. Reusing one BDD
 // manager across a case's mutants is what makes the BDD layer affordable —
-// each mutant differs from the original in one site, so its build is mostly
-// unique-table and ITE-cache hits.
+// each mutant differs from the original in one site, so its build mostly
+// finds its nodes in the shared unique table.
 type caseContext struct {
 	orig     *circuit.Circuit
 	cfg      Layers
