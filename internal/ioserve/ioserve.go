@@ -33,6 +33,11 @@
 // versa. Batch frames amortize one network round trip over k queries; the
 // Client chunks large EvalBatch calls into frames of at most MaxFrame.
 //
+// Both ends encode and parse <ibits>/<obits> lines a word at a time: 64
+// patterns of a batch become 64 rows by one bit transpose, and a row
+// becomes its characters eight at a time (bitvec.FormatRow/ParseRow). The
+// codec is internal: the grammar above is exactly what goes on the wire.
+//
 // # Failure model
 //
 // Error replies carry a severity prefix so clients can tell a fault they
@@ -56,6 +61,7 @@ package ioserve
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -270,8 +276,8 @@ func (s *Server) Shutdown(ln net.Listener, drain time.Duration) error {
 }
 
 // deadlineConn arms a read deadline before every Read so a silent peer
-// cannot block a handler forever. Write deadlines ride along: a peer that
-// stops draining replies stalls the same way a silent sender does.
+// cannot block a handler (or a client) forever. Write deadlines ride along:
+// a peer that stops draining stalls the same way a silent sender does.
 type deadlineConn struct {
 	net.Conn
 	timeout time.Duration
@@ -486,22 +492,23 @@ func (s *Server) serveStream(stream io.ReadWriter) {
 				return
 			}
 			// Consume all k query lines before validating, keeping the
-			// connection usable after a malformed line.
-			lanes := make([]bitvec.Word, c.nIn*oracle.Words(k))
+			// connection usable after a malformed line. Each line decodes
+			// into a row; every 64 rows transpose into one word per lane.
 			lw := oracle.Words(k)
+			lanes := make([]bitvec.Word, c.nIn*lw)
+			kw := bitvec.RowWords(c.nIn)
+			rows := make([]bitvec.Word, 64*kw)
 			var lineErr error
 			for q := 0; q < k; q++ {
 				if !c.sc.Scan() {
 					return
 				}
-				a, err := parseBits(strings.TrimSpace(c.sc.Text()), c.nIn)
-				if err != nil && lineErr == nil {
+				p := q & 63
+				if err := parseRow(rows[p*kw:(p+1)*kw], bytes.TrimSpace(c.sc.Bytes()), c.nIn); err != nil && lineErr == nil {
 					lineErr = fmt.Errorf("batch line %d: %v", q+1, err)
 				}
-				for i, bit := range a {
-					if bit {
-						lanes[i*lw+q>>6] |= 1 << (uint(q) & 63)
-					}
+				if p == 63 || q == k-1 {
+					bitvec.RowsToLanes(lanes, lw, c.nIn, q>>6, rows[:(p+1)*kw])
 				}
 			}
 			if lineErr != nil {
@@ -519,17 +526,17 @@ func (s *Server) serveStream(stream io.ReadWriter) {
 			}
 			fmt.Fprintf(c.w, "batch %d\n", k)
 			nOut := c.o.NumOutputs()
-			buf := make([]byte, nOut)
+			ow := bitvec.RowWords(nOut)
+			orows := make([]bitvec.Word, 64*ow)
+			buf := make([]byte, nOut+1)
+			buf[nOut] = '\n'
 			for q := 0; q < k; q++ {
-				for j := 0; j < nOut; j++ {
-					if out[j*lw+q>>6]>>(uint(q)&63)&1 == 1 {
-						buf[j] = '1'
-					} else {
-						buf[j] = '0'
-					}
+				p := q & 63
+				if p == 0 {
+					bitvec.LanesToRows(orows, out, lw, nOut, q>>6)
 				}
+				bitvec.FormatRow(buf[:nOut], orows[p*ow:(p+1)*ow])
 				c.w.Write(buf)
-				c.w.WriteByte('\n')
 			}
 			if c.w.Flush() != nil {
 				return
@@ -545,7 +552,7 @@ func (s *Server) serveStream(stream io.ReadWriter) {
 					continue
 				}
 			}
-			assign, err := parseBits(line, c.nIn)
+			assign, err := parseBits([]byte(line), c.nIn)
 			if err != nil {
 				if !c.Reply(fmt.Sprintf("error: %v", err)) {
 					return
@@ -566,32 +573,35 @@ func (s *Server) serveStream(stream io.ReadWriter) {
 	}
 }
 
-func parseBits(line string, want int) ([]bool, error) {
+// parseRow decodes one <ibits>/<obits> line of want characters into row
+// (RowWords(want) words).
+func parseRow(row []bitvec.Word, line []byte, want int) error {
 	if len(line) != want {
-		return nil, fmt.Errorf("got %d bits, want %d", len(line), want)
+		return fmt.Errorf("got %d bits, want %d", len(line), want)
+	}
+	if i := bitvec.ParseRow(row, line); i >= 0 {
+		return fmt.Errorf("bad bit %q at position %d", line[i], i)
+	}
+	return nil
+}
+
+// parseBits decodes one line of want characters into a []bool.
+func parseBits(line []byte, want int) ([]bool, error) {
+	row := make([]bitvec.Word, bitvec.RowWords(want))
+	if err := parseRow(row, line, want); err != nil {
+		return nil, err
 	}
 	out := make([]bool, want)
-	for i := 0; i < want; i++ {
-		switch line[i] {
-		case '0':
-		case '1':
-			out[i] = true
-		default:
-			return nil, fmt.Errorf("bad bit %q at position %d", line[i], i)
-		}
-	}
+	bitvec.UnpackBools(out, row)
 	return out, nil
 }
 
+// formatBits renders bits as one '0'/'1' line (without its newline).
 func formatBits(bits []bool) string {
+	row := make([]bitvec.Word, bitvec.RowWords(len(bits)))
+	bitvec.PackBools(row, bits)
 	buf := make([]byte, len(bits))
-	for i, b := range bits {
-		if b {
-			buf[i] = '1'
-		} else {
-			buf[i] = '0'
-		}
-	}
+	bitvec.FormatRow(buf, row)
 	return string(buf)
 }
 
@@ -601,10 +611,10 @@ func formatBits(bits []bool) string {
 type DialConfig struct {
 	// ConnectTimeout bounds the TCP dial (0 = wait forever).
 	ConnectTimeout time.Duration
-	// IOTimeout is armed as a fresh deadline before every read and every
-	// flush: a server that stops answering mid-session surfaces as a
-	// timeout error instead of silently eating the learner's time budget
-	// (0 = no deadlines).
+	// IOTimeout is armed as a fresh deadline before every socket read and
+	// every socket write, under the client's line buffers: a server that
+	// stops answering mid-session surfaces as a timeout error instead of
+	// silently eating the learner's time budget (0 = no deadlines).
 	IOTimeout time.Duration
 	// MaxReply caps a single reply line in bytes (0 = 1 MiB). Oversized
 	// replies fail the session instead of growing the buffer unboundedly.
@@ -618,7 +628,6 @@ type DialConfig struct {
 // automatic retry and reconnection use ResilientClient.
 type Client struct {
 	conn     net.Conn
-	cfg      DialConfig
 	r        *bufio.Scanner
 	w        *bufio.Writer
 	ins      []string
@@ -650,11 +659,16 @@ func DialWith(addr string, cfg DialConfig) (*Client, error) {
 // an in-memory pipe, a proxied stream, anything net.Conn-shaped — and
 // performs the greeting handshake on it. Error paths close conn.
 func NewClientConn(conn net.Conn, cfg DialConfig) (*Client, error) {
+	var stream io.ReadWriter = conn
+	if cfg.IOTimeout > 0 {
+		// Deadlines are armed per socket read and write, not per line: a
+		// whole reply frame usually arrives in a few reads.
+		stream = &deadlineConn{Conn: conn, timeout: cfg.IOTimeout}
+	}
 	c := &Client{
 		conn:  conn,
-		cfg:   cfg,
-		r:     bufio.NewScanner(conn),
-		w:     bufio.NewWriter(conn),
+		r:     bufio.NewScanner(stream),
+		w:     bufio.NewWriter(stream),
 		proto: 1,
 	}
 	maxReply := cfg.MaxReply
@@ -812,7 +826,6 @@ func (c *Client) Close() error {
 		if _, err := c.w.WriteString("quit\n"); err != nil {
 			werr = err
 		} else {
-			c.armWrite()
 			werr = c.w.Flush()
 		}
 	}
@@ -836,45 +849,35 @@ func (c *Client) usable() error {
 	return c.queryErr
 }
 
-// armRead arms the per-read deadline.
-func (c *Client) armRead() {
-	if c.cfg.IOTimeout > 0 {
-		c.conn.SetReadDeadline(time.Now().Add(c.cfg.IOTimeout))
-	}
-}
-
-// armWrite arms the per-flush deadline.
-func (c *Client) armWrite() {
-	if c.cfg.IOTimeout > 0 {
-		c.conn.SetWriteDeadline(time.Now().Add(c.cfg.IOTimeout))
-	}
-}
-
 // send writes and flushes one command, poisoning the session on failure.
 func (c *Client) send(s string) error {
 	if _, err := c.w.WriteString(s); err != nil {
 		return c.fail(transportErr(err))
 	}
-	c.armWrite()
 	if err := c.w.Flush(); err != nil {
 		return c.fail(transportErr(err))
 	}
 	return nil
 }
 
-// readLineErr reads one reply line under the read deadline. Transport
-// failures poison the session and come back tagged transient (a fresh
-// connection may succeed where this one died).
-func (c *Client) readLineErr() (string, error) {
-	c.armRead()
+// readLine reads one reply line, trimmed; the bytes are valid until the
+// next read. Transport failures poison the session and come back tagged
+// transient (a fresh connection may succeed where this one died).
+func (c *Client) readLine() ([]byte, error) {
 	if !c.r.Scan() {
 		err := c.r.Err()
 		if err == nil {
 			err = fmt.Errorf("ioserve: server closed connection")
 		}
-		return "", c.fail(transportErr(err))
+		return nil, c.fail(transportErr(err))
 	}
-	return strings.TrimSpace(c.r.Text()), nil
+	return bytes.TrimSpace(c.r.Bytes()), nil
+}
+
+// readLineErr is readLine as a string.
+func (c *Client) readLineErr() (string, error) {
+	line, err := c.readLine()
+	return string(line), err
 }
 
 // Eval issues one query. Transport failures panic with *oracle.Failure: the
@@ -911,29 +914,49 @@ func (c *Client) evalErr(assignment []bool) ([]bool, error) {
 // readReplyErr parses one <obits> reply line, classifying error replies per
 // the wire failure model.
 func (c *Client) readReplyErr() ([]bool, error) {
-	line, err := c.readLineErr()
-	if err != nil {
+	row := make([]bitvec.Word, bitvec.RowWords(len(c.outs)))
+	if err := c.readReply(row); err != nil {
 		return nil, err
 	}
+	out := make([]bool, len(c.outs))
+	bitvec.UnpackBools(out, row)
+	return out, nil
+}
+
+// readReply decodes one <obits> reply line into row (RowWords(outputs)
+// words, unspecified on error), classifying error replies per the wire
+// failure model.
+func (c *Client) readReply(row []bitvec.Word) error {
+	line, err := c.readLine()
+	if err != nil {
+		return err
+	}
+	if bytes.HasPrefix(line, []byte("error:")) {
+		return c.errorReply(string(line), "query")
+	}
+	if err := parseRow(row, line, len(c.outs)); err != nil {
+		// A reply that does not parse means the stream is desynchronized
+		// (e.g. a corrupted line): unusable here, but a reconnect heals it.
+		return c.fail(transportErr(fmt.Errorf("ioserve: bad reply: %w", err)))
+	}
+	return nil
+}
+
+// errorReply classifies an "error:" reply line to the named request
+// ("query" or "batch").
+func (c *Client) errorReply(line, request string) error {
 	switch {
 	case strings.HasPrefix(line, "error: transient:"):
 		// The server-side black box hiccuped but the stream is intact:
 		// retryable in place, session not poisoned.
-		return nil, &wireTransientError{msg: strings.TrimSpace(strings.TrimPrefix(line, "error:"))}
+		return &wireTransientError{msg: strings.TrimSpace(strings.TrimPrefix(line, "error:"))}
 	case strings.HasPrefix(line, "error: fatal:"):
-		return nil, c.fail(fmt.Errorf("ioserve: black box is dead: %s", strings.TrimSpace(strings.TrimPrefix(line, "error: fatal:"))))
-	case strings.HasPrefix(line, "error:"):
-		// A well-formed query was rejected: that is a client-side bug, not
-		// a fault worth retrying.
-		return nil, c.fail(fmt.Errorf("ioserve: server rejected query: %s", line))
+		return c.fail(fmt.Errorf("ioserve: black box is dead: %s", strings.TrimSpace(strings.TrimPrefix(line, "error: fatal:"))))
+	default:
+		// A well-formed request was rejected: that is a client-side bug,
+		// not a fault worth retrying.
+		return c.fail(fmt.Errorf("ioserve: server rejected %s: %s", request, line))
 	}
-	out, err := parseBits(line, len(c.outs))
-	if err != nil {
-		// A reply that does not parse means the stream is desynchronized
-		// (e.g. a corrupted line): unusable here, but a reconnect heals it.
-		return nil, c.fail(transportErr(fmt.Errorf("ioserve: bad reply: %w", err)))
-	}
-	return out, nil
 }
 
 // EvalBatch sends the whole batch across the wire. On a v2 session it uses
@@ -992,7 +1015,17 @@ func (c *Client) evalBatchResume(patterns []bitvec.Word, n, start int, out []bit
 			frame = c.v1Chunk
 		}
 	}
-	qbuf := make([]byte, nIn)
+	// Query lines are formatted from the input rows of one 64-pattern
+	// block at a time; replies bank as rows and reach out one block at a
+	// time, so out only ever holds answers to patterns below done.
+	kw := bitvec.RowWords(nIn)
+	in := make([]bitvec.Word, 64*kw)
+	inBlock := -1
+	replies := replyRows{out: out, w: w, nOut: nOut, block: -1,
+		rows: make([]bitvec.Word, 64*bitvec.RowWords(nOut))}
+	defer replies.flush()
+	line := make([]byte, nIn+1)
+	line[nIn] = '\n'
 	done := start
 	for base := start; base < n; base += frame {
 		k := min(n-base, frame)
@@ -1000,23 +1033,17 @@ func (c *Client) evalBatchResume(patterns []bitvec.Word, n, start int, out []bit
 		if c.proto >= 2 {
 			fmt.Fprintf(c.w, "batch %d\n", k)
 		}
-		for q := 0; q < k; q++ {
-			pat := base + q
-			for i := 0; i < nIn; i++ {
-				if patterns[i*w+pat>>6]>>(uint(pat)&63)&1 == 1 {
-					qbuf[i] = '1'
-				} else {
-					qbuf[i] = '0'
-				}
+		for pat := base; pat < base+k; pat++ {
+			if b := pat >> 6; b != inBlock {
+				bitvec.LanesToRows(in, patterns, w, nIn, b)
+				inBlock = b
 			}
-			if _, err := c.w.Write(qbuf); err != nil {
-				return done, c.fail(transportErr(err))
-			}
-			if err := c.w.WriteByte('\n'); err != nil {
+			p := pat & 63
+			bitvec.FormatRow(line[:nIn], in[p*kw:(p+1)*kw])
+			if _, err := c.w.Write(line); err != nil {
 				return done, c.fail(transportErr(err))
 			}
 		}
-		c.armWrite()
 		if err := c.w.Flush(); err != nil {
 			return done, c.fail(transportErr(err))
 		}
@@ -1027,41 +1054,63 @@ func (c *Client) evalBatchResume(patterns []bitvec.Word, n, start int, out []bit
 				return done, err
 			}
 			switch {
-			case strings.HasPrefix(header, "error: transient:"):
-				return done, &wireTransientError{msg: strings.TrimSpace(strings.TrimPrefix(header, "error:"))}
-			case strings.HasPrefix(header, "error: fatal:"):
-				return done, c.fail(fmt.Errorf("ioserve: black box is dead: %s", strings.TrimSpace(strings.TrimPrefix(header, "error: fatal:"))))
 			case strings.HasPrefix(header, "error:"):
-				return done, c.fail(fmt.Errorf("ioserve: server rejected batch: %s", header))
+				return done, c.errorReply(header, "batch")
 			case header != fmt.Sprintf("batch %d", k):
 				return done, c.fail(transportErr(fmt.Errorf("ioserve: bad batch reply header %q", header)))
 			}
 		}
 		for q := 0; q < k; q++ {
-			res, err := c.readReplyErr()
-			if err != nil {
+			row := replies.row(base + q)
+			if err := c.readReply(row); err != nil {
+				clear(row)
 				if isWireTransient(err) && c.proto < 2 {
 					// v1 pipelining: the rest of the chunk's replies are
 					// still in flight. Drain them so the stream stays
 					// synchronized for the in-place retry.
 					for d := q + 1; d < k; d++ {
-						if _, derr := c.readLineErr(); derr != nil {
+						if _, derr := c.readLine(); derr != nil {
 							return done, derr
 						}
 					}
 				}
 				return done, err
 			}
-			pat := base + q
-			for j, bit := range res {
-				if bit {
-					out[j*w+pat>>6] |= 1 << (uint(pat) & 63)
-				}
-			}
-			done = pat + 1
+			done = base + q + 1
 		}
 	}
 	return done, nil
+}
+
+// replyRows banks the reply rows of one 64-pattern block and ORs them into
+// the result lanes with one transpose when the exchange moves past the
+// block or ends. Rows of patterns not answered stay zero.
+type replyRows struct {
+	out     []bitvec.Word
+	w, nOut int
+	block   int // the block the rows belong to, -1 when none is banked
+	rows    []bitvec.Word
+}
+
+// row returns the zeroed row for pattern pat's reply.
+func (r *replyRows) row(pat int) []bitvec.Word {
+	if b := pat >> 6; b != r.block {
+		r.flush()
+		r.block = b
+	}
+	ow := len(r.rows) / 64
+	p := pat & 63
+	return r.rows[p*ow : (p+1)*ow]
+}
+
+// flush ORs the banked rows into their block of the result lanes and
+// clears them.
+func (r *replyRows) flush() {
+	if r.block >= 0 {
+		bitvec.RowsToLanes(r.out, r.w, r.nOut, r.block, r.rows)
+		clear(r.rows)
+		r.block = -1
+	}
 }
 
 // fail poisons the session and returns the error for the caller to

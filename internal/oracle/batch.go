@@ -154,16 +154,13 @@ func patternBools(lanes []bitvec.Word, w, nLanes, k int, dst []bool) {
 	}
 }
 
-// packPatterns packs per-pattern bool assignments into lane layout.
-func packPatterns(assigns [][]bool, nLanes int) []bitvec.Word {
-	w := Words(len(assigns))
-	lanes := make([]bitvec.Word, nLanes*w)
-	for k, a := range assigns {
-		for i, bit := range a {
-			if bit {
-				setLaneBit(lanes, w, i, k)
-			}
+// scatterBools writes one response into bit k of each output lane.
+//
+//logicreg:hotpath
+func scatterBools(out []bitvec.Word, w, k int, v []bool) {
+	for j, bit := range v {
+		if bit {
+			setLaneBit(out, w, j, k)
 		}
 	}
-	return lanes
 }

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"logicregression/internal/bitvec"
 	"logicregression/internal/cases"
 	"logicregression/internal/oracle"
 )
@@ -123,4 +124,50 @@ type wordsOnly struct {
 
 func (w wordsOnly) EvalWords(in []uint64) []uint64 {
 	return w.Oracle.(oracle.WordOracle).EvalWords(in)
+}
+
+// BenchmarkMemoBatch times one 16 384-pattern EvalBatch through a
+// default-capacity memo over case_10 (37 inputs, one key word), the shape
+// of a remote learn's sampling sweeps: about 5% of each batch repeats
+// patterns of the batch before, and the cache is full, so every miss
+// evicts.
+func BenchmarkMemoBatch(b *testing.B) {
+	cs, err := cases.ByName("case_10")
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := cs.Oracle()
+	nIn := o.NumInputs()
+	const n = 1 << 14
+	w := oracle.Words(n)
+	rng := rand.New(rand.NewSource(1))
+	prev := randomLanes(rng, nIn, n)
+	next := func() []bitvec.Word {
+		cur := randomLanes(rng, nIn, n)
+		for j := 0; j < w; j++ {
+			var repeat bitvec.Word // the ~5% of patterns copied from prev
+			for k := 0; k < 64; k++ {
+				if rng.Intn(20) == 0 {
+					repeat |= 1 << uint(k)
+				}
+			}
+			for i := 0; i < nIn; i++ {
+				cur[i*w+j] = cur[i*w+j]&^repeat | prev[i*w+j]&repeat
+			}
+		}
+		prev = cur
+		return cur
+	}
+	m := oracle.NewMemo(o)
+	for m.Len() < oracle.DefaultMemoCapacity {
+		m.EvalBatch(next(), n)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		lanes := next()
+		b.StartTimer()
+		m.EvalBatch(lanes, n)
+	}
+	b.ReportMetric(float64(n), "patterns/op")
 }

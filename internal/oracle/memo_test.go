@@ -219,3 +219,51 @@ func (statelessOracle) NumOutputs() int       { return 1 }
 func (statelessOracle) InputNames() []string  { return []string{"a", "b", "c"} }
 func (statelessOracle) OutputNames() []string { return []string{"z"} }
 func (statelessOracle) Eval(a []bool) []bool  { return []bool{a[0] != a[1] || a[2]} }
+
+// TestMemoExactCapacity: the shards' bounds add up to exactly the capacity,
+// also when it is not a multiple of the shard count.
+func TestMemoExactCapacity(t *testing.T) {
+	for _, capacity := range []int{1, 7, 127, 128, 130, 143, 1024} {
+		inner := &logOracle{nIn: 12, nOut: 1}
+		m := NewMemoCap(inner, capacity)
+		for q := 0; q < 4096; q++ {
+			a := make([]bool, 12)
+			for i := range a {
+				a[i] = q>>uint(i)&1 == 1
+			}
+			m.Eval(a)
+		}
+		if m.Len() != capacity {
+			t.Fatalf("NewMemoCap(%d) holds %d entries after 4096 distinct keys", capacity, m.Len())
+		}
+		if m.Evictions() != int64(4096-capacity) {
+			t.Fatalf("NewMemoCap(%d): %d evictions, want %d", capacity, m.Evictions(), 4096-capacity)
+		}
+	}
+}
+
+// TestMemoPreloadDropsMisfits: a preloaded entry whose key or response
+// length does not fit the oracle can never answer a query, so it is
+// dropped; a fitting one is kept.
+func TestMemoPreloadDropsMisfits(t *testing.T) {
+	inner := &logOracle{nIn: 12, nOut: 3}
+	m := NewMemoCap(inner, 64)
+	a := make([]bool, 12)
+	a[3] = true
+	m.Preload(MemoKey(a[:8]), []bool{true, false, true})                                        // key one byte short
+	m.Preload(MemoKey(append(a, false, false, false, false, false)), []bool{true, false, true}) // a byte long
+	m.Preload(MemoKey(a), []bool{true, false})                                                  // response short
+	m.Preload(MemoKey(a), []bool{true, false, true, false})                                     // response long
+	if m.Len() != 0 {
+		t.Fatalf("misfit preloads kept: Len = %d", m.Len())
+	}
+	want := inner.f(a)
+	m.Preload(MemoKey(a), want)
+	if m.Len() != 1 {
+		t.Fatalf("fitting preload dropped: Len = %d", m.Len())
+	}
+	if got := m.Eval(a); bitLine(got) != bitLine(want) || m.Hits() != 1 || len(inner.log) != 0 {
+		t.Fatalf("Eval after preload = %s (hits %d, inner calls %d), want %s from the cache",
+			bitLine(got), m.Hits(), len(inner.log), bitLine(want))
+	}
+}

@@ -192,16 +192,6 @@ func EvalWords(o Oracle, in []uint64) []uint64 {
 	return scalarEvalWords(o, in)
 }
 
-func assignKey(a []bool) string {
-	buf := make([]byte, (len(a)+7)/8)
-	for i, b := range a {
-		if b {
-			buf[i>>3] |= 1 << uint(i&7)
-		}
-	}
-	return string(buf)
-}
-
 // Validate checks basic interface sanity of an oracle implementation: name
 // counts match arities and Eval returns the declared number of outputs.
 func Validate(o Oracle) error {

@@ -265,3 +265,17 @@ func TestLearnFromReplayedTranscript(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayErrorText pins the replay parser's error messages, which the
+// shared row codec must not change.
+func TestReplayErrorText(t *testing.T) {
+	for text, want := range map[string]string{
+		"inputs a b\noutputs z\n0x 1\n":    `oracle: transcript line 3: bad bit 'x'`,
+		"inputs a b\noutputs z\n0x 2\n":    `oracle: transcript line 3: bad bit '2'`,
+		"inputs a b\noutputs z\n\n01 11\n": `oracle: transcript line 4 malformed: "01 11"`,
+	} {
+		if _, err := NewReplay(strings.NewReader(text)); err == nil || err.Error() != want {
+			t.Errorf("replay of %q: error %v, want %q", text, err, want)
+		}
+	}
+}

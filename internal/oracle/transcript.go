@@ -12,9 +12,13 @@ package oracle
 //	outputs z
 //	010 1
 //	111 0
+//
+// Query lines are read and written with the word-level '0'/'1' row codec
+// of internal/bitvec, batches by one bit transpose per 64 patterns.
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -50,8 +54,10 @@ func (r *Recorder) OutputNames() []string { return r.inner.OutputNames() }
 
 func (r *Recorder) Eval(a []bool) []bool {
 	out := r.inner.Eval(a)
+	in, res := packRow(a), packRow(out)
+	line := make([]byte, len(a)+len(out)+2)
 	r.mu.Lock()
-	fmt.Fprintf(r.w, "%s %s\n", bitString(a), bitString(out))
+	r.w.Write(transcriptLine(line, len(a), in, res))
 	if err := r.w.Flush(); err != nil && r.err == nil {
 		r.err = err
 	}
@@ -68,19 +74,33 @@ func (r *Recorder) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 	w := Words(n)
 	checkBatch(len(patterns), nIn, n)
 	out := AsBatch(r.inner).EvalBatch(patterns, n)
-	in := make([]bool, nIn)
-	res := make([]bool, nOut)
+	kw, ow := bitvec.RowWords(nIn), bitvec.RowWords(nOut)
+	in, res := make([]bitvec.Word, 64*kw), make([]bitvec.Word, 64*ow)
+	line := make([]byte, nIn+nOut+2)
 	r.mu.Lock()
-	for k := 0; k < n; k++ {
-		patternBools(patterns, w, nIn, k, in)
-		patternBools(out, w, nOut, k, res)
-		fmt.Fprintf(r.w, "%s %s\n", bitString(in), bitString(res))
+	for b := 0; b < w; b++ {
+		bitvec.LanesToRows(in, patterns, w, nIn, b)
+		bitvec.LanesToRows(res, out, w, nOut, b)
+		for p := 0; p < 64 && 64*b+p < n; p++ {
+			r.w.Write(transcriptLine(line, nIn, in[p*kw:(p+1)*kw], res[p*ow:(p+1)*ow]))
+		}
 	}
 	if err := r.w.Flush(); err != nil && r.err == nil {
 		r.err = err
 	}
 	r.mu.Unlock()
 	return out
+}
+
+// transcriptLine formats one query line, "<in> <out>\n", into line (nIn
+// input characters, then len(line)-nIn-2 output characters) from the
+// query's input and output rows.
+func transcriptLine(line []byte, nIn int, in, out []bitvec.Word) []byte {
+	bitvec.FormatRow(line[:nIn], in)
+	line[nIn] = ' '
+	bitvec.FormatRow(line[nIn+1:len(line)-1], out)
+	line[len(line)-1] = '\n'
+	return line
 }
 
 // Err returns the first write error, if any.
@@ -90,25 +110,16 @@ func (r *Recorder) Err() error {
 	return r.err
 }
 
-func bitString(bits []bool) string {
-	buf := make([]byte, len(bits))
-	for i, b := range bits {
-		if b {
-			buf[i] = '1'
-		} else {
-			buf[i] = '0'
-		}
-	}
-	return string(buf)
-}
-
 // Replay is an Oracle backed by a recorded transcript. Queries not present
 // in the transcript panic with a descriptive message — a replayed session
 // can only answer what the original session asked (run the learner with the
 // same seed and options as the recording).
 type Replay struct {
 	ins, outs []string
-	responses map[string][]bool
+	// responses maps the MemoKey of each recorded query to its response
+	// row, resp[i*ow : (i+1)*ow] for ow = RowWords(len(outs)).
+	responses map[string]int
+	resp      []bitvec.Word
 }
 
 // NewReplay parses a transcript.
@@ -133,45 +144,37 @@ func NewReplay(r io.Reader) (*Replay, error) {
 	if err != nil {
 		return nil, err
 	}
-	rp := &Replay{ins: ins, outs: outs, responses: make(map[string][]bool)}
+	rp := &Replay{ins: ins, outs: outs, responses: make(map[string]int)}
+	kw, ow := bitvec.RowWords(len(ins)), bitvec.RowWords(len(outs))
+	in := make([]bitvec.Word, kw)
+	var key []byte
+	recorded := 0
 	lineNo := 2
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		fields := strings.Fields(line)
+		fields := bytes.Fields(line)
 		if len(fields) != 2 || len(fields[0]) != len(ins) || len(fields[1]) != len(outs) {
 			return nil, fmt.Errorf("oracle: transcript line %d malformed: %q", lineNo, line)
 		}
-		out, err := parseBitString(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("oracle: transcript line %d: %v", lineNo, err)
+		rp.resp = append(rp.resp, make([]bitvec.Word, ow)...)
+		if i := bitvec.ParseRow(rp.resp[recorded*ow:], fields[1]); i >= 0 {
+			return nil, fmt.Errorf("oracle: transcript line %d: bad bit %q", lineNo, fields[1][i])
 		}
-		if _, err := parseBitString(fields[0]); err != nil {
-			return nil, fmt.Errorf("oracle: transcript line %d: %v", lineNo, err)
+		if i := bitvec.ParseRow(in, fields[0]); i >= 0 {
+			return nil, fmt.Errorf("oracle: transcript line %d: bad bit %q", lineNo, fields[0][i])
 		}
-		rp.responses[fields[0]] = out
+		key = rowKey(key[:0], in, len(ins))
+		rp.responses[string(key)] = recorded
+		recorded++
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return rp, nil
-}
-
-func parseBitString(s string) ([]bool, error) {
-	out := make([]bool, len(s))
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '0':
-		case '1':
-			out[i] = true
-		default:
-			return nil, fmt.Errorf("bad bit %q", s[i])
-		}
-	}
-	return out, nil
 }
 
 // NumQueries returns the number of distinct recorded queries.
@@ -182,13 +185,25 @@ func (r *Replay) NumOutputs() int       { return len(r.outs) }
 func (r *Replay) InputNames() []string  { return append([]string(nil), r.ins...) }
 func (r *Replay) OutputNames() []string { return append([]string(nil), r.outs...) }
 
-func (r *Replay) Eval(a []bool) []bool {
-	key := bitString(a)
-	out, ok := r.responses[key]
+// response returns the recorded response row of the query of n bits whose
+// row is in, panicking when the transcript never asked it.
+func (r *Replay) response(in []bitvec.Word, n int) []bitvec.Word {
+	var buf [32]byte
+	i, ok := r.responses[string(rowKey(buf[:0], in, n))]
 	if !ok {
-		panic(fmt.Sprintf("oracle: replay has no response for query %s (replay with the recording session's seed and options)", key))
+		q := make([]byte, n)
+		bitvec.FormatRow(q, in)
+		panic(fmt.Sprintf("oracle: replay has no response for query %s (replay with the recording session's seed and options)", q))
 	}
-	return append([]bool(nil), out...)
+	ow := bitvec.RowWords(len(r.outs))
+	return r.resp[i*ow : (i+1)*ow]
+}
+
+func (r *Replay) Eval(a []bool) []bool {
+	in := packRow(a)
+	out := make([]bool, len(r.outs))
+	bitvec.UnpackBools(out, r.response(in, len(a)))
+	return out
 }
 
 // EvalBatch answers every pattern of the batch from the transcript; any
@@ -198,15 +213,15 @@ func (r *Replay) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 	w := Words(n)
 	checkBatch(len(patterns), nIn, n)
 	out := make([]bitvec.Word, nOut*w)
-	in := make([]bool, nIn)
-	for k := 0; k < n; k++ {
-		patternBools(patterns, w, nIn, k, in)
-		v := r.Eval(in)
-		for j, bit := range v {
-			if bit {
-				out[j*w+k>>6] |= 1 << (uint(k) & 63)
-			}
+	kw, ow := bitvec.RowWords(nIn), bitvec.RowWords(nOut)
+	in, res := make([]bitvec.Word, 64*kw), make([]bitvec.Word, 64*ow)
+	for b := 0; b < w; b++ {
+		bitvec.LanesToRows(in, patterns, w, nIn, b)
+		p := 0
+		for ; p < 64 && 64*b+p < n; p++ {
+			copy(res[p*ow:(p+1)*ow], r.response(in[p*kw:(p+1)*kw], nIn))
 		}
+		bitvec.RowsToLanes(out, w, nOut, b, res[:p*ow])
 	}
 	return out
 }

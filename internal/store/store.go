@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"logicregression/internal/bitvec"
 	"logicregression/internal/circuit"
 	"logicregression/internal/core"
 	"logicregression/internal/oracle"
@@ -225,26 +227,29 @@ func (s *Store) ImportTranscript(r io.Reader, want oracle.Identity) (int, error)
 	if !want.IsZero() && !got.Equal(want) {
 		return 0, fmt.Errorf("store: transcript is from a different oracle: %v != %v", got, want)
 	}
+	row := make([]bitvec.Word, bitvec.RowWords(max(len(ins), len(outs))))
+	in := make([]bool, len(ins))
 	count := 0
 	lineNo := 2
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		fields := strings.Fields(line)
+		fields := bytes.Fields(line)
 		if len(fields) != 2 || len(fields[0]) != len(ins) || len(fields[1]) != len(outs) {
 			return count, fmt.Errorf("store: transcript line %d malformed: %q", lineNo, line)
 		}
-		in, err := parseBits(fields[0])
-		if err != nil {
-			return count, fmt.Errorf("store: transcript line %d: %v", lineNo, err)
+		if i := bitvec.ParseRow(row, fields[0]); i >= 0 {
+			return count, fmt.Errorf("store: transcript line %d: bad bit %q", lineNo, fields[0][i])
 		}
-		out, err := parseBits(fields[1])
-		if err != nil {
-			return count, fmt.Errorf("store: transcript line %d: %v", lineNo, err)
+		bitvec.UnpackBools(in, row)
+		if i := bitvec.ParseRow(row, fields[1]); i >= 0 {
+			return count, fmt.Errorf("store: transcript line %d: bad bit %q", lineNo, fields[1][i])
 		}
+		out := make([]bool, len(outs)) // the memo log keeps it
+		bitvec.UnpackBools(out, row)
 		if err := s.memo.append(oracle.MemoKey(in), out); err != nil {
 			return count, err
 		}
@@ -254,20 +259,6 @@ func (s *Store) ImportTranscript(r io.Reader, want oracle.Identity) (int, error)
 		return count, err
 	}
 	return count, nil
-}
-
-func parseBits(str string) ([]bool, error) {
-	out := make([]bool, len(str))
-	for i := 0; i < len(str); i++ {
-		switch str[i] {
-		case '0':
-		case '1':
-			out[i] = true
-		default:
-			return nil, fmt.Errorf("bad bit %q", str[i])
-		}
-	}
-	return out, nil
 }
 
 // LearnKey identifies a learned circuit: which oracle (identity), which

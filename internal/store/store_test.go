@@ -421,3 +421,19 @@ func TestImportTranscript(t *testing.T) {
 		t.Fatalf("warm-started memo still made %d oracle calls", cnt.Queries())
 	}
 }
+
+// TestImportTranscriptErrorText pins the import's error messages, which
+// the shared row codec must not change.
+func TestImportTranscriptErrorText(t *testing.T) {
+	s := noFlush(t, vfs.NewMemFS())
+	defer s.Close()
+	for text, want := range map[string]string{
+		"inputs a b\noutputs z\n0x 1\n": `store: transcript line 3: bad bit 'x'`,
+		"inputs a b\noutputs z\n01 2\n": `store: transcript line 3: bad bit '2'`,
+		"inputs a b\noutputs z\n01\n":   `store: transcript line 3 malformed: "01"`,
+	} {
+		if _, err := s.ImportTranscript(strings.NewReader(text), oracle.Identity{}); err == nil || err.Error() != want {
+			t.Errorf("import of %q: error %v, want %q", text, err, want)
+		}
+	}
+}
