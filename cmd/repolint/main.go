@@ -1,38 +1,28 @@
 // Command repolint runs the repo-specific static analyzers — the AST rules
-// (scalareval, seededrand, orphanerr, errcompare, nodeadline), the
+// (scalareval, orphanerr, errcompare, nodeadline, atomicsafe), the
 // flow-sensitive contract checkers (randtaint, locksafe, panicbridge,
-// goleak), the interprocedural concurrency/allocation contracts
-// (atomicsafe, chanflow, ctxcancel, hotalloc), the cross-package
-// map-order determinism contract (mapdet), and the SSA value-flow
-// checkers (shiftrange, nilflow, deadbranch); see
-// internal/analysis/analyzers — over Go packages. It speaks the vet
-// unit-checker protocol, so the same binary works standalone and as a
-// vettool:
+// goleak), the interprocedural concurrency/allocation contracts (chanflow,
+// ctxcancel, hotalloc), the cross-package map-order determinism contract
+// (mapdet), and the SSA value-flow checkers (shiftrange, nilflow,
+// deadbranch); see internal/analysis/analyzers — over Go packages:
 //
-//	repolint ./...                          # standalone
-//	go vet -vettool=$(pwd)/repolint ./...   # under the go command (CI)
+//	repolint ./...
 //
-// Standalone runs schedule packages over the dependency DAG in parallel
-// (-parallel, default GOMAXPROCS) and, with -cache DIR (or the
-// REPOLINT_CACHE environment variable), replay unchanged packages from a
-// content-addressed cache keyed on source, export data, the analyzer set,
-// and dependency facts — output is byte-identical to a cold sequential
-// run. Analyzers exchange cross-package summaries (facts) in both modes:
-// standalone through the driver, under vet through .vetx files.
+// It schedules packages over the dependency DAG in parallel (-parallel,
+// default GOMAXPROCS), passes cross-package summaries (facts) from each
+// package to its dependents, and, with -cache DIR (or the REPOLINT_CACHE
+// environment variable), replays unchanged packages from a
+// content-addressed cache keyed on source, the analyzer set, and
+// dependency facts — output is byte-identical to a cold sequential run.
+// -stats prints unit, cache-hit, and wall-clock counts to stderr.
 //
 //	repolint -parallel 8 -cache ~/.cache/repolint -stats ./...
 //
-// -format selects text (default), json, or sarif (SARIF 2.1.0, for GitHub
-// code scanning uploads). Exit status is 2 when any analyzer reports a
-// finding. Standalone runs can ratchet per-analyzer finding counts against
-// a checked-in floor instead of failing on any finding at all:
-//
-//	repolint -baseline REPOLINT_BASELINE.json ./...        # enforce (CI)
-//	repolint -baseline REPOLINT_BASELINE.json -write-baseline ./...  # tighten
-//
-// Counts only go down: a count above its baseline entry fails, a count
-// below it prints a reminder to tighten the floor, and a baseline entry
-// naming no registered analyzer fails as stale.
+// -format selects text (default) or sarif (SARIF 2.1.0, for GitHub code
+// scanning uploads). Exit status is 2 when any analyzer reports a finding:
+// the gate is zero findings, and the per-line escape hatch is a reviewed
+// //logicreg:allow <analyzer> <reason> comment. Lock values copied by
+// value are `go vet`'s copylocks check, not repolint's.
 package main
 
 import (

@@ -3,17 +3,19 @@
 // circuit-IR checks in internal/check.
 //
 // It mirrors the golang.org/x/tools/go/analysis API surface this repo needs
-// (Analyzer, Pass, Diagnostic) without the dependency: the container this
-// repo builds in has no module proxy access, so the framework is built on
-// the standard library only. Type information comes from compiler export
-// data located via `go list -export` (driver.go); the `go vet -vettool`
-// integration speaks the vet unit-checker protocol (unitchecker.go), so the
-// analyzers run under the stock go tool in CI:
+// (Analyzer, Pass, Diagnostic) on the standard library alone, so the module
+// keeps no dependencies. There is one entry point, Main (cmd/repolint),
+// and one way the analyzers run: the Driver (driver.go) loads packages and
+// compiler export data via `go list`, type-checks each package from
+// source, schedules packages over the dependency DAG in parallel, passes
+// cross-package facts from each package to its dependents, and replays
+// unchanged packages from a content-addressed cache (cache.go):
 //
-//	go build -o repolint ./cmd/repolint
-//	go vet -vettool=$PWD/repolint ./...
+//	go run ./cmd/repolint ./...
 //
-// The analyzers themselves live in internal/analysis/analyzers.
+// Any finding exits 2; the per-line escape hatch is a reviewed
+// //logicreg:allow comment. The analyzers themselves live in
+// internal/analysis/analyzers.
 package analysis
 
 import (
@@ -55,8 +57,8 @@ type Pass struct {
 
 	report func(Diagnostic)
 	// readFacts resolves dependency fact sets; exported collects this
-	// package's outgoing facts. Both may be nil for fact-less runs
-	// (fixtures, Unit.Analyze): Import finds nothing, Export is a no-op.
+	// package's outgoing facts. readFacts is nil for fact-less runs
+	// (CheckFiles, the fixtures): Import finds nothing.
 	readFacts FactReader
 	exported  *PackageFacts
 }

@@ -1,12 +1,10 @@
 // Package analyzers holds the repo-specific source rules run by
-// cmd/repolint (standalone or as a `go vet -vettool`). Each analyzer
-// encodes a contract the learning pipeline depends on but the compiler
-// cannot see:
+// cmd/repolint. Each analyzer encodes one contract the learning pipeline
+// depends on but the compiler and `go vet` cannot see, and no two
+// analyzers report the same line:
 //
 //	scalareval  batch-capable packages must not query the oracle one
 //	            pattern at a time inside loops (query-count and speed)
-//	seededrand  all randomness must flow from the plumbed seed
-//	            (byte-identical reruns at a fixed seed)
 //	orphanerr   netlist IO errors must not be dropped (a silently
 //	            truncated circuit corrupts everything downstream)
 //	errcompare  errors are matched with errors.Is, never == / != against
@@ -14,20 +12,20 @@
 //	nodeadline  network I/O must be time-bounded: net.DialTimeout over
 //	            net.Dial, Set*Deadline before raw conn reads/writes (a
 //	            silent remote black box must not pin a goroutine)
-//	randtaint   flow-sensitive: no rand source may be seeded from the
-//	            clock or the process-global generator, tracked through
-//	            variables, fields, returns, and closures
+//	randtaint   all randomness flows from the plumbed seed: no draws from
+//	            the process-global math/rand source, and no generator
+//	            seeded from the clock or another nondeterministic value,
+//	            tracked through variables, fields, returns, and closures
 //	locksafe    flow-sensitive: every Lock/TryLock acquisition is released
-//	            on all exit paths (including panic edges); locks are never
-//	            copied by value
+//	            on all exit paths (including panic edges); lock copies are
+//	            `go vet`'s copylocks check
 //	panicbridge flow-sensitive: in internal/core and internal/oracle only
 //	            *oracle.Failure errors may panic on oracle-reachable
 //	            paths, and recover results are type-checked
 //	goleak      every go statement has a completion witness in scope
 //	            (WaitGroup.Done, done-channel send/close, context)
-//	atomicsafe  a field accessed via sync/atomic anywhere in a package is
-//	            accessed atomically everywhere, helpers included, and
-//	            64-bit atomic words stay aligned under 32-bit layout
+//	atomicsafe  no package-level sync/atomic functions: the typed atomics
+//	            make every access atomic and self-align
 //	chanflow    no send on a possibly-closed channel, no double close, no
 //	            blocking send on an unbuffered channel without a select or
 //	            cancellation escape
@@ -49,13 +47,13 @@
 //
 // The flow-sensitive rules run on internal/analysis/flow (CFGs, a forward
 // lattice solver, and bottom-up call-graph summaries); see DESIGN.md §10.
-// The concurrency/allocation contract rules (atomicsafe, chanflow,
-// ctxcancel, hotalloc) additionally use its interprocedural layer
-// (field-access classification, cold/cycle blocks, reachability); see
-// DESIGN.md §12 for the annotation grammar. Three analyzers — hotalloc,
-// panicbridge, and mapdet — additionally export cross-package facts
-// (AllocFree, OracleReachable, Unordered) through the framework's facts
-// store, so their summaries survive package boundaries; see DESIGN.md §13.
+// The concurrency/allocation contract rules (chanflow, ctxcancel,
+// hotalloc) additionally use its reachability utilities (cold and cycle
+// blocks, avoidance-constrained reachability); see DESIGN.md §12 for the
+// annotation grammar. Three analyzers — hotalloc, panicbridge, and mapdet
+// — additionally export cross-package facts (AllocFree, OracleReachable,
+// Unordered) through the framework's facts store, so their summaries
+// survive package boundaries; see DESIGN.md §13.
 package analyzers
 
 import (
@@ -66,13 +64,13 @@ import (
 // cheap AST matchers; the second group (randtaint, locksafe, panicbridge,
 // goleak) are flow-sensitive rules built on internal/analysis/flow; the
 // third group (atomicsafe, chanflow, ctxcancel, hotalloc) are the
-// interprocedural concurrency and hot-path allocation contracts; mapdet
+// concurrency and hot-path allocation contracts; mapdet
 // is the cross-package map-order determinism contract; the last group
 // (shiftrange, nilflow, deadbranch) are the SSA value-flow rules built on
 // internal/analysis/flow/ssa (dominators, SCCP, interval ranges).
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		ScalarEval, SeededRand, OrphanErr, ErrCompare, NoDeadline,
+		ScalarEval, OrphanErr, ErrCompare, NoDeadline,
 		RandTaint, LockSafe, PanicBridge, GoLeak,
 		AtomicSafe, ChanFlow, CtxCancel, HotAlloc,
 		MapDet,

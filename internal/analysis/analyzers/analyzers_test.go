@@ -31,23 +31,34 @@ var exportsOnce = sync.OnceValues(func() (map[string]string, error) {
 
 var wantRE = regexp.MustCompile(`// want "([^"]*)"`)
 
-func runFixture(t *testing.T, a *analysis.Analyzer, importPath string) {
+// fixturePath is the import path the fixture directory dir type-checks
+// under: logicregression/fixture/<dir>, except for the rules gated to
+// particular packages, whose fixtures sit inside the gate.
+func fixturePath(dir string) string {
+	switch dir {
+	case "scalareval":
+		return "logicregression/internal/support" // a batch-capable package
+	case "panicbridge":
+		return "logicregression/internal/core" // the learner-oracle boundary
+	case "shiftrange":
+		return "logicregression/internal/bitvec" // a bit-kernel package
+	}
+	return "logicregression/fixture/" + dir
+}
+
+// checkFixture parses testdata/src/<dir> and runs the analyzers over it as
+// one package under fixturePath(dir).
+func checkFixture(t *testing.T, dir string, analyzers []*analysis.Analyzer) (*token.FileSet, []*ast.File, []analysis.Diagnostic) {
 	t.Helper()
 	exports, err := exportsOnce()
 	if err != nil {
 		t.Fatalf("export index: %v", err)
 	}
-	paths, err := filepath.Glob(filepath.Join("testdata", "src", a.Name, "*.go"))
+	paths, err := filepath.Glob(filepath.Join("testdata", "src", dir, "*.go"))
 	if err != nil || len(paths) == 0 {
-		t.Fatalf("no fixtures for %s: %v", a.Name, err)
+		t.Fatalf("no fixtures for %s: %v", dir, err)
 	}
-
 	fset := token.NewFileSet()
-	type expectation struct {
-		substr  string
-		matched bool
-	}
-	want := make(map[string]*expectation) // "file:line" -> expectation
 	var files []*ast.File
 	for _, p := range paths {
 		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments)
@@ -55,6 +66,32 @@ func runFixture(t *testing.T, a *analysis.Analyzer, importPath string) {
 			t.Fatalf("%s: %v", p, err)
 		}
 		files = append(files, f)
+	}
+	diags, err := analysis.CheckFiles(fset, files, fixturePath(dir), exports, analyzers)
+	if err != nil {
+		t.Fatalf("CheckFiles: %v", err)
+	}
+	return fset, files, diags
+}
+
+// runFixture checks analyzer a against the want comments of its fixture.
+func runFixture(t *testing.T, a *analysis.Analyzer) {
+	t.Helper()
+	runFixtureDir(t, a.Name, a)
+}
+
+// runFixtureDir checks analyzer a against the want comments of the fixture
+// in testdata/src/<dir>.
+func runFixtureDir(t *testing.T, dir string, a *analysis.Analyzer) {
+	t.Helper()
+	fset, files, diags := checkFixture(t, dir, []*analysis.Analyzer{a})
+
+	type expectation struct {
+		substr  string
+		matched bool
+	}
+	want := make(map[string]*expectation) // "file:line" -> expectation
+	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				m := wantRE.FindStringSubmatch(c.Text)
@@ -66,12 +103,6 @@ func runFixture(t *testing.T, a *analysis.Analyzer, importPath string) {
 			}
 		}
 	}
-
-	diags, err := analysis.CheckFiles(fset, files, importPath, exports, nil,
-		[]*analysis.Analyzer{a})
-	if err != nil {
-		t.Fatalf("CheckFiles: %v", err)
-	}
 	for _, d := range diags {
 		key := fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)
 		exp, ok := want[key]
@@ -79,7 +110,7 @@ func runFixture(t *testing.T, a *analysis.Analyzer, importPath string) {
 			t.Errorf("unexpected diagnostic at %s: %s", key, d.Message)
 			continue
 		}
-		if !regexp.MustCompile(regexp.QuoteMeta(exp.substr)).MatchString(d.Message) {
+		if !strings.Contains(d.Message, exp.substr) {
 			t.Errorf("%s: got %q, want message containing %q", key, d.Message, exp.substr)
 		}
 		exp.matched = true
@@ -91,133 +122,138 @@ func runFixture(t *testing.T, a *analysis.Analyzer, importPath string) {
 	}
 }
 
-func TestScalarEvalFixture(t *testing.T) {
-	// The import path must end in a batch-capable suffix or the analyzer
-	// skips the package entirely.
-	runFixture(t, ScalarEval, "logicregression/internal/support")
-}
-
-func TestScalarEvalSkipsOtherPackages(t *testing.T) {
+// checkBadAs runs analyzer a over testdata/src/<dir>/bad.go alone, as
+// package importPath.
+func checkBadAs(t *testing.T, dir, importPath string, a *analysis.Analyzer) []analysis.Diagnostic {
+	t.Helper()
 	exports, err := exportsOnce()
 	if err != nil {
 		t.Fatalf("export index: %v", err)
 	}
 	fset := token.NewFileSet()
-	path := filepath.Join("testdata", "src", "scalareval", "bad.go")
-	f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+	f, err := parser.ParseFile(fset, filepath.Join("testdata", "src", dir, "bad.go"), nil, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.CheckFiles(fset, []*ast.File{f}, "example.com/notbatch",
-		exports, nil, []*analysis.Analyzer{ScalarEval})
+	diags, err := analysis.CheckFiles(fset, []*ast.File{f}, importPath, exports, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return diags
+}
+
+// TestOneRulePerContract runs every analyzer over every fixture: a fixed.go
+// must stay silent under the whole set, not only under its own analyzer,
+// and no line may draw two reports — two rules firing on one line are one
+// contract checked twice.
+func TestOneRulePerContract(t *testing.T) {
+	dirs, err := filepath.Glob(filepath.Join("testdata", "src", "*"))
+	if err != nil || len(dirs) == 0 {
+		t.Fatalf("no fixture directories: %v", err)
+	}
+	for _, dir := range dirs {
+		_, _, diags := checkFixture(t, filepath.Base(dir), All())
+		for i, d := range diags {
+			if filepath.Base(d.Pos.Filename) == "fixed.go" {
+				t.Errorf("%s: %s reports on a fixed file: %s", d.Pos, d.Analyzer, d.Message)
+			}
+			// Diagnostics come sorted by position.
+			if i > 0 && diags[i-1].Pos.Filename == d.Pos.Filename && diags[i-1].Pos.Line == d.Pos.Line {
+				t.Errorf("%s:%d: reported by %s and again by %s", d.Pos.Filename, d.Pos.Line,
+					diags[i-1].Analyzer, d.Analyzer)
+			}
+		}
+	}
+}
+
+func TestScalarEvalFixture(t *testing.T) {
+	// The import path must end in a batch-capable suffix or the analyzer
+	// skips the package entirely.
+	runFixture(t, ScalarEval)
+}
+
+func TestScalarEvalSkipsOtherPackages(t *testing.T) {
+	diags := checkBadAs(t, "scalareval", "example.com/notbatch", ScalarEval)
 	if len(diags) != 0 {
 		t.Errorf("scalareval fired in a non-batch-capable package: %v", diags)
 	}
 }
 
-func TestSeededRandFixture(t *testing.T) {
-	runFixture(t, SeededRand, "logicregression/fixture/seededrand")
-}
-
 func TestOrphanErrFixture(t *testing.T) {
-	runFixture(t, OrphanErr, "logicregression/fixture/orphanerr")
+	runFixture(t, OrphanErr)
 }
 
 func TestErrCompareFixture(t *testing.T) {
-	runFixture(t, ErrCompare, "logicregression/fixture/errcompare")
+	runFixture(t, ErrCompare)
 }
 
 func TestNoDeadlineFixture(t *testing.T) {
-	runFixture(t, NoDeadline, "logicregression/fixture/nodeadline")
+	runFixture(t, NoDeadline)
 }
 
 func TestRandTaintFixture(t *testing.T) {
-	runFixture(t, RandTaint, "logicregression/fixture/randtaint")
+	runFixture(t, RandTaint)
+}
+
+// TestSeededRandFixture runs randtaint over the fixture of the former
+// seededrand rule, which randtaint absorbed: every case that rule reported
+// must still be reported, with the same message.
+func TestSeededRandFixture(t *testing.T) {
+	runFixtureDir(t, "seededrand", RandTaint)
 }
 
 func TestLockSafeFixture(t *testing.T) {
-	runFixture(t, LockSafe, "logicregression/fixture/locksafe")
+	runFixture(t, LockSafe)
 }
 
 func TestPanicBridgeFixture(t *testing.T) {
 	// The contract is gated to the learner-oracle boundary; the fixture
 	// type-checks under a core import path to be inside the gate.
-	runFixture(t, PanicBridge, "logicregression/internal/core")
+	runFixture(t, PanicBridge)
 }
 
 func TestPanicBridgeSkipsOtherPackages(t *testing.T) {
-	exports, err := exportsOnce()
-	if err != nil {
-		t.Fatalf("export index: %v", err)
-	}
-	fset := token.NewFileSet()
-	path := filepath.Join("testdata", "src", "panicbridge", "bad.go")
-	f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := analysis.CheckFiles(fset, []*ast.File{f}, "example.com/elsewhere",
-		exports, nil, []*analysis.Analyzer{PanicBridge})
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags := checkBadAs(t, "panicbridge", "example.com/elsewhere", PanicBridge)
 	if len(diags) != 0 {
 		t.Errorf("panicbridge fired outside internal/core and internal/oracle: %v", diags)
 	}
 }
 
 func TestGoLeakFixture(t *testing.T) {
-	runFixture(t, GoLeak, "logicregression/fixture/goleak")
+	runFixture(t, GoLeak)
 }
 
 func TestAtomicSafeFixture(t *testing.T) {
-	runFixture(t, AtomicSafe, "logicregression/fixture/atomicsafe")
+	runFixture(t, AtomicSafe)
 }
 
 func TestChanFlowFixture(t *testing.T) {
-	runFixture(t, ChanFlow, "logicregression/fixture/chanflow")
+	runFixture(t, ChanFlow)
 }
 
 func TestCtxCancelFixture(t *testing.T) {
-	runFixture(t, CtxCancel, "logicregression/fixture/ctxcancel")
+	runFixture(t, CtxCancel)
 }
 
 func TestHotAllocFixture(t *testing.T) {
-	runFixture(t, HotAlloc, "logicregression/fixture/hotalloc")
+	runFixture(t, HotAlloc)
 }
 
 func TestMapDetFixture(t *testing.T) {
-	runFixture(t, MapDet, "logicregression/fixture/mapdet")
+	runFixture(t, MapDet)
 }
 
 func TestShiftRangeFixture(t *testing.T) {
 	// The index rule is gated to the bit-kernel packages; the fixture
 	// type-checks under the bitvec import path to be inside the gate.
-	runFixture(t, ShiftRange, "logicregression/internal/bitvec")
+	runFixture(t, ShiftRange)
 }
 
 func TestShiftRangeIndexRuleGated(t *testing.T) {
 	// Outside the bit-kernel packages only the shift rule applies, so the
 	// index findings in bad.go must disappear while the shift findings
 	// stay.
-	exports, err := exportsOnce()
-	if err != nil {
-		t.Fatalf("export index: %v", err)
-	}
-	fset := token.NewFileSet()
-	path := filepath.Join("testdata", "src", "shiftrange", "bad.go")
-	f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := analysis.CheckFiles(fset, []*ast.File{f}, "example.com/elsewhere",
-		exports, nil, []*analysis.Analyzer{ShiftRange})
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags := checkBadAs(t, "shiftrange", "example.com/elsewhere", ShiftRange)
 	for _, d := range diags {
 		if strings.Contains(d.Message, "in bounds") {
 			t.Errorf("index rule fired outside the bit-kernel packages: %s", d.Message)
@@ -229,11 +265,11 @@ func TestShiftRangeIndexRuleGated(t *testing.T) {
 }
 
 func TestNilFlowFixture(t *testing.T) {
-	runFixture(t, NilFlow, "logicregression/fixture/nilflow")
+	runFixture(t, NilFlow)
 }
 
 func TestDeadBranchFixture(t *testing.T) {
-	runFixture(t, DeadBranch, "logicregression/fixture/deadbranch")
+	runFixture(t, DeadBranch)
 }
 
 // TestRepoIsClean runs every analyzer over the whole module through the
@@ -291,7 +327,7 @@ func TestHotAllocExportsFactsOnRealCode(t *testing.T) {
 		files = append(files, f)
 	}
 	_, facts, err := analysis.CheckFilesWithFacts(fset, files,
-		"logicregression/internal/bitvec", exports, nil,
+		"logicregression/internal/bitvec", exports,
 		[]*analysis.Analyzer{HotAlloc}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -1,149 +1,42 @@
 package analyzers
 
 import (
-	"go/types"
-	"sort"
+	"go/ast"
 
 	"logicregression/internal/analysis"
-	"logicregression/internal/analysis/flow"
 )
 
-// AtomicSafe enforces all-or-nothing atomicity per field: a struct field
-// that is accessed through sync/atomic anywhere in the package — directly
-// or through a same-package helper taking its address — must be accessed
-// atomically everywhere. Mixed atomic/plain access is a data race the race
-// detector only catches when both sides happen to run concurrently under
-// test; the classification runs bottom-up over the package call graph, so
-// helpers like `func bump(p *int64) { atomic.AddInt64(p, 1) }` count as
-// atomic accesses of the fields whose addresses flow into them.
-//
-// It also checks 32-bit layout: a plain int64/uint64 field used with the
-// old address-taking sync/atomic API must sit at an 8-byte-aligned offset
-// under GOARCH=386 sizes, or the operations fault on 32-bit platforms.
-// Fields of the atomic.Int64-style types are exempt from both rules: the
-// type system already makes every access atomic and the runtime aligns
-// them.
+// AtomicSafe bans the package-level sync/atomic functions (AddInt64,
+// LoadUint32, CompareAndSwapPointer, ...), called or referenced, qualified
+// or dot-imported. They
+// operate on plain words, which other code may still read or write
+// non-atomically, and 64-bit words reached through them fault when
+// misaligned on 32-bit platforms. The typed atomics (atomic.Int64,
+// atomic.Bool, atomic.Pointer, ...) close both holes by construction: a
+// plain access does not compile, the 64-bit types align themselves, and
+// `go vet`'s copylocks check reports copies. There is no //logicreg:allow
+// escape hatch.
 var AtomicSafe = &analysis.Analyzer{
 	Name: "atomicsafe",
-	Doc: "flags fields accessed both atomically (via sync/atomic) and " +
-		"plainly in the same package, escapes of such fields' addresses, " +
-		"and 64-bit atomic fields misaligned on 32-bit layouts",
+	Doc: "flags any use of a package-level sync/atomic function; " +
+		"use the typed atomics (atomic.Int64, atomic.Bool, atomic.Pointer, ...)",
 	Run: runAtomicSafe,
 }
 
 func runAtomicSafe(pass *analysis.Pass) error {
-	graph := flow.BuildCallGraph(pass.Files, pass.TypesInfo)
-	idx := flow.ClassifyFieldAccesses(pass.Files, pass.TypesInfo, graph)
-	if !idx.Converged {
-		return nil // broken summary fixpoint would spew nonsense; stay silent
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			if fn := packageFunc(pass.TypesInfo.Uses[id], "sync/atomic"); fn != nil {
+				pass.Reportf(id.Pos(),
+					"sync/atomic.%s works on a plain word that other code can touch non-atomically; "+
+						"use a typed atomic (atomic.Int64, atomic.Bool, atomic.Pointer, ...)", fn.Name())
+			}
+			return true
+		})
 	}
-	sup := suppressedLines(pass, "atomicsafe")
-
-	atomicFields := make(map[*types.Var]bool)
-	for _, f := range idx.FieldOrder {
-		for _, a := range idx.Fields[f] {
-			if a.Kind == flow.AtomicAccess {
-				atomicFields[f] = true
-				break
-			}
-		}
-	}
-
-	for _, f := range idx.FieldOrder {
-		if !atomicFields[f] {
-			continue
-		}
-		for _, a := range idx.Fields[f] {
-			if a.Kind == flow.AtomicAccess || suppressed(pass, sup, a.Pos) {
-				continue
-			}
-			via := ""
-			if a.Via != "" {
-				via = " (through " + a.Via + ")"
-			}
-			switch a.Kind {
-			case flow.PlainRead, flow.PlainWrite:
-				pass.Reportf(a.Pos,
-					"non-atomic %s of field %s%s, which is accessed with sync/atomic elsewhere in this package; "+
-						"use sync/atomic here too (or migrate the field to an atomic.%s)",
-					a.Kind, f.Name(), via, atomicTypeName(f.Type()))
-			case flow.EscapedAddr:
-				pass.Reportf(a.Pos,
-					"address of atomic field %s escapes%s; atomicity cannot be verified — "+
-						"keep sync/atomic calls on the field itself or a summarized same-package helper",
-					f.Name(), via)
-			}
-		}
-	}
-
-	checkAtomicAlignment(pass, sup, atomicFields)
 	return nil
-}
-
-// atomicTypeName suggests the sync/atomic wrapper type for a field type.
-func atomicTypeName(t types.Type) string {
-	b, ok := t.Underlying().(*types.Basic)
-	if !ok {
-		return "Int64"
-	}
-	switch b.Kind() {
-	case types.Int32:
-		return "Int32"
-	case types.Uint32:
-		return "Uint32"
-	case types.Uint64:
-		return "Uint64"
-	case types.Uintptr:
-		return "Uintptr"
-	}
-	return "Int64"
-}
-
-// checkAtomicAlignment verifies that every 64-bit field reached by the
-// old-style sync/atomic API is 8-byte aligned under 32-bit (GOARCH=386)
-// struct layout. On 32-bit platforms the compiler only aligns such words
-// to 4 bytes, and misaligned 64-bit atomics fault at runtime; placing the
-// field first (or using atomic.Int64, which self-aligns) fixes it.
-func checkAtomicAlignment(pass *analysis.Pass, sup map[string]bool, atomicFields map[*types.Var]bool) {
-	sizes := types.SizesFor("gc", "386")
-	if sizes == nil {
-		return
-	}
-	scope := pass.Pkg.Scope()
-	names := scope.Names()
-	sort.Strings(names)
-	for _, name := range names {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok || st.NumFields() == 0 {
-			continue
-		}
-		fields := make([]*types.Var, st.NumFields())
-		interesting := false
-		for i := range fields {
-			fields[i] = st.Field(i)
-			if atomicFields[fields[i]] && flow.Is64BitWord(fields[i].Type()) {
-				interesting = true
-			}
-		}
-		if !interesting {
-			continue
-		}
-		offsets := sizes.Offsetsof(fields)
-		for i, f := range fields {
-			if !atomicFields[f] || !flow.Is64BitWord(f.Type()) || offsets[i]%8 == 0 {
-				continue
-			}
-			if suppressed(pass, sup, f.Pos()) {
-				continue
-			}
-			pass.Reportf(f.Pos(),
-				"64-bit field %s is used with sync/atomic but sits at offset %d under 32-bit layout; "+
-					"move it to the front of %s or use atomic.%s, which self-aligns",
-				f.Name(), offsets[i], tn.Name(), atomicTypeName(f.Type()))
-		}
-	}
 }

@@ -15,15 +15,15 @@ import (
 
 // LockSafe checks the mutex discipline flow-sensitively: every Lock (and
 // successful TryLock) must be released on every path out of the function —
-// normal returns and panic unwinds alike — and lock values must never be
-// copied. A `defer mu.Unlock()` covers all subsequent exits, so it releases
-// the lock at registration time in the abstraction; TryLock acquisitions
-// are tracked branch-sensitively, so only the success edge holds the lock.
+// normal returns and panic unwinds alike. A `defer mu.Unlock()` covers all
+// subsequent exits, so it releases the lock at registration time in the
+// abstraction; TryLock acquisitions are tracked branch-sensitively, so only
+// the success edge holds the lock. Lock values copied by value are `go
+// vet`'s copylocks check, which CI runs.
 var LockSafe = &analysis.Analyzer{
 	Name: "locksafe",
 	Doc: "flags locks that may still be held on some path to a return or " +
-		"panic, and lock values copied by value (parameters, assignments, " +
-		"range variables)",
+		"panic (lock copies are go vet's copylocks check)",
 	Run: runLockSafe,
 }
 
@@ -190,7 +190,6 @@ func runLockSafe(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkLockCopies(pass, fd)
 			checkLockBalance(pass, fd.Body)
 		}
 	}
@@ -253,124 +252,4 @@ func checkLockBalance(pass *analysis.Pass, body *ast.BlockStmt) {
 	for _, lit := range flow.FuncLits(body) {
 		checkLockBalance(pass, lit.Body)
 	}
-}
-
-// checkLockCopies flags lock values copied by value: parameters and
-// receivers of lock-containing type, assignments whose source is an
-// existing lock-containing value, and range variables that copy one per
-// iteration. Fresh values (composite literals, new(T)) are fine.
-func checkLockCopies(pass *analysis.Pass, fd *ast.FuncDecl) {
-	info := pass.TypesInfo
-	checkField := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			t := info.TypeOf(f.Type)
-			if t == nil || isPointerLike(t) {
-				continue
-			}
-			if lockName := containsLock(t); lockName != "" {
-				pass.Reportf(f.Type.Pos(),
-					"%s copies a lock: type contains %s; pass a pointer instead", what, lockName)
-			}
-		}
-	}
-	checkField(fd.Recv, "value receiver")
-	checkField(fd.Type.Params, "parameter")
-
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, rhs := range n.Rhs {
-				if i >= len(n.Lhs) {
-					break
-				}
-				if id, ok := n.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-					continue // discarded, nothing aliases the copy
-				}
-				if !copiesExisting(rhs) {
-					continue
-				}
-				t := info.TypeOf(rhs)
-				if t == nil || isPointerLike(t) {
-					continue
-				}
-				if lockName := containsLock(t); lockName != "" {
-					pass.Reportf(rhs.Pos(),
-						"assignment copies a lock: value contains %s; use a pointer", lockName)
-				}
-			}
-		case *ast.RangeStmt:
-			if n.Value == nil {
-				return true
-			}
-			t := info.TypeOf(n.Value)
-			if t == nil || isPointerLike(t) {
-				return true
-			}
-			if lockName := containsLock(t); lockName != "" {
-				pass.Reportf(n.Value.Pos(),
-					"range copies a lock each iteration: element contains %s; range over indices or pointers", lockName)
-			}
-		}
-		return true
-	})
-}
-
-// copiesExisting reports whether evaluating e copies a pre-existing value —
-// as opposed to creating a fresh one (composite literal, conversion of a
-// literal) or producing a pointer.
-func copiesExisting(e ast.Expr) bool {
-	switch e := astutil.Unparen(e).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr:
-		return true
-	case *ast.StarExpr:
-		return true
-	case *ast.UnaryExpr:
-		return e.Op == token.MUL
-	}
-	return false
-}
-
-func isPointerLike(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Map, *types.Chan, *types.Signature, *types.Interface:
-		return true
-	}
-	return false
-}
-
-// containsLock reports (by name) the first sync lock found by value inside
-// t: sync.Mutex, sync.RWMutex, sync.WaitGroup, sync.Once, sync.Cond, or any
-// struct/array embedding one.
-func containsLock(t types.Type) string {
-	return findLock(t, map[types.Type]bool{})
-}
-
-func findLock(t types.Type, seen map[types.Type]bool) string {
-	if seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Map", "Pool":
-				return "sync." + obj.Name()
-			}
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if name := findLock(u.Field(i).Type(), seen); name != "" {
-				return name
-			}
-		}
-	case *types.Array:
-		return findLock(u.Elem(), seen)
-	}
-	return ""
 }

@@ -1,7 +1,9 @@
 package analyzers
 
 import (
+	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"logicregression/internal/analysis"
@@ -9,33 +11,69 @@ import (
 	"logicregression/internal/analysis/flow"
 )
 
-// RandTaint is the flow-sensitive successor of the AST-only SeededRand
-// rule: every random generator must be derived from the plumbed seed. It
-// taints clock reads (time.Now and friends), process-global math/rand
-// draws, and crypto/rand reads, then tracks the taint through variables
-// (with strong updates, so overwriting a clock value with the plumbed seed
-// is clean), struct fields, function returns (bottom-up summaries over the
-// package call graph), and closures. A tainted value reaching a
-// rand.NewSource / rand.New / rand/v2 seed position breaks the
-// byte-identical fixed-seed guarantee and is reported.
+// RandTaint holds the determinism contract: every random generator must be
+// derived from the plumbed seed, or fixed-seed runs stop being
+// byte-identical. It reports
+//
+//   - any use of a math/rand (or v2) package-level function other than a
+//     constructor — rand.Intn, rand.Shuffle, or a reference to one passed
+//     as a value — since those draw from the process-global source;
+//   - a constructor (every one of them is a seed sink) whose argument
+//     textually contains a time.Now call, as in
+//     rand.NewSource(time.Now().UnixNano());
+//   - a constructor fed an entropy-tainted value. Clock reads, package-level
+//     draws, and crypto/rand reads are tainted, and the taint is tracked
+//     through variables (with strong updates, so overwriting a clock value
+//     with the plumbed seed is clean), struct fields, function returns
+//     (bottom-up summaries over the package call graph), and closures.
+//
+// One line draws at most one report.
 var RandTaint = &analysis.Analyzer{
 	Name: "randtaint",
-	Doc: "flags rand sources seeded from the clock or the process-global " +
-		"generator, tracking the seed value through variables, fields, " +
-		"returns, and closures; all randomness must flow from the plumbed seed",
+	Doc: "flags draws from the process-global math/rand source and rand " +
+		"generators seeded from the clock or another nondeterministic value, " +
+		"tracking the seed through variables, fields, returns, and closures; " +
+		"all randomness must flow from the plumbed seed",
 	Run: runRandTaint,
 }
 
-// randSeedSinks are the math/rand (and v2) constructors whose argument is a
-// seed. NewZipf takes an already-built *Rand, so it is not a sink.
-var randSeedSinks = map[string]bool{
-	"NewSource":  true, // math/rand, math/rand/v2
+// randConstructors are the math/rand (and v2) package-level functions that
+// build an explicit generator instead of drawing from the global one. Each
+// takes a seed or a generator, so each is a seed sink.
+var randConstructors = map[string]bool{
+	"New":        true, // math/rand, math/rand/v2
+	"NewSource":  true, // math/rand
+	"NewZipf":    true, // math/rand, math/rand/v2
 	"NewPCG":     true, // math/rand/v2
-	"NewChaCha8": true,
+	"NewChaCha8": true, // math/rand/v2
 }
 
-// taintSourcePkgs maps package path -> the call names whose results are
-// nondeterministic entropy.
+// packageFunc returns obj as a package-level function of one of the
+// packages at paths, or nil. Resolving identifiers through it matches calls
+// and references alike, package-qualified or dot-imported.
+func packageFunc(obj types.Object, paths ...string) *types.Func {
+	fn, _ := obj.(*types.Func)
+	if fn == nil || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+		return nil
+	}
+	for _, p := range paths {
+		if fn.Pkg().Path() == p {
+			return fn
+		}
+	}
+	return nil
+}
+
+var randPaths = []string{"math/rand", "math/rand/v2"}
+
+// isRandSink reports whether call invokes a math/rand constructor.
+func isRandSink(info *types.Info, call *ast.CallExpr) bool {
+	fn := packageFunc(astutil.CalleeFunc(info, call), randPaths...)
+	return fn != nil && randConstructors[fn.Name()]
+}
+
+// isEntropyCall reports whether call's result is nondeterministic entropy:
+// a clock read, a package-level math/rand draw, or any crypto/rand call.
 func isEntropyCall(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := astutil.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -49,17 +87,69 @@ func isEntropyCall(info *types.Info, call *ast.CallExpr) bool {
 	case "time":
 		return sel.Sel.Name == "Now"
 	case "math/rand", "math/rand/v2":
-		// Package-level draws come from the process-global source; the
-		// constructors are handled as sinks, not sources.
-		return !sourceConstructors[sel.Sel.Name] && !randSeedSinks[sel.Sel.Name]
+		// The constructors are sinks, not sources.
+		return !randConstructors[sel.Sel.Name]
 	case "crypto/rand":
 		return true
 	}
 	return false
 }
 
+// containsTimeNow reports whether the expression contains a time.Now call.
+func containsTimeNow(info *types.Info, e ast.Expr) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if fn := packageFunc(info.Uses[id], "time"); fn != nil && fn.Name() == "Now" {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+const seededMsg = "rand source seeded from the clock or another nondeterministic value; " +
+	"derive the seed from the plumbed -seed so fixed-seed runs stay byte-identical"
+
 func runRandTaint(pass *analysis.Pass) error {
 	info := pass.TypesInfo
+	reported := make(map[string]bool) // "file:line" already reported
+	reportOnce := func(pos token.Pos, format string, args ...any) {
+		p := pass.Fset.Position(pos)
+		key := fmt.Sprintf("%s:%d", p.Filename, p.Line)
+		if !reported[key] {
+			reported[key] = true
+			pass.Reportf(pos, format, args...)
+		}
+	}
+
+	// Syntactic pass: package-level draws, and constructors seeded from a
+	// literal time.Now chain (caught even where the dataflow below loses
+	// the value, e.g. inside a function literal argument).
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if fn := packageFunc(info.Uses[n], randPaths...); fn != nil && !randConstructors[fn.Name()] {
+					reportOnce(n.Pos(), "%s.%s draws from the process-global source; "+
+						"use a *rand.Rand built from the plumbed seed", fn.Pkg().Name(), fn.Name())
+				}
+			case *ast.CallExpr:
+				if !isRandSink(info, n) {
+					return true
+				}
+				for _, arg := range n.Args {
+					if containsTimeNow(info, arg) {
+						reportOnce(n.Pos(), seededMsg)
+						break
+					}
+				}
+			}
+			return true
+		})
+	}
+
 	graph := flow.BuildCallGraph(pass.Files, info)
 
 	// Package-level fixpoint: function summaries ("returns entropy") and
@@ -111,7 +201,15 @@ func runRandTaint(pass *analysis.Pass) error {
 				if !ok {
 					return true
 				}
-				sinkCall(pass, sp, call, s)
+				if !isRandSink(info, call) {
+					return true
+				}
+				for _, arg := range call.Args {
+					if sp.ExprTaint(arg, s) {
+						reportOnce(call.Pos(), seededMsg)
+						break
+					}
+				}
 				return true
 			})
 		})
@@ -233,32 +331,4 @@ func isPackageFact(o types.Object) bool {
 		return true // struct field
 	}
 	return o.Pkg() != nil && o.Parent() == o.Pkg().Scope()
-}
-
-// sinkCall reports a rand constructor whose seed argument is tainted.
-func sinkCall(pass *analysis.Pass, sp *flow.TaintSpec, call *ast.CallExpr, s flow.TaintState) {
-	sel, ok := astutil.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	pkg := astutil.ImportedPkg(pass.TypesInfo, sel)
-	if pkg == nil {
-		return
-	}
-	switch pkg.Imported().Path() {
-	case "math/rand", "math/rand/v2":
-	default:
-		return
-	}
-	if !randSeedSinks[sel.Sel.Name] {
-		return
-	}
-	for _, arg := range call.Args {
-		if sp.ExprTaint(arg, s) {
-			pass.Reportf(call.Pos(),
-				"rand source seeded from the clock or another nondeterministic value; "+
-					"derive the seed from the plumbed -seed so fixed-seed runs stay byte-identical")
-			return
-		}
-	}
 }

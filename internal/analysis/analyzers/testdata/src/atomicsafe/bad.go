@@ -1,4 +1,5 @@
-// The atomicsafe fixture: fields that mix sync/atomic with plain access.
+// The atomicsafe fixture: every use of a package-level sync/atomic
+// function, called directly, through a helper, or as a value.
 package atomicsafe
 
 import "sync/atomic"
@@ -8,50 +9,38 @@ type counter struct {
 	total int64
 }
 
-// hits is atomic here...
+// hits is atomic here, yet nothing stops the plain write in reset.
 func (c *counter) incr() {
-	atomic.AddInt64(&c.hits, 1)
+	atomic.AddInt64(&c.hits, 1) // want "sync/atomic.AddInt64"
 }
 
-// ...so every plain touch elsewhere races with incr.
 func (c *counter) reset() {
-	c.hits = 0 // want "non-atomic write of field hits"
+	c.hits = 0
 }
 
-func (c *counter) snapshot() int64 {
-	return c.hits // want "non-atomic read of field hits"
-}
-
-// bump makes its pointee atomic by summary: total is an atomic field even
-// though no sync/atomic call names it directly.
+// A helper hides which fields are atomic from their readers.
 func bump(p *int64) {
-	atomic.AddInt64(p, 1)
+	atomic.AddInt64(p, 1) // want "sync/atomic.AddInt64"
 }
 
 func (c *counter) addTotal() {
 	bump(&c.total)
 }
 
-func (c *counter) drainTotal() int64 {
-	t := c.total // want "non-atomic read of field total"
-	c.total = 0  // want "non-atomic write of field total"
-	return t
-}
-
-// Taking the address outside any summarized call loses the field from view.
-var sink *int64
-
-func (c *counter) leak() {
-	sink = &c.hits // want "address of atomic field hits escapes"
-}
-
-// Under GOARCH=386 layout count sits at offset 4: the old address-taking
-// atomic API faults on misaligned 64-bit words on 32-bit platforms.
+// Under GOARCH=386 layout count sits at offset 4: the address-taking API
+// faults on misaligned 64-bit words on 32-bit platforms.
 type gauge struct {
 	ready int32
-	count int64 // want "sits at offset 4 under 32-bit layout"
+	count int64
 }
 
 func (g *gauge) inc() {
-	atomic.AddInt64(&g.count, 1)
+	atomic.AddInt64(&g.count, 1) // want "sync/atomic.AddInt64"
 }
+
+func (g *gauge) load() int64 {
+	return atomic.LoadInt64(&g.count) // want "sync/atomic.LoadInt64"
+}
+
+// A reference passed as a value is a use too.
+var add = atomic.AddInt64 // want "sync/atomic.AddInt64"

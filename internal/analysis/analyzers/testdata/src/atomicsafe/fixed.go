@@ -1,56 +1,36 @@
-// The repaired forms: all-atomic access, typed wrappers, or no atomics at
-// all. This file must stay silent.
+// The repaired forms: the typed atomics. This file must stay silent.
 package atomicsafe
 
 import "sync/atomic"
 
-// Consistent use of the old API is fine: every access is atomic.
+// Every access goes through the type; a plain one does not compile.
 type fixedCounter struct {
-	hits int64
+	hits  atomic.Int64
+	total atomic.Int64
 }
 
-func (c *fixedCounter) incr() {
-	atomic.AddInt64(&c.hits, 1)
-}
+func (c *fixedCounter) incr()           { c.hits.Add(1) }
+func (c *fixedCounter) reset()          { c.hits.Store(0) }
+func (c *fixedCounter) snapshot() int64 { return c.hits.Load() + c.total.Load() }
 
-func (c *fixedCounter) snapshot() int64 {
-	return atomic.LoadInt64(&c.hits)
-}
-
-// The typed wrappers make every access atomic and self-align, so the
-// int32 in front is not a layout hazard.
+// The 64-bit typed atomics align themselves, so the int32 in front is not
+// a layout hazard.
 type typedGauge struct {
 	ready int32
 	count atomic.Int64
 }
 
-func (g *typedGauge) inc() {
-	g.count.Add(1)
+func (g *typedGauge) inc() { g.count.Add(1) }
+
+// Flags and pointers have typed forms too.
+type state struct {
+	closed atomic.Bool
+	cur    atomic.Pointer[fixedCounter]
 }
 
-func (g *typedGauge) load() int64 {
-	return g.count.Load()
-}
-
-// A field never touched atomically may be plain everywhere.
-type plainStats struct {
-	n int64
-}
-
-func (s *plainStats) bump() {
-	s.n++
-}
-
-// A reviewed exception: the plain write happens before the value is
-// published to any other goroutine.
-type seeded struct {
-	n int64
-}
-
-func (s *seeded) observe() int64 {
-	return atomic.LoadInt64(&s.n)
-}
-
-func (s *seeded) preload() {
-	s.n = 42 //logicreg:allow atomicsafe pre-publication init, no concurrent readers yet
+func (s *state) swap(c *fixedCounter) *fixedCounter {
+	if s.closed.Load() {
+		return nil
+	}
+	return s.cur.Swap(c)
 }

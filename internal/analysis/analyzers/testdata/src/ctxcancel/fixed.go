@@ -35,8 +35,9 @@ func polled(stop chan struct{}, in chan int) {
 }
 
 // Conditioned loops terminate by their own test and are exempt.
-func conditioned(ctx context.Context, n int) {
+func conditioned(ctx context.Context, n int, done chan struct{}) {
 	go func(c context.Context) {
+		defer close(done)
 		for i := 0; i < n; i++ {
 			process(i)
 		}
@@ -69,8 +70,9 @@ func stopRequested(ctx context.Context) bool {
 }
 
 // A reviewed exception: the spin is bounded by the work predicate.
-func tightPoll(ctx context.Context) {
+func tightPoll(ctx context.Context, done chan struct{}) {
 	go func(c context.Context) {
+		defer close(done)
 		//logicreg:allow ctxcancel bounded spin, work drains in a handful of iterations
 		for {
 			if work() {

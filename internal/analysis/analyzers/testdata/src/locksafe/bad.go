@@ -1,5 +1,5 @@
-// The locksafe fixture: locks leaked on returns and panics, conditional
-// TryLock acquisitions, and lock values copied by value.
+// The locksafe fixture: locks leaked on returns and panics, and conditional
+// TryLock acquisitions. Lock values copied by value are go vet's copylocks.
 package locksafe
 
 import "sync"
@@ -42,21 +42,4 @@ func tryVarLeak(mu *sync.Mutex) bool {
 		return true
 	}
 	return false
-}
-
-// Copying a lock forks its state: the copy guards nothing.
-func passByValue(c counter) int { // want "copies a lock"
-	return c.n
-}
-
-func copyAssign(c *counter) {
-	d := *c // want "copies a lock"
-	_ = d
-}
-
-func rangeCopy(cs []counter) (total int) {
-	for _, c := range cs { // want "range copies a lock"
-		total += c.n
-	}
-	return total
 }

@@ -40,17 +40,3 @@ func tryVarBalanced(mu *sync.Mutex) bool {
 	}
 	return false
 }
-
-// Pointers never copy the lock.
-func byPointer(c *counter) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-func rangeByIndex(cs []*counter) (total int) {
-	for _, c := range cs {
-		total += c.n
-	}
-	return total
-}

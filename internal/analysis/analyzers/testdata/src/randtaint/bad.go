@@ -1,5 +1,5 @@
-// The randtaint fixture: every way a rand source can be seeded from the
-// clock or the process-global generator instead of the plumbed seed.
+// The randtaint fixture: draws from the process-global generator, and every
+// way a rand source can be seeded from the clock or from that generator.
 package randtaint
 
 import (
@@ -9,7 +9,7 @@ import (
 
 func use(rand.Source) {}
 
-// Direct: the classic anti-pattern, inline.
+// Direct: the classic anti-pattern, inline; two sinks, one report.
 func direct() *rand.Rand {
 	return rand.New(rand.NewSource(time.Now().UnixNano())) // want "nondeterministic"
 }
@@ -47,6 +47,30 @@ func viaClosure() {
 
 // From the process-global generator: just as nondeterministic across runs.
 func globalDraw() rand.Source {
-	n := rand.Int63()
+	n := rand.Int63()        // want "draws from the process-global source"
 	return rand.NewSource(n) // want "nondeterministic"
+}
+
+// Package-level draws, called or passed as a value.
+func globalShuffle(xs []int) {
+	rand.Shuffle(len(xs), func(i, j int) { // want "draws from the process-global source"
+		xs[i], xs[j] = xs[j], xs[i]
+	})
+	_ = rand.Intn(len(xs)) // want "draws from the process-global source"
+	pick := rand.Intn      // want "draws from the process-global source"
+	_ = pick(len(xs))
+}
+
+// srcOf builds a source from whatever time it is handed.
+func srcOf(t time.Time) rand.Source { return rand.NewSource(t.UnixNano()) }
+
+// rand.New is a seed sink too: the clock reaches it through srcOf's result,
+// inline or through a variable.
+func viaSourceHelper() *rand.Rand {
+	return rand.New(srcOf(time.Now())) // want "seeded from the clock"
+}
+
+func viaSourceHelperVar() *rand.Rand {
+	now := time.Now()
+	return rand.New(srcOf(now)) // want "nondeterministic"
 }

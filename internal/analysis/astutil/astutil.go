@@ -60,28 +60,6 @@ func ImportedPkg(info *types.Info, sel *ast.SelectorExpr) *types.PkgName {
 	return pkgName
 }
 
-// RootIdent returns the leftmost identifier of a selector/index/star/paren
-// chain (x in x.f[i].g), or nil when the chain is rooted elsewhere (a call
-// result, a literal).
-func RootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
 // NamedType reports whether t (or the pointee, when t is a pointer) is the
 // named type pkgPath.name.
 func NamedType(t types.Type, pkgPath, name string) bool {
@@ -97,19 +75,6 @@ func NamedType(t types.Type, pkgPath, name string) bool {
 		return pkgPath == "" && obj.Name() == name
 	}
 	return obj.Pkg().Path() == pkgPath && obj.Name() == name
-}
-
-// RecvType returns the receiver type of a method, or nil for package-level
-// functions and nil fn.
-func RecvType(fn *types.Func) types.Type {
-	if fn == nil {
-		return nil
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	return sig.Recv().Type()
 }
 
 // ObjectOf resolves the object an identifier defines or uses.

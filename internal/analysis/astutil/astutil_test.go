@@ -132,27 +132,7 @@ var y = notPkg.F
 	}
 }
 
-func TestRootIdent(t *testing.T) {
-	_, f, _ := typecheck(t, `package x
-type S struct{ A []S }
-func g(s *S) { _ = (*s).A[0].A }
-`)
-	var found *ast.Ident
-	ast.Inspect(f, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok && found == nil {
-			found = RootIdent(sel)
-		}
-		return true
-	})
-	if found == nil || found.Name != "s" {
-		t.Errorf("RootIdent: got %v, want s", found)
-	}
-	if RootIdent(&ast.CallExpr{Fun: &ast.Ident{Name: "f"}}) != nil {
-		t.Error("RootIdent of a call result should be nil")
-	}
-}
-
-func TestNamedTypeAndRecvType(t *testing.T) {
+func TestNamedType(t *testing.T) {
 	_, f, info := typecheck(t, src)
 	var hit *types.Func
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -161,14 +141,11 @@ func TestNamedTypeAndRecvType(t *testing.T) {
 		}
 		return true
 	})
-	recv := RecvType(hit)
-	if recv == nil || !NamedType(recv, "x", "T") {
-		t.Errorf("RecvType(Hit) = %v, want *x.T", recv)
+	recv := hit.Type().(*types.Signature).Recv().Type()
+	if !NamedType(recv, "x", "T") {
+		t.Errorf("NamedType(%v, x, T) = false, want true through the pointer", recv)
 	}
 	if NamedType(recv, "x", "U") {
 		t.Error("NamedType matched the wrong name")
-	}
-	if RecvType(nil) != nil {
-		t.Error("RecvType(nil) should be nil")
 	}
 }

@@ -110,15 +110,6 @@ func (h *hasher) Add(field string, data []byte) {
 
 func (h *hasher) AddString(field, s string) { h.Add(field, []byte(s)) }
 
-func (h *hasher) AddFile(field, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	h.Add(field, data)
-	return nil
-}
-
 func (h *hasher) Sum() string { return hex.EncodeToString(h.h.Sum(nil)) }
 
 // A fileHashCache memoizes content hashes per file for one driver run.

@@ -20,12 +20,11 @@ import (
 	"sync"
 )
 
-// The standalone driver: locate packages and compiler export data with
+// The driver: locate packages and compiler export data with
 // `go list -export -deps -json`, type-check each target package from source
 // against that export data, and run the analyzers. This is what
-// `repolint ./...` does when invoked directly (the vet-tool protocol in
-// unitchecker.go is the other entry point, where the go command supplies
-// the same information through a vet.cfg file).
+// `repolint ./...` does; CheckFiles is the fact-less variant the fixture
+// tests use.
 
 // A Unit is one package ready for analysis.
 type Unit struct {
@@ -181,13 +180,8 @@ func ExportIndex(dir string, patterns ...string) (map[string]string, error) {
 type exportLookup func(path string) (string, bool)
 
 // exportImporter resolves imports from compiler export data files.
-func exportImporter(fset *token.FileSet, exports exportLookup, importMap map[string]string) types.Importer {
+func exportImporter(fset *token.FileSet, exports exportLookup) types.Importer {
 	lookup := func(path string) (io.ReadCloser, error) {
-		if importMap != nil {
-			if mapped, ok := importMap[path]; ok {
-				path = mapped
-			}
-		}
 		file, ok := exports(path)
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
@@ -367,7 +361,7 @@ func (d *Driver) runUnit(u *Unit, reg FactRegistry, version string, reader FactR
 		}
 		files = append(files, f)
 	}
-	diags, exported, err := checkFiles(fset, files, u.ImportPath, u.res.lookup, nil, d.Analyzers, reader)
+	diags, exported, err := checkFiles(fset, files, u.ImportPath, u.res.lookup, d.Analyzers, reader)
 	if err != nil {
 		return nil, nil, key, false, err
 	}
@@ -495,30 +489,12 @@ func sortedImports(u *Unit) []string {
 	return imps
 }
 
-// Analyze type-checks the unit and runs every analyzer over its production
-// files, returning diagnostics sorted by position.
-func (u *Unit) Analyze(analyzers []*Analyzer) ([]Diagnostic, error) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, path := range u.GoFiles {
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	diags, _, err := checkFiles(fset, files, u.ImportPath, u.res.lookup, nil, analyzers, nil)
-	return diags, err
-}
-
-// CheckFiles type-checks an already-parsed file set as one package (against
-// the given export-data index, with importMap translating source import
-// paths when the vet config supplies one) and runs the analyzers without
-// cross-package facts. Files named *_test.go are type-checked but not
-// analyzed.
+// CheckFiles type-checks an already-parsed file set as one package against
+// the given export-data index and runs the analyzers without cross-package
+// facts. Files named *_test.go are type-checked but not analyzed.
 func CheckFiles(fset *token.FileSet, files []*ast.File, importPath string,
-	exports, importMap map[string]string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := CheckFilesWithFacts(fset, files, importPath, exports, importMap, analyzers, nil)
+	exports map[string]string, analyzers []*Analyzer) ([]Diagnostic, error) {
+	diags, _, err := CheckFilesWithFacts(fset, files, importPath, exports, analyzers, nil)
 	return diags, err
 }
 
@@ -526,24 +502,24 @@ func CheckFiles(fset *token.FileSet, files []*ast.File, importPath string,
 // imported resolves dependency fact sets (nil for none), and the returned
 // PackageFacts carries whatever the analyzers exported for this package.
 func CheckFilesWithFacts(fset *token.FileSet, files []*ast.File, importPath string,
-	exports, importMap map[string]string, analyzers []*Analyzer,
+	exports map[string]string, analyzers []*Analyzer,
 	imported FactReader) ([]Diagnostic, *PackageFacts, error) {
 	lookup := func(path string) (string, bool) {
 		file, ok := exports[path]
 		return file, ok
 	}
-	return checkFiles(fset, files, importPath, lookup, importMap, analyzers, imported)
+	return checkFiles(fset, files, importPath, lookup, analyzers, imported)
 }
 
 // checkFiles is the shared core of CheckFiles/CheckFilesWithFacts and the
 // driver: type-check against lazily-resolved export data, run the
 // analyzers, collect diagnostics and exported facts.
 func checkFiles(fset *token.FileSet, files []*ast.File, importPath string,
-	exports exportLookup, importMap map[string]string, analyzers []*Analyzer,
+	exports exportLookup, analyzers []*Analyzer,
 	imported FactReader) ([]Diagnostic, *PackageFacts, error) {
 
 	conf := types.Config{
-		Importer: exportImporter(fset, exports, importMap),
+		Importer: exportImporter(fset, exports),
 		Error:    func(error) {}, // collect the first error from Check itself
 	}
 	info := newInfo()

@@ -19,9 +19,8 @@ import (
 // of exported named types — the objects a dependent package can actually
 // name through export data.
 //
-// Facts serialize to deterministic JSON (facts.json inside each cache
-// entry, or the .vetx files the go command shuttles between vet units), so
-// a package's fact blob can be content-hashed into its dependents' cache
+// Facts serialize to deterministic JSON, stored inside each unit's cache
+// entry, so a package's fact blob can be content-hashed into its dependents' cache
 // keys: a changed callee summary invalidates exactly the callers that
 // could observe it.
 
@@ -179,9 +178,7 @@ func (pf *PackageFacts) Encode() ([]byte, error) {
 
 // DecodePackageFacts parses a facts blob produced by Encode. Facts whose
 // type is not in the registry are skipped, not errors: a fact written by a
-// newer analyzer set must not wedge an older reader, and vice versa (the
-// cache key includes the analyzer version, so mixed sets only meet through
-// the vet protocol's .vetx files).
+// newer analyzer set must not wedge an older reader, and vice versa.
 func DecodePackageFacts(data []byte, reg FactRegistry) (*PackageFacts, error) {
 	if len(data) == 0 {
 		return nil, nil

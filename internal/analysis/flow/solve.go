@@ -1,10 +1,5 @@
 package flow
 
-import (
-	"go/ast"
-	"go/types"
-)
-
 // A Lattice drives the generic forward solver: abstract states of type S
 // form a join-semilattice, and Transfer pushes a state through one block.
 type Lattice[S any] interface {
@@ -112,139 +107,4 @@ func Forward[S any](g *CFG, lat Lattice[S]) *Solution[S] {
 		}
 	}
 	return sol
-}
-
-// ---------------------------------------------------------------------------
-// Reaching definitions
-
-// A Def is one definition site of an object. Site is nil for definitions
-// flowing in at function entry (parameters, captured variables).
-type Def struct {
-	Obj  types.Object
-	Site ast.Node
-}
-
-// DefState maps each object to the set of definitions that may reach a
-// program point.
-type DefState map[types.Object]map[ast.Node]bool
-
-// defsLattice is the reaching-definitions instance of the forward solver.
-type defsLattice struct {
-	info   *types.Info
-	params []types.Object
-}
-
-func (l *defsLattice) Bottom() DefState { return nil }
-
-func (l *defsLattice) Entry() DefState {
-	s := make(DefState, len(l.params))
-	for _, p := range l.params {
-		s[p] = map[ast.Node]bool{nil: true}
-	}
-	return s
-}
-
-// Join merges two states into a fresh map. It must never return either
-// input: Transfer mutates the joined state in place, and an aliased return
-// would let those mutations corrupt a predecessor's out-state.
-func (l *defsLattice) Join(a, b DefState) DefState {
-	out := make(DefState, len(a)+len(b))
-	for obj, sites := range a {
-		m := make(map[ast.Node]bool, len(sites))
-		for s := range sites {
-			m[s] = true
-		}
-		out[obj] = m
-	}
-	for obj, sites := range b {
-		m := out[obj]
-		if m == nil {
-			m = make(map[ast.Node]bool, len(sites))
-			out[obj] = m
-		}
-		for s := range sites {
-			m[s] = true
-		}
-	}
-	return out
-}
-
-func (l *defsLattice) Equal(a, b DefState) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for obj, as := range a {
-		bs, ok := b[obj]
-		if !ok || len(as) != len(bs) {
-			return false
-		}
-		for s := range as {
-			if !bs[s] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func (l *defsLattice) Transfer(b *Block, in DefState) DefState {
-	out := l.Join(nil, in) // copy
-	if out == nil {
-		out = make(DefState)
-	}
-	gen := func(id *ast.Ident, site ast.Node) {
-		obj := l.objectOf(id)
-		if obj == nil || id.Name == "_" {
-			return
-		}
-		out[obj] = map[ast.Node]bool{site: true} // strong update
-	}
-	for _, n := range b.Nodes {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok {
-					gen(id, n)
-				}
-			}
-		case *ast.DeclStmt:
-			if gd, ok := n.Decl.(*ast.GenDecl); ok {
-				for _, spec := range gd.Specs {
-					if vs, ok := spec.(*ast.ValueSpec); ok {
-						for _, id := range vs.Names {
-							gen(id, n)
-						}
-					}
-				}
-			}
-		case *ast.IncDecStmt:
-			if id, ok := n.X.(*ast.Ident); ok {
-				gen(id, n)
-			}
-		case *ast.RangeStmt:
-			if id, ok := n.Key.(*ast.Ident); ok {
-				gen(id, n)
-			}
-			if id, ok := n.Value.(*ast.Ident); ok {
-				gen(id, n)
-			}
-		}
-	}
-	return out
-}
-
-func (l *defsLattice) objectOf(id *ast.Ident) types.Object {
-	if obj := l.info.Defs[id]; obj != nil {
-		return obj
-	}
-	return l.info.Uses[id]
-}
-
-// ReachingDefs computes, for every block, the definitions of each variable
-// that may reach its entry. params are seeded as defined-at-entry (Site
-// nil). Assignments to identifiers are strong updates; writes through
-// pointers or to fields are not tracked (callers needing them use the taint
-// lattice's field handling instead).
-func ReachingDefs(g *CFG, info *types.Info, params []types.Object) *Solution[DefState] {
-	return Forward[DefState](g, &defsLattice{info: info, params: params})
 }

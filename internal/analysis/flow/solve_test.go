@@ -16,69 +16,6 @@ func findObj(info *types.Info, name string) types.Object {
 	return nil
 }
 
-func TestReachingDefsDiamond(t *testing.T) {
-	_, fd, info := parseFunc(t, `package x
-func f(c bool) int {
-	x := 1
-	if c {
-		x = 2
-	}
-	return x
-}
-`, "f")
-	g := New(fd.Body, info)
-	sol := ReachingDefs(g, info, nil)
-	if !sol.Converged {
-		t.Fatal("reaching defs did not converge")
-	}
-	x := findObj(info, "x")
-	if x == nil {
-		t.Fatal("no object for x")
-	}
-	// At the exit block both the initial := and the then-branch = reach.
-	defs := sol.In[g.Exit][x]
-	if len(defs) != 2 {
-		t.Errorf("defs of x reaching exit = %d, want 2 (diamond join)", len(defs))
-	}
-	// Inside the then block only the initial definition reaches.
-	var then *Block
-	for _, b := range g.Blocks {
-		if b.Kind == "if.then" {
-			then = b
-		}
-	}
-	if got := len(sol.In[then][x]); got != 1 {
-		t.Errorf("defs of x reaching then-branch = %d, want 1", got)
-	}
-}
-
-func TestReachingDefsLoopParams(t *testing.T) {
-	_, fd, info := parseFunc(t, `package x
-func f(n int) int {
-	for i := 0; i < n; i++ {
-		n = n - 1
-	}
-	return n
-}
-`, "f")
-	g := New(fd.Body, info)
-	nObj := findObj(info, "n")
-	if nObj == nil {
-		// Parameters are in Defs of the field name.
-		t.Fatal("no object for n")
-	}
-	sol := ReachingDefs(g, info, []types.Object{nObj})
-	if !sol.Converged {
-		t.Fatal("did not converge")
-	}
-	// At exit: both the entry def (Site nil) and the loop-body assignment
-	// may reach (loop may run zero times).
-	defs := sol.In[g.Exit][nObj]
-	if len(defs) != 2 || !defs[nil] {
-		t.Errorf("defs of n at exit = %v, want entry def + loop assignment", defs)
-	}
-}
-
 // clockTaint builds a TaintSpec treating fake() calls as sources.
 func clockTaint(info *types.Info) *TaintSpec {
 	return &TaintSpec{

@@ -201,26 +201,6 @@ func (d *DomTree) Dominates(a, b *flow.Block) bool {
 	return d.pre[a.Index] <= d.pre[b.Index] && d.post[b.Index] <= d.post[a.Index]
 }
 
-// StrictlyDominates is Dominates minus reflexivity.
-func (d *DomTree) StrictlyDominates(a, b *flow.Block) bool {
-	return a != b && d.Dominates(a, b)
-}
-
-// Walk visits the dominator tree in preorder (parents before children,
-// children in block-index order), starting at the entry.
-func (d *DomTree) Walk(visit func(b *flow.Block)) {
-	var rec func(i int)
-	rec = func(i int) {
-		visit(d.g.Blocks[i])
-		for _, c := range d.Children[i] {
-			rec(c)
-		}
-	}
-	if len(d.g.Blocks) > 0 {
-		rec(0)
-	}
-}
-
 // Dump renders the tree as stable text for golden tests: one line per
 // block with its idom and dominance frontier.
 func (d *DomTree) Dump() string {

@@ -7,26 +7,11 @@ import (
 	"path/filepath"
 )
 
-// Machine-readable output modes for the standalone driver: a flat JSON
-// report for diffable baselines and scripting, and SARIF 2.1.0 for the
-// GitHub code-scanning endpoint. Both use paths relative to the working
-// directory so reports are stable across checkouts, and both are emitted
-// from the already-sorted diagnostic list, so byte-for-byte equality holds
-// across sequential, parallel, and cached runs.
-
-// jsonDiagnostic is one finding in -format=json output.
-type jsonDiagnostic struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
-type jsonReport struct {
-	Version     string           `json:"version"`
-	Diagnostics []jsonDiagnostic `json:"diagnostics"`
-}
+// SARIF 2.1.0 output for the GitHub code-scanning endpoint. Paths are
+// relative to the working directory so reports are stable across
+// checkouts, and the log is emitted from the already-sorted diagnostic
+// list, so byte-for-byte equality holds across sequential, parallel, and
+// cached runs.
 
 // relPath makes path relative to the working directory when possible.
 func relPath(path string) string {
@@ -39,23 +24,6 @@ func relPath(path string) string {
 		return path
 	}
 	return filepath.ToSlash(rel)
-}
-
-// WriteJSON emits the diagnostics as a flat JSON report.
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	report := jsonReport{Version: Version, Diagnostics: []jsonDiagnostic{}}
-	for _, d := range diags {
-		report.Diagnostics = append(report.Diagnostics, jsonDiagnostic{
-			Analyzer: d.Analyzer,
-			File:     relPath(d.Pos.Filename),
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(report)
 }
 
 // The slice of the SARIF 2.1.0 schema code scanning consumes.

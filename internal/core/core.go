@@ -249,42 +249,7 @@ func Learn(o oracle.Oracle, opts Options) *Result {
 		}
 	}
 	report(&opts, Progress{Phase: PhaseTemplates, Total: nOut})
-	compByOut := make(map[int]template.CompMatch)
-	for _, cm := range matches.Comparators {
-		compByOut[cm.Out] = cm
-	}
-	linByOut := make(map[int]template.LinMatch)
-	linBit := make(map[int]int) // PO index -> bit position in its LinMatch
-	for _, lm := range matches.Linear {
-		for bit, pos := range lm.OutVec.Ports {
-			if bit < lm.Width {
-				if _, taken := compByOut[pos]; !taken {
-					linByOut[pos] = lm
-					linBit[pos] = bit
-				}
-			}
-		}
-	}
-	affByOut := make(map[int]template.AffineMatch)
-	for _, am := range matches.Affine {
-		affByOut[am.Out] = am
-	}
-	bitByOut := make(map[int]template.BitwiseMatch)
-	bitBit := make(map[int]int)
-	for _, bm := range matches.Bitwise {
-		for bit, pos := range bm.OutVec.Ports {
-			if bit < bm.Width {
-				if _, t1 := compByOut[pos]; t1 {
-					continue
-				}
-				if _, t2 := linByOut[pos]; t2 {
-					continue
-				}
-				bitByOut[pos] = bm
-				bitBit[pos] = bit
-			}
-		}
-	}
+	templates := templateTable(matches, nOut)
 
 	// The output circuit shares one PI per golden input.
 	c := circuit.New()
@@ -292,8 +257,9 @@ func Learn(o oracle.Oracle, opts Options) *Result {
 	for i, name := range o.InputNames() {
 		piSigs[i] = c.AddPI(name)
 	}
-	// Cache synthesized linear adders (one per LinMatch, shared by bits).
-	linWords := make(map[string]circuit.Word)
+	// Synthesized linear adders and bitwise buses, one per match, shared
+	// by its bits.
+	words := make(map[string]circuit.Word)
 
 	outNames := o.OutputNames()
 	inG := names.Group(o.InputNames())
@@ -304,10 +270,7 @@ func Learn(o oracle.Oracle, opts Options) *Result {
 	if opts.Parallel > 1 {
 		var jobs []outputJob
 		for po := 0; po < nOut; po++ {
-			_, c1 := compByOut[po]
-			_, c2 := linByOut[po]
-			_, c3 := bitByOut[po]
-			if opts.DisablePreprocessing || (!c1 && !c2 && !c3) {
+			if templates[po].method == "" {
 				jobs = append(jobs, outputJob{po: po, name: outNames[po]})
 			}
 		}
@@ -330,37 +293,9 @@ func Learn(o oracle.Oracle, opts Options) *Result {
 			// nothing done here is load-bearing.
 			sig = c.Const(false)
 			rep.Method = MethodCanceled
-		case !opts.DisablePreprocessing && hasComp(compByOut, po):
-			cm := compByOut[po]
-			sig = cm.Synthesize(c, piSigs)
-			rep.Method = MethodComparator
-			res.TemplateMatches++
-		case !opts.DisablePreprocessing && hasLin(linByOut, po):
-			lm := linByOut[po]
-			key := "lin:" + lm.OutVec.Stem
-			w, ok := linWords[key]
-			if !ok {
-				w = lm.Synthesize(c, piSigs)
-				linWords[key] = w
-			}
-			sig = w[linBit[po]]
-			rep.Method = MethodLinear
-			res.TemplateMatches++
-		case !opts.DisablePreprocessing && hasAff(affByOut, po):
-			am := affByOut[po]
-			sig = am.Synthesize(c, piSigs)
-			rep.Method = MethodAffine
-			res.TemplateMatches++
-		case !opts.DisablePreprocessing && hasBit(bitByOut, po):
-			bm := bitByOut[po]
-			key := "bit:" + bm.OutVec.Stem
-			w, ok := linWords[key]
-			if !ok {
-				w = bm.Synthesize(c, piSigs)
-				linWords[key] = w
-			}
-			sig = w[bitBit[po]]
-			rep.Method = MethodBitwise
+		case templates[po].method != "":
+			sig = templates[po].synthesize(c, piSigs, words)
+			rep.Method = templates[po].method
 			res.TemplateMatches++
 		default:
 			if r, ok := parallelResults[po]; ok {
@@ -442,10 +377,64 @@ func Learn(o oracle.Oracle, opts Options) *Result {
 	return res
 }
 
-func hasComp(m map[int]template.CompMatch, po int) bool   { _, ok := m[po]; return ok }
-func hasLin(m map[int]template.LinMatch, po int) bool     { _, ok := m[po]; return ok }
-func hasBit(m map[int]template.BitwiseMatch, po int) bool { _, ok := m[po]; return ok }
-func hasAff(m map[int]template.AffineMatch, po int) bool  { _, ok := m[po]; return ok }
+// A poTemplate is the template match that settles one PO (method "" for
+// none). Comparators and affine parities synthesize the PO's own signal;
+// linear and bitwise matches synthesize their whole bus once, cached under
+// key, and the PO takes its bit.
+type poTemplate struct {
+	method Method
+	signal func(*circuit.Circuit, []circuit.Signal) circuit.Signal
+	word   func(*circuit.Circuit, []circuit.Signal) circuit.Word
+	key    string
+	bit    int
+}
+
+// templateTable maps every PO to the template that settles it. Precedence
+// is comparator, then linear, affine, bitwise; within one kind a later
+// match for the same PO replaces an earlier one.
+func templateTable(m template.Matches, nOut int) []poTemplate {
+	table := make([]poTemplate, nOut)
+	set := func(po int, t poTemplate) {
+		if cur := table[po].method; cur == "" || cur == t.method {
+			table[po] = t
+		}
+	}
+	for _, cm := range m.Comparators {
+		set(cm.Out, poTemplate{method: MethodComparator, signal: cm.Synthesize})
+	}
+	for _, lm := range m.Linear {
+		for bit, pos := range lm.OutVec.Ports {
+			if bit < lm.Width {
+				set(pos, poTemplate{method: MethodLinear, word: lm.Synthesize, key: "lin:" + lm.OutVec.Stem, bit: bit})
+			}
+		}
+	}
+	for _, am := range m.Affine {
+		set(am.Out, poTemplate{method: MethodAffine, signal: am.Synthesize})
+	}
+	for _, bm := range m.Bitwise {
+		for bit, pos := range bm.OutVec.Ports {
+			if bit < bm.Width {
+				set(pos, poTemplate{method: MethodBitwise, word: bm.Synthesize, key: "bit:" + bm.OutVec.Stem, bit: bit})
+			}
+		}
+	}
+	return table
+}
+
+// synthesize builds the PO's signal in c, building a bus on its first bit
+// and reusing it, through words, for the rest.
+func (t poTemplate) synthesize(c *circuit.Circuit, piSigs []circuit.Signal, words map[string]circuit.Word) circuit.Signal {
+	if t.word == nil {
+		return t.signal(c, piSigs)
+	}
+	w, ok := words[t.key]
+	if !ok {
+		w = t.word(c, piSigs)
+		words[t.key] = w
+	}
+	return w[t.bit]
+}
 
 // learnOutput runs steps 3-4 for one output: support identification, then
 // either exhaustive enumeration, compressed-tree learning, or the FBDT.

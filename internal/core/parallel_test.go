@@ -65,23 +65,71 @@ func TestParallelLearnDeterministic(t *testing.T) {
 	}
 }
 
-func TestParallelLearnWithTemplatesMixed(t *testing.T) {
-	// Comparator output (template) + control cone (tree/exhaustive) in one
-	// design: the parallel path must only take the non-template outputs.
-	g := circuit.New()
-	a := g.AddPIWord("a", 6)
-	b := g.AddPIWord("b", 6)
-	extra := g.AddPI("sel")
-	g.AddPO("lt", g.LtWords(a, b))
-	g.AddPO("mix", g.And(extra, g.Xor(a[0], b[5])))
-	o := oracle.FromCircuit(g)
+// A templateDesign has outputs the worker pool must leave alone: each is
+// settled by a template before the pool starts.
+type templateDesign struct {
+	name     string
+	golden   *circuit.Circuit
+	opts     Options
+	template map[int]Method // PO -> method
+}
 
-	res := Learn(o, Options{Seed: 13, Parallel: 2})
-	if res.Outputs[0].Method != MethodComparator {
-		t.Fatalf("output 0 method = %s", res.Outputs[0].Method)
+func templateDesigns() []templateDesign {
+	// A comparator output next to a control cone the pool learns.
+	mixed := circuit.New()
+	a := mixed.AddPIWord("a", 6)
+	b := mixed.AddPIWord("b", 6)
+	extra := mixed.AddPI("sel")
+	mixed.AddPO("lt", mixed.LtWords(a, b))
+	mixed.AddPO("mix", mixed.And(extra, mixed.Xor(a[0], b[5])))
+
+	// The 48-input parity of TestExtendedTemplatesLearnWideParity.
+	parity := circuit.New()
+	var sigs []circuit.Signal
+	for i := 0; i < 48; i++ {
+		sigs = append(sigs, parity.AddPI("p"+string(rune('a'+i%26))+string(rune('a'+i/26))))
 	}
-	rep := eval.Measure(o, oracle.FromCircuit(res.Circuit), eval.Config{Patterns: 8000, Seed: 6})
-	if rep.Accuracy != 1 {
-		t.Fatalf("accuracy = %f", rep.Accuracy)
+	parity.AddPO("parity", parity.XorTree(sigs))
+
+	// A lane-wise AND of two 8-bit buses.
+	bus := circuit.New()
+	x := bus.AddPIWord("lhs", 8)
+	y := bus.AddPIWord("rhs", 8)
+	z := make(circuit.Word, 8)
+	busMethods := make(map[int]Method)
+	for i := range z {
+		z[i] = bus.And(x[i], y[i])
+		busMethods[i] = MethodBitwise
+	}
+	bus.AddPOWord("res", z)
+
+	return []templateDesign{
+		{"comparator", mixed, Options{Seed: 13}, map[int]Method{0: MethodComparator}},
+		{"parity", parity, Options{Seed: 31, ExtendedTemplates: true, MaxTreeNodes: 50}, map[int]Method{0: MethodAffine}},
+		{"bitwise", bus, Options{Seed: 21, ExtendedTemplates: true}, busMethods},
+	}
+}
+
+func TestParallelLearnWithTemplatesMixed(t *testing.T) {
+	// The parallel path must only take the non-template outputs: a
+	// template output relearned by the pool costs queries and is thrown
+	// away.
+	for _, d := range templateDesigns() {
+		o := oracle.FromCircuit(d.golden)
+		seqOpts, parOpts := d.opts, d.opts
+		parOpts.Parallel = 2
+		seq, par := Learn(o, seqOpts), Learn(o, parOpts)
+		for po, m := range d.template {
+			if par.Outputs[po].Method != m {
+				t.Fatalf("%s: output %d method = %s, want %s", d.name, po, par.Outputs[po].Method, m)
+			}
+		}
+		if seq.Queries != par.Queries {
+			t.Errorf("%s: %d queries at Parallel 2, %d sequential", d.name, par.Queries, seq.Queries)
+		}
+		rep := eval.Measure(o, oracle.FromCircuit(par.Circuit), eval.Config{Patterns: 8000, Seed: 6})
+		if rep.Accuracy != 1 {
+			t.Fatalf("%s: accuracy = %f", d.name, rep.Accuracy)
+		}
 	}
 }
