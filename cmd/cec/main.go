@@ -1,8 +1,8 @@
 // Command cec is a combinational equivalence checker over our SAT engine —
 // the non-equivalence-diagnosis application that motivates the paper's
-// problem. It compares two netlists (text netlist, BLIF, or Verilog,
-// selected by extension) output by output and prints a distinguishing input
-// assignment when they differ.
+// problem. It compares two circuits (text netlist, BLIF, Verilog or ASCII
+// AIGER, selected by extension and verified on load) output by output and
+// prints a distinguishing input assignment when they differ.
 //
 //	cec golden.net learned.net
 //	cec -conflicts 100000 a.blif b.v
@@ -14,10 +14,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 
-	"logicregression/internal/circuit"
+	"logicregression/internal/check"
 	"logicregression/internal/opt"
 	"logicregression/internal/sat"
 )
@@ -29,12 +27,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: cec [-conflicts N] <circuit1> <circuit2>")
 		os.Exit(2)
 	}
-	c1, err := readAny(flag.Arg(0))
+	c1, err := check.ReadCircuitFile(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cec:", err)
 		os.Exit(2)
 	}
-	c2, err := readAny(flag.Arg(1))
+	c2, err := check.ReadCircuitFile(flag.Arg(1))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cec:", err)
 		os.Exit(2)
@@ -67,23 +65,5 @@ func main() {
 	default:
 		fmt.Println("UNDECIDED: conflict budget exhausted")
 		os.Exit(2)
-	}
-}
-
-// readAny loads a circuit by file extension: .blif, .v/.sv, else the text
-// netlist format.
-func readAny(path string) (*circuit.Circuit, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	switch strings.ToLower(filepath.Ext(path)) {
-	case ".blif":
-		return circuit.ParseBLIF(f)
-	case ".v", ".sv":
-		return circuit.ParseVerilog(f)
-	default:
-		return circuit.ParseNetlist(f)
 	}
 }

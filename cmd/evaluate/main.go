@@ -1,7 +1,9 @@
 // Command evaluate measures the contest accuracy (hit rate) of a learned
 // netlist against a golden reference: either a built-in case or a golden
-// netlist file. The test set follows the paper's Section V: one third of the
-// patterns biased toward 1s, one third toward 0s, one third uniform.
+// netlist file. Both files are read in the format their extension names
+// (text netlist, BLIF, Verilog or ASCII AIGER) and verified on load. The
+// test set follows the paper's Section V: one third of the patterns biased
+// toward 1s, one third toward 0s, one third uniform.
 //
 // Usage:
 //
@@ -15,7 +17,7 @@ import (
 	"os"
 
 	"logicregression/internal/cases"
-	"logicregression/internal/circuit"
+	"logicregression/internal/check"
 	"logicregression/internal/eval"
 	"logicregression/internal/oracle"
 )
@@ -46,7 +48,7 @@ func main() {
 		}
 		goldenOracle = c.Oracle()
 	case *golden != "":
-		c, err := readNetlist(*golden)
+		c, err := check.ReadCircuitFile(*golden)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "evaluate:", err)
 			os.Exit(1)
@@ -56,7 +58,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "evaluate: -case or -golden is required")
 		os.Exit(1)
 	}
-	lc, err := readNetlist(*learned)
+	lc, err := check.ReadCircuitFile(*learned)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evaluate:", err)
 		os.Exit(1)
@@ -81,13 +83,4 @@ func main() {
 	} else {
 		fmt.Println("verdict   below the 99.99% contest bar")
 	}
-}
-
-func readNetlist(path string) (*circuit.Circuit, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return circuit.ParseNetlist(f)
 }

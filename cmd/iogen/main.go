@@ -38,7 +38,7 @@ import (
 
 	"logicregression/internal/cases"
 	"logicregression/internal/chaos"
-	"logicregression/internal/circuit"
+	"logicregression/internal/check"
 	"logicregression/internal/ioserve"
 	"logicregression/internal/oracle"
 	"logicregression/internal/serve"
@@ -49,7 +49,7 @@ import (
 func main() {
 	var (
 		caseName    = flag.String("case", "", "built-in case name (case_1..case_20)")
-		netlist     = flag.String("netlist", "", "netlist file to serve")
+		netlist     = flag.String("netlist", "", "circuit file to serve (format by extension: .blif, .v/.sv, .aag/.aig, else text netlist)")
 		listen      = flag.String("listen", "127.0.0.1:9000", "listen address")
 		proto       = flag.Int("proto", 2, "highest protocol version to speak (1 = v1-only line protocol, 2 = allow batch framing); -serve raises this to 3")
 		readTimeout = flag.Duration("read-timeout", 2*time.Minute, "per-read deadline on client connections (0 = none); a stuck client is dropped instead of pinning a handler")
@@ -84,13 +84,7 @@ func main() {
 		}
 		o = c.Oracle()
 	case *netlist != "":
-		f, err := os.Open(*netlist)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "iogen:", err)
-			os.Exit(1)
-		}
-		c, err := circuit.ParseNetlist(f)
-		f.Close()
+		c, err := check.ReadCircuitFile(*netlist)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "iogen:", err)
 			os.Exit(1)

@@ -287,8 +287,8 @@ func main() {
 	rep.DurationS = elapsed.Seconds()
 	rep.QueriesSent = queries.Load()
 	rep.QPS = float64(rep.QueriesSent) / elapsed.Seconds()
-	rep.QueryLatency = histStats(hQuery)
-	rep.LearnLatency = histStats(hLearn)
+	rep.QueryLatency = hQuery.Snapshot().Stats()
+	rep.LearnLatency = hLearn.Snapshot().Stats()
 	rep.GoroutinesPeak = int(peak.Load())
 	rep.ClientErrors = int(errCount.Load())
 	rep.Errors = errSamp
@@ -386,19 +386,5 @@ func waitJob(cl *serve.Client, jobID string, fail func(string, ...any), id int) 
 			return false
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// histStats renders a local histogram the same way a registry snapshot
-// does.
-func histStats(h *metrics.Histogram) metrics.HistogramStats {
-	s := h.Snapshot()
-	return metrics.HistogramStats{
-		Count: s.Count,
-		Mean:  s.Mean(),
-		P50:   s.Quantile(0.50),
-		P90:   s.Quantile(0.90),
-		P99:   s.Quantile(0.99),
-		Max:   s.Quantile(1.0),
 	}
 }

@@ -3,8 +3,9 @@
 // flow-sensitive contract checkers (randtaint, locksafe, panicbridge,
 // goleak), the interprocedural concurrency/allocation contracts (chanflow,
 // ctxcancel, hotalloc), the cross-package map-order determinism contract
-// (mapdet), and the SSA value-flow checkers (shiftrange, nilflow,
-// deadbranch); see internal/analysis/analyzers — over Go packages:
+// (mapdet), the hot-path shift rule (shiftrange), and the SSA value-flow
+// checkers (nilflow, deadbranch); see internal/analysis/analyzers — over
+// Go packages:
 //
 //	repolint ./...
 //

@@ -37,9 +37,9 @@
 //	            returned slices, serialized output, or merge positions
 //	            without an intervening sort — the determinism contract
 //	            the parallel learning core is held to
-//	shiftrange  SSA value ranges: hot-path shift amounts are proven < the
-//	            word width and bit-kernel slice indexes proven in bounds;
-//	            unproven sites are the bounds-check-elimination work-list
+//	shiftrange  hot-path shift amounts are constants or masks below the
+//	            word width; the bit-kernel indexes are held to the
+//	            compiler's bounds-check report (TestHotpathGcflagsCrossCheck)
 //	nilflow     SSA value flow: a call result must not be dereferenced on
 //	            a path its paired err != nil check proves may be nil
 //	deadbranch  SCCP: branch conditions proven always-true/false hide one
@@ -65,9 +65,10 @@ import (
 // goleak) are flow-sensitive rules built on internal/analysis/flow; the
 // third group (atomicsafe, chanflow, ctxcancel, hotalloc) are the
 // concurrency and hot-path allocation contracts; mapdet
-// is the cross-package map-order determinism contract; the last group
-// (shiftrange, nilflow, deadbranch) are the SSA value-flow rules built on
-// internal/analysis/flow/ssa (dominators, SCCP, interval ranges).
+// is the cross-package map-order determinism contract; shiftrange is the
+// syntactic hot-path shift rule; the last group (nilflow, deadbranch) are
+// the SSA value-flow rules built on internal/analysis/flow/ssa
+// (dominators, branch facts, SCCP).
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		ScalarEval, OrphanErr, ErrCompare, NoDeadline,

@@ -9,7 +9,6 @@ import (
 	"logicregression/internal/analysis"
 	"logicregression/internal/analysis/astutil"
 	"logicregression/internal/analysis/flow"
-	"logicregression/internal/analysis/flow/ssa"
 )
 
 // ChanFlow checks channel lifecycle discipline flow-sensitively, per
@@ -29,15 +28,10 @@ import (
 // per rendered channel expression, like locksafe's lock keys; re-making a
 // channel resets its state. The analysis is deliberately function-local
 // beyond those summaries: cross-goroutine protocols (a mutex ordering a
-// close against sends elsewhere) are out of scope and not flagged.
-//
-// Branch correlation: a may-be-closed send is suppressed when the
-// function's single close site and the send are guarded by dominating
-// branch facts the SSA layer proves contradictory (`if stop { close(ch) }`
-// ... `if !stop { ch <- v }` on the same unreassigned value) — the two
-// can never execute in one run. The suppression is restricted to channels
-// with exactly one close site, so the recorded close position is the only
-// way the state became closed.
+// close against sends elsewhere) are out of scope and not flagged. Branch
+// correlations are not modeled: a close under `if stop` and a send under
+// `if !stop` are reported, because the lattice joins paths without their
+// conditions.
 var ChanFlow = &analysis.Analyzer{
 	Name: "chanflow",
 	Doc: "flags possible double closes, sends on possibly-closed channels, " +
@@ -50,16 +44,6 @@ var ChanFlow = &analysis.Analyzer{
 // earliest close that may have happened on some path here.
 type closedState map[string]token.Pos
 
-// chanFinding is one may-be-closed diagnostic: the message, the channel
-// key, the close the finding is conditional on, and whether it is a send
-// (sends are eligible for branch-correlation suppression).
-type chanFinding struct {
-	msg      string
-	key      string
-	closedAt token.Pos
-	send     bool
-}
-
 // chanLattice instantiates the forward solver for the may-be-closed
 // analysis. Findings are accumulated (keyed by position, since Transfer
 // may run over a block several times) and reported after the solve.
@@ -67,7 +51,7 @@ type chanLattice struct {
 	info     *types.Info
 	fset     *token.FileSet
 	closers  map[*types.Func][]bool
-	findings map[token.Pos]chanFinding
+	findings map[token.Pos]string
 }
 
 func (l *chanLattice) Bottom() closedState { return nil }
@@ -101,9 +85,9 @@ func (l *chanLattice) Equal(a, b closedState) bool {
 	return true
 }
 
-func (l *chanLattice) finding(pos token.Pos, f chanFinding) {
+func (l *chanLattice) finding(pos token.Pos, msg string) {
 	if _, ok := l.findings[pos]; !ok {
-		l.findings[pos] = f
+		l.findings[pos] = msg
 	}
 }
 
@@ -119,13 +103,8 @@ func (l *chanLattice) Transfer(b *flow.Block, in closedState) closedState {
 		case *ast.SendStmt:
 			key := renderExpr(l.fset, n.Chan)
 			if pos, closed := out[key]; closed {
-				l.finding(n.Arrow, chanFinding{
-					msg: "send on " + key + ", which may already be closed (closed at " +
-						l.fset.Position(pos).String() + "); a send on a closed channel panics",
-					key:      key,
-					closedAt: pos,
-					send:     true,
-				})
+				l.finding(n.Arrow, "send on "+key+", which may already be closed (closed at "+
+					l.fset.Position(pos).String()+"); a send on a closed channel panics")
 			}
 		case *ast.AssignStmt:
 			// Any rebinding of a channel expression resets its state: a
@@ -163,12 +142,8 @@ func (l *chanLattice) applyCall(e ast.Expr, out closedState) {
 
 func (l *chanLattice) close(out closedState, key string, pos token.Pos) {
 	if prev, closed := out[key]; closed {
-		l.finding(pos, chanFinding{
-			msg: "close of " + key + ", which may already be closed (closed at " +
-				l.fset.Position(prev).String() + "); a double close panics",
-			key:      key,
-			closedAt: prev,
-		})
+		l.finding(pos, "close of "+key+", which may already be closed (closed at "+
+			l.fset.Position(prev).String()+"); a double close panics")
 		return
 	}
 	out[key] = pos
@@ -243,45 +218,10 @@ func runChanFlow(pass *analysis.Pass) error {
 			// whole declaration, shared by its nested literals.
 			unbuffered := unbufferedChans(info, fd.Body)
 			comms := selectComms(fd.Body)
-			// The SSA view of the outer body powers branch-correlation
-			// suppression; close sites are counted across the whole decl so
-			// a literal's extra close conservatively disables it.
-			sf := ssa.Build(fd, info, nil)
-			sites := closeSiteCount(pass, fd.Body, closers)
-			checkChanBody(pass, fd.Body, closers, unbuffered, comms, sup, sf, sites)
+			checkChanBody(pass, fd.Body, closers, unbuffered, comms, sup)
 		}
 	}
 	return nil
-}
-
-// closeSiteCount counts, per rendered channel key, the syntactic sites in
-// body that may close it: the close builtin plus calls to summarized
-// closer helpers.
-func closeSiteCount(pass *analysis.Pass, body ast.Node,
-	closers map[*types.Func][]bool) map[string]int {
-
-	sites := make(map[string]int)
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if astutil.IsBuiltin(pass.TypesInfo, call, "close") && len(call.Args) == 1 {
-			sites[renderExpr(pass.Fset, call.Args[0])]++
-			return true
-		}
-		closes, ok := closers[astutil.CalleeFunc(pass.TypesInfo, call)]
-		if !ok {
-			return true
-		}
-		for i, arg := range call.Args {
-			if i < len(closes) && closes[i] {
-				sites[renderExpr(pass.Fset, arg)]++
-			}
-		}
-		return true
-	})
-	return sites
 }
 
 // checkChanBody runs the closed-channel lattice and the blocking-send scan
@@ -290,14 +230,13 @@ func closeSiteCount(pass *analysis.Pass, body ast.Node,
 // classifications).
 func checkChanBody(pass *analysis.Pass, body *ast.BlockStmt,
 	closers map[*types.Func][]bool, unbuffered map[types.Object]bool,
-	comms map[ast.Stmt]bool, sup map[string]bool,
-	sf *ssa.Func, sites map[string]int) {
+	comms map[ast.Stmt]bool, sup map[string]bool) {
 
 	lat := &chanLattice{
 		info:     pass.TypesInfo,
 		fset:     pass.Fset,
 		closers:  closers,
-		findings: make(map[token.Pos]chanFinding),
+		findings: make(map[token.Pos]string),
 	}
 	g := flow.New(body, pass.TypesInfo)
 	sol := flow.Forward[closedState](g, lat)
@@ -321,14 +260,9 @@ func checkChanBody(pass *analysis.Pass, body *ast.BlockStmt,
 		}
 		sort.Slice(positions, func(i, j int) bool { return positions[i] < positions[j] })
 		for _, pos := range positions {
-			fnd := lat.findings[pos]
-			if suppressed(pass, sup, pos) {
-				continue
+			if !suppressed(pass, sup, pos) {
+				pass.Reportf(pos, "%s", lat.findings[pos])
 			}
-			if fnd.send && branchCorrelated(sf, sites, fnd, pos) {
-				continue
-			}
-			pass.Reportf(pos, "%s", fnd.msg)
 		}
 	}
 
@@ -357,26 +291,8 @@ func checkChanBody(pass *analysis.Pass, body *ast.BlockStmt,
 	})
 
 	for _, lit := range flow.FuncLits(body) {
-		// Literals get no SSA view: branch correlation stays outer-body only.
-		checkChanBody(pass, lit.Body, closers, unbuffered, comms, sup, nil, nil)
+		checkChanBody(pass, lit.Body, closers, unbuffered, comms, sup)
 	}
-}
-
-// branchCorrelated reports whether the single close site a send finding is
-// conditional on and the send itself sit under dominating branch facts the
-// SSA layer proves contradictory — the pair can never execute in one run.
-func branchCorrelated(sf *ssa.Func, sites map[string]int,
-	fnd chanFinding, sendPos token.Pos) bool {
-
-	if sf == nil || !fnd.closedAt.IsValid() || sites[fnd.key] != 1 {
-		return false
-	}
-	closeBlk := sf.BlockAt(fnd.closedAt)
-	sendBlk := sf.BlockAt(sendPos)
-	if closeBlk == nil || sendBlk == nil {
-		return false
-	}
-	return sf.ContradictoryFacts(closeBlk, sendBlk)
 }
 
 // unbufferedChans classifies the channel variables of one declaration: a

@@ -34,7 +34,7 @@ func runDeadBranch(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			f := ssa.Build(fd, info, nil)
+			f := ssa.Build(fd, info)
 			if f == nil {
 				continue
 			}

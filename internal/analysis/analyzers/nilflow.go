@@ -38,7 +38,7 @@ func runNilFlow(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			f := ssa.Build(fd, info, nil)
+			f := ssa.Build(fd, info)
 			if f == nil {
 				continue
 			}

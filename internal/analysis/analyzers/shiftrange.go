@@ -5,164 +5,91 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"logicregression/internal/analysis"
-	"logicregression/internal/analysis/flow"
-	"logicregression/internal/analysis/flow/ssa"
 )
 
-// ShiftRange proves the word-level arithmetic on the hot paths safe, using
-// the SSA interval machinery (internal/analysis/flow/ssa):
+// ShiftRange holds the word-level arithmetic on the hot paths to the word
+// width. In every //logicreg:hotpath function, each shift amount (`x << k`,
+// `x >> k`, `x <<= k`, `x >>= k`, and the `1 << k` mask idiom) must be, as
+// written, either a constant in [0, width) or a mask `e & c` with a
+// constant c in [0, width). Any other amount can reach the width, which
+// zeroes the operand (or wraps a mask to zero), or go negative, which
+// panics.
 //
-//   - in every //logicreg:hotpath function, each variable shift amount
-//     (`x << k`, `x >> k`, `x <<= k`, and the `1 << k` mask idiom) must be
-//     provably in [0, bitwidth) — an unproven amount either wraps the mask
-//     to zero or is a latent guard the prover cannot see;
-//   - in the bit-kernel packages (internal/bitvec, internal/tt,
-//     internal/circuit), each slice/array/string index in a hotpath
-//     function must be provably in bounds.
-//
-// Findings double as the bounds-check-elimination work-list: an index the
-// prover cannot discharge is exactly one the compiler keeps a runtime
-// check for. Fix the guard so the proof goes through, or record the
-// reviewed exception with `//logicreg:allow shiftrange <reason>`.
+// The index half of the hot-path contract, bit-kernel slice indexes in
+// bounds, is the compiler's own verdict: TestHotpathGcflagsCrossCheck
+// rebuilds internal/bitvec, internal/tt and internal/circuit with
+// -d=ssa/check_bce/debug=1 and fails on any bounds check left inside a
+// hot-path function. Both halves take a reviewed exception as
+// `//logicreg:allow shiftrange <reason>`.
 var ShiftRange = &analysis.Analyzer{
 	Name: "shiftrange",
-	Doc: "proves hot-path shift amounts < bit width and bit-kernel slice " +
-		"indexes in bounds via SSA value ranges; unproven sites are the " +
-		"BCE work-list",
+	Doc: "requires every hot-path shift amount to be a constant below the " +
+		"bit width or masked below it (`e & c`)",
 	Run: runShiftRange,
 }
 
-// indexCheckedPkgs are the import-path suffixes whose hotpath indexes are
-// held to the in-bounds proof (the packages the inner learning loops spend
-// their time in).
-var indexCheckedPkgs = []string{"internal/bitvec", "internal/tt", "internal/circuit"}
-
 func runShiftRange(pass *analysis.Pass) error {
 	sup := suppressedLines(pass, "shiftrange")
-	info := pass.TypesInfo
-	indexPkg := false
-	for _, suffix := range indexCheckedPkgs {
-		if strings.HasSuffix(pass.Pkg.Path(), suffix) {
-			indexPkg = true
-		}
-	}
-
-	// The header-safety summary is shared by every function in the pass but
-	// only needed when a hotpath function exists; build it on first use.
-	var headerSafe map[*types.Func]bool
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || !isHotpath(fd) {
 				continue
 			}
-			if headerSafe == nil {
-				headerSafe = ssa.HeaderSafeFuncs(flow.BuildCallGraph(pass.Files, info), info)
-			}
-			f := ssa.Build(fd, info, &ssa.Options{HeaderSafe: headerSafe})
-			if f == nil {
-				continue
-			}
-			r := ssa.InferRanges(f)
-			checkShiftRangeFunc(pass, f, r, indexPkg, sup)
-		}
-	}
-	return nil
-}
-
-func checkShiftRangeFunc(pass *analysis.Pass, f *ssa.Func, r *ssa.Ranges,
-	indexPkg bool, sup map[string]bool) {
-
-	for _, b := range f.CFG.Blocks {
-		for _, node := range b.Nodes {
-			n := ast.Node(node)
-			if rs, ok := n.(*ast.RangeStmt); ok {
-				n = rs.X // header-only semantics: the body has its own blocks
-			}
-			blk := b
-			ast.Inspect(n, func(m ast.Node) bool {
-				switch m := m.(type) {
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
 				case *ast.FuncLit:
 					return false // a literal is its own function, not hot
 				case *ast.BinaryExpr:
-					if m.Op == token.SHL || m.Op == token.SHR {
-						checkShiftAmount(pass, r, blk, m.X, m.Y, m.OpPos, sup)
+					if n.Op == token.SHL || n.Op == token.SHR {
+						checkShiftAmount(pass, n.X, n.Y, n.OpPos, sup)
 					}
 				case *ast.AssignStmt:
-					if m.Tok == token.SHL_ASSIGN || m.Tok == token.SHR_ASSIGN {
-						checkShiftAmount(pass, r, blk, m.Lhs[0], m.Rhs[0], m.TokPos, sup)
-					}
-				case *ast.IndexExpr:
-					if indexPkg {
-						checkIndexBounds(pass, r, blk, m, sup)
+					if n.Tok == token.SHL_ASSIGN || n.Tok == token.SHR_ASSIGN {
+						checkShiftAmount(pass, n.Lhs[0], n.Rhs[0], n.TokPos, sup)
 					}
 				}
 				return true
 			})
 		}
 	}
+	return nil
 }
 
-func checkShiftAmount(pass *analysis.Pass, r *ssa.Ranges, blk *flow.Block,
-	operand, amount ast.Expr, pos token.Pos, sup map[string]bool) {
+func checkShiftAmount(pass *analysis.Pass, operand, amount ast.Expr,
+	pos token.Pos, sup map[string]bool) {
 
 	width := bitWidthOf(pass.TypesInfo.TypeOf(operand))
-	if width == 0 {
-		return
-	}
-	if tv, ok := pass.TypesInfo.Types[amount]; ok && tv.Value != nil {
-		// A constant amount is checked directly; in-range constants are the
-		// common `x >> 6` case, out-of-range ones zero the operand.
-		if c, exact := constant.Int64Val(constant.ToInt(tv.Value)); exact && c >= 0 && c < int64(width) {
-			return
-		}
-	}
-	if r.ProveShift(amount, width, blk) {
+	if width == 0 || shiftAmountBounded(pass.TypesInfo, amount, width) {
 		return
 	}
 	if suppressed(pass, sup, pos) {
 		return
 	}
 	pass.Reportf(pos,
-		"shift amount not provably < %d on this hot path (interval %s); "+
-			"mask it (`& %d`) or add a guard the prover understands",
-		width, r.EvalAt(amount, blk), width-1)
+		"shift amount not provably < %d on this hot path: it is neither a "+
+			"constant nor masked; mask it (`& %d`)",
+		width, width-1)
 }
 
-func checkIndexBounds(pass *analysis.Pass, r *ssa.Ranges, blk *flow.Block,
-	x *ast.IndexExpr, sup map[string]bool) {
-
-	baseT := pass.TypesInfo.TypeOf(x.X)
-	if baseT == nil {
-		return
-	}
-	under := baseT.Underlying()
-	if p, ok := under.(*types.Pointer); ok {
-		under = p.Elem().Underlying()
-	}
-	switch u := under.(type) {
-	case *types.Array, *types.Slice:
-	case *types.Basic:
-		if u.Info()&types.IsString == 0 {
-			return
+// shiftAmountBounded reports whether amount is, syntactically, a constant
+// in [0, width) or `e & c` with a constant c in [0, width).
+func shiftAmountBounded(info *types.Info, amount ast.Expr, width int) bool {
+	inRange := func(e ast.Expr) bool {
+		tv, ok := info.Types[e]
+		if !ok || tv.Value == nil {
+			return false
 		}
-	default:
-		return // maps have no bounds; generics and the rest are out of scope
+		c, exact := constant.Int64Val(constant.ToInt(tv.Value))
+		return exact && c >= 0 && c < int64(width)
 	}
-	if r.ProveInBounds(x, blk) {
-		return
+	if inRange(amount) {
+		return true
 	}
-	if suppressed(pass, sup, x.Lbrack) {
-		return
-	}
-	pass.Reportf(x.Lbrack,
-		"index into %s not provably in bounds (interval %s) — the compiler "+
-			"keeps a bounds check here; strengthen the guard or annotate "+
-			"//logicreg:allow shiftrange <reason>",
-		renderExpr(pass.Fset, x.X), r.EvalAt(x.Index, blk))
+	be, ok := ast.Unparen(amount).(*ast.BinaryExpr)
+	return ok && be.Op == token.AND && inRange(be.Y)
 }
 
 // bitWidthOf returns the bit width of a (possibly named) integer type, or

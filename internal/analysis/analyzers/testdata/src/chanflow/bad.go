@@ -54,8 +54,8 @@ func fanout(work func() int) {
 	<-done
 }
 
-// Different flags guard the close and the send: no contradiction, the
-// pair may execute together.
+// Different flags guard the close and the send: the pair may execute
+// together.
 func uncorrelatedClose(a, b bool, ch chan int) {
 	if a {
 		close(ch)
@@ -65,13 +65,26 @@ func uncorrelatedClose(a, b bool, ch chan int) {
 	}
 }
 
-// The same flag, but reassigned between the check sites: the SSA values
-// differ, so the facts do not correlate and the send stays flagged.
+// The same flag, but reassigned between the check sites: the close and
+// the send may both execute.
 func reassignedFlag(stop bool, ch chan int) {
 	if stop {
 		close(ch)
 	}
 	stop = !stop
+	if !stop {
+		ch <- 1 // want "may already be closed"
+	}
+}
+
+// The same unreassigned flag with opposite truth guards the close and the
+// send, so they never run together; but the lattice joins paths without
+// their conditions, so the send is reported. Close on a path that returns
+// instead.
+func correlatedClose(stop bool, ch chan int) {
+	if stop {
+		close(ch)
+	}
 	if !stop {
 		ch <- 1 // want "may already be closed"
 	}

@@ -57,14 +57,3 @@ func reviewed() {
 	}()
 	sync <- struct{}{} //logicreg:allow chanflow receiver started above cannot exit early
 }
-
-// Branch correlation: the close and the send are guarded by contradictory
-// facts on the same unreassigned flag, so they can never both execute.
-func correlatedClose(stop bool, ch chan int) {
-	if stop {
-		close(ch)
-	}
-	if !stop {
-		ch <- 1
-	}
-}

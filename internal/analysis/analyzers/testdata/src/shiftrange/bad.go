@@ -1,6 +1,6 @@
-// The shiftrange fixture: hot-path shifts and indexes the interval prover
-// cannot discharge. The fixture type-checks as internal/bitvec so the
-// index rule is active.
+// The shiftrange fixture: hot-path shifts outside the syntactic rule, and
+// indexes the compiler keeps a bounds check for (built as internal/bitvec
+// under the compiler check, see TestShiftRangeIndexCompilerCheck).
 package bitvec
 
 // An unmasked shift amount: k may be 64 or negative.
@@ -33,7 +33,7 @@ func wrapNegative(k int) uint64 {
 //
 //logicreg:hotpath
 func loadWord(words []uint64, i int) uint64 {
-	return words[i] // want "not provably in bounds"
+	return words[i] // the compiler keeps a bounds check
 }
 
 // The guard is one short: i == len(words) falls through.
@@ -41,7 +41,7 @@ func loadWord(words []uint64, i int) uint64 {
 //logicreg:hotpath
 func offByOne(words []uint64, i int) uint64 {
 	if i >= 0 && i <= len(words) {
-		return words[i] // want "not provably in bounds"
+		return words[i] // the compiler keeps a bounds check
 	}
 	return 0
 }
@@ -49,4 +49,15 @@ func offByOne(words []uint64, i int) uint64 {
 // Not annotated: cold code is not held to the proof.
 func coldShift(k int) uint64 {
 	return 1 << uint(k)
+}
+
+// A two-sided guard bounds the amount, but the rule is syntactic: only a
+// constant or a mask passes.
+//
+//logicreg:hotpath
+func shrGuarded(x uint64, n int) uint64 {
+	if n >= 0 && n < 64 {
+		x >>= n // want "not provably < 64"
+	}
+	return x
 }

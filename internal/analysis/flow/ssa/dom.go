@@ -23,9 +23,6 @@ type DomTree struct {
 	Frontier [][]int
 	// Reachable reports which blocks the entry reaches.
 	Reachable []bool
-
-	// pre/post number the dominator-tree DFS, for O(1) Dominates queries.
-	pre, post []int
 }
 
 // Dominators computes the dominator tree of g with the Cooper-Harvey-
@@ -41,8 +38,6 @@ func Dominators(g *flow.CFG) *DomTree {
 		Children:  make([][]int, n),
 		Frontier:  make([][]int, n),
 		Reachable: make([]bool, n),
-		pre:       make([]int, n),
-		post:      make([]int, n),
 	}
 	for i := range d.Idom {
 		d.Idom[i] = -1
@@ -174,31 +169,7 @@ func Dominators(g *flow.CFG) *DomTree {
 	for _, f := range d.Frontier {
 		sort.Ints(f)
 	}
-
-	// DFS numbering of the dominator tree for Dominates.
-	clock := 0
-	var number func(b int)
-	number = func(b int) {
-		clock++
-		d.pre[b] = clock
-		for _, c := range d.Children[b] {
-			number(c)
-		}
-		clock++
-		d.post[b] = clock
-	}
-	number(0)
 	return d
-}
-
-// Dominates reports whether a dominates b (reflexively: every block
-// dominates itself). Unreachable blocks dominate nothing and are dominated
-// by nothing.
-func (d *DomTree) Dominates(a, b *flow.Block) bool {
-	if !d.Reachable[a.Index] || !d.Reachable[b.Index] {
-		return false
-	}
-	return d.pre[a.Index] <= d.pre[b.Index] && d.post[b.Index] <= d.post[a.Index]
 }
 
 // Dump renders the tree as stable text for golden tests: one line per

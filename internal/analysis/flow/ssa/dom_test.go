@@ -47,7 +47,7 @@ func parseFunc(t *testing.T, src, name string) (*token.FileSet, *ast.FuncDecl, *
 func buildFunc(t *testing.T, src, name string) *Func {
 	t.Helper()
 	_, fd, info := parseFunc(t, src, name)
-	f := Build(fd, info, nil)
+	f := Build(fd, info)
 	if f == nil {
 		t.Fatalf("Build returned nil for %q", name)
 	}
@@ -203,19 +203,26 @@ b4 if.done: x(b3:expr b5:expr)
 `)
 }
 
-// TestDominatesBasics sanity-checks the Dominates predicate against the
+// TestDominatesBasics sanity-checks the dominator tree against the
 // diamond: entry dominates everything, neither arm dominates the join.
 func TestDominatesBasics(t *testing.T) {
 	f := buildFunc(t, srcDiamond, "f")
-	g := f.CFG
-	entry, then, done, els := g.Blocks[0], g.Blocks[3], g.Blocks[4], g.Blocks[5]
-	if !f.Dom.Dominates(entry, done) {
+	// dominators lists b and its strict dominators, up the idom chain.
+	dominators := func(b int) map[int]bool {
+		doms := make(map[int]bool)
+		for ; b >= 0; b = f.Dom.Idom[b] {
+			doms[b] = true
+		}
+		return doms
+	}
+	entry, then, done, els := 0, 3, 4, 5
+	if !dominators(done)[entry] {
 		t.Error("entry should dominate the join")
 	}
-	if f.Dom.Dominates(then, done) || f.Dom.Dominates(els, done) {
+	if dominators(done)[then] || dominators(done)[els] {
 		t.Error("no single arm dominates the join")
 	}
-	if !f.Dom.Dominates(then, then) {
-		t.Error("Dominates must be reflexive")
+	if !dominators(then)[then] {
+		t.Error("dominance must be reflexive")
 	}
 }

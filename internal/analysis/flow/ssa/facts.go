@@ -3,8 +3,6 @@ package ssa
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
-	"strings"
 
 	"logicregression/internal/analysis/flow"
 )
@@ -21,8 +19,8 @@ import (
 // the branch block, hence is not dominated by S), the operand cannot be
 // redefined between the edge and the queried block — so the fact still
 // talks about the same SSA values there. Non-SSA operands (fields,
-// globals, len(chain)) need the additional chain-stability check in
-// ChainStable, which callers of FactsAt must apply.
+// globals, len(chain)) carry no such guarantee: callers of FactsAt must
+// match a fact only through operands that resolve to SSA values.
 type Fact struct {
 	Cond   ast.Expr
 	Truth  bool
@@ -100,536 +98,4 @@ func (f *Func) predIndex() [][]int {
 		}
 	}
 	return preds
-}
-
-// ContradictoryFacts reports whether blocks a and b are guarded by the
-// same condition with opposite truth — e.g. one is inside `if cond {}`
-// and the other inside `if !cond {}` — so no single activation of the
-// function can execute both (provided the condition's operands are
-// computed once, which the loop check enforces: every tracked operand's
-// definition must sit outside any CFG cycle).
-func (f *Func) ContradictoryFacts(a, b *flow.Block) bool {
-	if a == nil || b == nil {
-		return false
-	}
-	cycles := f.cycleBlocks()
-	fa, fb := f.FactsAt(a), f.FactsAt(b)
-	for _, x := range fa {
-		if !f.condOperandsLoopFree(x.Cond, cycles) {
-			continue
-		}
-		for _, y := range fb {
-			if x.Truth != y.Truth && f.SameValueExpr(x.Cond, y.Cond) && f.allOperandsTracked(x.Cond) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// allOperandsTracked requires every identifier in cond to resolve to a
-// tracked SSA value or a constant/universe name — selector chains and
-// globals can mutate between the two guarded regions, so they do not
-// support a contradiction argument.
-func (f *Func) allOperandsTracked(cond ast.Expr) bool {
-	ok := true
-	ast.Inspect(cond, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr, *ast.CallExpr, *ast.IndexExpr, *ast.StarExpr, *ast.FuncLit:
-			ok = false
-			return false
-		case *ast.Ident:
-			if f.UseVal[n] != nil {
-				return true
-			}
-			switch f.Info.Uses[n].(type) {
-			case *types.Const, *types.Nil:
-				return true
-			}
-			if n.Name == "true" || n.Name == "false" {
-				return true
-			}
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
-}
-
-// condOperandsLoopFree checks that no tracked operand of cond is defined
-// inside a CFG cycle (so the condition has one value per activation).
-func (f *Func) condOperandsLoopFree(cond ast.Expr, cycles map[int]bool) bool {
-	ok := true
-	ast.Inspect(cond, func(n ast.Node) bool {
-		if id, ok2 := n.(*ast.Ident); ok2 {
-			if v := f.UseVal[id]; v != nil && v.Block != nil && cycles[v.Block.Index] {
-				ok = false
-			}
-		}
-		return true
-	})
-	return ok
-}
-
-func (f *Func) cycleBlocks() map[int]bool {
-	// A block is in a cycle iff it can reach itself. Quadratic in blocks,
-	// fine at function scale; memoized per Func via facts cache keying.
-	if f.chainCache == nil {
-		f.chainCache = make(map[string]bool)
-	}
-	cycles := make(map[int]bool)
-	n := len(f.CFG.Blocks)
-	for i := 0; i < n; i++ {
-		seen := make([]bool, n)
-		stack := []int{i}
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, s := range f.CFG.Blocks[cur].Succs {
-				if s.Index == i {
-					cycles[i] = true
-					stack = nil
-					break
-				}
-				if !seen[s.Index] {
-					seen[s.Index] = true
-					stack = append(stack, s.Index)
-				}
-			}
-		}
-	}
-	return cycles
-}
-
-// ---- selector-chain stability ----
-
-// renderChain renders an ident or ident.field.field... chain rooted at a
-// tracked variable: "v.words". Returns the root's use identifier and the
-// rendered string, or ok=false for anything else (index steps, calls,
-// untracked roots).
-func (f *Func) renderChain(e ast.Expr) (root *ast.Ident, render string, ok bool) {
-	var parts []string
-	for {
-		e = ast.Unparen(e)
-		switch x := e.(type) {
-		case *ast.Ident:
-			parts = append(parts, x.Name)
-			for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
-				parts[i], parts[j] = parts[j], parts[i]
-			}
-			return x, strings.Join(parts, "."), true
-		case *ast.SelectorExpr:
-			parts = append(parts, x.Sel.Name)
-			e = x.X
-		default:
-			return nil, "", false
-		}
-	}
-}
-
-// ChainStable reports whether the rendered selector chain (rooted at a
-// tracked variable) cannot have its slice/map/pointer headers redirected
-// anywhere in this function: no assignment to a chain prefix, no address
-// taken of one, and every call that can reach the root is HeaderSafe.
-// Element writes (chain[i] = x) are fine — they never move a header.
-//
-// This is function-level, not path-sensitive: one offending statement
-// anywhere invalidates the chain everywhere. Conservative but cheap.
-func (f *Func) ChainStable(root *ast.Ident, render string) bool {
-	rv := f.UseVal[root]
-	if rv == nil {
-		return false
-	}
-	rootVar := rv.Var
-	if f.chainCache == nil {
-		f.chainCache = make(map[string]bool)
-	}
-	key := render
-	if got, ok := f.chainCache[key]; ok {
-		return got
-	}
-	stable := true
-	prefixOf := func(e ast.Expr) (string, bool) {
-		r, s, ok := f.renderChain(e)
-		if !ok {
-			return "", false
-		}
-		if v := f.useOrDefVar(r); v != rootVar {
-			return "", false
-		}
-		return s, true
-	}
-	// A write to "v" or "v.words" invalidates "v.words.x" etc.; a write
-	// to an unrelated field does not.
-	invalidates := func(s string) bool {
-		return s == render || strings.HasPrefix(render, s+".") || strings.HasPrefix(s, render+".")
-	}
-	ast.Inspect(f.Decl.Body, func(n ast.Node) bool {
-		if !stable {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				lhs = ast.Unparen(lhs)
-				if _, isIdx := lhs.(*ast.IndexExpr); isIdx {
-					continue // element write
-				}
-				if _, isStar := lhs.(*ast.StarExpr); isStar {
-					stable = false // write through an arbitrary pointer
-					return false
-				}
-				if id, isID := lhs.(*ast.Ident); isID && f.Info.Defs[id] != nil {
-					// A := declaration is the variable's single binding:
-					// scoping puts every use after it, and fact/use operands
-					// are matched by SSA value, so a fact can never cross it.
-					// (Reassignments resolve through Uses and still invalidate.)
-					continue
-				}
-				if s, ok := prefixOf(lhs); ok && invalidates(s) {
-					stable = false
-					return false
-				}
-			}
-		case *ast.IncDecStmt:
-			if s, ok := prefixOf(n.X); ok && invalidates(s) {
-				stable = false
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.AND {
-				if s, ok := prefixOf(n.X); ok && invalidates(s) {
-					stable = false
-				}
-			}
-		case *ast.CallExpr:
-			if !f.callPreservesChain(n, rootVar) {
-				stable = false
-				return false
-			}
-		}
-		return true
-	})
-	f.chainCache[key] = stable
-	return stable
-}
-
-func (f *Func) useOrDefVar(id *ast.Ident) *types.Var {
-	if v, ok := f.Info.Uses[id].(*types.Var); ok {
-		return v
-	}
-	if v, ok := f.Info.Defs[id].(*types.Var); ok {
-		return v
-	}
-	return nil
-}
-
-// callPreservesChain decides whether one call can move headers reachable
-// from root. A call is harmless when root does not appear among its
-// receiver/arguments as a non-basic value, when the callee is a
-// header-safe builtin (len/cap/copy/append/...), or when the callee is a
-// same-package function whose HeaderSafe summary says it never moves a
-// header of its parameters.
-func (f *Func) callPreservesChain(call *ast.CallExpr, root *types.Var) bool {
-	mentionsRoot := false
-	checkArg := func(e ast.Expr) {
-		ast.Inspect(e, func(n ast.Node) bool {
-			if _, ok := n.(*ast.FuncLit); ok {
-				mentionsRoot = true // closure may capture and mutate
-				return false
-			}
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			if f.useOrDefVar(id) != root {
-				return true
-			}
-			// A basic-typed rvalue (v.n as int) is a copy — harmless.
-			// But here id IS the root; what's passed is some enclosing
-			// expression. Walk up conservatively: if the identifier
-			// itself has pointer-ish type, or it is the base of a
-			// selector whose result is pointer-ish, flag it. Cheap
-			// approximation: flag unless the *whole argument* has basic
-			// type.
-			t := f.Info.TypeOf(e)
-			if t == nil {
-				mentionsRoot = true
-				return false
-			}
-			if _, isBasic := t.Underlying().(*types.Basic); !isBasic {
-				mentionsRoot = true
-			}
-			return false
-		})
-	}
-	// Receiver of a method expression-style call: part of Fun.
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		checkArg(sel.X)
-	}
-	for _, a := range call.Args {
-		checkArg(a)
-	}
-	if !mentionsRoot {
-		return true
-	}
-	// Root escapes into the call: only a summarized-safe callee is OK.
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if b, ok := f.Info.Uses[fun].(*types.Builtin); ok {
-			switch b.Name() {
-			case "len", "cap", "copy", "print", "println", "panic", "min", "max", "delete", "clear":
-				// copy/clear/delete write elements, never headers.
-				return true
-			}
-			return false
-		}
-		if fn, ok := f.Info.Uses[fun].(*types.Func); ok {
-			return f.headerSafe[fn]
-		}
-	case *ast.SelectorExpr:
-		if sel := f.Info.Selections[fun]; sel != nil {
-			if fn, ok := sel.Obj().(*types.Func); ok {
-				return f.headerSafe[fn]
-			}
-		}
-		if fn, ok := f.Info.Uses[fun.Sel].(*types.Func); ok {
-			return f.headerSafe[fn]
-		}
-	}
-	return false
-}
-
-// HeaderSafeFuncs computes, bottom-up over the package call graph, which
-// functions never redirect a slice/map/pointer header reachable from
-// their parameters or receiver: no assignment to (or address-of) a
-// selector/star chain rooted at a param, and every call that sees a param
-// as a non-basic value is itself header-safe. Element writes via an index
-// expression are allowed. Functions making indirect calls with escaping
-// params, or passing params to imported functions, are unsafe.
-//
-// The summary is deliberately about *headers*, not values: an element
-// store v.words[i] = x changes contents but no length or base pointer, so
-// facts about len(v.words) survive it.
-func HeaderSafeFuncs(graph *flow.CallGraph, info *types.Info) map[*types.Func]bool {
-	safe := make(map[*types.Func]bool)
-	if graph == nil {
-		return safe
-	}
-	// Optimistically assume safe, then strike out offenders to a fixed
-	// point (Fixpoint iterates bottom-up until summaries stabilize).
-	for _, n := range graph.Nodes {
-		if n.Decl != nil && n.Decl.Body != nil {
-			safe[n.Fn] = true
-		}
-	}
-	paramSet := func(decl *ast.FuncDecl) map[types.Object]bool {
-		params := make(map[types.Object]bool)
-		addList := func(fl *ast.FieldList) {
-			if fl == nil {
-				return
-			}
-			for _, fld := range fl.List {
-				for _, name := range fld.Names {
-					if obj := info.Defs[name]; obj != nil {
-						params[obj] = true
-					}
-				}
-			}
-		}
-		addList(decl.Recv)
-		addList(decl.Type.Params)
-		return params
-	}
-	rootsParam := func(e ast.Expr, params map[types.Object]bool) bool {
-		found := false
-		ast.Inspect(e, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if obj := info.Uses[id]; obj != nil && params[obj] {
-					found = true
-				}
-			}
-			return true
-		})
-		return found
-	}
-	graph.Fixpoint(func(n *flow.CallNode) bool {
-		if !safe[n.Fn] {
-			return false
-		}
-		if n.Decl == nil || n.Decl.Body == nil {
-			return false
-		}
-		params := paramSet(n.Decl)
-		ok := true
-		ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
-			if !ok {
-				return false
-			}
-			switch m := m.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range m.Lhs {
-					lhs = ast.Unparen(lhs)
-					if _, isIdx := lhs.(*ast.IndexExpr); isIdx {
-						continue
-					}
-					switch l := lhs.(type) {
-					case *ast.Ident:
-						// Plain local/param rebind: the caller's memory
-						// is untouched (Go params are copies).
-						continue
-					case *ast.StarExpr:
-						if rootsParam(l, params) {
-							ok = false
-						}
-					case *ast.SelectorExpr:
-						if rootsParam(l, params) {
-							ok = false
-						}
-					default:
-						if rootsParam(lhs, params) {
-							ok = false
-						}
-					}
-				}
-			case *ast.UnaryExpr:
-				if m.Op == token.AND && rootsParam(m.X, params) {
-					ok = false
-				}
-			case *ast.CallExpr:
-				escaping := false
-				args := m.Args
-				if sel, isSel := ast.Unparen(m.Fun).(*ast.SelectorExpr); isSel {
-					args = append([]ast.Expr{sel.X}, args...)
-				}
-				for _, a := range args {
-					if !rootsParam(a, params) {
-						continue
-					}
-					t := info.TypeOf(a)
-					if t == nil {
-						escaping = true
-						break
-					}
-					if _, isBasic := t.Underlying().(*types.Basic); !isBasic {
-						escaping = true
-						break
-					}
-				}
-				if !escaping {
-					return true
-				}
-				callee := calleeFunc(m, info)
-				if callee == nil {
-					if isHeaderSafeBuiltin(m, info) {
-						return true
-					}
-					ok = false
-					return true
-				}
-				if !safe[callee] {
-					ok = false
-				}
-			case *ast.FuncLit:
-				// A closure can capture and mutate params later.
-				if closureWritesParams(m, params, info) {
-					ok = false
-				}
-				return false
-			}
-			return true
-		})
-		if !ok && safe[n.Fn] {
-			safe[n.Fn] = false
-			return true // changed: re-sweep callers
-		}
-		return false
-	})
-	return safe
-}
-
-func calleeFunc(call *ast.CallExpr, info *types.Info) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
-	case *ast.SelectorExpr:
-		if sel := info.Selections[fun]; sel != nil {
-			if fn, ok := sel.Obj().(*types.Func); ok {
-				return fn
-			}
-		}
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
-}
-
-func isHeaderSafeBuiltin(call *ast.CallExpr, info *types.Info) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := info.Uses[id].(*types.Builtin)
-	if !ok {
-		return false
-	}
-	switch b.Name() {
-	case "len", "cap", "copy", "print", "println", "panic", "min", "max", "delete", "clear", "append", "make", "new":
-		// append's result is only dangerous if *assigned* to a chain,
-		// which the assignment case already catches.
-		return true
-	}
-	return false
-}
-
-func closureWritesParams(fl *ast.FuncLit, params map[types.Object]bool, info *types.Info) bool {
-	writes := false
-	ast.Inspect(fl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				ast.Inspect(lhs, func(m ast.Node) bool {
-					if id, ok := m.(*ast.Ident); ok {
-						if obj := info.Uses[id]; obj != nil && params[obj] {
-							writes = true
-						}
-					}
-					return true
-				})
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.AND {
-				ast.Inspect(n.X, func(m ast.Node) bool {
-					if id, ok := m.(*ast.Ident); ok {
-						if obj := info.Uses[id]; obj != nil && params[obj] {
-							writes = true
-						}
-					}
-					return true
-				})
-			}
-		case *ast.CallExpr:
-			// Calls inside the closure with params: conservatively bad.
-			for _, a := range n.Args {
-				ast.Inspect(a, func(m ast.Node) bool {
-					if id, ok := m.(*ast.Ident); ok {
-						if obj := info.Uses[id]; obj != nil && params[obj] {
-							t := info.TypeOf(id)
-							if t == nil {
-								writes = true
-							} else if _, basic := t.Underlying().(*types.Basic); !basic {
-								writes = true
-							}
-						}
-					}
-					return true
-				})
-			}
-		}
-		return true
-	})
-	return writes
 }

@@ -2,9 +2,8 @@ package ssa
 
 // Differential-soundness fixtures. Each function is BOTH compiled into
 // the test binary (and executed on randomized inputs) AND parsed from
-// this file and analyzed with SCCP + interval inference. The test in
-// interp_test.go asserts that every proven constant equals the observed
-// runtime value and every predicted interval contains it.
+// this file and analyzed with SCCP. The test in interp_test.go asserts
+// that every proven constant equals the observed runtime value.
 //
 // Conventions the driver relies on:
 //   - signature func(a, b int) []int;
@@ -38,7 +37,7 @@ func fixtureMask(a, b int) []int {
 	k := a & 63 // [0, 63]
 	s := 0
 	for i := 0; i < k; i++ {
-		s += i // non-negative, unbounded above after widening
+		s += i // non-negative, not a constant
 	}
 	m := b
 	if a > 10 {
@@ -79,7 +78,7 @@ func fixtureRangeLoop(a, b int) []int {
 	s := 0
 	n := 0
 	for i := range xs {
-		s += i // 0+1+2+3 = 6, but only intervals are claimed
+		s += i // 0+1+2+3 = 6, but SCCP claims no constant through a loop
 		n++
 	}
 	t := 0

@@ -285,16 +285,6 @@ func (s *SCCP) Reachable(b *flow.Block) bool {
 	return s.blockExec[b.Index]
 }
 
-// ConstOf returns the constant value of v, if SCCP proved one. Values
-// whose cell stayed Top sit in unreachable code; they report no constant.
-func (s *SCCP) ConstOf(v *Value) (constant.Value, bool) {
-	c := s.cellOf(v)
-	if c.state == 1 {
-		return c.val, true
-	}
-	return nil, false
-}
-
 // ConstAt folds an expression using the final SCCP cells. The block
 // parameter is documentation of intent (the expression's identifiers are
 // resolved through their use-site values, which are block-accurate by

@@ -1,7 +1,7 @@
 // Package ssa builds a pruned SSA form for local variables on top of the
-// CFGs in internal/analysis/flow, and implements two sparse analyses over
-// it: SCCP (sparse conditional constant propagation with branch pruning)
-// and an interval/value-range analysis with branch refinement.
+// CFGs in internal/analysis/flow, with dominator-chain branch facts and
+// one sparse analysis over it: SCCP (sparse conditional constant
+// propagation with branch pruning).
 //
 // The construction is deliberately scoped to what repo analyzers need:
 //
@@ -18,9 +18,7 @@
 //
 // Soundness notes (also see DESIGN.md §15): values reachable through
 // pointers, globals, captured variables, or field chains are NOT in SSA
-// form; analyses over them use the separate chain-stability machinery in
-// facts.go, which conservatively invalidates a chain at any aliasing
-// assignment or potentially mutating call.
+// form, and nothing here reasons about them.
 package ssa
 
 import (
@@ -50,7 +48,8 @@ const (
 	// x, y, err := f(...): Call is the call, ResIdx the result index.
 	KindCall
 	// KindRangeIndex is the key of a range over a slice, array, string,
-	// or integer: non-negative, and < len(Range.X) while the body runs.
+	// or integer: non-negative, and below the ranged length while the
+	// body runs.
 	KindRangeIndex
 	// KindPhi is a phi at a join point; Phi lists the incoming edges.
 	KindPhi
@@ -67,13 +66,12 @@ type Value struct {
 	Block *flow.Block // defining block; nil for params/zeros at entry
 	Site  ast.Node    // defining statement, nil for entry values
 
-	Rhs    ast.Expr       // KindExpr, KindCompound (nil for ++/--)
-	Op     token.Token    // KindCompound: ADD, SUB, MUL, ...
-	Prev   *Value         // KindCompound: the previous value of Var
-	Call   *ast.CallExpr  // KindCall
-	ResIdx int            // KindCall: index into the result tuple
-	Range  *ast.RangeStmt // KindRangeIndex
-	Phi    *Phi           // KindPhi
+	Rhs    ast.Expr      // KindExpr, KindCompound (nil for ++/--)
+	Op     token.Token   // KindCompound: ADD, SUB, MUL, ...
+	Prev   *Value        // KindCompound: the previous value of Var
+	Call   *ast.CallExpr // KindCall
+	ResIdx int           // KindCall: index into the result tuple
+	Phi    *Phi          // KindPhi
 }
 
 // A Phi merges one value per executable in-edge of its block.
@@ -116,24 +114,11 @@ type Func struct {
 
 	tracked map[*types.Var]bool
 	facts   map[*flow.Block][]Fact
-	// headerSafe, when non-nil, reports same-package functions that never
-	// move a slice/map/pointer header reachable from their parameters or
-	// receiver (see HeaderSafeFuncs). Used by chain-stability checks.
-	headerSafe map[*types.Func]bool
-	chainCache map[string]bool
-}
-
-// Options tweaks construction.
-type Options struct {
-	// HeaderSafe reports whether calling fn cannot re-slice, reallocate,
-	// or otherwise redirect memory reachable from the caller's arguments
-	// (element writes are fine). nil means "no call is safe".
-	HeaderSafe map[*types.Func]bool
 }
 
 // Build constructs the SSA form of fd's body. It returns nil when fd has
 // no body or the CFG cannot be built.
-func Build(fd *ast.FuncDecl, info *types.Info, opts *Options) *Func {
+func Build(fd *ast.FuncDecl, info *types.Info) *Func {
 	if fd == nil || fd.Body == nil || info == nil {
 		return nil
 	}
@@ -152,9 +137,6 @@ func Build(fd *ast.FuncDecl, info *types.Info, opts *Options) *Func {
 		NodeBlock: make(map[ast.Node]*flow.Block),
 		tracked:   make(map[*types.Var]bool),
 		facts:     make(map[*flow.Block][]Fact),
-	}
-	if opts != nil {
-		f.headerSafe = opts.HeaderSafe
 	}
 	for _, b := range g.Blocks {
 		for _, n := range b.Nodes {
@@ -398,17 +380,13 @@ func (f *Func) nodeDefs(n ast.Node, b *flow.Block) []def {
 		}
 	case *ast.RangeStmt:
 		if v := obj(n.Key); v != nil {
-			rs := n
 			kind := KindOpaque
-			switch f.rangeOperand(rs).(type) {
+			switch f.rangeOperand(n).(type) {
 			case *types.Slice, *types.Array, *types.Pointer, *types.Basic:
 				kind = KindRangeIndex
 			}
-			k := kind
 			defs = append(defs, def{v, func() *Value {
-				val := f.newValue(v, k, b, n)
-				val.Range = rs
-				return val
+				return f.newValue(v, kind, b, n)
 			}})
 		}
 		if v := obj(n.Value); v != nil {
@@ -802,61 +780,4 @@ func (f *Func) BlockAt(pos token.Pos) *flow.Block {
 		}
 	}
 	return nil
-}
-
-// SameValueExpr reports whether two expressions are structurally equal
-// AND every tracked identifier in them resolves to the same SSA value.
-// Untracked identifiers (except nil/true/false and constants) fail the
-// match, because their value may differ between the two sites.
-func (f *Func) SameValueExpr(a, b ast.Expr) bool {
-	a, b = ast.Unparen(a), ast.Unparen(b)
-	switch ae := a.(type) {
-	case *ast.Ident:
-		be, ok := b.(*ast.Ident)
-		if !ok || ae.Name != be.Name {
-			return false
-		}
-		av, bv := f.UseVal[ae], f.UseVal[be]
-		if av != nil || bv != nil {
-			return f.Canonical(av) == f.Canonical(bv) && av != nil && bv != nil
-		}
-		// Both unresolved: accept universe names and constants only.
-		obj := f.Info.Uses[ae]
-		if obj == nil || obj != f.Info.Uses[be] {
-			return false
-		}
-		switch obj.(type) {
-		case *types.Const, *types.Nil, *types.TypeName, *types.Builtin, *types.Func:
-			return true
-		}
-		return false
-	case *ast.BasicLit:
-		be, ok := b.(*ast.BasicLit)
-		return ok && ae.Kind == be.Kind && ae.Value == be.Value
-	case *ast.UnaryExpr:
-		be, ok := b.(*ast.UnaryExpr)
-		return ok && ae.Op == be.Op && f.SameValueExpr(ae.X, be.X)
-	case *ast.BinaryExpr:
-		be, ok := b.(*ast.BinaryExpr)
-		return ok && ae.Op == be.Op && f.SameValueExpr(ae.X, be.X) && f.SameValueExpr(ae.Y, be.Y)
-	case *ast.SelectorExpr:
-		be, ok := b.(*ast.SelectorExpr)
-		return ok && ae.Sel.Name == be.Sel.Name && f.SameValueExpr(ae.X, be.X)
-	case *ast.CallExpr:
-		// len(x) and cap(x) are pure; other calls never match.
-		be, ok := b.(*ast.CallExpr)
-		if !ok || len(ae.Args) != 1 || len(be.Args) != 1 {
-			return false
-		}
-		an, aok := ast.Unparen(ae.Fun).(*ast.Ident)
-		bn, bok := ast.Unparen(be.Fun).(*ast.Ident)
-		if !aok || !bok || an.Name != bn.Name || (an.Name != "len" && an.Name != "cap") {
-			return false
-		}
-		if _, isB := f.Info.Uses[an].(*types.Builtin); !isB {
-			return false
-		}
-		return f.SameValueExpr(ae.Args[0], be.Args[0])
-	}
-	return false
 }

@@ -1,272 +1,14 @@
-// Package bitvec provides packed bit vectors used throughout the learner for
-// input assignments, simulation values, and 64-way parallel pattern words.
+// Package bitvec holds the bit-packed layouts of the word-parallel
+// simulation: the 64-pattern simulation word, and the lane ↔ row transpose
+// and '0'/'1' row codec (rows.go) that memo keys, wire lines and transcript
+// lines go through.
 //
-// A Vector stores bits little-endian within 64-bit words: bit i lives in
-// word i/64 at position i%64. Vectors are fixed-length; all operations on two
-// vectors require equal lengths and panic otherwise, since a length mismatch
-// is always a programming error in this code base.
+// Bits are little-endian within 64-bit words: bit i of a lane or a row
+// lives in word i/64 at position i%64. The //logicreg:hotpath functions
+// here are held to the hot-path contracts (DESIGN.md §12): no heap
+// allocation, every shift amount constant or masked, and no bounds check
+// left after the compiler's bounds-check elimination.
 package bitvec
-
-import (
-	"fmt"
-	"math/bits"
-	"strings"
-)
-
-// Vector is a fixed-length packed bit vector.
-type Vector struct {
-	n     int
-	words []uint64
-}
-
-// New returns an all-zero vector of n bits.
-func New(n int) *Vector {
-	if n < 0 {
-		panic("bitvec: negative length")
-	}
-	return &Vector{n: n, words: make([]uint64, (n+63)/64)}
-}
-
-// FromBools builds a vector from a bool slice.
-func FromBools(bs []bool) *Vector {
-	v := New(len(bs))
-	for i, b := range bs {
-		if b {
-			v.Set(i, true)
-		}
-	}
-	return v
-}
-
-// FromUint builds an n-bit vector holding the low n bits of x, bit 0 = LSB.
-func FromUint(x uint64, n int) *Vector {
-	v := New(n)
-	for i := 0; i < n && i < 64; i++ {
-		v.Set(i, x>>uint(i)&1 == 1)
-	}
-	return v
-}
-
-// Len returns the number of bits.
-func (v *Vector) Len() int { return v.n }
-
-// The bit accessors below inline their bounds check instead of calling a
-// shared helper: the explicit w >= len(v.words) comparison subsumes the
-// implicit check the compiler would otherwise emit at every v.words[w],
-// and hands the bound to the range prover (and the compiler's BCE), which
-// reason function-locally.
-
-// Get returns bit i.
-//
-//logicreg:hotpath
-func (v *Vector) Get(i int) bool {
-	w := i >> 6
-	if i < 0 || i >= v.n || w >= len(v.words) {
-		panic(fmt.Sprintf("bitvec: index %d out of range [0,%d)", i, v.n))
-	}
-	return v.words[w]>>(uint(i)&63)&1 == 1
-}
-
-// Set sets bit i to b.
-//
-//logicreg:hotpath
-func (v *Vector) Set(i int, b bool) {
-	w := i >> 6
-	if i < 0 || i >= v.n || w >= len(v.words) {
-		panic(fmt.Sprintf("bitvec: index %d out of range [0,%d)", i, v.n))
-	}
-	if b {
-		v.words[w] |= 1 << (uint(i) & 63)
-	} else {
-		v.words[w] &^= 1 << (uint(i) & 63)
-	}
-}
-
-// Flip toggles bit i.
-//
-//logicreg:hotpath
-func (v *Vector) Flip(i int) {
-	w := i >> 6
-	if i < 0 || i >= v.n || w >= len(v.words) {
-		panic(fmt.Sprintf("bitvec: index %d out of range [0,%d)", i, v.n))
-	}
-	v.words[w] ^= 1 << (uint(i) & 63)
-}
-
-// Clone returns an independent copy of v.
-func (v *Vector) Clone() *Vector {
-	w := New(v.n)
-	copy(w.words, v.words)
-	return w
-}
-
-// CopyFrom overwrites v with the contents of src (equal lengths required).
-//
-//logicreg:hotpath
-func (v *Vector) CopyFrom(src *Vector) {
-	v.eq(src)
-	copy(v.words, src.words)
-}
-
-func (v *Vector) eq(w *Vector) {
-	if v.n != w.n {
-		panic(fmt.Sprintf("bitvec: length mismatch %d vs %d", v.n, w.n))
-	}
-}
-
-// Equal reports whether v and w hold identical bits (and lengths).
-//
-//logicreg:hotpath
-func (v *Vector) Equal(w *Vector) bool {
-	if v.n != w.n || len(v.words) != len(w.words) {
-		return false
-	}
-	for i, x := range v.words {
-		if x != w.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// OnesCount returns the number of set bits.
-//
-//logicreg:hotpath
-func (v *Vector) OnesCount() int {
-	c := 0
-	for _, w := range v.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// Zero reports whether every bit is 0.
-//
-//logicreg:hotpath
-func (v *Vector) Zero() bool {
-	for _, w := range v.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// SetAll sets every bit to b.
-//
-//logicreg:hotpath
-func (v *Vector) SetAll(b bool) {
-	var fill uint64
-	if b {
-		fill = ^uint64(0)
-	}
-	for i := range v.words {
-		v.words[i] = fill
-	}
-	v.maskTail()
-}
-
-// maskTail clears the unused high bits of the final word so that word-level
-// operations (OnesCount, Equal) stay exact.
-func (v *Vector) maskTail() {
-	if r := uint(v.n) & 63; r != 0 && len(v.words) > 0 {
-		v.words[len(v.words)-1] &= (1 << r) - 1
-	}
-}
-
-// And stores x AND y into v. Aliasing with x or y is allowed.
-//
-//logicreg:hotpath
-func (v *Vector) And(x, y *Vector) {
-	v.eq(x)
-	v.eq(y)
-	if len(x.words) < len(v.words) || len(y.words) < len(v.words) {
-		panic("bitvec: inconsistent word slice length")
-	}
-	for i := range v.words {
-		v.words[i] = x.words[i] & y.words[i]
-	}
-}
-
-// Or stores x OR y into v.
-//
-//logicreg:hotpath
-func (v *Vector) Or(x, y *Vector) {
-	v.eq(x)
-	v.eq(y)
-	if len(x.words) < len(v.words) || len(y.words) < len(v.words) {
-		panic("bitvec: inconsistent word slice length")
-	}
-	for i := range v.words {
-		v.words[i] = x.words[i] | y.words[i]
-	}
-}
-
-// Xor stores x XOR y into v.
-//
-//logicreg:hotpath
-func (v *Vector) Xor(x, y *Vector) {
-	v.eq(x)
-	v.eq(y)
-	if len(x.words) < len(v.words) || len(y.words) < len(v.words) {
-		panic("bitvec: inconsistent word slice length")
-	}
-	for i := range v.words {
-		v.words[i] = x.words[i] ^ y.words[i]
-	}
-}
-
-// Not stores NOT x into v.
-//
-//logicreg:hotpath
-func (v *Vector) Not(x *Vector) {
-	v.eq(x)
-	if len(x.words) < len(v.words) {
-		panic("bitvec: inconsistent word slice length")
-	}
-	for i := range v.words {
-		v.words[i] = ^x.words[i]
-	}
-	v.maskTail()
-}
-
-// Bools expands the vector into a bool slice.
-func (v *Vector) Bools() []bool {
-	bs := make([]bool, v.n)
-	for i := range bs {
-		bs[i] = v.Get(i)
-	}
-	return bs
-}
-
-// Uint interprets bits [0,min(n,64)) as a little-endian unsigned integer.
-func (v *Vector) Uint() uint64 {
-	if v.n == 0 {
-		return 0
-	}
-	x := v.words[0]
-	if v.n < 64 {
-		x &= (1 << uint(v.n)) - 1
-	}
-	return x
-}
-
-// String renders the vector MSB-first, e.g. "0b0110" for Len 4.
-func (v *Vector) String() string {
-	var b strings.Builder
-	b.WriteString("0b")
-	for i := v.n - 1; i >= 0; i-- {
-		if v.Get(i) {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
-		}
-	}
-	return b.String()
-}
 
 // Word is a 64-wide simulation word: one bit position per parallel pattern.
 type Word = uint64
-
-// WordAll is the all-ones simulation word.
-const WordAll Word = ^Word(0)

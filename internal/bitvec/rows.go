@@ -160,19 +160,19 @@ func FormatRow(dst []byte, row []Word) {
 	}
 	i := 0
 	for ; i+8 <= n; i += 8 {
-		j := i >> 6
-		if j >= len(row) {
+		j := uint(i) >> 6
+		if j >= uint(len(row)) {
 			break
 		}
 		d := (*[8]byte)(dst[i : i+8])
 		*d = digits[byte(row[j]>>(uint(i)&63))]
 	}
-	for ; i < n; i++ {
-		j := i >> 6
-		if j >= len(row) {
+	for u := uint(i); u < uint(len(dst)); u++ {
+		j := u >> 6
+		if j >= uint(len(row)) {
 			break
 		}
-		dst[i] = '0' + byte(row[j]>>(uint(i)&63)&1)
+		dst[u] = '0' + byte(row[j]>>(u&63)&1)
 	}
 }
 
@@ -208,21 +208,21 @@ func ParseRow(row []Word, line []byte) int {
 		}
 		acc |= (x * 0x0102040810204080 >> 56) << (uint(i) & 63)
 		if i&63 == 56 {
-			if j := i >> 6; j < len(row) {
+			if j := uint(i) >> 6; j < uint(len(row)) {
 				row[j] = acc
 			}
 			acc = 0
 		}
 	}
-	for ; i < n; i++ {
-		d := line[i] ^ '0'
+	for u := uint(i); u < uint(len(line)); u++ {
+		d := line[u] ^ '0'
 		if d > 1 {
-			return i
+			return int(u)
 		}
-		acc |= Word(d) << (uint(i) & 63)
+		acc |= Word(d) << (u & 63)
 	}
 	if n&63 != 0 {
-		if j := n >> 6; j < len(row) {
+		if j := uint(n) >> 6; j < uint(len(row)) {
 			row[j] = acc
 		}
 	}

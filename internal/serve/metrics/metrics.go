@@ -47,10 +47,12 @@ const histBuckets = 32
 // are estimated from the bucket counts with linear interpolation inside the
 // hit bucket, accurate to a factor of 2 in the worst case and much better
 // in practice (latencies cluster, and buckets are narrow where they do).
+// The maximum is tracked exactly, not estimated.
 type Histogram struct {
 	buckets [histBuckets]atomic.Int64
 	count   atomic.Int64
 	sum     atomic.Int64 // microseconds
+	max     atomic.Int64 // microseconds
 }
 
 // bucketOf maps a duration to its bucket index.
@@ -72,9 +74,15 @@ func bucketOf(d time.Duration) int {
 //
 //logicreg:hotpath
 func (h *Histogram) Observe(d time.Duration) {
+	us := d.Microseconds()
 	h.buckets[bucketOf(d)].Add(1)
 	h.count.Add(1)
-	h.sum.Add(d.Microseconds())
+	h.sum.Add(us)
+	for m := h.max.Load(); us > m; m = h.max.Load() {
+		if h.max.CompareAndSwap(m, us) {
+			break
+		}
+	}
 }
 
 // Snapshot captures the histogram for quantile math and rendering.
@@ -82,6 +90,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
 	s.Count = h.count.Load()
 	s.SumMicros = h.sum.Load()
+	s.MaxMicros = h.max.Load()
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
 	}
@@ -92,6 +101,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 type HistogramSnapshot struct {
 	Count     int64
 	SumMicros int64
+	MaxMicros int64
 	Buckets   [histBuckets]int64
 }
 
@@ -128,6 +138,19 @@ func (s HistogramSnapshot) Mean() float64 {
 		return 0
 	}
 	return float64(s.SumMicros) / float64(s.Count) / 1e6
+}
+
+// Stats renders the snapshot: the count, the mean, the p50/p90/p99
+// estimates and the exact maximum.
+func (s HistogramSnapshot) Stats() HistogramStats {
+	return HistogramStats{
+		Count: s.Count,
+		Mean:  s.Mean(),
+		P50:   s.Quantile(0.50),
+		P90:   s.Quantile(0.90),
+		P99:   s.Quantile(0.99),
+		Max:   float64(s.MaxMicros) / 1e6,
+	}
 }
 
 // meterSlots is the ring size of a Meter; the rate window must be shorter.
@@ -299,15 +322,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Rates[name] = m.Rate(RateWindow)
 	}
 	for name, h := range r.hists {
-		hs := h.Snapshot()
-		s.Histograms[name] = HistogramStats{
-			Count: hs.Count,
-			Mean:  hs.Mean(),
-			P50:   hs.Quantile(0.50),
-			P90:   hs.Quantile(0.90),
-			P99:   hs.Quantile(0.99),
-			Max:   hs.Quantile(1.0),
-		}
+		s.Histograms[name] = h.Snapshot().Stats()
 	}
 	return s
 }

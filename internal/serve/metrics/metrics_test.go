@@ -77,6 +77,21 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// TestHistogramMaxIsExact: max_s is the largest observation, not the upper
+// edge of the top bucket (5 ms sits in [4.096, 8.192) ms).
+func TestHistogramMaxIsExact(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("q")
+	h.Observe(3 * time.Millisecond)
+	h.Observe(5 * time.Millisecond)
+	if got := r.Snapshot().Histograms["q"].Max; got != 0.005 {
+		t.Fatalf("max_s = %v, want 0.005", got)
+	}
+	if got := h.Snapshot().Stats(); got != r.Snapshot().Histograms["q"] {
+		t.Fatalf("Stats() = %+v differs from the registry snapshot", got)
+	}
+}
+
 func TestMeterRate(t *testing.T) {
 	var m Meter
 	m.Add(50)
@@ -218,7 +233,7 @@ func TestHotPathAtomicContract(t *testing.T) {
 			default:
 			}
 			_ = c.Load()
-			_ = h.Snapshot().Mean()
+			_ = h.Snapshot().Stats()
 			_ = m.Rate(5)
 		}
 	}()
@@ -245,5 +260,8 @@ func TestHotPathAtomicContract(t *testing.T) {
 	s := h.Snapshot()
 	if s.Count != int64(writers*perWriter) {
 		t.Errorf("histogram count = %d, want %d", s.Count, writers*perWriter)
+	}
+	if want := int64(writers*perWriter - 1); s.MaxMicros != want {
+		t.Errorf("histogram max = %dµs, want %dµs", s.MaxMicros, want)
 	}
 }

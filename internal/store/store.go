@@ -277,16 +277,24 @@ func (k LearnKey) String() string {
 
 // OptionsSig renders the result-determining fields of core.Options into a
 // stable string for LearnKey.Options. Fields that cannot change the learned
-// circuit (Progress, Cancel, MemoizeQueries, Parallel — all documented
+// circuit (Progress, Cancel, MemoizeQueries — all documented
 // byte-identity-preserving) are excluded, so e.g. a cancelled-capable run
-// still hits the cache of a plain one.
+// still hits the cache of a plain one. Parallel > 1 takes the parallel
+// learn path, whose per-output generators give other netlists than the
+// sequential path (the same ones for every worker count), so it appends
+// ",par=1"; a sequential key carries no suffix and stays byte-identical to
+// the keys existing stores hold.
 func OptionsSig(o core.Options) string {
-	return fmt.Sprintf(
+	sig := fmt.Sprintf(
 		"sr=%d,tr=%d,eps=%g,ex=%d,max=%d,ratios=%v,nopre=%t,noopt=%t,hc=%t,ao=%t,df=%t,xt=%t,rr=%d,rp=%d,tmpl=%+v,opt=%+v",
 		o.SupportR, o.TreeR, o.LeafEpsilon, o.ExhaustiveThreshold, o.MaxTreeNodes,
 		o.Ratios, o.DisablePreprocessing, o.DisableOptimization, o.HiddenCompression,
 		o.AlwaysOnset, o.DepthFirstTree, o.ExtendedTemplates, o.RefineRounds,
 		o.RefinePatterns, o.Template, o.Opt)
+	if o.Parallel > 1 {
+		sig += ",par=1"
+	}
+	return sig
 }
 
 // PutCircuit stores a learned circuit under its learn key.

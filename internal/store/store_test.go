@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"logicregression/internal/circuit"
+	"logicregression/internal/core"
 	"logicregression/internal/oracle"
 	"logicregression/internal/vfs"
 )
@@ -340,6 +341,39 @@ func TestCircuitStoreRoundTrip(t *testing.T) {
 	}
 	if st := s.Stats(); st.Circuits != 2 {
 		t.Fatalf("indexed circuits = %d, want 2", st.Circuits)
+	}
+}
+
+// TestParallelLearnKeyMissesSequential: a Parallel > 1 learn builds its
+// own netlist, so the circuit it stores must not answer the sequential
+// key, while sequential keys stay what they always were.
+func TestParallelLearnKeyMissesSequential(t *testing.T) {
+	s := noFlush(t, vfs.NewMemFS())
+	defer s.Close()
+
+	box := circuit.New()
+	a, b, c := box.AddPI("a"), box.AddPI("b"), box.AddPI("c")
+	box.AddPO("x", box.Xor(a, b))
+	box.AddPO("y", box.And(b, c))
+	o := oracle.FromCircuit(box)
+	ident := oracle.IdentityOf(o)
+
+	par := core.Options{Seed: 5, Parallel: 2}
+	parKey := LearnKey{Identity: ident, Seed: par.Seed, Options: OptionsSig(par)}
+	if err := s.PutCircuit(parKey, core.Learn(o, par).Circuit); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+
+	seq := core.Options{Seed: 5}
+	seqKey := LearnKey{Identity: ident, Seed: seq.Seed, Options: OptionsSig(seq)}
+	if got, err := s.GetCircuit(seqKey); got != nil || err != nil {
+		t.Fatalf("sequential key after a Parallel: 2 learn = (%v, %v), want a miss", got, err)
+	}
+	if got, err := s.GetCircuit(LearnKey{Identity: ident, Seed: 5, Options: OptionsSig(core.Options{Seed: 5, Parallel: 4})}); got == nil || err != nil {
+		t.Fatalf("Parallel: 4 key = (%v, %v), want the Parallel: 2 circuit", got, err)
+	}
+	if one := OptionsSig(core.Options{Parallel: 1}); one != OptionsSig(core.Options{}) || strings.Contains(one, "par=") {
+		t.Fatalf("Parallel: 1 signature %q must equal the sequential one", one)
 	}
 }
 
