@@ -22,7 +22,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"logicregression/internal/cases"
@@ -145,19 +144,32 @@ func main() {
 		fmt.Fprintln(os.Stderr, "logicreg: oracle failed validation:", err)
 		os.Exit(1)
 	}
+	// finishRecording closes the transcript and exits 1 if any of it was
+	// lost: the recorder keeps its first write error, and a full disk can
+	// also surface only at Close.
+	finishRecording := func() {}
 	if *record != "" {
 		f, err := os.Create(*record)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "logicreg:", err)
 			os.Exit(1)
 		}
-		defer f.Close()
 		rec, err := oracle.NewRecorder(o, f)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "logicreg:", err)
 			os.Exit(1)
 		}
 		o = rec
+		finishRecording = func() {
+			err := rec.Err()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "logicreg: transcript", *record+":", err)
+				os.Exit(1)
+			}
+		}
 	}
 
 	opts := core.Options{
@@ -185,6 +197,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "logicreg: stored circuit unusable, relearning:", err)
 		case c != nil:
 			fmt.Fprintf(os.Stderr, "store: warm start — reusing stored circuit (%d gates) for this oracle/seed/options\n", c.Size())
+			finishRecording()
 			writeNetlist(*outPath, c)
 			return
 		}
@@ -219,23 +232,26 @@ func main() {
 		}
 	}
 
+	finishRecording()
 	writeNetlist(*outPath, res.Circuit)
 }
 
 // writeNetlist writes the learned circuit to path (stdout when empty),
 // exiting with status 1 on any I/O error.
 func writeNetlist(path string, c *circuit.Circuit) {
-	var w io.Writer = os.Stdout
-	if path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "logicreg:", err)
-			os.Exit(1)
+	var err error
+	if path == "" {
+		err = circuit.WriteNetlist(os.Stdout, c)
+	} else {
+		var f *os.File
+		if f, err = os.Create(path); err == nil {
+			err = circuit.WriteNetlist(f, c)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
 		}
-		defer f.Close()
-		w = f
 	}
-	if err := circuit.WriteNetlist(w, c); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "logicreg:", err)
 		os.Exit(1)
 	}

@@ -3,7 +3,7 @@
 // flow-sensitive contract checkers (randtaint, locksafe, panicbridge,
 // goleak), the interprocedural concurrency/allocation contracts (chanflow,
 // ctxcancel, hotalloc), the cross-package map-order determinism contract
-// (mapdet), the hot-path shift rule (shiftrange), and the SSA value-flow
+// (mapdet), the hot-path shift rule (shiftrange), and the value-flow
 // checkers (nilflow, deadbranch); see internal/analysis/analyzers — over
 // Go packages:
 //

@@ -40,10 +40,11 @@
 //	shiftrange  hot-path shift amounts are constants or masks below the
 //	            word width; the bit-kernel indexes are held to the
 //	            compiler's bounds-check report (TestHotpathGcflagsCrossCheck)
-//	nilflow     SSA value flow: a call result must not be dereferenced on
-//	            a path its paired err != nil check proves may be nil
-//	deadbranch  SCCP: branch conditions proven always-true/false hide one
-//	            arm from every execution and every test
+//	nilflow     value flow: a call result must not be dereferenced on a
+//	            path its paired err != nil check proves may be nil
+//	deadbranch  constant propagation: branch conditions proven
+//	            always-true/false hide one arm from every execution and
+//	            every test
 //
 // The flow-sensitive rules run on internal/analysis/flow (CFGs, a forward
 // lattice solver, and bottom-up call-graph summaries); see DESIGN.md §10.
@@ -67,8 +68,8 @@ import (
 // concurrency and hot-path allocation contracts; mapdet
 // is the cross-package map-order determinism contract; shiftrange is the
 // syntactic hot-path shift rule; the last group (nilflow, deadbranch) are
-// the SSA value-flow rules built on internal/analysis/flow/ssa
-// (dominators, branch facts, SCCP).
+// the value-flow rules, lattices over tracked locals on the same forward
+// solver.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		ScalarEval, OrphanErr, ErrCompare, NoDeadline,

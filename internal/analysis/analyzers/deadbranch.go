@@ -1,14 +1,15 @@
 package analyzers
 
 import (
+	"fmt"
 	"go/ast"
 
 	"logicregression/internal/analysis"
-	"logicregression/internal/analysis/flow/ssa"
+	"logicregression/internal/analysis/flow"
 )
 
-// DeadBranch flags branch conditions that sparse conditional constant
-// propagation proves always-true or always-false: one arm can never
+// DeadBranch flags branch conditions that conditional constant propagation
+// (flow.SolveConsts) proves always-true or always-false: one arm can never
 // execute. These are either leftover debug scaffolding (`verbose := false`
 // threaded into checks) or a refactoring residue where the guarded state
 // can no longer occur — both hide real code from tests and readers.
@@ -16,12 +17,12 @@ import (
 // Conditions that the type checker already folds to a constant (`if
 // debugBuild` on a const, `if true {}` scoping blocks) are deliberate
 // compile-time configuration and are not reported; neither are conditions
-// inside branches SCCP has itself proven unreachable, so one root cause
-// yields one finding.
+// inside branches the propagation has itself proven unreachable, so one
+// root cause yields one finding.
 var DeadBranch = &analysis.Analyzer{
 	Name: "deadbranch",
-	Doc: "flags conditions SCCP proves constant, so one branch arm is " +
-		"unreachable at runtime",
+	Doc: "flags conditions constant propagation proves constant, so one " +
+		"branch arm is unreachable at runtime",
 	Run: runDeadBranch,
 }
 
@@ -34,19 +35,16 @@ func runDeadBranch(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			f := ssa.Build(fd, info)
-			if f == nil {
-				continue
+			c := flow.SolveConsts(fd, info)
+			if !c.Converged {
+				return fmt.Errorf("deadbranch: %s: constant propagation did not converge",
+					pass.Fset.Position(fd.Pos()))
 			}
-			s := ssa.RunSCCP(f)
-			for _, b := range f.CFG.Blocks {
-				if b.Cond == nil || len(b.Succs) != 2 || !s.Reachable(b) {
-					continue
-				}
+			for _, b := range c.CFG.Blocks {
 				if tv, ok := info.Types[b.Cond]; ok && tv.Value != nil {
 					continue // compile-time constant: deliberate configuration
 				}
-				truth, ok := s.BranchConst(b)
+				truth, ok := c.BranchConst(b)
 				if !ok || suppressed(pass, sup, b.Cond.Pos()) {
 					continue
 				}

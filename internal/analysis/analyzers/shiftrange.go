@@ -7,6 +7,7 @@ import (
 	"go/types"
 
 	"logicregression/internal/analysis"
+	"logicregression/internal/analysis/flow"
 )
 
 // ShiftRange holds the word-level arithmetic on the hot paths to the word
@@ -61,7 +62,8 @@ func runShiftRange(pass *analysis.Pass) error {
 func checkShiftAmount(pass *analysis.Pass, operand, amount ast.Expr,
 	pos token.Pos, sup map[string]bool) {
 
-	width := bitWidthOf(pass.TypesInfo.TypeOf(operand))
+	w, _ := flow.IntWidth(pass.TypesInfo.TypeOf(operand))
+	width := int(w)
 	if width == 0 || shiftAmountBounded(pass.TypesInfo, amount, width) {
 		return
 	}
@@ -90,31 +92,4 @@ func shiftAmountBounded(info *types.Info, amount ast.Expr, width int) bool {
 	}
 	be, ok := ast.Unparen(amount).(*ast.BinaryExpr)
 	return ok && be.Op == token.AND && inRange(be.Y)
-}
-
-// bitWidthOf returns the bit width of a (possibly named) integer type, or
-// 0 for anything else. int, uint, and uintptr are 64 bits: the repo
-// targets 64-bit word kernels (same assumption as the SSA constant
-// folder).
-func bitWidthOf(t types.Type) int {
-	if t == nil {
-		return 0
-	}
-	basic, ok := t.Underlying().(*types.Basic)
-	if !ok {
-		return 0
-	}
-	switch basic.Kind() {
-	case types.Int8, types.Uint8:
-		return 8
-	case types.Int16, types.Uint16:
-		return 16
-	case types.Int32, types.Uint32:
-		return 32
-	case types.Int64, types.Uint64, types.Int, types.Uint, types.Uintptr:
-		return 64
-	case types.UntypedInt:
-		return 64
-	}
-	return 0
 }

@@ -33,3 +33,28 @@ func loopCarried(n int) int {
 	}
 	return 0
 }
+
+// A switch is not a condition block: its cases draw no verdict even when
+// the tag is a local constant.
+func switchTag() int {
+	mode := 2
+	switch mode {
+	case 1:
+		return 10
+	case 2:
+		return 20
+	}
+	return 0
+}
+
+// A variable a closure assigns is not followed: enable may have flipped it
+// before the check.
+func closureAssigned() int {
+	enabled := false
+	enable := func() { enabled = true }
+	enable()
+	if enabled {
+		return 1
+	}
+	return 0
+}

@@ -46,3 +46,55 @@ func passThrough() (*conn, error) {
 	}
 	return c, nil
 }
+
+// A copy of the error carries the proof: e is err.
+func copiedErr() int {
+	c, err := dial()
+	e := err
+	if e != nil {
+		return c.id // want "may be nil here"
+	}
+	return c.id
+}
+
+// A conjunct is enough: the arm runs only when err != nil holds.
+func conjunct(verbose bool) int {
+	c, err := dial()
+	if err != nil && verbose {
+		return c.id // want "may be nil here"
+	}
+	return 0
+}
+
+// Negation and parentheses are seen through.
+func negated() int {
+	c, err := dial()
+	if !(err == nil) {
+		return c.id // want "may be nil here"
+	}
+	return 0
+}
+
+// Rewrapping the error does not revive c: the call still failed.
+func rewrapped() (int, error) {
+	c, err := dial()
+	if err != nil {
+		err = errors.Join(errors.New("dial"), err)
+		return c.id, err // want "may be nil here"
+	}
+	return c.id, nil
+}
+
+// The call sits in a loop: each iteration's failure path is its own.
+func inLoop(n int) int {
+	total := 0
+	for i := 0; i < n; i++ {
+		c, err := dial()
+		if err != nil {
+			total += c.id // want "may be nil here"
+			continue
+		}
+		total += c.id
+	}
+	return total
+}

@@ -1,5 +1,6 @@
-// The repaired nilflow fixture: error paths never dereference the value,
-// and a reassignment starts a fresh value the old check does not taint.
+// The repaired nilflow fixture: error paths never dereference the value, a
+// reassignment starts a fresh value the old check does not taint, and a
+// check that does not hold on every path to a use proves nothing there.
 package nilflow
 
 // The error branch reports and leaves; only the success path uses c.
@@ -11,8 +12,8 @@ func guarded() int {
 	return c.id
 }
 
-// SSA precision: after the reassignment this is a different value, so
-// the err != nil fact about the call result no longer applies.
+// After the reassignment c no longer holds the call's result, so the
+// err != nil check about that call no longer applies to it.
 func reassigned() int {
 	c, err := dial()
 	if err != nil {
@@ -28,6 +29,40 @@ func uncheckedUse() int {
 	c, _ := dial()
 	if c == nil {
 		return -1
+	}
+	return c.id
+}
+
+// A check in one arm proves nothing after the merge: the other arm
+// reaches the use without looking at err.
+func oneArm(verbose bool) int {
+	c, err := dial()
+	if verbose {
+		if err != nil {
+			println("dial failed")
+		}
+	}
+	return c.id
+}
+
+// A disjunction proves neither side: the arm also runs when only verbose
+// holds.
+func disjunct(verbose bool) int {
+	c, err := dial()
+	if err != nil || verbose {
+		return c.id
+	}
+	return 0
+}
+
+// A closure assigns the result, so c is not followed: reset may have
+// replaced the nil value before the use.
+func captured() int {
+	c, err := dial()
+	reset := func() { c = &conn{} }
+	if err != nil {
+		reset()
+		return c.id
 	}
 	return c.id
 }

@@ -1,18 +1,22 @@
-package flow
+package flow_test
 
 import (
 	"go/ast"
 	"testing"
 
 	"logicregression/internal/analysis"
+	"logicregression/internal/analysis/analyzers"
+	"logicregression/internal/analysis/flow"
 )
 
 // TestSolverFixpointOnRepo is the property test backing the solver's
 // convergence cap: for every function and function literal in the module,
-// the taint solver, under a worst-case spec that taints every call result,
-// must reach a fixed point. A lattice or
-// transfer bug that breaks monotonicity shows up here as a non-converged
-// solution on real code long before an analyzer misreports.
+// the taint lattice (under a worst-case spec that taints every call result)
+// and the constant lattice must reach a fixed point. nilflow's lattice lives
+// with its analyzer, which fails its package when the solver does not
+// converge; it runs in the same sweep. A lattice or transfer bug that breaks
+// monotonicity shows up here as a non-converged solution on real code long
+// before an analyzer misreports.
 func TestSolverFixpointOnRepo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and solves the full module")
@@ -46,7 +50,7 @@ func TestSolverFixpointOnRepo(t *testing.T) {
 					funcs++
 					pos := pass.Fset.Position(body.Pos())
 
-					g := New(body, pass.TypesInfo)
+					g := flow.New(body, pass.TypesInfo)
 					if len(g.Blocks) == 0 || g.Blocks[0] == nil {
 						t.Errorf("%s: %s: CFG has no entry block", pos, name)
 						return true
@@ -54,16 +58,20 @@ func TestSolverFixpointOnRepo(t *testing.T) {
 
 					// Worst case for the taint lattice: every call result
 					// is a fresh source, so states grow as fast as they can.
-					spec := &TaintSpec{
+					spec := &flow.TaintSpec{
 						Info: pass.TypesInfo,
 						Source: func(e ast.Expr) bool {
 							_, ok := e.(*ast.CallExpr)
 							return ok
 						},
 					}
-					if sol := RunTaint(g, spec); !sol.Converged {
+					if sol := flow.RunTaint(g, spec); !sol.Converged {
 						t.Errorf("%s: %s: taint solver did not converge (%d iterations over %d blocks)",
 							pos, name, sol.Iterations, len(g.Blocks))
+					}
+					if c := flow.SolveConsts(n, pass.TypesInfo); !c.Converged {
+						t.Errorf("%s: %s: constant propagation did not converge (%d iterations over %d blocks)",
+							pos, name, c.Iterations, len(c.CFG.Blocks))
 					}
 					return true
 				})
@@ -72,7 +80,7 @@ func TestSolverFixpointOnRepo(t *testing.T) {
 		},
 	}
 	// Sequential: the probe counts into a shared variable.
-	d := &analysis.Driver{Analyzers: []*analysis.Analyzer{probe}, Parallel: 1}
+	d := &analysis.Driver{Analyzers: []*analysis.Analyzer{probe, analyzers.NilFlow}, Parallel: 1}
 	results, _, err := d.Run(units)
 	if err != nil {
 		t.Fatal(err)

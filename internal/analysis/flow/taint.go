@@ -82,54 +82,22 @@ func (l *taintLattice) Transfer(b *Block, in TaintState) TaintState {
 }
 
 func (l *taintLattice) transferNode(n ast.Node, s TaintState) {
-	spec := l.spec
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		if len(n.Lhs) > 1 && len(n.Rhs) == 1 {
-			// Tuple assignment: every LHS gets the call's taint.
-			t := spec.ExprTaint(n.Rhs[0], s)
-			for _, lhs := range n.Lhs {
+	EachAssign(n, func(a Assign) {
+		if len(a.Lhs) > 1 && len(a.Rhs) == 1 {
+			// One operand feeds every target (a tuple call, a comma-ok
+			// form, a two-target range clause): each gets its taint.
+			t := l.spec.ExprTaint(a.Rhs[0], s)
+			for _, lhs := range a.Lhs {
 				l.assign(lhs, t, s)
 			}
 			return
 		}
-		for i, lhs := range n.Lhs {
-			if i < len(n.Rhs) {
-				l.assign(lhs, spec.ExprTaint(n.Rhs[i], s), s)
+		for i, lhs := range a.Lhs {
+			if i < len(a.Rhs) {
+				l.assign(lhs, l.spec.ExprTaint(a.Rhs[i], s), s)
 			}
 		}
-	case *ast.DeclStmt:
-		gd, ok := n.Decl.(*ast.GenDecl)
-		if !ok {
-			return
-		}
-		for _, sp := range gd.Specs {
-			vs, ok := sp.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			if len(vs.Names) > 1 && len(vs.Values) == 1 {
-				t := spec.ExprTaint(vs.Values[0], s)
-				for _, id := range vs.Names {
-					l.assign(id, t, s)
-				}
-				continue
-			}
-			for i, id := range vs.Names {
-				if i < len(vs.Values) {
-					l.assign(id, spec.ExprTaint(vs.Values[i], s), s)
-				}
-			}
-		}
-	case *ast.RangeStmt:
-		t := spec.ExprTaint(n.X, s)
-		if n.Key != nil {
-			l.assign(n.Key, t, s)
-		}
-		if n.Value != nil {
-			l.assign(n.Value, t, s)
-		}
-	}
+	})
 }
 
 // assign updates the taint binding for an assignment target. Identifiers
