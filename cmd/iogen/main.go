@@ -1,6 +1,7 @@
 // Command iogen serves a black-box IO-relation generator over TCP, playing
 // the role of the contest's external pattern-generator executable. Point
-// logicreg -remote at it to learn across the wire.
+// logicreg -remote at it to learn across the wire. It answers bare query
+// lines and batch frames from the greeting on (grammar in internal/ioserve).
 //
 //	iogen -case case_16 -listen 127.0.0.1:9000
 //	iogen -netlist golden.net -listen :9000
@@ -51,7 +52,6 @@ func main() {
 		caseName    = flag.String("case", "", "built-in case name (case_1..case_20)")
 		netlist     = flag.String("netlist", "", "circuit file to serve (format by extension: .blif, .v/.sv, .aag/.aig, else text netlist)")
 		listen      = flag.String("listen", "127.0.0.1:9000", "listen address")
-		proto       = flag.Int("proto", 2, "highest protocol version to speak (1 = v1-only line protocol, 2 = allow batch framing); -serve raises this to 3")
 		readTimeout = flag.Duration("read-timeout", 2*time.Minute, "per-read deadline on client connections (0 = none); a stuck client is dropped instead of pinning a handler")
 
 		metricsAddr  = flag.String("metrics", "", "serve /metrics and /healthz over HTTP on this address (requires -serve)")
@@ -127,23 +127,11 @@ func main() {
 
 	srv := ioserve.NewServer(o)
 	srv.ReadTimeout = *readTimeout
-	switch *proto {
-	case 1:
-		srv.V1Only = true
-	case 2:
-	default:
-		fmt.Fprintf(os.Stderr, "iogen: unsupported -proto %d (want 1 or 2)\n", *proto)
-		os.Exit(1)
-	}
 
 	var svc *serve.Service
 	var st *store.Store
-	maxProto := *proto
+	maxProto := 2
 	if *serveEnable {
-		if *proto == 1 {
-			fmt.Fprintln(os.Stderr, "iogen: -serve needs batch framing; drop -proto 1")
-			os.Exit(1)
-		}
 		if *serveStore != "" {
 			// Persistence is additive: an unopenable store costs warm starts,
 			// not the service. Recovery damage is reported, never hidden.

@@ -11,10 +11,11 @@
 //	logicreg -netlist golden.net -seed 7 -time 60s -out learned.net
 //	logicreg -remote 127.0.0.1:9000 -oracle-timeout 10s -oracle-retries 12
 //
-// Remote sessions are fault tolerant: transport hiccups are retried with
-// reconnection (-oracle-retries, -oracle-backoff), every query carries an
-// I/O deadline (-oracle-timeout), and answered patterns are memoized so a
-// reconnect resumes instead of re-querying. If the black box dies
+// Remote sessions send every multi-pattern query as batch frames and are
+// fault tolerant: transport hiccups are retried with reconnection
+// (-oracle-retries, -oracle-backoff), every query carries an I/O deadline
+// (-oracle-timeout), and answered patterns are memoized so a reconnect
+// resumes instead of re-querying. If the black box dies
 // permanently mid-learn the run degrades: the best-so-far circuit is still
 // written and the report says DEGRADED instead of the process panicking.
 package main
@@ -39,7 +40,6 @@ func main() {
 		caseName  = flag.String("case", "", "built-in case name (case_1..case_20)")
 		netlist   = flag.String("netlist", "", "golden netlist file to treat as the black box")
 		remote    = flag.String("remote", "", "address of a remote iogen black box (host:port)")
-		proto     = flag.Int("proto", 2, "remote protocol to request (2 = batch framing with automatic v1 fallback, 1 = force v1)")
 		oTimeout  = flag.Duration("oracle-timeout", 30e9, "remote per-query I/O deadline and connect timeout")
 		oRetries  = flag.Int("oracle-retries", 8, "remote attempts per query before giving up (degraded run)")
 		oBackoff  = flag.Duration("oracle-backoff", 50e6, "initial retry backoff, doubled per attempt (capped at 2s)")
@@ -64,7 +64,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	o, closer, err := loadOracle(*caseName, *netlist, *remote, *proto, ioserve.DialConfig{
+	o, closer, err := loadOracle(*caseName, *netlist, *remote, ioserve.DialConfig{
 		ConnectTimeout: *oTimeout,
 		IOTimeout:      *oTimeout,
 	}, ioserve.RetryConfig{
@@ -286,7 +286,7 @@ func measure(o oracle.Oracle, res *core.Result, cfg eval.Config) (rep eval.Repor
 	return eval.Measure(o, oracle.FromCircuit(res.Circuit), cfg), nil
 }
 
-func loadOracle(caseName, netlist, remote string, proto int,
+func loadOracle(caseName, netlist, remote string,
 	dial ioserve.DialConfig, retry ioserve.RetryConfig) (oracle.Oracle, func(), error) {
 	set := 0
 	for _, s := range []string{caseName, netlist, remote} {
@@ -311,19 +311,9 @@ func loadOracle(caseName, netlist, remote string, proto int,
 		}
 		return oracle.FromCircuit(c), nil, nil
 	default:
-		if proto != 1 && proto != 2 {
-			return nil, nil, fmt.Errorf("unsupported -proto %d (want 1 or 2)", proto)
-		}
 		cl, err := ioserve.DialResilient(remote, dial, retry)
 		if err != nil {
 			return nil, nil, err
-		}
-		if proto == 1 {
-			cl.ForceV1()
-		} else if cl.Proto() >= 2 {
-			fmt.Fprintln(os.Stderr, "logicreg: remote speaks protocol v2 (batch framing)")
-		} else {
-			fmt.Fprintln(os.Stderr, "logicreg: remote is v1-only, falling back to line protocol")
 		}
 		return cl, func() { cl.Close() }, nil
 	}

@@ -58,3 +58,28 @@ func closureAssigned() int {
 	}
 	return 0
 }
+
+// A pointer-receiver method takes its operand's address implicitly, called
+// or taken as a method value: inc may have changed c before the check.
+type counter int
+
+func (c *counter) inc() { *c++ }
+
+func pointerMethodCall() int {
+	var c counter
+	c.inc()
+	if c == 0 {
+		return 1
+	}
+	return 0
+}
+
+func methodValue() int {
+	var c counter
+	inc := c.inc
+	inc()
+	if c == 0 {
+		return 1
+	}
+	return 0
+}

@@ -74,3 +74,10 @@ func viaSourceHelperVar() *rand.Rand {
 	now := time.Now()
 	return rand.New(srcOf(now)) // want "nondeterministic"
 }
+
+// An op= assignment mixes into the target's taint; it does not replace it.
+func viaOpAssign() *rand.Rand {
+	s := time.Now().UnixNano()
+	s ^= 5
+	return rand.New(rand.NewSource(s)) // want "nondeterministic"
+}

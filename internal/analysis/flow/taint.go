@@ -2,6 +2,7 @@ package flow
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -94,7 +95,12 @@ func (l *taintLattice) transferNode(n ast.Node, s TaintState) {
 		}
 		for i, lhs := range a.Lhs {
 			if i < len(a.Rhs) {
-				l.assign(lhs, l.spec.ExprTaint(a.Rhs[i], s), s)
+				t := l.spec.ExprTaint(a.Rhs[i], s)
+				if a.Tok >= token.ADD_ASSIGN && a.Tok <= token.AND_NOT_ASSIGN {
+					// x op= y reads x: the target keeps its own taint.
+					t = t || l.spec.ExprTaint(lhs, s)
+				}
+				l.assign(lhs, t, s)
 			}
 		}
 	})

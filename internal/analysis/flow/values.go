@@ -53,9 +53,10 @@ func EachAssign(n ast.Node, fn func(Assign)) {
 
 // Locals numbers the variables of one function that the value lattices
 // follow: parameters, named results, the receiver, and locals that are
-// never address-taken and never assigned inside a function literal. Any
-// other variable can change behind the function's back, so its value stays
-// opaque.
+// never address-taken — explicitly with &, or implicitly as the operand of
+// a pointer-receiver method call or method value — and never assigned
+// inside a function literal. Any other variable can change behind the
+// function's back, so its value stays opaque.
 type Locals struct {
 	Info  *types.Info
 	Vars  []*types.Var
@@ -102,6 +103,14 @@ func NewLocals(fn ast.Node, info *types.Info) *Locals {
 			case *ast.UnaryExpr:
 				if n.Op == token.AND {
 					disqualify(n.X)
+				}
+			case *ast.SelectorExpr:
+				// x.m with a pointer receiver and no indirection is
+				// (&x).m: the method may write x.
+				if sel := info.Selections[n]; sel != nil && sel.Kind() == types.MethodVal && !sel.Indirect() {
+					if _, ptr := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr {
+						disqualify(n.X)
+					}
 				}
 			}
 			if inLit {

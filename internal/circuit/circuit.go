@@ -359,15 +359,6 @@ type Evaluator struct {
 // NewEvaluator returns an evaluator bound to c.
 func (c *Circuit) NewEvaluator() *Evaluator { return &Evaluator{c: c} }
 
-// EvalWordsInto evaluates 64 patterns in parallel, writing one word per PO
-// into out (which must have length NumPO()). It is EvalLanes with one word
-// per lane.
-//
-//logicreg:hotpath
-func (e *Evaluator) EvalWordsInto(inputs, out []uint64) {
-	e.EvalLanes(inputs, 1, out)
-}
-
 // EvalLanes evaluates a batch of 64*w patterns in lane layout: input lane i
 // occupies patterns[i*w : (i+1)*w], bit k of a lane (word k/64, bit k%64)
 // holding PI i in pattern k. It writes the PO lanes in the same layout into

@@ -65,24 +65,24 @@ func checkedPatterns(rng *rand.Rand, w int) []int {
 	return ks
 }
 
-// TestEvalWordsIntoIsOneWordLanes checks the one-word entry points agree on
-// a circuit that grows between calls of one Evaluator.
-func TestEvalWordsIntoIsOneWordLanes(t *testing.T) {
+// TestEvalLanesToleratesGrowth checks that one Evaluator keeps agreeing with
+// the one-word entry point on a circuit that grows between its calls.
+func TestEvalLanesToleratesGrowth(t *testing.T) {
 	c := circuit.New()
 	a, b := c.AddPI("a"), c.AddPI("b")
 	c.AddPO("x", c.Xor(a, b))
 	ev := c.NewEvaluator()
 	in := []uint64{0xF0F0, 0xFF00}
 	out := make([]uint64, 1)
-	ev.EvalWordsInto(in, out)
+	ev.EvalLanes(in, 1, out)
 	if out[0] != 0x0FF0 {
 		t.Fatalf("xor = %#x, want 0xff0", out[0])
 	}
 	c.AddPO("y", c.Nand(a, c.NotGate(b)))
 	out = make([]uint64, 2)
-	ev.EvalWordsInto(in, out)
+	ev.EvalLanes(in, 1, out)
 	want := c.EvalWords(in)
 	if out[0] != want[0] || out[1] != want[1] {
-		t.Fatalf("after growth: EvalWordsInto %#x, EvalWords %#x", out, want)
+		t.Fatalf("after growth: EvalLanes %#x, EvalWords %#x", out, want)
 	}
 }

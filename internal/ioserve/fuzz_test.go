@@ -16,7 +16,7 @@ type stream struct {
 }
 
 // FuzzServeStream throws arbitrary client bytes at the protocol loop —
-// especially the v2 frame parser, whose declared batch sizes and frame
+// especially the batch frame parser, whose declared batch sizes and frame
 // bodies come straight off the wire. The server must never panic and never
 // allocate lanes from an untrusted length.
 func FuzzServeStream(f *testing.F) {
@@ -44,11 +44,6 @@ func FuzzServeStream(f *testing.F) {
 		b := c.AddPI("b")
 		c.AddPO("x", c.Xor(a, b))
 		c.AddPO("y", c.And(a, b))
-		for _, srv := range []*Server{
-			NewServer(oracle.FromCircuit(c)),
-			{inner: oracle.FromCircuit(c), V1Only: true},
-		} {
-			srv.serveStream(stream{bytes.NewReader(data), io.Discard})
-		}
+		NewServer(oracle.FromCircuit(c)).serveStream(stream{bytes.NewReader(data), io.Discard})
 	})
 }

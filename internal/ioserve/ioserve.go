@@ -1,6 +1,6 @@
 // Package ioserve exposes an Oracle over TCP, modelling the 2019 contest's
 // external iogen pattern generator: the learner talks to a black box it does
-// not host. Two protocol versions share one port.
+// not host.
 //
 // Protocol grammar (all lines '\n'-terminated ASCII; <ibits> is one '0'/'1'
 // per input in input order, <obits> one per output):
@@ -9,29 +9,29 @@
 //	greeting = "inputs"  { SP name } LF
 //	           "outputs" { SP name } LF
 //
-//	v1 exchange (always available):
+//	query exchange:
 //	  client: <ibits> LF
 //	  server: <obits> LF               — or "error:" message LF; the
 //	                                     connection stays usable either way
 //
-//	v2 upgrade (client-initiated, after the greeting):
-//	  client: "proto 2" LF
-//	  server: "ok 2" LF                — v2 accepted
-//	        | "error:" message LF      — v1-only server; client falls back
-//
-//	v2 batch exchange (only after a successful upgrade):
+//	batch exchange:
 //	  client: "batch" SP k LF, then k lines of <ibits>
 //	  server: "batch" SP k LF, then k lines of <obits>
 //	        | "error:" message LF      — whole batch rejected, connection
 //	                                     stays usable (all k query lines are
 //	                                     consumed first)
 //
-// A v1 client never sees a v2 token: the server only speaks v2 when spoken
-// to. A v2 client probing a v1 server gets an "error:" line back for the
-// "proto 2" query (it parses as a malformed bit string) and downgrades
-// automatically, so new clients interoperate with old servers and vice
-// versa. Batch frames amortize one network round trip over k queries; the
-// Client chunks large EvalBatch calls into frames of at most MaxFrame.
+//	level probe:
+//	  client: "proto" SP v LF          — v >= 2
+//	  server: "ok" SP g LF             — g = min(v, highest level served)
+//
+// Both exchanges are open from the greeting on: a batch needs no probe, and
+// a client that sends only query lines never sees any other token. The
+// probe stays for two reasons: clients that send "proto 2" before their
+// first batch still get "ok 2", and "proto 3" unlocks the verbs of a
+// service extension (see Extension). A batch frame amortizes one network
+// round trip over k queries; the Client frames large EvalBatch calls into
+// at most MaxFrame queries each.
 //
 // Both ends encode and parse <ibits>/<obits> lines a word at a time: 64
 // patterns of a batch become 64 rows by one bit transpose, and a row
@@ -75,15 +75,9 @@ import (
 	"logicregression/internal/oracle"
 )
 
-// MaxFrame is the maximum number of queries per v2 batch frame, bounding
+// MaxFrame is the maximum number of queries per batch frame, bounding
 // per-frame server memory. Larger EvalBatch calls are split transparently.
 const MaxFrame = 1 << 14
-
-// v1PipelineChunk is how many scalar queries the client keeps in flight when
-// falling back to the v1 line protocol: small enough that the replies to one
-// chunk always fit in kernel socket buffers (no write-write deadlock), large
-// enough to amortize round trips.
-const v1PipelineChunk = 64
 
 // defaultMaxReply caps the length of a single reply line (and, server-side,
 // a single query line) unless DialConfig.MaxReply overrides it.
@@ -144,7 +138,7 @@ type Extension interface {
 	MaxProto() int
 	// Handle processes one command line on a connection that negotiated
 	// protocol >= 3. It returns handled=false to fall through to the core
-	// protocol (which will treat the line as a v1 bit-string query), and
+	// protocol (which will treat the line as a bare bit-string query), and
 	// keep=false to drop the connection (an unrecoverable stream state).
 	// Handle replies via c.Reply / c.ReplyLines.
 	Handle(c *Conn, line string) (handled, keep bool)
@@ -172,11 +166,6 @@ type Server struct {
 	// drain deadline expires.
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
-
-	// V1Only disables the v2 protocol, emulating an old server: "proto"
-	// and "batch" commands get "error:" replies. Useful for testing client
-	// fallback and for byte-exact contest emulation.
-	V1Only bool
 
 	// ReadTimeout, when positive, arms a fresh read deadline before every
 	// read on a client connection: a client that stops mid-frame (or never
@@ -455,12 +444,6 @@ func (s *Server) serveStream(stream io.ReadWriter) {
 			return
 
 		case strings.HasPrefix(line, "proto "):
-			if s.V1Only {
-				if !c.Reply("error: unknown command") {
-					return
-				}
-				continue
-			}
 			// Grant the lower of the requested and served levels; any
 			// request >= 2 succeeds (a v2-only client gets exactly "ok 2"
 			// back, byte-identical to the pre-extension protocol).
@@ -478,12 +461,6 @@ func (s *Server) serveStream(stream io.ReadWriter) {
 			}
 
 		case strings.HasPrefix(line, "batch "):
-			if s.V1Only {
-				if !c.Reply("error: unknown command") {
-					return
-				}
-				continue
-			}
 			k, err := strconv.Atoi(strings.TrimPrefix(line, "batch "))
 			if err != nil || k < 1 || k > MaxFrame {
 				// The declared frame length cannot be trusted, so the
@@ -632,15 +609,14 @@ type Client struct {
 	w        *bufio.Writer
 	ins      []string
 	outs     []string
-	proto    int   // negotiated protocol version: 1 until TryUpgrade succeeds
-	v1Chunk  int   // v1 pipeline depth override (0 = v1PipelineChunk)
+	proto    int   // protocol level: 2, or what UpgradeTo granted
 	queryErr error // first transport error; the session is dead once set
 	closed   bool
 }
 
 // Dial connects to a server and reads the port-name greeting, with no
-// deadlines (the historical default). The session starts at protocol v1;
-// call TryUpgrade to negotiate v2 batch framing.
+// deadlines (the historical default). The session starts at level 2, so
+// queries and batches need no negotiation.
 func Dial(addr string) (*Client, error) {
 	return DialWith(addr, DialConfig{})
 }
@@ -669,7 +645,7 @@ func NewClientConn(conn net.Conn, cfg DialConfig) (*Client, error) {
 		conn:  conn,
 		r:     bufio.NewScanner(stream),
 		w:     bufio.NewWriter(stream),
-		proto: 1,
+		proto: 2,
 	}
 	maxReply := cfg.MaxReply
 	if maxReply <= 0 {
@@ -690,26 +666,6 @@ func NewClientConn(conn net.Conn, cfg DialConfig) (*Client, error) {
 	return c, nil
 }
 
-// DialV2 dials and negotiates protocol v2, transparently falling back to v1
-// when the server predates batch framing. Negotiation failures close the
-// connection.
-func DialV2(addr string) (*Client, error) {
-	return DialV2With(addr, DialConfig{})
-}
-
-// DialV2With is DialV2 with explicit timeout bounds.
-func DialV2With(addr string, cfg DialConfig) (*Client, error) {
-	c, err := DialWith(addr, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := c.tryUpgradeErr(); err != nil {
-		c.conn.Close()
-		return nil, err
-	}
-	return c, nil
-}
-
 func (c *Client) readHeader(keyword string) ([]string, error) {
 	line, err := c.readLineErr()
 	if err != nil {
@@ -722,31 +678,12 @@ func (c *Client) readHeader(keyword string) ([]string, error) {
 	return fields[1:], nil
 }
 
-// TryUpgrade negotiates protocol v2. A v1-only server answers the probe with
-// an "error:" line (the probe parses as a malformed query there), which is
-// the downgrade signal — the session stays on v1 and remains fully usable.
-// Safe to call multiple times; returns whether the session speaks v2.
-// Transport failures panic with *oracle.Failure.
-func (c *Client) TryUpgrade() bool {
-	ok, err := c.tryUpgradeErr()
-	if err != nil {
-		panic(oracle.NewFailure(err))
-	}
-	return ok
-}
-
-// tryUpgradeErr is the error-returning v2 upgrade negotiation.
-func (c *Client) tryUpgradeErr() (bool, error) {
-	v, err := c.UpgradeTo(2)
-	return v >= 2, err
-}
-
 // UpgradeTo negotiates protocol level v (>= 2) and returns the level the
 // session ends up on: the server grants the lower of the requested and
-// served levels, and a v1-only server (which answers the probe with an
-// "error:" line) leaves the session on 1, fully usable. Safe to call
-// multiple times; a session never downgrades. Service-level clients
-// (internal/serve) request 3 to unlock the extension verbs.
+// served levels, and a server that answers the probe with an "error:" line
+// leaves the session where it was. Safe to call multiple times; a session
+// never downgrades. Service-level clients (internal/serve) request 3 to
+// unlock the extension verbs.
 func (c *Client) UpgradeTo(v int) (int, error) {
 	if v < 2 {
 		panic(fmt.Sprintf("ioserve: UpgradeTo(%d): levels below 2 are not negotiable", v))
@@ -808,7 +745,8 @@ func (c *Client) ReadLine() (string, error) {
 	return c.readLineErr()
 }
 
-// Proto returns the negotiated protocol version (1 or 2).
+// Proto returns the session's protocol level: 2, or the level UpgradeTo
+// granted.
 func (c *Client) Proto() int { return c.proto }
 
 // Close ends the session politely and reports any error from the farewell
@@ -959,10 +897,8 @@ func (c *Client) errorReply(line, request string) error {
 	}
 }
 
-// EvalBatch sends the whole batch across the wire. On a v2 session it uses
-// batch framing (one round trip per MaxFrame queries); on a v1 session it
-// pipelines scalar query lines in small chunks, which old servers answer
-// line-by-line. Either way the bits returned are identical to n scalar
+// EvalBatch sends the whole batch across the wire in batch frames, one round
+// trip per MaxFrame queries; the bits returned are identical to n scalar
 // Evals. Transport failures panic with *oracle.Failure.
 func (c *Client) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 	out, err := c.evalBatchErr(patterns, n)
@@ -994,8 +930,7 @@ func (c *Client) evalBatchErr(patterns []bitvec.Word, n int) ([]bitvec.Word, err
 // patterns whose replies have been fully received: on error the caller
 // retries with start set to that count, re-issuing only the unanswered
 // tail — queries are pure, so a kept answer can never disagree with a
-// re-issued one. Matters most on v1, where every reply is its own write
-// and a large batch can outlive any single connection.
+// re-issued one.
 func (c *Client) evalBatchResume(patterns []bitvec.Word, n, start int, out []bitvec.Word) (int, error) {
 	if err := c.usable(); err != nil {
 		return start, err
@@ -1007,13 +942,6 @@ func (c *Client) evalBatchResume(patterns []bitvec.Word, n, start int, out []bit
 	}
 	if want := nOut * w; len(out) != want {
 		panic(fmt.Sprintf("ioserve: EvalBatch got %d result words, want %d", len(out), want))
-	}
-	frame := MaxFrame
-	if c.proto < 2 {
-		frame = v1PipelineChunk
-		if c.v1Chunk > 0 {
-			frame = c.v1Chunk
-		}
 	}
 	// Query lines are formatted from the input rows of one 64-pattern
 	// block at a time; replies bank as rows and reach out one block at a
@@ -1027,12 +955,9 @@ func (c *Client) evalBatchResume(patterns []bitvec.Word, n, start int, out []bit
 	line := make([]byte, nIn+1)
 	line[nIn] = '\n'
 	done := start
-	for base := start; base < n; base += frame {
-		k := min(n-base, frame)
-		// Write the frame: a batch header on v2, bare query lines on v1.
-		if c.proto >= 2 {
-			fmt.Fprintf(c.w, "batch %d\n", k)
-		}
+	for base := start; base < n; base += MaxFrame {
+		k := min(n-base, MaxFrame)
+		fmt.Fprintf(c.w, "batch %d\n", k)
 		for pat := base; pat < base+k; pat++ {
 			if b := pat >> 6; b != inBlock {
 				bitvec.LanesToRows(in, patterns, w, nIn, b)
@@ -1047,33 +972,20 @@ func (c *Client) evalBatchResume(patterns []bitvec.Word, n, start int, out []bit
 		if err := c.w.Flush(); err != nil {
 			return done, c.fail(transportErr(err))
 		}
-		// Read the replies.
-		if c.proto >= 2 {
-			header, err := c.readLineErr()
-			if err != nil {
-				return done, err
-			}
-			switch {
-			case strings.HasPrefix(header, "error:"):
-				return done, c.errorReply(header, "batch")
-			case header != fmt.Sprintf("batch %d", k):
-				return done, c.fail(transportErr(fmt.Errorf("ioserve: bad batch reply header %q", header)))
-			}
+		header, err := c.readLineErr()
+		if err != nil {
+			return done, err
+		}
+		switch {
+		case strings.HasPrefix(header, "error:"):
+			return done, c.errorReply(header, "batch")
+		case header != fmt.Sprintf("batch %d", k):
+			return done, c.fail(transportErr(fmt.Errorf("ioserve: bad batch reply header %q", header)))
 		}
 		for q := 0; q < k; q++ {
 			row := replies.row(base + q)
 			if err := c.readReply(row); err != nil {
 				clear(row)
-				if isWireTransient(err) && c.proto < 2 {
-					// v1 pipelining: the rest of the chunk's replies are
-					// still in flight. Drain them so the stream stays
-					// synchronized for the in-place retry.
-					for d := q + 1; d < k; d++ {
-						if _, derr := c.readLine(); derr != nil {
-							return done, derr
-						}
-					}
-				}
 				return done, err
 			}
 			done = base + q + 1

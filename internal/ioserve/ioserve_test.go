@@ -175,13 +175,18 @@ func lanesEqual(got, want []bitvec.Word, nOut, n int) bool {
 func TestV2UpgradeAndBatchParity(t *testing.T) {
 	g := golden()
 	addr := startServer(t, oracle.FromCircuit(g))
-	cl, err := DialV2(addr)
+	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 	if cl.Proto() != 2 {
-		t.Fatalf("Proto() = %d after successful upgrade", cl.Proto())
+		t.Fatalf("Proto() = %d on a fresh session, want 2", cl.Proto())
+	}
+	// A server without a service extension grants level 2 to a request
+	// for 3.
+	if v, err := cl.UpgradeTo(3); err != nil || v != 2 {
+		t.Fatalf("UpgradeTo(3) = %d, %v; want 2, nil", v, err)
 	}
 	// More than one frame's worth of queries to exercise frame splitting.
 	n := MaxFrame + 77
@@ -198,39 +203,6 @@ func TestV2UpgradeAndBatchParity(t *testing.T) {
 		if bit != direct[j] {
 			t.Fatalf("scalar query on v2 session wrong at output %d", j)
 		}
-	}
-}
-
-func TestV1OnlyServerFallback(t *testing.T) {
-	g := golden()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	srv := NewServer(oracle.FromCircuit(g))
-	srv.V1Only = true
-	go srv.Serve(ln)
-
-	cl, err := DialV2(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if cl.Proto() != 1 {
-		t.Fatalf("Proto() = %d against a v1-only server", cl.Proto())
-	}
-	if cl.TryUpgrade() {
-		t.Fatal("second TryUpgrade claimed v2 on a v1-only server")
-	}
-	// Batch queries must still work, pipelined over the line protocol, across
-	// several pipeline chunks.
-	n := 5*v1PipelineChunk + 13
-	lanes := wireLanes(23, cl.NumInputs(), n)
-	want := oracle.EvalBatch(oracle.FromCircuit(g), lanes, n)
-	got := cl.EvalBatch(lanes, n)
-	if !lanesEqual(got, want, cl.NumOutputs(), n) {
-		t.Fatal("v1 pipelined batch diverges from direct evaluation")
 	}
 }
 
@@ -271,14 +243,14 @@ func TestMalformedBatchLineKeepsConnectionUsable(t *testing.T) {
 	if !r.Scan() || !strings.HasPrefix(r.Text(), "error:") {
 		t.Fatalf("malformed batch line not rejected: %q", r.Text())
 	}
-	fmt.Fprintln(conn, "110") // plain v1 query on the same connection
+	fmt.Fprintln(conn, "110") // bare query on the same connection
 	if !r.Scan() || strings.HasPrefix(r.Text(), "error:") {
 		t.Fatalf("connection unusable after rejected batch: %q", r.Text())
 	}
 }
 
 // TestManyConcurrentClients hammers one server from parallel sessions, each
-// mixing v2 batches and scalar queries. The circuit oracle forks, so the
+// mixing batches and scalar queries. The circuit oracle forks, so the
 // connections run lock-free; the race detector checks that claim.
 func TestManyConcurrentClients(t *testing.T) {
 	g := golden()
@@ -290,14 +262,11 @@ func TestManyConcurrentClients(t *testing.T) {
 	for c := 0; c < clients; c++ {
 		go func(seed int64) {
 			errc <- func() error {
-				cl, err := DialV2(addr)
+				cl, err := Dial(addr)
 				if err != nil {
 					return err
 				}
 				defer cl.Close()
-				if cl.Proto() != 2 {
-					return fmt.Errorf("client %d stuck on v1", seed)
-				}
 				for r := 0; r < rounds; r++ {
 					n := 64 + int(seed)*7 + r
 					lanes := wireLanes(seed*1000+int64(r), cl.NumInputs(), n)
@@ -371,7 +340,7 @@ func TestConnectionChurnStress(t *testing.T) {
 	for c := 0; c < steady; c++ {
 		go func(seed int64) {
 			errc <- func() error {
-				cl, err := DialV2(addr)
+				cl, err := Dial(addr)
 				if err != nil {
 					return err
 				}

@@ -11,8 +11,8 @@ package ioserve
 //	reconnect        timeouts, resets, dropped connections, desynchronized
 //	                 or corrupted replies — the session is redialed with
 //	                 capped exponential backoff + deterministic jitter, the
-//	                 greeting and proto negotiation re-run, and the
-//	                 in-flight query re-issued on the fresh session
+//	                 greeting re-checked, and the in-flight query re-issued
+//	                 on the fresh session
 //	give up          "error: fatal:" replies, rejected well-formed queries,
 //	                 a changed port-name greeting (ErrServerChanged), or an
 //	                 exhausted attempt budget — surfaced as a permanent
@@ -100,9 +100,7 @@ type ResilientClient struct {
 	closed    bool
 	redials   int64
 	retries   int64
-	ins, outs []string // pinned from the first greeting
-	wantV2    bool
-	v1Chunk   int        // shrunk v1 pipeline depth (0 = default)
+	ins, outs []string   // pinned from the first greeting
 	rng       *rand.Rand // jitter
 }
 
@@ -113,31 +111,15 @@ type ResilientClient struct {
 func DialResilient(addr string, dial DialConfig, retry RetryConfig) (*ResilientClient, error) {
 	retry = retry.withDefaults()
 	r := &ResilientClient{
-		addr:   addr,
-		dial:   resilientDefaults(dial),
-		retry:  retry,
-		wantV2: true,
-		rng:    rand.New(rand.NewSource(retry.Seed)),
+		addr:  addr,
+		dial:  resilientDefaults(dial),
+		retry: retry,
+		rng:   rand.New(rand.NewSource(retry.Seed)),
 	}
 	if err := r.do(func(*Client) error { return nil }); err != nil {
 		return nil, err
 	}
 	return r, nil
-}
-
-// ForceV1 downgrades the session to the v1 line protocol (for drills and
-// byte-exact emulation). It takes effect on the next (re)connect; call it
-// before issuing queries.
-func (r *ResilientClient) ForceV1() {
-	r.opMu.Lock()
-	defer r.opMu.Unlock()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.wantV2 = false
-	if r.c != nil {
-		r.c.Close()
-		r.c = nil
-	}
 }
 
 // Proto returns the protocol of the live session (0 when disconnected).
@@ -191,8 +173,8 @@ func (r *ResilientClient) Close() error {
 }
 
 // session returns the live session, dialing a fresh one if necessary. A
-// fresh session's greeting is verified against the pinned identity and its
-// protocol renegotiated before any query touches it.
+// fresh session's greeting is verified against the pinned identity before
+// any query touches it.
 func (r *ResilientClient) session() (*Client, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -220,36 +202,15 @@ func (r *ResilientClient) session() (*Client, error) {
 		r.ins = append([]string(nil), c.ins...)
 		r.outs = append([]string(nil), c.outs...)
 	}
-	if r.wantV2 {
-		if _, err := c.tryUpgradeErr(); err != nil {
-			c.conn.Close()
-			return nil, err
-		}
-	}
-	c.v1Chunk = r.v1Chunk
 	r.c = c
 	return c, nil
 }
 
-// dropSession discards the current session after a transport failure. When
-// the failed session spoke v1, the pipeline depth is halved for the next
-// one: a transport that reliably dies every N replies (a drop-after drill,
-// an aggressive middlebox) would otherwise never fit a full default chunk
-// inside a session's lifetime, and the retry budget would drain with zero
-// progress. Shrinking converges on a depth that survives; chunk size only
-// regroups the wire exchanges, so answers and their order are unchanged.
+// dropSession discards the current session after a transport failure.
 func (r *ResilientClient) dropSession() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.c != nil {
-		if r.c.proto < 2 {
-			if r.v1Chunk == 0 {
-				r.v1Chunk = v1PipelineChunk
-			}
-			if r.v1Chunk > 1 {
-				r.v1Chunk /= 2
-			}
-		}
 		r.c.conn.Close()
 		r.c = nil
 	}
@@ -296,7 +257,7 @@ func (r *ResilientClient) do(op func(*Client) error) error {
 // the attempt made forward progress (e.g. banked some replies of a batch),
 // and a progressing attempt resets the budget. MaxAttempts therefore
 // bounds consecutive zero-progress attempts, not total attempts — a long
-// v1 batch that advances a little per session eventually completes instead
+// batch that advances a little per session eventually completes instead
 // of draining a fixed budget, while a server that answers nothing still
 // fails after MaxAttempts. A retry right after progress skips the backoff:
 // the peer is evidently serving, it just died mid-stream.
@@ -397,52 +358,28 @@ func (r *ResilientClient) TryEval(assignment []bool) ([]bool, error) {
 }
 
 // TryEvalBatch issues a batch with retry/reconnect (oracle.FallibleBatch).
-// The batch is chunked to MaxFrame internally and each chunk resumes
-// across faults: replies received before a drop are banked, and a fresh
-// session re-issues only the unanswered tail. Progress resets the attempt
-// budget (see doResume), so even a transport that dies every few replies
-// converges as long as each session completes at least one exchange.
+// The batch resumes across faults: replies received before a drop are
+// banked, and a fresh session re-issues only the unanswered tail. Progress
+// resets the attempt budget (see doResume), so even a transport that dies
+// every few socket writes converges as long as each session banks at least
+// one reply.
 func (r *ResilientClient) TryEvalBatch(patterns []bitvec.Word, n int) ([]bitvec.Word, error) {
-	nIn, nOut := r.NumInputs(), r.NumOutputs()
 	w := oracle.Words(n)
-	if want := nIn * w; len(patterns) != want {
+	if want := r.NumInputs() * w; len(patterns) != want {
 		panic(fmt.Sprintf("ioserve: EvalBatch got %d lane words, want %d", len(patterns), want))
 	}
-	out := make([]bitvec.Word, nOut*w)
-	for base := 0; base < n; base += MaxFrame {
-		k := min(n-base, MaxFrame)
-		sub := subBatch(patterns, w, nIn, base, k)
-		res := make([]bitvec.Word, nOut*oracle.Words(k))
-		done := 0
-		err := r.doResume(func(c *Client) (bool, error) {
-			m, err := c.evalBatchResume(sub, k, done, res)
-			progressed := m > done
-			done = m
-			return progressed, err
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Scatter the chunk's result lanes back into the full layout.
-		// base is a multiple of MaxFrame (and so of 64), so the chunk
-		// aligns on word boundaries.
-		kw := oracle.Words(k)
-		for j := 0; j < nOut; j++ {
-			copy(out[j*w+base/64:j*w+base/64+kw], res[j*kw:(j+1)*kw])
-		}
+	out := make([]bitvec.Word, r.NumOutputs()*w)
+	done := 0
+	err := r.doResume(func(c *Client) (bool, error) {
+		m, err := c.evalBatchResume(patterns, n, done, out)
+		progressed := m > done
+		done = m
+		return progressed, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-// subBatch extracts the word-aligned chunk [base, base+k) of a lane-packed
-// batch (base must be a multiple of 64).
-func subBatch(patterns []bitvec.Word, w, nLanes, base, k int) []bitvec.Word {
-	kw := oracle.Words(k)
-	sub := make([]bitvec.Word, nLanes*kw)
-	for i := 0; i < nLanes; i++ {
-		copy(sub[i*kw:(i+1)*kw], patterns[i*w+base/64:i*w+base/64+kw])
-	}
-	return sub
 }
 
 // Eval issues one query, panicking with *oracle.Failure once the retry

@@ -121,7 +121,7 @@ func TestResilientRetriesTransientReplies(t *testing.T) {
 	}
 }
 
-// rawServer runs a hand-rolled v1 server for greeting-level drills. Each
+// rawServer runs a hand-rolled server for greeting-level drills. Each
 // accepted connection is passed to handle with its index (0-based).
 func rawServer(t *testing.T, handle func(i int, conn net.Conn)) net.Listener {
 	t.Helper()
@@ -142,8 +142,10 @@ func rawServer(t *testing.T, handle func(i int, conn net.Conn)) net.Listener {
 	return ln
 }
 
-// serveV1 answers a fixed greeting and then queries with constant-zero
-// outputs until dropQuery, where the connection is cut without a reply.
+// serveV1 plays a server that predates batch framing: it answers a fixed
+// greeting and then bare queries with constant-zero outputs until
+// dropQuery, where the connection is cut without a reply; "proto" and
+// "batch" lines get "error: unknown command".
 func serveV1(conn net.Conn, ins, outs string, dropQuery int) {
 	defer conn.Close()
 	fmt.Fprintf(conn, "inputs %s\noutputs %s\n", ins, outs)
@@ -154,7 +156,7 @@ func serveV1(conn net.Conn, ins, outs string, dropQuery int) {
 		switch {
 		case line == "quit":
 			return
-		case strings.HasPrefix(line, "proto "):
+		case strings.HasPrefix(line, "proto "), strings.HasPrefix(line, "batch "):
 			fmt.Fprintln(conn, "error: unknown command")
 		default:
 			if q == dropQuery {
@@ -317,64 +319,52 @@ func TestDialClosesConnOnBadGreeting(t *testing.T) {
 	}
 }
 
-// TestResilientV1Fallback pins the downgrade path: against a v1-only server
-// the resilient client stays on the line protocol and still answers batches.
-func TestResilientV1Fallback(t *testing.T) {
-	g := golden()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	srv := NewServer(oracle.FromCircuit(g))
-	srv.V1Only = true
-	go srv.Serve(ln)
-
+// TestResilientBatchRejectedByV1OnlyServer pins a new client against an old
+// server: a server without batch framing answers the batch header with
+// "error: unknown command". That is a rejected request, not a transport
+// fault, so TryEvalBatch fails permanently on its first attempt, without a
+// retry or a redial.
+func TestResilientBatchRejectedByV1OnlyServer(t *testing.T) {
+	ln := rawServer(t, func(i int, conn net.Conn) {
+		serveV1(conn, "a b d", "z w", -1)
+	})
 	cl, err := DialResilient(ln.Addr().String(), fastDial(), fastRetry())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if cl.Proto() != 1 {
-		t.Fatalf("Proto() = %d against a v1-only server", cl.Proto())
+	n := 100
+	_, err = cl.TryEvalBatch(wireLanes(7, cl.NumInputs(), n), n)
+	if err == nil || !strings.Contains(err.Error(), "rejected batch") {
+		t.Fatalf("batch against a v1-only server: err = %v, want a rejected batch", err)
 	}
-	n := 2*v1PipelineChunk + 9
-	lanes := wireLanes(7, cl.NumInputs(), n)
-	want := oracle.EvalBatch(oracle.FromCircuit(g), lanes, n)
-	got, err := cl.TryEvalBatch(lanes, n)
-	if err != nil {
-		t.Fatal(err)
+	if oracle.IsTransient(err) {
+		t.Fatal("a rejected batch must surface as permanent, not transient")
 	}
-	if !lanesEqual(got, want, cl.NumOutputs(), n) {
-		t.Fatal("v1 fallback batch diverges from direct evaluation")
+	if cl.Retries() != 0 || cl.Redials() != 0 {
+		t.Fatalf("rejected batch cost %d retries and %d redials, want none", cl.Retries(), cl.Redials())
 	}
 }
 
-// TestResilientV1ResumesAcrossDrops pins the batch-resume path: on v1 every
-// reply is its own socket write, so a transport that drops each connection
-// after a dozen writes can never carry a whole batch — progress only
-// happens because banked replies survive the redial (and bank progress
-// refills the attempt budget). Completing the batch therefore requires far
+// TestResilientResumesAcrossDrops pins the batch-resume path: the transport
+// drops each connection a few socket writes into a frame's reply, so no
+// session can carry a whole frame — progress only happens because banked
+// replies survive the redial (and banked progress refills the attempt
+// budget). Completing a batch of several frames therefore requires far
 // more sessions than MaxAttempts, which a fixed budget would forbid.
-func TestResilientV1ResumesAcrossDrops(t *testing.T) {
+func TestResilientResumesAcrossDrops(t *testing.T) {
 	g := golden()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	srv := NewServer(oracle.FromCircuit(g))
-	srv.V1Only = true
-	go srv.Serve(chaos.Listen(ln, chaos.ConnConfig{DropAfter: 12}))
-
+	// A MaxFrame reply takes about 13 writes; each session gets the greeting
+	// and two reply writes.
+	addr := startChaosServer(t, oracle.FromCircuit(g), chaos.ConnConfig{DropAfter: 3})
 	retry := fastRetry()
-	cl, err := DialResilient(ln.Addr().String(), fastDial(), retry)
+	cl, err := DialResilient(addr, fastDial(), retry)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 
-	n := 4 * v1PipelineChunk
+	n := 4 * MaxFrame
 	lanes := wireLanes(5, cl.NumInputs(), n)
 	want := oracle.EvalBatch(oracle.FromCircuit(g), lanes, n)
 	got, err := cl.TryEvalBatch(lanes, n)
@@ -382,7 +372,7 @@ func TestResilientV1ResumesAcrossDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !lanesEqual(got, want, cl.NumOutputs(), n) {
-		t.Fatal("resumed v1 batch diverges from direct evaluation")
+		t.Fatal("resumed batch diverges from direct evaluation")
 	}
 	if cl.Redials() <= int64(retry.MaxAttempts) {
 		t.Fatalf("batch finished in %d redials (budget %d) — the drill never exercised resume",

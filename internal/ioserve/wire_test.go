@@ -41,28 +41,6 @@ type teeStream struct {
 	io.Writer
 }
 
-// queuedWriter hands every write to a goroutine that forwards it to w, so
-// the server never blocks on a client that is still writing its pipelined
-// v1 chunk: net.Pipe has none of the socket buffers TCP would give it.
-type queuedWriter struct{ q chan []byte }
-
-func newQueuedWriter(w io.Writer) (*queuedWriter, <-chan struct{}) {
-	qw := &queuedWriter{q: make(chan []byte, 1<<12)} // more than one test's reply writes
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for p := range qw.q {
-			w.Write(p)
-		}
-	}()
-	return qw, drained
-}
-
-func (w *queuedWriter) Write(p []byte) (int, error) {
-	w.q <- append([]byte(nil), p...)
-	return len(p), nil
-}
-
 // oldQueryLines is the per-bit encoder the word-level one replaced: the
 // query lines of patterns [from, to), one character per input.
 func oldQueryLines(patterns []bitvec.Word, n, nIn, from, to int) string {
@@ -82,47 +60,36 @@ func oldQueryLines(patterns []bitvec.Word, n, nIn, from, to int) string {
 }
 
 // TestClientWireBytes records the client's byte stream over net.Pipe and
-// compares it with the per-bit encoder's, on v2 (two frames), on v1
-// (pipelined chunks) and on resumes from an unaligned pattern, for one-
-// and multi-word rows; every answer must match the scalar reference.
+// compares it with the per-bit encoder's, over two frames and on a resume
+// from an unaligned pattern, for one- and multi-word rows; every answer
+// must match the scalar reference.
 func TestClientWireBytes(t *testing.T) {
 	for _, shape := range []struct{ nIn, nOut int }{{37, 2}, {130, 70}} {
-		for _, v1 := range []bool{false, true} {
-			for _, start := range []int{0, 37} {
-				name := fmt.Sprintf("in%d/out%d/v1=%v/start=%d", shape.nIn, shape.nOut, v1, start)
-				t.Run(name, func(t *testing.T) {
-					checkWireBytes(t, shape.nIn, shape.nOut, v1, start)
-				})
-			}
+		for _, start := range []int{0, 37} {
+			// The names keep the v1=false label they had beside the
+			// retired v1 cases, so results line up with earlier runs.
+			name := fmt.Sprintf("in%d/out%d/v1=false/start=%d", shape.nIn, shape.nOut, start)
+			t.Run(name, func(t *testing.T) {
+				checkWireBytes(t, shape.nIn, shape.nOut, start)
+			})
 		}
 	}
 }
 
-func checkWireBytes(t *testing.T, nIn, nOut int, v1 bool, start int) {
+func checkWireBytes(t *testing.T, nIn, nOut, start int) {
 	o := xorOracle(nIn, nOut)
 	n := MaxFrame + 300
-	if v1 {
-		n = 1000
-	}
 	srvEnd, cliEnd := net.Pipe()
 	var sent bytes.Buffer
-	srv := NewServer(o)
-	srv.V1Only = v1
-	replies, drained := newQueuedWriter(srvEnd)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		srv.serveStream(teeStream{Reader: io.TeeReader(srvEnd, &sent), Writer: replies})
-		close(replies.q)
-		<-drained
+		NewServer(o).serveStream(teeStream{Reader: io.TeeReader(srvEnd, &sent), Writer: srvEnd})
 		srvEnd.Close()
 	}()
 	c, err := NewClientConn(cliEnd, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := c.TryUpgrade(); got == v1 {
-		t.Fatalf("TryUpgrade = %v against a v1-only=%v server", got, v1)
 	}
 
 	rng := rand.New(rand.NewSource(int64(nIn + start)))
@@ -148,17 +115,10 @@ func checkWireBytes(t *testing.T, nIn, nOut int, v1 bool, start int) {
 	}
 	<-done
 
-	expect := "proto 2\n"
-	frame := MaxFrame
-	if v1 {
-		frame = v1PipelineChunk
-	}
-	for base := start; base < n; base += frame {
-		k := min(n-base, frame)
-		if !v1 {
-			expect += fmt.Sprintf("batch %d\n", k)
-		}
-		expect += oldQueryLines(patterns, n, nIn, base, base+k)
+	var expect string
+	for base := start; base < n; base += MaxFrame {
+		k := min(n-base, MaxFrame)
+		expect += fmt.Sprintf("batch %d\n", k) + oldQueryLines(patterns, n, nIn, base, base+k)
 	}
 	expect += "quit\n"
 	if sent.String() != expect {
@@ -172,6 +132,34 @@ func checkWireBytes(t *testing.T, nIn, nOut int, v1 bool, start int) {
 				t.Fatalf("output %d pattern %d differs from the scalar reference", j, pat)
 			}
 		}
+	}
+}
+
+// TestOldClientBytes replays, over net.Pipe, the exact bytes a client that
+// probes with "proto 2" before its first batch sends, and pins the
+// server's reply bytes: the probe is still granted, and the batch and bare
+// query answer as before.
+func TestOldClientBytes(t *testing.T) {
+	srvEnd, cliEnd := net.Pipe()
+	go func() {
+		NewServer(oracle.FromCircuit(golden())).serveStream(srvEnd)
+		srvEnd.Close()
+	}()
+	sent := make(chan error, 1)
+	go func() {
+		_, err := io.WriteString(cliEnd, "proto 2\nbatch 3\n000\n110\n100\n011\nquit\n")
+		sent <- err
+	}()
+	got, err := io.ReadAll(cliEnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	const want = "inputs a b d\noutputs z w\nok 2\nbatch 3\n00\n11\n01\n11\n"
+	if string(got) != want {
+		t.Fatalf("server replied %q, want %q", got, want)
 	}
 }
 
@@ -194,9 +182,6 @@ func BenchmarkWireFrame(b *testing.B) {
 	c, err := NewClientConn(cliEnd, DialConfig{})
 	if err != nil {
 		b.Fatal(err)
-	}
-	if !c.TryUpgrade() {
-		b.Fatal("server refused v2")
 	}
 	rng := rand.New(rand.NewSource(1))
 	lanes := make([]bitvec.Word, o.NumInputs()*oracle.Words(MaxFrame))

@@ -52,10 +52,9 @@ type Forker interface {
 
 // AsBatch lifts any oracle to the batch interface. Oracles that already
 // implement BatchOracle are returned unchanged; everything else is wrapped in
-// an adapter that evaluates block-by-block through the 64-way word interface
-// when available and one scalar Eval per pattern otherwise. Either way the
-// results are bitwise identical to the scalar reference, so consumers can
-// speak batch unconditionally.
+// an adapter that issues one scalar Eval per pattern, with results bitwise
+// identical to the scalar reference, so consumers can speak batch
+// unconditionally.
 func AsBatch(o Oracle) BatchOracle {
 	if b, ok := o.(BatchOracle); ok {
 		return b
@@ -63,41 +62,23 @@ func AsBatch(o Oracle) BatchOracle {
 	return &liftedBatch{o}
 }
 
-// liftedBatch adapts a scalar (or word-level) oracle to BatchOracle.
+// liftedBatch adapts a scalar oracle to BatchOracle.
 type liftedBatch struct {
 	Oracle
 }
 
+// EvalBatch issues exactly one scalar Eval per live pattern: a plain oracle
+// never pays for the padded tail of the last word, so n batched queries
+// cost n real queries.
 func (l *liftedBatch) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
-	return blockEvalBatch(l.Oracle, patterns, n)
-}
-
-// blockEvalBatch is the reference batch implementation: one EvalWords call
-// per 64-pattern block for word-capable oracles, and exactly one scalar Eval
-// per live pattern otherwise (a plain oracle never pays for the padded tail
-// of the last block — n batched queries cost n real queries).
-func blockEvalBatch(o Oracle, patterns []bitvec.Word, n int) []bitvec.Word {
-	nIn, nOut := o.NumInputs(), o.NumOutputs()
+	nIn, nOut := l.NumInputs(), l.NumOutputs()
 	w := Words(n)
 	checkBatch(len(patterns), nIn, n)
 	out := make([]bitvec.Word, nOut*w)
-	if wo, ok := o.(WordOracle); ok {
-		in := make([]uint64, nIn)
-		for b := 0; b < w; b++ {
-			for i := 0; i < nIn; i++ {
-				in[i] = patterns[i*w+b]
-			}
-			res := wo.EvalWords(in)
-			for j := 0; j < nOut; j++ {
-				out[j*w+b] = res[j]
-			}
-		}
-		return out
-	}
 	assign := make([]bool, nIn)
 	for k := 0; k < n; k++ {
 		patternBools(patterns, w, nIn, k, assign)
-		scatterBools(out, w, k, o.Eval(assign))
+		scatterBools(out, w, k, l.Eval(assign))
 	}
 	return out
 }
@@ -120,8 +101,8 @@ func EvalBatch(o Oracle, patterns []bitvec.Word, n int) []bitvec.Word {
 	return AsBatch(o).EvalBatch(patterns, n)
 }
 
-// ScalarOnly restricts o to the plain Eval interface, hiding any word- or
-// batch-level fast path it implements. It is the reference wrapper for the
+// ScalarOnly restricts o to the plain Eval interface, hiding any batch-level
+// fast path it implements. It is the reference wrapper for the
 // equivalence guarantee: for any oracle, learning against ScalarOnly(o) and
 // against o itself must produce byte-identical results at a fixed seed.
 func ScalarOnly(o Oracle) Oracle { return &scalarOnly{o} }

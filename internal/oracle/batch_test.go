@@ -187,23 +187,3 @@ func TestBatchTranscriptRecordReplay(t *testing.T) {
 		}
 	}
 }
-
-// TestProjectBatchLane checks that a projected oracle returns exactly the
-// selected output's lane.
-func TestProjectBatchLane(t *testing.T) {
-	cs, err := cases.ByName("case_7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := cs.Oracle()
-	rng := rand.New(rand.NewSource(5))
-	const n = 90
-	lanes := randomLanes(rng, o.NumInputs(), n)
-	full := oracle.EvalBatch(o, lanes, n)
-	w := oracle.Words(n)
-	for out := 0; out < o.NumOutputs(); out += 3 {
-		p := oracle.NewProject(o, out)
-		got := p.EvalBatch(lanes, n)
-		assertLanesEqual(t, "project", got, full[out*w:(out+1)*w], 1, n)
-	}
-}

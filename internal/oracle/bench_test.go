@@ -6,7 +6,7 @@ package oracle_test
 //	go test -run '^$' -bench BenchmarkOracleBatch ./internal/oracle
 //
 // writes BENCH_oracle.json at the repository root with patterns/sec for the
-// scalar, word-parallel, and batch paths and the batch-over-scalar speedup.
+// scalar and batch paths and the batch-over-scalar speedup.
 
 import (
 	"encoding/json"
@@ -37,8 +37,8 @@ type benchRow struct {
 var benchOnce sync.Once
 
 // BenchmarkOracleBatch times one 4096-pattern EvalBatch on a circuit oracle.
-// The first run also benchmarks the scalar and 64-way word paths on the same
-// workload and writes all three rows to BENCH_oracle.json.
+// The first run also benchmarks the scalar path on the same workload and
+// writes both rows to BENCH_oracle.json.
 func BenchmarkOracleBatch(b *testing.B) {
 	cs, err := cases.ByName(benchCase)
 	if err != nil {
@@ -64,10 +64,6 @@ func writeBenchJSON(b *testing.B, o oracle.Oracle, lanes []uint64) {
 		{"scalar", func() {
 			// One Eval per pattern: the pre-batching reference cost.
 			scalarReference(oracle.ScalarOnly(o), lanes, benchPatterns)
-		}},
-		{"words", func() {
-			// 64-way word evaluation, driven block by block.
-			oracle.EvalBatch(oracle.AsBatch(wordsOnly{o}), lanes, benchPatterns)
 		}},
 		{"batch", func() {
 			// The full batch path with amortized simulation scratch.
@@ -114,16 +110,6 @@ func timeMode(fn func()) float64 {
 			return float64(d.Nanoseconds()) / float64(n)
 		}
 	}
-}
-
-// wordsOnly exposes the word interface but hides EvalBatch, isolating the
-// per-block path from the scratch-reusing batch path.
-type wordsOnly struct {
-	oracle.Oracle
-}
-
-func (w wordsOnly) EvalWords(in []uint64) []uint64 {
-	return w.Oracle.(oracle.WordOracle).EvalWords(in)
 }
 
 // BenchmarkMemoBatch times one 16 384-pattern EvalBatch through a

@@ -14,12 +14,13 @@ package oracle
 //   - Oracle / BatchOracle: queries return results or panic. The pipeline
 //     speaks this.
 //
-// The bridge between them is the Failure type: Strict converts a Fallible
-// into an Oracle whose Eval panics with *Failure on error, and AsFallible
-// converts any Oracle back by recovering exactly that panic into an error
-// value. A *Failure unwinding through the pipeline is therefore not a crash
-// but a value in flight: core.Learn catches it at output granularity and
-// degrades gracefully (Result.Degraded) instead of dying.
+// The bridge between them is the Failure type: a transport's Oracle-facing
+// methods panic with *Failure where its TryEval family would return the
+// error, and AsFallible converts any Oracle back by recovering exactly that
+// panic into an error value. A *Failure unwinding through the pipeline is
+// therefore not a crash but a value in flight: core.Learn catches it at
+// output granularity and degrades gracefully (Result.Degraded) instead of
+// dying.
 //
 // Errors carry a transient/permanent distinction: Transient marks an error
 // as retryable (a timeout, a dropped connection, an injected chaos fault)
@@ -54,8 +55,8 @@ type FallibleBatch interface {
 	TryEvalBatch(patterns []bitvec.Word, n int) ([]bitvec.Word, error)
 }
 
-// Failure is the panic payload strict adapters throw when a fallible oracle
-// fails permanently. It is the only panic value core.Learn recovers from:
+// Failure is the panic payload a transport's Oracle-facing methods throw
+// when a query fails permanently. It is the only panic value core.Learn recovers from:
 // anything else keeps unwinding, because a non-transport panic is a bug.
 type Failure struct {
 	Err error
@@ -102,88 +103,20 @@ func IsTransient(err error) bool {
 	return false
 }
 
-// Strict converts a fallible oracle into the pipeline-facing panicking form:
-// any TryEval error becomes a *Failure panic. The batch path is preserved
-// when f implements FallibleBatch.
-func Strict(f Fallible) BatchOracle { return &strictOracle{f: f} }
-
-type strictOracle struct {
-	f Fallible
-}
-
-func (s *strictOracle) NumInputs() int        { return s.f.NumInputs() }
-func (s *strictOracle) NumOutputs() int       { return s.f.NumOutputs() }
-func (s *strictOracle) InputNames() []string  { return s.f.InputNames() }
-func (s *strictOracle) OutputNames() []string { return s.f.OutputNames() }
-
-func (s *strictOracle) Eval(a []bool) []bool {
-	out, err := s.f.TryEval(a)
-	if err != nil {
-		panic(NewFailure(err))
-	}
-	return out
-}
-
-func (s *strictOracle) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
-	fb, ok := s.f.(FallibleBatch)
-	if !ok {
-		return blockEvalBatch(s, patterns, n)
-	}
-	out, err := fb.TryEvalBatch(patterns, n)
-	if err != nil {
-		panic(NewFailure(err))
-	}
-	return out
-}
-
 // AsFallible lifts any oracle to the error-returning interface. Oracles that
-// already implement FallibleBatch are returned unchanged; a plain Fallible
-// gets a batch adapter that issues one TryEval per pattern; everything else
-// is wrapped so that *Failure panics from strict layers below (ioserve
-// clients, Memo over a strict client, ...) surface as error values. Other
-// panic values are not recovered — they are bugs, not transport failures.
+// already implement FallibleBatch are returned unchanged; everything else is
+// wrapped so that *Failure panics from the layers below (ioserve clients,
+// Memo over a client, ...) surface as error values. Other panic values are
+// not recovered — they are bugs, not transport failures.
 func AsFallible(o Oracle) FallibleBatch {
 	if fb, ok := o.(FallibleBatch); ok {
 		return fb
 	}
-	if f, ok := o.(Fallible); ok {
-		return &fallibleBatchAdapter{f: f}
-	}
 	return &recoveringFallible{o: o}
 }
 
-// fallibleBatchAdapter lifts a scalar Fallible to FallibleBatch.
-type fallibleBatchAdapter struct {
-	f Fallible
-}
-
-func (a *fallibleBatchAdapter) NumInputs() int        { return a.f.NumInputs() }
-func (a *fallibleBatchAdapter) NumOutputs() int       { return a.f.NumOutputs() }
-func (a *fallibleBatchAdapter) InputNames() []string  { return a.f.InputNames() }
-func (a *fallibleBatchAdapter) OutputNames() []string { return a.f.OutputNames() }
-func (a *fallibleBatchAdapter) TryEval(x []bool) ([]bool, error) {
-	return a.f.TryEval(x)
-}
-
-func (a *fallibleBatchAdapter) TryEvalBatch(patterns []bitvec.Word, n int) ([]bitvec.Word, error) {
-	nIn, nOut := a.f.NumInputs(), a.f.NumOutputs()
-	w := Words(n)
-	checkBatch(len(patterns), nIn, n)
-	out := make([]bitvec.Word, nOut*w)
-	assign := make([]bool, nIn)
-	for k := 0; k < n; k++ {
-		patternBools(patterns, w, nIn, k, assign)
-		v, err := a.f.TryEval(assign)
-		if err != nil {
-			return nil, err
-		}
-		scatterBools(out, w, k, v)
-	}
-	return out, nil
-}
-
-// recoveringFallible adapts a strict oracle, turning *Failure panics back
-// into error values.
+// recoveringFallible adapts a panicking oracle, turning *Failure panics
+// back into error values.
 type recoveringFallible struct {
 	o Oracle
 }
@@ -215,8 +148,4 @@ func (r *recoveringFallible) TryEvalBatch(patterns []bitvec.Word, n int) (out []
 	return AsBatch(r.o).EvalBatch(patterns, n), nil
 }
 
-var (
-	_ FallibleBatch = (*fallibleBatchAdapter)(nil)
-	_ FallibleBatch = (*recoveringFallible)(nil)
-	_ BatchOracle   = (*strictOracle)(nil)
-)
+var _ FallibleBatch = (*recoveringFallible)(nil)

@@ -4,35 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-
-	"logicregression/internal/bitvec"
 )
 
-// failingOracle answers xor of its two inputs but fails every failEvery-th
-// query with a transient error, and permanently after dieAfter queries.
-type failingOracle struct {
-	calls     int
-	failEvery int
-	dieAfter  int
-}
-
 var errInjected = errors.New("injected fault")
-
-func (f *failingOracle) NumInputs() int        { return 2 }
-func (f *failingOracle) NumOutputs() int       { return 1 }
-func (f *failingOracle) InputNames() []string  { return []string{"a", "b"} }
-func (f *failingOracle) OutputNames() []string { return []string{"z"} }
-
-func (f *failingOracle) TryEval(a []bool) ([]bool, error) {
-	f.calls++
-	if f.dieAfter > 0 && f.calls > f.dieAfter {
-		return nil, errInjected
-	}
-	if f.failEvery > 0 && f.calls%f.failEvery == 0 {
-		return nil, Transient(errInjected)
-	}
-	return []bool{a[0] != a[1]}, nil
-}
 
 func TestTransientMarkSurvivesWrapping(t *testing.T) {
 	err := Transient(errInjected)
@@ -54,42 +28,22 @@ func TestTransientMarkSurvivesWrapping(t *testing.T) {
 	}
 }
 
-func TestStrictPanicsWithFailure(t *testing.T) {
-	o := Strict(&failingOracle{dieAfter: 0, failEvery: 1})
-	defer func() {
-		rec := recover()
-		f, ok := rec.(*Failure)
-		if !ok {
-			t.Fatalf("panic value %T, want *Failure", rec)
-		}
-		if !errors.Is(f, errInjected) {
-			t.Fatalf("Failure does not unwrap to the cause: %v", f)
-		}
-		if !IsTransient(f.Err) {
-			t.Fatal("transient mark lost crossing the strict boundary")
-		}
-	}()
-	o.Eval([]bool{true, false})
-}
-
-func TestStrictForwardsResults(t *testing.T) {
-	o := Strict(&failingOracle{})
-	if got := o.Eval([]bool{true, false}); !got[0] {
-		t.Fatal("strict adapter corrupted the result")
-	}
-	// Batch path via the scalar adapter (failingOracle is not FallibleBatch).
-	lanes := []bitvec.Word{0b01, 0b10} // pattern0: a=1 b=0, pattern1: a=0 b=1
-	out := o.EvalBatch(lanes, 2)
-	if out[0]&0b11 != 0b11 {
-		t.Fatalf("batch result %b, want both patterns to xor to 1", out[0])
-	}
-}
-
 func TestAsFallibleRecoversFailurePanics(t *testing.T) {
-	// Strict over a fallible, memoized, then lifted back: the error must
-	// come out as a value, not a panic.
-	inner := &failingOracle{dieAfter: 2}
-	f := AsFallible(NewMemo(Strict(inner)))
+	// A black box whose Oracle face panics with *Failure after two
+	// queries, the way a dead transport does, memoized, then lifted back:
+	// the error must come out as a value, not a panic.
+	calls := 0
+	inner := &FuncOracle{
+		Ins:  []string{"a", "b"},
+		Outs: []string{"z"},
+		F: func(a []bool) []bool {
+			if calls++; calls > 2 {
+				panic(NewFailure(errInjected))
+			}
+			return []bool{a[0] != a[1]}
+		},
+	}
+	f := AsFallible(NewMemo(inner))
 	if _, err := f.TryEval([]bool{true, false}); err != nil {
 		t.Fatalf("healthy query failed: %v", err)
 	}
@@ -119,21 +73,4 @@ func TestAsFallibleDoesNotEatOtherPanics(t *testing.T) {
 		}
 	}()
 	f.TryEval([]bool{true})
-}
-
-// A value that implements Fallible but not FallibleBatch must take the
-// scalar-adapter path and reject the whole batch on error.
-func TestAsFallibleScalarAdapter(t *testing.T) {
-	inner := &failingOracle{dieAfter: 3}
-	f := asFallibleFromFallible(inner)
-	lanes := []bitvec.Word{0b0101, 0b0011}
-	if _, err := f.TryEvalBatch(lanes, 4); !errors.Is(err, errInjected) {
-		t.Fatalf("batch crossing the death point: err=%v, want injected fault", err)
-	}
-}
-
-// asFallibleFromFallible exercises the Fallible branch of AsFallible without
-// requiring the test double to implement Oracle.
-func asFallibleFromFallible(f Fallible) FallibleBatch {
-	return &fallibleBatchAdapter{f: f}
 }

@@ -483,13 +483,6 @@ func (o *Memo) Eval(a []bool) []bool {
 	return v
 }
 
-// EvalWords answers a 64-pattern block through the batched cache path.
-func (o *Memo) EvalWords(in []uint64) []uint64 {
-	lanes := make([]bitvec.Word, len(in))
-	copy(lanes, in) // Words(64) == 1, so the lane layout is the input itself
-	return o.EvalBatch(lanes, 64)
-}
-
 // EvalBatch probes the cache per pattern, in pattern order, deduplicates
 // the misses, forwards them to the inner oracle as one batch, and fills the
 // cache with the fresh responses in miss order. A pattern whose key already

@@ -150,12 +150,6 @@ func (o *refMemo) Eval(a []bool) []bool {
 	return v
 }
 
-func (o *refMemo) EvalWords(in []uint64) []uint64 {
-	lanes := make([]bitvec.Word, len(in))
-	copy(lanes, in)
-	return o.EvalBatch(lanes, 64)
-}
-
 func (o *refMemo) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 	nIn, nOut := o.inner.NumInputs(), o.inner.NumOutputs()
 	w := Words(n)
@@ -375,7 +369,7 @@ func compareMemos(nIn, nOut, capacity int, seed int64) (evictions int64, err err
 		case r < 15:
 			lanes := lanesOf(64)
 			what = "EvalWords"
-			if got, want := flat.EvalWords(lanes), ref.EvalWords(lanes); !slices.Equal(got, want) {
+			if got, want := EvalWords(flat, lanes), ref.EvalBatch(lanes, 64); !slices.Equal(got, want) {
 				return 0, fmt.Errorf("step %d EvalWords: results differ", step)
 			}
 		case r < 18:

@@ -110,8 +110,8 @@ func TestMemoWordsGoThroughCache(t *testing.T) {
 	inner := &countingOracle{}
 	m := NewMemoCap(inner, 64)
 	in := []uint64{0xAAAA, 0xCCCC, 0xF0F0}
-	r1 := m.EvalWords(in)
-	r2 := m.EvalWords(in)
+	r1 := EvalWords(m, in)
+	r2 := EvalWords(m, in)
 	if r1[0] != r2[0] {
 		t.Fatalf("EvalWords unstable: %x vs %x", r1[0], r2[0])
 	}
@@ -165,7 +165,7 @@ func TestMemoConcurrentStress(t *testing.T) {
 					}
 				case 1:
 					in := []uint64{rng.Uint64(), rng.Uint64(), rng.Uint64()}
-					got := m.EvalWords(in)
+					got := EvalWords(m, in)
 					want := in[0] ^ in[1] | in[2]
 					if got[0] != want {
 						errs <- fmt.Errorf("EvalWords(%x) = %x, want %x", in, got[0], want)

@@ -6,15 +6,15 @@
 // is observable. The circuit-backed implementation stands in for the contest
 // `iogen` executables (see DESIGN.md substitutions).
 //
-// Three query granularities coexist, all information-equivalent:
+// Two query forms coexist, information-equivalent:
 //
 //	Eval       one assignment per call — the reference semantics
-//	EvalWords  64 assignments bit-packed into one word per input (WordOracle)
 //	EvalBatch  any number of assignments packed into lanes (BatchOracle,
 //	           see batch.go) — the engine the pipeline actually drives
 //
-// Every wrapper in this package (Counter, Memo, Project, Recorder, Replay)
-// preserves the batch capability of the oracle it wraps. The circuit-backed
+// The EvalWords helper is EvalBatch on one 64-pattern word per input.
+// Every wrapper in this package (Counter, Memo, Recorder, Replay) preserves
+// the batch capability of the oracle it wraps. The circuit-backed
 // oracle answers a batch with the circuit's k-word simulation kernel (up to
 // 1024 patterns per pass over the gates) on pooled scratch, so the pipeline's
 // wide batches — a whole PatternSampling sweep per call — cost no per-call
@@ -44,14 +44,6 @@ type Oracle interface {
 	Eval(assignment []bool) []bool
 }
 
-// WordOracle is implemented by oracles that can answer 64 queries at once
-// (bit k of each word is query k). Each word call counts as 64 queries; the
-// information interface is unchanged, this is purely a simulation speedup.
-type WordOracle interface {
-	Oracle
-	EvalWords(inputs []uint64) []uint64
-}
-
 // CircuitOracle wraps a circuit as a black box.
 type CircuitOracle struct {
 	c *circuit.Circuit
@@ -70,9 +62,6 @@ func (o *CircuitOracle) NumOutputs() int       { return o.c.NumPO() }
 func (o *CircuitOracle) InputNames() []string  { return o.c.PINames() }
 func (o *CircuitOracle) OutputNames() []string { return o.c.PONames() }
 func (o *CircuitOracle) Eval(a []bool) []bool  { return o.c.Eval(a) }
-func (o *CircuitOracle) EvalWords(in []uint64) []uint64 {
-	return o.c.EvalWords(in)
-}
 
 // EvalBatch simulates the lane-layout batch directly with the circuit's
 // k-word kernel (circuit.Evaluator.EvalLanes), on an Evaluator borrowed from
@@ -129,21 +118,8 @@ func (o *Counter) Eval(a []bool) []bool {
 	return o.inner.Eval(a)
 }
 
-// EvalWords forwards to the inner oracle's word interface when present and
-// otherwise falls back to 64 scalar queries. Either way it accounts 64
-// queries.
-func (o *Counter) EvalWords(in []uint64) []uint64 {
-	o.mu.Lock()
-	o.queries += 64
-	o.mu.Unlock()
-	if w, ok := o.inner.(WordOracle); ok {
-		return w.EvalWords(in)
-	}
-	return scalarEvalWords(o.inner, in)
-}
-
 // EvalBatch forwards to the inner oracle's batch interface, accounting
-// exactly n queries (unlike EvalWords, which always accounts a full block).
+// exactly n queries.
 func (o *Counter) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 	o.mu.Lock()
 	o.queries += int64(n)
@@ -165,31 +141,11 @@ func (o *Counter) Reset() {
 	o.mu.Unlock()
 }
 
-// scalarEvalWords answers a 64-wide query with 64 scalar oracle calls.
-func scalarEvalWords(o Oracle, in []uint64) []uint64 {
-	out := make([]uint64, o.NumOutputs())
-	assign := make([]bool, len(in))
-	for k := 0; k < 64; k++ {
-		for i, w := range in {
-			assign[i] = w>>uint(k)&1 == 1
-		}
-		res := o.Eval(assign)
-		for j, b := range res {
-			if b {
-				out[j] |= 1 << uint(k)
-			}
-		}
-	}
-	return out
-}
-
-// EvalWords evaluates 64 parallel queries on any oracle, using the word
-// interface when available.
+// EvalWords evaluates 64 parallel queries on any oracle (bit k of in[i] is
+// input i of query k): one EvalBatch of 64 patterns, whose single lane
+// word per input is the word itself.
 func EvalWords(o Oracle, in []uint64) []uint64 {
-	if w, ok := o.(WordOracle); ok {
-		return w.EvalWords(in)
-	}
-	return scalarEvalWords(o, in)
+	return EvalBatch(o, in, 64)
 }
 
 // Validate checks basic interface sanity of an oracle implementation: name
@@ -206,41 +162,4 @@ func Validate(o Oracle) error {
 		return fmt.Errorf("oracle: Eval returned %d outputs, want %d", len(out), o.NumOutputs())
 	}
 	return nil
-}
-
-// Project restricts a multi-output oracle to a single output index, which is
-// how the learner decomposes the problem per Sec. IV ("each output can be
-// considered independently").
-type Project struct {
-	inner Oracle
-	out   int
-}
-
-// NewProject returns a single-output view of output index out.
-func NewProject(o Oracle, out int) *Project {
-	if out < 0 || out >= o.NumOutputs() {
-		panic(fmt.Sprintf("oracle: output %d out of range [0,%d)", out, o.NumOutputs()))
-	}
-	return &Project{inner: o, out: out}
-}
-
-func (o *Project) NumInputs() int        { return o.inner.NumInputs() }
-func (o *Project) NumOutputs() int       { return 1 }
-func (o *Project) InputNames() []string  { return o.inner.InputNames() }
-func (o *Project) OutputNames() []string { return []string{o.inner.OutputNames()[o.out]} }
-
-func (o *Project) Eval(a []bool) []bool {
-	return []bool{o.inner.Eval(a)[o.out]}
-}
-
-func (o *Project) EvalWords(in []uint64) []uint64 {
-	return []uint64{EvalWords(o.inner, in)[o.out]}
-}
-
-// EvalBatch evaluates the full batch on the inner oracle and returns the
-// selected output's lane.
-func (o *Project) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
-	w := Words(n)
-	res := AsBatch(o.inner).EvalBatch(patterns, n)
-	return res[o.out*w : (o.out+1)*w : (o.out+1)*w]
 }

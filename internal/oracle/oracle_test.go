@@ -67,7 +67,7 @@ func TestCounterCountsScalarAndWordQueries(t *testing.T) {
 	if cnt.Queries() != 2 {
 		t.Fatalf("Queries = %d, want 2", cnt.Queries())
 	}
-	cnt.EvalWords([]uint64{0, 0})
+	EvalWords(cnt, []uint64{0, 0})
 	if cnt.Queries() != 66 {
 		t.Fatalf("Queries = %d, want 66", cnt.Queries())
 	}
@@ -86,7 +86,7 @@ func TestCounterWordFallbackOnScalarOracle(t *testing.T) {
 	cnt := NewCounter(inner)
 	rng := rand.New(rand.NewSource(1))
 	in := []uint64{rng.Uint64(), rng.Uint64()}
-	got := cnt.EvalWords(in)
+	got := EvalWords(cnt, in)
 	want := in[0] ^ in[1]
 	if got[0] != want {
 		t.Fatalf("fallback EvalWords = %x, want %x", got[0], want)
@@ -137,33 +137,6 @@ func TestMemoCachesAndPreservesValues(t *testing.T) {
 	if !m.Eval(a)[0] {
 		t.Fatal("cache poisoned by caller mutation")
 	}
-}
-
-func TestProject(t *testing.T) {
-	o := FromCircuit(xorCircuit())
-	p := NewProject(o, 1) // the AND output
-	if p.NumOutputs() != 1 || p.OutputNames()[0] != "w" {
-		t.Fatalf("projection metadata wrong: %v", p.OutputNames())
-	}
-	if got := p.Eval([]bool{true, true}); !got[0] {
-		t.Fatalf("projected AND(1,1) = %v", got)
-	}
-	if got := p.Eval([]bool{true, false}); got[0] {
-		t.Fatalf("projected AND(1,0) = %v", got)
-	}
-	w := p.EvalWords([]uint64{^uint64(0), 0})
-	if w[0] != 0 {
-		t.Fatalf("projected words = %x", w[0])
-	}
-}
-
-func TestProjectPanicsOnBadIndex(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewProject(FromCircuit(xorCircuit()), 5)
 }
 
 func TestTranscriptRecordReplay(t *testing.T) {

@@ -3,6 +3,7 @@ package template
 import (
 	"math/rand"
 
+	"logicregression/internal/bitvec"
 	"logicregression/internal/circuit"
 	"logicregression/internal/names"
 	"logicregression/internal/oracle"
@@ -182,16 +183,19 @@ func (co *Compressed) Eval(a []bool) []bool {
 	return co.inner.Eval(old)
 }
 
-// EvalWords implements the word-parallel interface by translating each
-// compressed word query into an inner word query.
-func (co *Compressed) EvalWords(in []uint64) []uint64 {
-	old := make([]uint64, co.inner.NumInputs())
+// EvalBatch translates each compressed lane word into the inner oracle's
+// lanes: kept inputs copy their lane, and each vector port takes, pattern by
+// pattern, its bit of the true or the false representative as the delegate
+// lane selects.
+func (co *Compressed) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
+	w := oracle.Words(n)
+	old := make([]bitvec.Word, co.inner.NumInputs()*w)
 	for i, oldIdx := range co.keep {
-		old[oldIdx] = in[i]
+		copy(old[oldIdx*w:(oldIdx+1)*w], patterns[i*w:(i+1)*w])
 	}
-	del := in[len(co.keep)]
+	del := patterns[len(co.keep)*w : (len(co.keep)+1)*w]
 	// Per vector bit: choose the representative's bit by delegate value.
-	encodeWord := func(v names.Vector, tVal, fVal uint64) {
+	encodeLanes := func(v names.Vector, tVal, fVal uint64) {
 		for b, port := range v.Ports {
 			if b >= 64 {
 				break
@@ -203,12 +207,14 @@ func (co *Compressed) EvalWords(in []uint64) []uint64 {
 			if fVal>>uint(b)&1 == 1 {
 				fBit = ^uint64(0)
 			}
-			old[port] = del&tBit | ^del&fBit
+			for k, d := range del {
+				old[port*w+k] = d&tBit | ^d&fBit
+			}
 		}
 	}
-	encodeWord(co.cm.V1, co.repT[0], co.repF[0])
-	encodeWord(*co.cm.V2, co.repT[1], co.repF[1])
-	return oracle.EvalWords(co.inner, old)
+	encodeLanes(co.cm.V1, co.repT[0], co.repF[0])
+	encodeLanes(*co.cm.V2, co.repT[1], co.repF[1])
+	return oracle.EvalBatch(co.inner, old, n)
 }
 
 // VarSignal maps a compressed-input index to a signal in a circuit being

@@ -310,13 +310,17 @@ func TestCompressedOracle(t *testing.T) {
 			}
 		}
 	}
-	// Word-parallel path must agree with scalar path.
-	in := []uint64{0xF0F0F0F0F0F0F0F0, 0xAAAAAAAAAAAAAAAA}
-	words := co.EvalWords(in)
-	for k := 0; k < 64; k++ {
-		assign := []bool{in[0]>>uint(k)&1 == 1, in[1]>>uint(k)&1 == 1}
-		if co.Eval(assign)[0] != (words[0]>>uint(k)&1 == 1) {
-			t.Fatalf("compressed word/scalar mismatch at pattern %d", k)
+	// The batch path must agree with the scalar path, across lane words.
+	const n = 150
+	lanes := make([]uint64, 2*oracle.Words(n))
+	for i := range lanes {
+		lanes[i] = rng.Uint64()
+	}
+	out := co.EvalBatch(lanes, n)
+	for k := 0; k < n; k++ {
+		assign := []bool{lanes[k/64]>>uint(k%64)&1 == 1, lanes[oracle.Words(n)+k/64]>>uint(k%64)&1 == 1}
+		if co.Eval(assign)[0] != (out[k/64]>>uint(k%64)&1 == 1) {
+			t.Fatalf("compressed batch/scalar mismatch at pattern %d", k)
 		}
 	}
 }
