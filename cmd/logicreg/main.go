@@ -214,9 +214,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "logicreg: black box died mid-learn (%s); writing best-so-far circuit\n",
 			res.DegradedReason)
 	}
-	// A degraded result is a best-effort circuit, not the learn key's true
-	// answer — never cache it as one.
-	if st != nil && !res.Degraded && res.Circuit != nil {
+	// Only a whole learn is the learn key's true answer: a degraded or
+	// time-limited one is never cached as one.
+	if st != nil && store.Storable(opts, res) {
 		if err := st.PutCircuit(learnKey, res.Circuit); err != nil {
 			fmt.Fprintln(os.Stderr, "logicreg: could not store learned circuit:", err)
 		}

@@ -187,8 +187,7 @@ func (f *FaultFS) MkdirAll(path string, perm fs.FileMode) error {
 	return f.inner.MkdirAll(path, perm)
 }
 
-func (f *FaultFS) ReadDir(name string) ([]fs.DirEntry, error) { return f.inner.ReadDir(name) }
-func (f *FaultFS) Stat(name string) (fs.FileInfo, error)      { return f.inner.Stat(name) }
+func (f *FaultFS) Stat(name string) (fs.FileInfo, error) { return f.inner.Stat(name) }
 
 func (f *FaultFS) SyncDir(name string) error {
 	if err := f.rollSync(); err != nil {

@@ -7,6 +7,7 @@ package oracle_test
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -147,8 +148,8 @@ func TestCircuitOracleConcurrentBatches(t *testing.T) {
 }
 
 // TestBatchTranscriptRecordReplay pushes a batch through a Recorder and
-// replays the transcript through the batch path: record->replay must be the
-// identity, and the replayed session must also answer scalar queries.
+// reads the transcript back: it must hold one line per pattern, in pattern
+// order, each the pattern's inputs and the batch's answer for it.
 func TestBatchTranscriptRecordReplay(t *testing.T) {
 	cs, err := cases.ByName("case_10")
 	if err != nil {
@@ -168,22 +169,32 @@ func TestBatchTranscriptRecordReplay(t *testing.T) {
 		t.Fatal(rec.Err())
 	}
 
-	rp, err := oracle.NewReplay(&buf)
+	tr, err := oracle.NewTranscriptReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := rp.EvalBatch(lanes, n)
-	assertLanesEqual(t, "replay-batch", got, want, o.NumOutputs(), n)
-
-	// Scalar queries against the recorded batch must also resolve.
-	w := oracle.Words(n)
-	a := make([]bool, o.NumInputs())
-	for i := range a {
-		a[i] = lanes[i*w]&1 == 1 // pattern 0
+	if !tr.Identity.Equal(oracle.IdentityOf(o)) {
+		t.Fatalf("header identity %v, want %v", tr.Identity, oracle.IdentityOf(o))
 	}
-	for j, bit := range rp.Eval(a) {
-		if bit != (want[j*w]&1 == 1) {
-			t.Fatalf("scalar replay of recorded batch pattern diverges at output %d", j)
+	w := oracle.Words(n)
+	bit := func(lanes []bitvec.Word, i, p int) bool { return lanes[i*w+p/64]>>(uint(p)&63)&1 == 1 }
+	for p := 0; p < n; p++ {
+		in, out, err := tr.Next()
+		if err != nil {
+			t.Fatalf("pattern %d: %v", p, err)
 		}
+		for i, b := range in {
+			if b != bit(lanes, i, p) {
+				t.Fatalf("pattern %d: input %d read back as %v", p, i, b)
+			}
+		}
+		for j, b := range out {
+			if b != bit(want, j, p) {
+				t.Fatalf("pattern %d: output %d read back as %v", p, j, b)
+			}
+		}
+	}
+	if _, _, err := tr.Next(); err != io.EOF {
+		t.Fatalf("after %d patterns: %v, want io.EOF", n, err)
 	}
 }

@@ -41,24 +41,17 @@ const memoShardCount = 16
 // memoMinIndex is a shard index's initial bucket count (a power of 2).
 const memoMinIndex = 16
 
-// MemoHook observes cache mutations — the attachment point for the
-// write-through persistence layer (internal/store). Both callbacks run
-// outside the shard locks, on the goroutine that caused the mutation, and
-// must not call back into the memo. A hook must never panic on an
-// oracle-reachable path with anything but *Failure; persistence hooks
-// swallow their I/O errors instead (a failing disk must not fail a learn).
-//
-// MemoInsert fires when a fresh black-box response enters the cache (not on
-// Preload, and not when a concurrent racer already inserted the key).
-// MemoEvict fires when the LRU bound pushes an entry out — the last chance
-// to persist a hot-but-bounded entry whose insert predates the hook (e.g. a
-// store attached to an already-warm memo), which is why eviction is a
-// separate callback rather than folded into insert. The key and response
-// are built for the callback alone; a memo without a hook never builds
-// them.
+// MemoHook observes cache fills — the attachment point for the
+// write-through persistence layer (internal/store). MemoInsert fires when a
+// fresh black-box response enters the cache (not on Preload, and not when a
+// concurrent racer already inserted the key). It runs outside the shard
+// locks, on the goroutine that caused the insert, and must not call back
+// into the memo. A hook must never panic on an oracle-reachable path with
+// anything but *Failure; persistence hooks swallow their I/O errors instead
+// (a failing disk must not fail a learn). The key and response are built
+// for the callback alone; a memo without a hook never builds them.
 type MemoHook interface {
 	MemoInsert(key string, out []bool)
-	MemoEvict(key string, out []bool)
 }
 
 // MemoKey returns the canonical cache key for an assignment (its bits
@@ -95,7 +88,7 @@ type Memo struct {
 	nIn, nOut  int
 	kw, ow, kb int
 
-	// hook is the attached mutation observer (nil when none). Stored as an
+	// hook is the attached fill observer (nil when none). Stored as an
 	// atomic pointer so SetHook synchronizes with concurrent queries.
 	hook atomic.Pointer[MemoHook]
 
@@ -164,9 +157,9 @@ func NewMemoCap(o Oracle, capacity int) *Memo {
 	return m
 }
 
-// SetHook attaches a mutation observer (nil detaches). Attach before the
-// memo serves queries to observe every insert; attaching mid-life is safe
-// but entries inserted earlier are only observed if they later evict.
+// SetHook attaches a fill observer (nil detaches). Attach before the first
+// query: the hook sees only the inserts that follow it, and an entry
+// cached earlier never reaches it.
 func (o *Memo) SetHook(h MemoHook) {
 	if h == nil {
 		o.hook.Store(nil)
@@ -356,9 +349,8 @@ func (o *Memo) get(s *memoShard, key []bitvec.Word, h uint64, resp []bitvec.Word
 // already (then it only becomes the most recent entry), it caches resp
 // under key, evicting the least recently used entry first when the shard is
 // full. It reports whether key was freshly inserted and whether an entry
-// was evicted, whose key and response words it copies into ev when ev is
-// non-nil.
-func (o *Memo) insert(s *memoShard, key, resp []bitvec.Word, h uint64, ev []bitvec.Word) (inserted, evicted bool) {
+// was evicted.
+func (o *Memo) insert(s *memoShard, key, resp []bitvec.Word, h uint64) (inserted, evicted bool) {
 	kw, stride := o.kw, o.kw+o.ow
 	s.mu.Lock()
 	b, slot := s.find(key, h, stride)
@@ -379,9 +371,6 @@ func (o *Memo) insert(s *memoShard, key, resp []bitvec.Word, h uint64, ev []bitv
 	} else {
 		slot = s.tail
 		at := int(slot) * stride
-		if ev != nil {
-			copy(ev, s.words[at:at+stride])
-		}
 		s.unlink(slot)
 		vh := memoHash(s.words[at : at+kw])
 		vb := int(vh>>(s.shift&63)) & (len(s.index) - 1)
@@ -403,26 +392,14 @@ func (o *Memo) insert(s *memoShard, key, resp []bitvec.Word, h uint64, ev []bitv
 
 // put caches a fresh black-box response. Concurrent racers inserting the
 // same key are harmless: the values are identical by determinism of the
-// oracle. Hook callbacks fire after the shard lock is released, in mutation
-// order (insert before the eviction it caused).
+// oracle. The hook fires after the shard lock is released.
 func (o *Memo) put(s *memoShard, key, resp []bitvec.Word, h uint64) {
-	hook := o.currentHook()
-	var ev []bitvec.Word
-	if hook != nil {
-		ev = make([]bitvec.Word, o.kw+o.ow)
-	}
-	inserted, evicted := o.insert(s, key, resp, h, ev)
+	inserted, evicted := o.insert(s, key, resp, h)
 	if evicted {
 		o.evictions.Add(1)
 	}
-	if hook == nil {
-		return
-	}
-	if inserted {
+	if hook := o.currentHook(); hook != nil && inserted {
 		hook.MemoInsert(o.keyString(key), o.bools(resp))
-	}
-	if evicted {
-		hook.MemoEvict(o.keyString(ev[:o.kw]), o.bools(ev[o.kw:]))
 	}
 }
 
@@ -440,14 +417,12 @@ func (o *Memo) bools(resp []bitvec.Word) []bool {
 
 // Preload inserts a response without touching the hit/miss counters and
 // without firing the hook — the warm-start path, used to replay a persisted
-// memo log (or another memo's contents) into a fresh cache. Entries the
-// preload itself evicts are dropped silently: they came from the log, so
-// re-persisting them would only echo. Preloading never changes learn
-// results, only which queries reach the inner oracle — the cached values
-// are the oracle's own answers, so a warm learn is byte-identical to a cold
-// one at the same seed. An entry whose key is not MemoKey-sized for the
-// inner oracle's inputs, or whose response is not one bit per output, can
-// never answer a query and is dropped.
+// memo log (or another memo's contents) into a fresh cache. Preloading
+// never changes learn results, only which queries reach the inner oracle —
+// the cached values are the oracle's own answers, so a warm learn is
+// byte-identical to a cold one at the same seed. An entry whose key is not
+// MemoKey-sized for the inner oracle's inputs, or whose response is not one
+// bit per output, can never answer a query and is dropped.
 func (o *Memo) Preload(key string, out []bool) {
 	if len(key) != o.kb || len(out) != o.nOut {
 		return
@@ -458,7 +433,7 @@ func (o *Memo) Preload(key string, out []bool) {
 	}
 	k, resp := row[:o.kw], row[o.kw:]
 	bitvec.PackBools(resp, out)
-	o.insert(o.shard(k), k, resp, memoHash(k), nil)
+	o.insert(o.shard(k), k, resp, memoHash(k))
 }
 
 func (o *Memo) Eval(a []bool) []bool {

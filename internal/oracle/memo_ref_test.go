@@ -104,15 +104,8 @@ func (o *refMemo) put(s *refShard, key string, out []bool) {
 	if evicted != nil {
 		o.evictions.Add(int64(len(evicted)))
 	}
-	h := o.currentHook()
-	if h == nil {
-		return
-	}
-	if inserted {
+	if h := o.currentHook(); h != nil && inserted {
 		h.MemoInsert(key, out)
-	}
-	for _, e := range evicted {
-		h.MemoEvict(e.key, e.out)
 	}
 }
 
@@ -285,10 +278,6 @@ type eventHook struct{ events []string }
 
 func (h *eventHook) MemoInsert(key string, out []bool) {
 	h.events = append(h.events, fmt.Sprintf("insert %x %s", key, bitLine(out)))
-}
-
-func (h *eventHook) MemoEvict(key string, out []bool) {
-	h.events = append(h.events, fmt.Sprintf("evict %x %s", key, bitLine(out)))
 }
 
 func TestMemoMatchesReference(t *testing.T) {

@@ -13,7 +13,7 @@
 //	           see batch.go) — the engine the pipeline actually drives
 //
 // The EvalWords helper is EvalBatch on one 64-pattern word per input.
-// Every wrapper in this package (Counter, Memo, Recorder, Replay) preserves
+// Every wrapper in this package (Counter, Memo, Recorder) preserves
 // the batch capability of the oracle it wraps. The circuit-backed
 // oracle answers a batch with the circuit's k-word simulation kernel (up to
 // 1024 patterns per pass over the gates) on pooled scratch, so the pipeline's

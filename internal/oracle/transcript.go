@@ -1,10 +1,10 @@
 package oracle
 
-// Transcript recording and replay: a Recorder logs every query/response
-// pair of a black-box session to a writer, and Replay serves a recorded
-// session back as an Oracle. This turns an expensive or remote black box
-// (a live iogen server, a slow generator) into a reproducible offline
-// artifact for debugging learner behaviour.
+// Transcripts: a Recorder logs every query/response pair of a black-box
+// session to a writer, and a TranscriptReader reads such a log back. This
+// turns an expensive or remote black box (a live iogen server, a slow
+// generator) into an offline artifact: the persistent store imports one as
+// a warm-start corpus for its memo log (store.ImportTranscript).
 //
 // Format: a two-line header with the port names, then one line per query:
 //
@@ -110,122 +110,74 @@ func (r *Recorder) Err() error {
 	return r.err
 }
 
-// Replay is an Oracle backed by a recorded transcript. Queries not present
-// in the transcript panic with a descriptive message — a replayed session
-// can only answer what the original session asked (run the learner with the
-// same seed and options as the recording).
-type Replay struct {
-	ins, outs []string
-	// responses maps the MemoKey of each recorded query to its response
-	// row, resp[i*ow : (i+1)*ow] for ow = RowWords(len(outs)).
-	responses map[string]int
-	resp      []bitvec.Word
+// TranscriptReader reads a transcript a Recorder wrote: the header when it
+// is made, then one query and its response per Next call. Its errors name
+// the transcript line ("transcript line 3: bad bit 'x'") and carry no
+// package prefix, so the caller adds its own.
+type TranscriptReader struct {
+	// Identity holds the header's port names.
+	Identity Identity
+
+	sc     *bufio.Scanner
+	lineNo int
+	row    []bitvec.Word
 }
 
-// NewReplay parses a transcript.
-func NewReplay(r io.Reader) (*Replay, error) {
+// NewTranscriptReader reads the two header lines of the transcript in r.
+func NewTranscriptReader(r io.Reader) (*TranscriptReader, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	readHeader := func(keyword string) ([]string, error) {
+	header := func(keyword string) ([]string, error) {
 		if !sc.Scan() {
-			return nil, fmt.Errorf("oracle: transcript missing %q header", keyword)
+			return nil, fmt.Errorf("transcript missing %q header", keyword)
 		}
 		fields := strings.Fields(sc.Text())
 		if len(fields) < 1 || fields[0] != keyword {
-			return nil, fmt.Errorf("oracle: expected %q header, got %q", keyword, sc.Text())
+			return nil, fmt.Errorf("expected %q header, got %q", keyword, sc.Text())
 		}
 		return fields[1:], nil
 	}
-	ins, err := readHeader("inputs")
+	ins, err := header("inputs")
 	if err != nil {
 		return nil, err
 	}
-	outs, err := readHeader("outputs")
+	outs, err := header("outputs")
 	if err != nil {
 		return nil, err
 	}
-	rp := &Replay{ins: ins, outs: outs, responses: make(map[string]int)}
-	kw, ow := bitvec.RowWords(len(ins)), bitvec.RowWords(len(outs))
-	in := make([]bitvec.Word, kw)
-	var key []byte
-	recorded := 0
-	lineNo := 2
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
+	return &TranscriptReader{
+		Identity: Identity{Ins: ins, Outs: outs},
+		sc:       sc,
+		lineNo:   2,
+		row:      make([]bitvec.Word, bitvec.RowWords(max(len(ins), len(outs)))),
+	}, nil
+}
+
+// Next returns the next recorded query and its response, skipping blank
+// lines, and io.EOF after the last one.
+func (t *TranscriptReader) Next() (in, out []bool, err error) {
+	nIn, nOut := len(t.Identity.Ins), len(t.Identity.Outs)
+	for t.sc.Scan() {
+		t.lineNo++
+		line := bytes.TrimSpace(t.sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
 		fields := bytes.Fields(line)
-		if len(fields) != 2 || len(fields[0]) != len(ins) || len(fields[1]) != len(outs) {
-			return nil, fmt.Errorf("oracle: transcript line %d malformed: %q", lineNo, line)
+		if len(fields) != 2 || len(fields[0]) != nIn || len(fields[1]) != nOut {
+			return nil, nil, fmt.Errorf("transcript line %d malformed: %q", t.lineNo, line)
 		}
-		rp.resp = append(rp.resp, make([]bitvec.Word, ow)...)
-		if i := bitvec.ParseRow(rp.resp[recorded*ow:], fields[1]); i >= 0 {
-			return nil, fmt.Errorf("oracle: transcript line %d: bad bit %q", lineNo, fields[1][i])
+		in, out = make([]bool, nIn), make([]bool, nOut)
+		for i, bits := range [2][]bool{in, out} {
+			if j := bitvec.ParseRow(t.row, fields[i]); j >= 0 {
+				return nil, nil, fmt.Errorf("transcript line %d: bad bit %q", t.lineNo, fields[i][j])
+			}
+			bitvec.UnpackBools(bits, t.row)
 		}
-		if i := bitvec.ParseRow(in, fields[0]); i >= 0 {
-			return nil, fmt.Errorf("oracle: transcript line %d: bad bit %q", lineNo, fields[0][i])
-		}
-		key = rowKey(key[:0], in, len(ins))
-		rp.responses[string(key)] = recorded
-		recorded++
+		return in, out, nil
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	if err := t.sc.Err(); err != nil {
+		return nil, nil, fmt.Errorf("read transcript: %w", err)
 	}
-	return rp, nil
+	return nil, nil, io.EOF
 }
-
-// NumQueries returns the number of distinct recorded queries.
-func (r *Replay) NumQueries() int { return len(r.responses) }
-
-func (r *Replay) NumInputs() int        { return len(r.ins) }
-func (r *Replay) NumOutputs() int       { return len(r.outs) }
-func (r *Replay) InputNames() []string  { return append([]string(nil), r.ins...) }
-func (r *Replay) OutputNames() []string { return append([]string(nil), r.outs...) }
-
-// response returns the recorded response row of the query of n bits whose
-// row is in, panicking when the transcript never asked it.
-func (r *Replay) response(in []bitvec.Word, n int) []bitvec.Word {
-	var buf [32]byte
-	i, ok := r.responses[string(rowKey(buf[:0], in, n))]
-	if !ok {
-		q := make([]byte, n)
-		bitvec.FormatRow(q, in)
-		panic(fmt.Sprintf("oracle: replay has no response for query %s (replay with the recording session's seed and options)", q))
-	}
-	ow := bitvec.RowWords(len(r.outs))
-	return r.resp[i*ow : (i+1)*ow]
-}
-
-func (r *Replay) Eval(a []bool) []bool {
-	in := packRow(a)
-	out := make([]bool, len(r.outs))
-	bitvec.UnpackBools(out, r.response(in, len(a)))
-	return out
-}
-
-// EvalBatch answers every pattern of the batch from the transcript; any
-// pattern absent from the recording panics, exactly like scalar Eval.
-func (r *Replay) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
-	nIn, nOut := len(r.ins), len(r.outs)
-	w := Words(n)
-	checkBatch(len(patterns), nIn, n)
-	out := make([]bitvec.Word, nOut*w)
-	kw, ow := bitvec.RowWords(nIn), bitvec.RowWords(nOut)
-	in, res := make([]bitvec.Word, 64*kw), make([]bitvec.Word, 64*ow)
-	for b := 0; b < w; b++ {
-		bitvec.LanesToRows(in, patterns, w, nIn, b)
-		p := 0
-		for ; p < 64 && 64*b+p < n; p++ {
-			copy(res[p*ow:(p+1)*ow], r.response(in[p*kw:(p+1)*kw], nIn))
-		}
-		bitvec.RowsToLanes(out, w, nOut, b, res[:p*ow])
-	}
-	return out
-}
-
-// Fork returns the replay itself: the response table is read-only after
-// construction, so one Replay may serve many goroutines.
-func (r *Replay) Fork() Oracle { return r }

@@ -533,12 +533,11 @@ func (s *Service) run(j *Job) {
 		s.mJobsCanceled.Inc()
 	} else {
 		s.mJobsDone.Inc()
-		// Persist the completed circuit for future warm starts. Degraded
-		// results are best-effort partials, not the learn key's true
-		// answer — never cache those.
-		if s.store != nil && !res.Degraded && res.Circuit != nil {
-			s.store.PutCircuit(learnKey, res.Circuit)
-		}
+	}
+	// Persist a whole learn's circuit for future warm starts; partial ones
+	// are not the learn key's true answer.
+	if s.store != nil && store.Storable(opts, res) {
+		s.store.PutCircuit(learnKey, res.Circuit)
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"testing"
+	"time"
 
 	"logicregression/internal/core"
 	"logicregression/internal/oracle"
@@ -21,7 +22,7 @@ func TestStoreWarmStartAcrossRestart(t *testing.T) {
 	mem := vfs.NewMemFS()
 
 	// First life: learn cold, persist.
-	st, err := store.Open(store.Config{Dir: "st", FS: mem, FlushInterval: -1})
+	st, err := store.Open(store.Config{Dir: "st", FS: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestStoreWarmStartAcrossRestart(t *testing.T) {
 
 	// Second life: same oracle, same seed — the job must be answered from
 	// the store without a single query to the black box.
-	st2, err := store.Open(store.Config{Dir: "st", FS: mem, FlushInterval: -1})
+	st2, err := store.Open(store.Config{Dir: "st", FS: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,5 +101,37 @@ func TestStoreWarmStartAcrossRestart(t *testing.T) {
 	}
 	if snap := svc2.Registry().Snapshot(); snap.Counters["store_warm_hits"] != 1 {
 		t.Fatalf("store_warm_hits grew on a circuit-store miss: %d", snap.Counters["store_warm_hits"])
+	}
+}
+
+// TestTimeLimitedJobIsNotStored: a learn with a time limit may stop at its
+// deadline, and the learn key leaves TimeLimit out, so the service must not
+// store its circuit where an unlimited learn of the same key would read it.
+func TestTimeLimitedJobIsNotStored(t *testing.T) {
+	st, err := store.Open(store.Config{Dir: "st", FS: vfs.NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	svc := New(oracle.FromCircuit(testBox()), Config{
+		Workers: 1,
+		Store:   st,
+		Learn:   core.Options{TimeLimit: time.Hour},
+	})
+	sess, err := svc.NewSession("acme")
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	j, err := svc.Submit(sess, 7)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitTerminal(t, j.Done())
+	svc.Drain()
+	if res := j.Result(); res == nil || res.Circuit == nil || res.Degraded || res.Canceled {
+		t.Fatalf("time-limited job did not finish whole: %+v", res)
+	}
+	if n := st.Stats().Circuits; n != 0 {
+		t.Fatalf("a time-limited learn stored %d circuits, want 0", n)
 	}
 }

@@ -5,8 +5,8 @@ package store
 // serialization of a learned circuit, named by its SHA-256; the name IS the
 // checksum, so a read that hashes clean is exactly the bytes that were
 // written, and identical circuits learned under different keys share one
-// blob. The index uses the same framed-record format as the memo log, with
-// last-wins replay, so re-learning a key simply appends a newer mapping.
+// blob. The index is a recordLog like the memo log, with last-wins replay,
+// so re-learning a key simply appends a newer mapping.
 
 import (
 	"bytes"
@@ -55,7 +55,7 @@ func decodeCircuitEntry(p []byte) (key string, hash [sha256.Size]byte, err error
 	return key, hash, nil
 }
 
-// circuitStore is the blob + index pair. All index mutation is under mu;
+// circuitStore is the blob + index pair. All index access is under mu;
 // blob writes are idempotent (content-addressed) and need no lock beyond
 // the atomic rename.
 type circuitStore struct {
@@ -63,11 +63,10 @@ type circuitStore struct {
 	root string
 
 	mu    sync.Mutex
-	index vfs.File
+	index *recordLog
 	byKey map[string]string // learn key -> hex blob hash
 }
 
-func (c *circuitStore) indexName() string { return path.Join(c.root, "circuits.log") }
 func (c *circuitStore) objectDir() string { return path.Join(c.root, "objects") }
 func (c *circuitStore) objectName(hexHash string) string {
 	return path.Join(c.objectDir(), hexHash)
@@ -80,62 +79,21 @@ func openCircuitStore(fsys vfs.FS, root string, info *RecoveryInfo) (*circuitSto
 	if err := fsys.MkdirAll(c.objectDir(), 0o755); err != nil {
 		return nil, fmt.Errorf("store: create object dir: %w", err)
 	}
-	name := c.indexName()
-	if f, err := fsys.OpenFile(name, os.O_RDONLY, 0); err == nil {
-		data, rerr := io.ReadAll(f)
-		f.Close()
-		if rerr != nil {
-			return nil, fmt.Errorf("store: read circuit index: %w", rerr)
-		}
-		sc := recordScanner{data: data}
-		for {
-			payload, err := sc.next()
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				dropped := data[sc.off:]
-				if !scanTail(dropped) {
-					info.TruncatedBytes += int64(len(dropped))
-					if terr := truncateFile(fsys, name, int64(sc.off)); terr != nil {
-						return nil, fmt.Errorf("store: repair circuit index: %w", terr)
-					}
-				} else {
-					info.Corrupt = true
-					info.CorruptDetail = fmt.Sprintf("%s: %v", name, err)
-				}
-				break
-			}
-			key, hash, derr := decodeCircuitEntry(payload)
-			if derr != nil {
-				info.Corrupt = true
-				info.CorruptDetail = fmt.Sprintf("%s: %v", name, derr)
-				break
-			}
+	index, err := openLog(fsys, path.Join(root, "circuits.log"), info, func(payload []byte) error {
+		key, hash, err := decodeCircuitEntry(payload)
+		if err == nil {
 			c.byKey[key] = hex.EncodeToString(hash[:])
 		}
-	}
-	f, err := fsys.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		return err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("store: open circuit index: %w", err)
+		return nil, err
 	}
-	c.index = f
+	c.index = index
 	return c, nil
 }
 
-func truncateFile(fsys vfs.FS, name string, size int64) error {
-	f, err := fsys.OpenFile(name, os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := f.Truncate(size); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
-// put stores a circuit under a learn key: blob first (write-fsync-rename,
+// put stores a circuit under a learn key: blob first (written atomically,
 // so the index never points at a half-written object), then the index
 // record, fsynced immediately — circuit saves are rare and each one is a
 // whole learn's work.
@@ -146,32 +104,11 @@ func (c *circuitStore) put(key string, circ *circuit.Circuit) error {
 	}
 	hash := sha256.Sum256(blob.Bytes())
 	hexHash := hex.EncodeToString(hash[:])
-
 	objName := c.objectName(hexHash)
 	if _, err := c.fs.Stat(objName); err != nil {
-		tmpName := objName + ".tmp"
-		tmp, err := c.fs.OpenFile(tmpName, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-		if err != nil {
-			return fmt.Errorf("store: create blob: %w", err)
+		if err := writeFileAtomic(c.fs, objName, blob.Bytes()); err != nil {
+			return err
 		}
-		if _, err := tmp.Write(blob.Bytes()); err != nil {
-			tmp.Close()
-			c.fs.Remove(tmpName)
-			return fmt.Errorf("store: write blob: %w", err)
-		}
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			c.fs.Remove(tmpName)
-			return fmt.Errorf("store: fsync blob: %w", err)
-		}
-		if err := tmp.Close(); err != nil {
-			return fmt.Errorf("store: close blob: %w", err)
-		}
-		if err := c.fs.Rename(tmpName, objName); err != nil {
-			c.fs.Remove(tmpName)
-			return fmt.Errorf("store: publish blob: %w", err)
-		}
-		c.fs.SyncDir(c.objectDir())
 	}
 
 	c.mu.Lock()
@@ -179,12 +116,11 @@ func (c *circuitStore) put(key string, circ *circuit.Circuit) error {
 	if c.byKey[key] == hexHash {
 		return nil // identical mapping already durable
 	}
-	rec := appendRecord(nil, encodeCircuitEntry(key, hash))
-	if _, err := c.index.Write(rec); err != nil {
-		return fmt.Errorf("store: append circuit index: %w", err)
+	if err := c.index.append(encodeCircuitEntry(key, hash)); err != nil {
+		return err
 	}
-	if err := c.index.Sync(); err != nil {
-		return fmt.Errorf("store: fsync circuit index: %w", err)
+	if err := c.index.sync(); err != nil {
+		return err
 	}
 	c.byKey[key] = hexHash
 	return nil
@@ -228,5 +164,5 @@ func (c *circuitStore) entryCount() int {
 func (c *circuitStore) close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.index.Close()
+	return c.index.close()
 }

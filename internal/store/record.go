@@ -11,6 +11,14 @@
 // the learn proceeds untouched. The store may lose data (that costs
 // re-computation) but must never serve a wrong byte as a right one — every
 // record and blob is checksummed and verified on read.
+//
+// Both logs — the memo log and the circuit index — are one recordLog
+// each, and there is one commit policy. Every append reaches the file in
+// one write, so a killed process loses nothing it appended. The memo log
+// fsyncs once per memoSyncEvery appends, around a compaction and on
+// Close; the circuit index fsyncs every put. Only an OS crash or power
+// loss can drop the memo appends not yet synced, and a lost memo entry
+// costs one re-query, never a wrong answer.
 package store
 
 import (

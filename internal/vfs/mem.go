@@ -7,9 +7,9 @@ package vfs
 // pre-crash history. It is also simply a fast hermetic FS for unit tests.
 //
 // Semantics follow os.File where the store relies on them: O_APPEND writes
-// land at the end regardless of seeks, Rename atomically replaces the
-// target, ReadDir is sorted. Sync is a no-op (memory is "stable storage"
-// here; injected fsync faults come from the chaos wrapper, not from MemFS).
+// land at the end while reads start at offset 0, and Rename atomically
+// replaces the target. Sync is a no-op (memory is "stable storage" here;
+// injected fsync faults come from the chaos wrapper, not from MemFS).
 
 import (
 	"errors"
@@ -17,7 +17,6 @@ import (
 	"io/fs"
 	"os"
 	"path"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -117,7 +116,7 @@ func (m *MemFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) 
 		node.data = nil
 		node.mu.Unlock()
 	}
-	return &memHandle{fs: m, node: node, name: name, flag: flag}, nil
+	return &memHandle{node: node, flag: flag}, nil
 }
 
 func (m *MemFS) Rename(oldpath, newpath string) error {
@@ -159,51 +158,6 @@ func (m *MemFS) MkdirAll(p string, perm fs.FileMode) error {
 	return nil
 }
 
-func (m *MemFS) ReadDir(name string) ([]fs.DirEntry, error) {
-	name = clean(name)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.dirs[name] {
-		return nil, &fs.PathError{Op: "readdir", Path: name, Err: fs.ErrNotExist}
-	}
-	var names []string
-	seen := make(map[string]bool)
-	addChild := func(p string) {
-		if p == name || !strings.HasPrefix(p, name+"/") {
-			return
-		}
-		rest := strings.TrimPrefix(p, name+"/")
-		child := rest
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			child = rest[:i]
-		}
-		if !seen[child] {
-			seen[child] = true
-			names = append(names, child)
-		}
-	}
-	for p := range m.files {
-		addChild(p)
-	}
-	for p := range m.dirs {
-		addChild(p)
-	}
-	sort.Strings(names)
-	entries := make([]fs.DirEntry, 0, len(names))
-	for _, n := range names {
-		full := name + "/" + n
-		if node, ok := m.files[full]; ok {
-			node.mu.Lock()
-			size := int64(len(node.data))
-			node.mu.Unlock()
-			entries = append(entries, memDirEntry{name: n, size: size})
-		} else {
-			entries = append(entries, memDirEntry{name: n, dir: true})
-		}
-	}
-	return entries, nil
-}
-
 func (m *MemFS) Stat(name string) (fs.FileInfo, error) {
 	name = clean(name)
 	m.mu.Lock()
@@ -224,9 +178,7 @@ func (m *MemFS) SyncDir(name string) error { return nil }
 
 // memHandle is one open handle on a memNode.
 type memHandle struct {
-	fs   *MemFS
 	node *memNode
-	name string
 	flag int
 
 	mu     sync.Mutex
@@ -272,32 +224,6 @@ func (h *memHandle) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (h *memHandle) Seek(offset int64, whence int) (int64, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return 0, fs.ErrClosed
-	}
-	h.node.mu.Lock()
-	size := int64(len(h.node.data))
-	h.node.mu.Unlock()
-	switch whence {
-	case io.SeekStart:
-		h.off = offset
-	case io.SeekCurrent:
-		h.off += offset
-	case io.SeekEnd:
-		h.off = size + offset
-	default:
-		return 0, errors.New("vfs: bad whence")
-	}
-	if h.off < 0 {
-		h.off = 0
-		return 0, errors.New("vfs: negative seek")
-	}
-	return h.off, nil
-}
-
 func (h *memHandle) Sync() error { return nil }
 
 func (h *memHandle) Truncate(size int64) error {
@@ -323,27 +249,7 @@ func (h *memHandle) Close() error {
 	return nil
 }
 
-func (h *memHandle) Name() string { return h.name }
-
-// memDirEntry / memFileInfo implement the fs metadata interfaces minimally.
-type memDirEntry struct {
-	name string
-	size int64
-	dir  bool
-}
-
-func (e memDirEntry) Name() string { return e.name }
-func (e memDirEntry) IsDir() bool  { return e.dir }
-func (e memDirEntry) Type() fs.FileMode {
-	if e.dir {
-		return fs.ModeDir
-	}
-	return 0
-}
-func (e memDirEntry) Info() (fs.FileInfo, error) {
-	return memFileInfo{name: e.name, size: e.size, dir: e.dir}, nil
-}
-
+// memFileInfo implements fs.FileInfo minimally.
 type memFileInfo struct {
 	name string
 	size int64

@@ -2,9 +2,12 @@
 // through. Production code uses OS (the real filesystem); tests and chaos
 // drills swap in MemFS (a deterministic in-memory filesystem) or a
 // chaos.FaultFS wrapper that injects torn writes, fsync errors, read
-// bit-flips, and crash-at-offset kills. The interface is deliberately tiny
-// — exactly the operations an append-only log with atomic-rename swaps
-// needs — so every implementation can give precise crash semantics.
+// bit-flips, and crash-at-offset kills. The interface is exactly what the
+// store uses, so every implementation can give precise crash semantics: a
+// log file is opened, read whole, truncated at a torn tail, appended to
+// and fsynced; a rewrite or a circuit blob goes temp file, fsync, rename,
+// directory sync; Stat asks whether a blob exists, Remove drops a stale or
+// failed temp file, and MkdirAll makes the directories.
 package vfs
 
 import (
@@ -18,14 +21,11 @@ type File interface {
 	io.Reader
 	io.Writer
 	io.Closer
-	io.Seeker
 	// Sync flushes the file's data to stable storage (fsync).
 	Sync() error
 	// Truncate cuts the file to the given size — the torn-tail repair
 	// operation of log recovery.
 	Truncate(size int64) error
-	// Name returns the path the file was opened with.
-	Name() string
 }
 
 // FS is the filesystem surface the store needs. Paths use the host
@@ -39,8 +39,6 @@ type FS interface {
 	Remove(name string) error
 	// MkdirAll creates a directory tree.
 	MkdirAll(path string, perm fs.FileMode) error
-	// ReadDir lists a directory in lexical order.
-	ReadDir(name string) ([]fs.DirEntry, error)
 	// Stat describes a file.
 	Stat(name string) (fs.FileInfo, error)
 	// SyncDir flushes directory metadata (new files, renames) to stable
@@ -62,7 +60,6 @@ func (OS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 func (OS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (OS) Remove(name string) error                     { return os.Remove(name) }
 func (OS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(path, perm) }
-func (OS) ReadDir(name string) ([]fs.DirEntry, error)   { return os.ReadDir(name) }
 func (OS) Stat(name string) (fs.FileInfo, error)        { return os.Stat(name) }
 
 // SyncDir fsyncs the directory so renames and creations survive a crash.
