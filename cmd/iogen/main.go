@@ -125,6 +125,9 @@ func main() {
 			*chaosDrop, *chaosHang, *chaosTruncate, *chaosCorrupt)
 	}
 
+	// One handle for the server and the service alike: a box that is not
+	// a circuit then answers one query at a time under a single lock.
+	o = oracle.Shared(o)
 	srv := ioserve.NewServer(o)
 	srv.ReadTimeout = *readTimeout
 

@@ -138,7 +138,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "loadgen:", err)
 			os.Exit(1)
 		}
-		base := c.Oracle()
+		base := oracle.Shared(c.Oracle())
 		var st *store.Store
 		if *storeDir != "" {
 			st, err = store.Open(store.Config{Dir: *storeDir})

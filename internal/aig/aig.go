@@ -250,6 +250,17 @@ func (g *AIG) EvalPOs(in []uint64) []uint64 {
 // FromCircuit converts a gate-level circuit into a strashed AIG.
 func FromCircuit(c *circuit.Circuit) *AIG {
 	g := New(c.PINames())
+	names := c.PONames()
+	for i, l := range g.AddCircuit(c) {
+		g.AddPO(names[i], l)
+	}
+	return g
+}
+
+// AddCircuit strashes circuit c into g, whose PIs stand for c's PIs in
+// order, and returns the edges of c's outputs. It adds no POs, so several
+// circuits can share one AIG, as an equivalence miter's two sides do.
+func (g *AIG) AddCircuit(c *circuit.Circuit) []Lit {
 	lits := make([]Lit, c.NumNodes())
 	pi := 0
 	for id := 0; id < c.NumNodes(); id++ {
@@ -282,10 +293,11 @@ func FromCircuit(c *circuit.Circuit) *AIG {
 			panic(fmt.Sprintf("aig: unknown gate %v", n.Type))
 		}
 	}
-	for i, name := range c.PONames() {
-		g.AddPO(name, lits[c.POSignal(i)])
+	out := make([]Lit, c.NumPO())
+	for i := range out {
+		out[i] = lits[c.POSignal(i)]
 	}
-	return g
+	return out
 }
 
 // ToCircuit converts the AIG back to a gate-level circuit of ANDs and NOTs.

@@ -102,6 +102,27 @@ func TestFromToCircuitRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAddCircuitSharesOneAIG: strashing a circuit into an AIG that already
+// holds it adds no node and returns the same output edges, the property an
+// equivalence miter over one AIG relies on.
+func TestAddCircuitSharesOneAIG(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 10; trial++ {
+		c := randomCircuit(rng, 5, 40, 3)
+		g := FromCircuit(c)
+		n := g.NumNodes()
+		again := g.AddCircuit(c)
+		if g.NumNodes() != n {
+			t.Fatalf("trial %d: second AddCircuit grew the AIG %d -> %d nodes", trial, n, g.NumNodes())
+		}
+		for i, l := range again {
+			if l != g.PO(i) {
+				t.Fatalf("trial %d: output %d edge %v, want %v", trial, i, l, g.PO(i))
+			}
+		}
+	}
+}
+
 func randomCircuit(rng *rand.Rand, nPI, nGates, nPO int) *circuit.Circuit {
 	c := circuit.New()
 	var sigs []circuit.Signal

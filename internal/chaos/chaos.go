@@ -52,9 +52,9 @@ type Config struct {
 // interface (errors as *oracle.Failure panics), so it can stand in for the
 // real black box on either side of the wire.
 //
-// It deliberately does not implement oracle.Forker: all connections of an
-// ioserve.Server share one fault schedule, keeping FailAfter counts global
-// across reconnects.
+// A served chaos oracle goes through oracle.Shared like any box that is
+// not a circuit, so all connections, sessions and jobs share one fault
+// schedule, keeping FailAfter counts global across reconnects.
 type Oracle struct {
 	inner oracle.FallibleBatch
 

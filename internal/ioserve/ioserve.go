@@ -79,9 +79,9 @@ import (
 // per-frame server memory. Larger EvalBatch calls are split transparently.
 const MaxFrame = 1 << 14
 
-// defaultMaxReply caps the length of a single reply line (and, server-side,
-// a single query line) unless DialConfig.MaxReply overrides it.
-const defaultMaxReply = 1 << 20
+// maxLine caps the length of a single reply line and, server-side, a
+// single query line.
+const maxLine = 1 << 20
 
 // Sentinel errors of the client lifecycle.
 var (
@@ -142,24 +142,17 @@ type Extension interface {
 	// keep=false to drop the connection (an unrecoverable stream state).
 	// Handle replies via c.Reply / c.ReplyLines.
 	Handle(c *Conn, line string) (handled, keep bool)
-	// ConnClosed runs when a connection's protocol loop exits, however it
-	// exits; extensions release per-connection bindings (session
-	// attachments) here. It is called at most once per connection.
-	ConnClosed(c *Conn)
 }
 
-// Server serves a wrapped oracle to any number of concurrent clients.
-//
-// Connections do not serialize each other when the oracle can hand out
-// independent handles (oracle.Forker — circuit simulators, replay tables);
-// only oracles without that capability fall back to a shared lock, since
-// Oracle implementations need not be concurrency-safe.
+// Server serves a black box to any number of concurrent clients. Every
+// connection queries the one handle oracle.Shared gives for the box: a
+// circuit runs lock-free across connections, any other box answers one
+// query at a time.
 type Server struct {
 	inner oracle.Oracle
-	mu    sync.Mutex // serializes Eval for non-Forker oracles only
 
-	// handlers counts in-flight connection goroutines so Wait can drain
-	// them after the listener closes.
+	// handlers counts in-flight connection goroutines so Shutdown can
+	// drain them after the listener closes.
 	handlers sync.WaitGroup
 
 	// connMu guards conns, the live sockets Shutdown force-closes when a
@@ -180,13 +173,14 @@ type Server struct {
 	Ext Extension
 }
 
-// NewServer wraps an oracle for serving.
-func NewServer(o oracle.Oracle) *Server { return &Server{inner: o} }
+// NewServer serves the box through its oracle.Shared handle; give the same
+// handle to every other layer that queries the box.
+func NewServer(o oracle.Oracle) *Server { return &Server{inner: oracle.Shared(o)} }
 
 // Serve accepts connections until the listener is closed. It returns the
 // listener's error (net.ErrClosed after a clean shutdown). Handler
-// goroutines may still be draining when Serve returns; Wait blocks until
-// they finish (or use Shutdown for a bounded drain).
+// goroutines may still be draining when Serve returns; Shutdown drains
+// them.
 func (s *Server) Serve(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
@@ -200,10 +194,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		}()
 	}
 }
-
-// Wait blocks until every connection handler started by Serve has
-// returned. Call it after closing the listener for a clean shutdown.
-func (s *Server) Wait() { s.handlers.Wait() }
 
 // trackConn registers a live socket for Shutdown's force-close path.
 func (s *Server) trackConn(c net.Conn) {
@@ -303,36 +293,25 @@ func (s *Server) handle(conn net.Conn) {
 // rebind its oracle (BindOracle) so subsequent queries are answered — and
 // accounted — by a service-level session.
 type Conn struct {
-	srv *Server
-	w   *bufio.Writer
-	sc  *bufio.Scanner
+	w  *bufio.Writer
+	sc *bufio.Scanner
 
-	proto  int // negotiated protocol level (1 until a "proto" exchange)
-	o      oracle.Oracle
-	fo     oracle.FallibleBatch
-	locked bool // serialize evals on srv.mu (non-Forker oracle)
-	nIn    int
+	proto int // negotiated protocol level (1 until a "proto" exchange)
+	fo    oracle.FallibleBatch
+	nIn   int
 
 	// State is extension scratch (e.g. the attached session); the core
 	// protocol never touches it.
 	State any
 }
 
-// Proto returns the negotiated protocol level of this connection.
-func (c *Conn) Proto() int { return c.proto }
-
-// Oracle returns the oracle currently answering this connection's queries.
-func (c *Conn) Oracle() oracle.Oracle { return c.o }
-
 // BindOracle reroutes the connection's query paths through o, which must
-// describe the same black box (identical port arities). Extensions use it
-// to bind a connection to a session-owned oracle so queries hit the
-// session's cache and accounting. The bound oracle must be safe for use by
-// this connection's handler goroutine without the server's fallback lock.
+// describe the same black box (identical port arities) and be safe for
+// concurrent use: other connections may query it at the same time.
+// Extensions use it to bind a connection to a session-owned oracle so
+// queries hit the session's cache and accounting.
 func (c *Conn) BindOracle(o oracle.Oracle) {
-	c.o = o
 	c.fo = oracle.AsFallible(o)
-	c.locked = false
 	c.nIn = o.NumInputs()
 }
 
@@ -356,15 +335,6 @@ func (c *Conn) ReplyLines(lines []string) bool {
 	return c.w.Flush() == nil
 }
 
-// ReadLine consumes one further line of the current command (for verbs
-// with multi-line bodies). ok=false means the stream died.
-func (c *Conn) ReadLine() (line string, ok bool) {
-	if !c.sc.Scan() {
-		return "", false
-	}
-	return strings.TrimSpace(c.sc.Text()), true
-}
-
 // replyEvalErr renders an oracle failure on the wire; it returns false
 // when the connection must be dropped (write failure or a permanently
 // dead oracle).
@@ -374,25 +344,6 @@ func (c *Conn) replyEvalErr(err error) bool {
 	}
 	c.Reply(fmt.Sprintf("error: fatal: %v", err))
 	return false
-}
-
-// evalScalar answers one query through the bound oracle, under the server
-// lock when the oracle cannot fork.
-func (c *Conn) evalScalar(a []bool) ([]bool, error) {
-	if c.locked {
-		c.srv.mu.Lock()
-		defer c.srv.mu.Unlock()
-	}
-	return c.fo.TryEval(a)
-}
-
-// evalBatch answers one batch frame through the bound oracle.
-func (c *Conn) evalBatch(lanes []bitvec.Word, n int) ([]bitvec.Word, error) {
-	if c.locked {
-		c.srv.mu.Lock()
-		defer c.srv.mu.Unlock()
-	}
-	return c.fo.TryEvalBatch(lanes, n)
 }
 
 // maxProto is the highest protocol level this server will grant.
@@ -410,30 +361,11 @@ func (s *Server) maxProto() int {
 // from the connection lifecycle lets tests and the frame-parser fuzz target
 // drive the protocol without sockets.
 func (s *Server) serveStream(stream io.ReadWriter) {
-	// Per-connection oracle handle: forkable oracles run lock-free in
-	// parallel across connections; stateful ones share the server lock.
-	o := s.inner
-	locked := true
-	if f, ok := o.(oracle.Forker); ok {
-		o = f.Fork()
-		locked = false
-	}
-	c := &Conn{
-		srv:    s,
-		w:      bufio.NewWriter(stream),
-		sc:     bufio.NewScanner(stream),
-		proto:  1,
-		o:      o,
-		fo:     oracle.AsFallible(o),
-		locked: locked,
-		nIn:    o.NumInputs(),
-	}
-	c.sc.Buffer(make([]byte, 1<<16), defaultMaxReply)
-	if s.Ext != nil {
-		defer s.Ext.ConnClosed(c)
-	}
-	fmt.Fprintf(c.w, "inputs %s\n", strings.Join(o.InputNames(), " "))
-	fmt.Fprintf(c.w, "outputs %s\n", strings.Join(o.OutputNames(), " "))
+	c := &Conn{w: bufio.NewWriter(stream), sc: bufio.NewScanner(stream), proto: 1}
+	c.BindOracle(s.inner)
+	c.sc.Buffer(make([]byte, 1<<16), maxLine)
+	fmt.Fprintf(c.w, "inputs %s\n", strings.Join(s.inner.InputNames(), " "))
+	fmt.Fprintf(c.w, "outputs %s\n", strings.Join(s.inner.OutputNames(), " "))
 	if c.w.Flush() != nil {
 		return
 	}
@@ -494,7 +426,7 @@ func (s *Server) serveStream(stream io.ReadWriter) {
 				}
 				continue
 			}
-			out, err := c.evalBatch(lanes, k)
+			out, err := c.fo.TryEvalBatch(lanes, k)
 			if err != nil {
 				if !c.replyEvalErr(err) {
 					return
@@ -502,7 +434,7 @@ func (s *Server) serveStream(stream io.ReadWriter) {
 				continue
 			}
 			fmt.Fprintf(c.w, "batch %d\n", k)
-			nOut := c.o.NumOutputs()
+			nOut := c.fo.NumOutputs()
 			ow := bitvec.RowWords(nOut)
 			orows := make([]bitvec.Word, 64*ow)
 			buf := make([]byte, nOut+1)
@@ -536,7 +468,7 @@ func (s *Server) serveStream(stream io.ReadWriter) {
 				}
 				continue
 			}
-			res, err := c.evalScalar(assign)
+			res, err := c.fo.TryEval(assign)
 			if err != nil {
 				if !c.replyEvalErr(err) {
 					return
@@ -583,8 +515,8 @@ func formatBits(bits []bool) string {
 }
 
 // DialConfig bounds a client session's patience. The zero value preserves
-// the historical behaviour: no connect timeout, no I/O deadlines, a 1 MiB
-// reply-line cap.
+// the historical behaviour: no connect timeout and no I/O deadlines. A reply
+// line over 1 MiB fails the session either way.
 type DialConfig struct {
 	// ConnectTimeout bounds the TCP dial (0 = wait forever).
 	ConnectTimeout time.Duration
@@ -593,9 +525,6 @@ type DialConfig struct {
 	// stops answering mid-session surfaces as a timeout error instead of
 	// silently eating the learner's time budget (0 = no deadlines).
 	IOTimeout time.Duration
-	// MaxReply caps a single reply line in bytes (0 = 1 MiB). Oversized
-	// replies fail the session instead of growing the buffer unboundedly.
-	MaxReply int
 }
 
 // Client is an Oracle (and BatchOracle) backed by a remote ioserve server.
@@ -647,11 +576,7 @@ func NewClientConn(conn net.Conn, cfg DialConfig) (*Client, error) {
 		w:     bufio.NewWriter(stream),
 		proto: 2,
 	}
-	maxReply := cfg.MaxReply
-	if maxReply <= 0 {
-		maxReply = defaultMaxReply
-	}
-	c.r.Buffer(make([]byte, 1<<16), maxReply)
+	c.r.Buffer(make([]byte, 1<<16), maxLine)
 	ins, err := c.readHeader("inputs")
 	if err != nil {
 		conn.Close()

@@ -250,8 +250,9 @@ func TestMalformedBatchLineKeepsConnectionUsable(t *testing.T) {
 }
 
 // TestManyConcurrentClients hammers one server from parallel sessions, each
-// mixing batches and scalar queries. The circuit oracle forks, so the
-// connections run lock-free; the race detector checks that claim.
+// mixing batches and scalar queries. A circuit oracle is its own shared
+// handle, so the connections run lock-free; the race detector checks that
+// claim.
 func TestManyConcurrentClients(t *testing.T) {
 	g := golden()
 	direct := oracle.FromCircuit(g)
@@ -286,9 +287,9 @@ func TestManyConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestConcurrentClientsSerializedOracle covers the non-Forker path: a
-// stateful oracle shared by all connections must be protected by the server
-// lock, which the race detector verifies.
+// TestConcurrentClientsSerializedOracle covers a box that is not a circuit:
+// a stateful oracle shared by all connections must be protected by the lock
+// of its oracle.Shared handle, which the race detector verifies.
 func TestConcurrentClientsSerializedOracle(t *testing.T) {
 	counted := oracle.NewCounter(oracle.ScalarOnly(oracle.FromCircuit(golden())))
 	addr := startServer(t, counted)
@@ -324,9 +325,10 @@ func TestConcurrentClientsSerializedOracle(t *testing.T) {
 
 // TestConnectionChurnStress mixes long-lived querying clients with clients
 // that connect, fire one query, and hang up, against a shared memo-wrapped
-// oracle on the serialized (non-Forker) path. Under -race this covers the
-// per-connection goroutine lifecycle against the server lock and the memo's
-// shard locks; functionally every answer must match the direct oracle.
+// oracle, which is not a circuit and so is served one query at a time. Under
+// -race this covers the per-connection goroutine lifecycle against the
+// shared handle's lock and the memo's shard locks; functionally every answer
+// must match the direct oracle.
 func TestConnectionChurnStress(t *testing.T) {
 	g := golden()
 	direct := oracle.FromCircuit(g)

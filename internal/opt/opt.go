@@ -457,8 +457,8 @@ func Diagnose(c1, c2 *circuit.Circuit, maxConflicts int64) (verdict sat.Status, 
 	}
 	// Build both into one AIG sharing PIs.
 	g := aig.New(c1.PINames())
-	lit1 := buildInto(g, c1)
-	lit2 := buildInto(g, c2)
+	lit1 := g.AddCircuit(c1)
+	lit2 := g.AddCircuit(c2)
 	solver := sat.New()
 	cnf := aig.ToCNF(solver, g)
 	for i := range lit1 {
@@ -475,44 +475,4 @@ func Diagnose(c1, c2 *circuit.Circuit, maxConflicts int64) (verdict sat.Status, 
 		}
 	}
 	return sat.Unsat, nil, -1
-}
-
-// buildInto replays circuit c into AIG g (whose PIs must match) and returns
-// the output edges.
-func buildInto(g *aig.AIG, c *circuit.Circuit) []aig.Lit {
-	lits := make([]aig.Lit, c.NumNodes())
-	pi := 0
-	for id := 0; id < c.NumNodes(); id++ {
-		n := c.Node(id)
-		switch n.Type {
-		case circuit.PI:
-			lits[id] = g.PI(pi)
-			pi++
-		case circuit.Const0:
-			lits[id] = aig.False
-		case circuit.Const1:
-			lits[id] = aig.True
-		case circuit.Not:
-			lits[id] = lits[n.In0].Not()
-		case circuit.Buf:
-			lits[id] = lits[n.In0]
-		case circuit.And:
-			lits[id] = g.And(lits[n.In0], lits[n.In1])
-		case circuit.Or:
-			lits[id] = g.Or(lits[n.In0], lits[n.In1])
-		case circuit.Xor:
-			lits[id] = g.Xor(lits[n.In0], lits[n.In1])
-		case circuit.Nand:
-			lits[id] = g.And(lits[n.In0], lits[n.In1]).Not()
-		case circuit.Nor:
-			lits[id] = g.Or(lits[n.In0], lits[n.In1]).Not()
-		case circuit.Xnor:
-			lits[id] = g.Xor(lits[n.In0], lits[n.In1]).Not()
-		}
-	}
-	out := make([]aig.Lit, c.NumPO())
-	for i := range out {
-		out[i] = lits[c.POSignal(i)]
-	}
-	return out
 }

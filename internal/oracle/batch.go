@@ -40,16 +40,6 @@ type BatchOracle interface {
 	EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word
 }
 
-// Forker is implemented by oracles that can hand out a handle usable from
-// another goroutine concurrently with the receiver and all other forks.
-// Stateless oracles (pure simulators, replay tables) return themselves;
-// stateful oracles that cannot fork simply do not implement the interface
-// and get externally serialized (see ioserve.Server).
-type Forker interface {
-	Oracle
-	Fork() Oracle
-}
-
 // AsBatch lifts any oracle to the batch interface. Oracles that already
 // implement BatchOracle are returned unchanged; everything else is wrapped in
 // an adapter that issues one scalar Eval per pattern, with results bitwise

@@ -105,11 +105,11 @@ func TestEvalBatchParityAllCases(t *testing.T) {
 	}
 }
 
-// TestCircuitOracleConcurrentBatches drives one CircuitOracle (as Fork hands
-// it out) from several goroutines with batches of different widths, so the
-// pooled evaluators are borrowed, regrown and returned concurrently. Every
-// answer must equal the one computed alone beforehand; run under -race this
-// is the pool's safety witness.
+// TestCircuitOracleConcurrentBatches drives one CircuitOracle (as Shared
+// hands it out) from several goroutines with batches of different widths,
+// so the pooled evaluators are borrowed, regrown and returned concurrently.
+// Every answer must equal the one computed alone beforehand; run under
+// -race this is the pool's safety witness.
 func TestCircuitOracleConcurrentBatches(t *testing.T) {
 	cs, err := cases.ByName("case_14") // 9030 nodes
 	if err != nil {
@@ -129,11 +129,11 @@ func TestCircuitOracleConcurrentBatches(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			fork := o.(oracle.Forker).Fork()
+			h := oracle.Shared(o)
 			for round := 0; round < 3; round++ {
 				for j := range sizes {
 					i := (j + g) % len(sizes)
-					got := oracle.EvalBatch(fork, lanes[i], sizes[i])
+					got := oracle.EvalBatch(h, lanes[i], sizes[i])
 					for w := range got {
 						if got[w] != want[i][w] {
 							t.Errorf("goroutine %d, %d patterns: word %d differs", g, sizes[i], w)

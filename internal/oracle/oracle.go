@@ -18,7 +18,8 @@
 // oracle answers a batch with the circuit's k-word simulation kernel (up to
 // 1024 patterns per pass over the gates) on pooled scratch, so the pipeline's
 // wide batches — a whole PatternSampling sweep per call — cost no per-call
-// scratch allocation.
+// scratch allocation. That also makes it safe for concurrent use; Shared
+// gives any other box one handle that many goroutines may query.
 package oracle
 
 import (
@@ -79,10 +80,53 @@ func (o *CircuitOracle) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 	return out
 }
 
-// Fork returns the oracle itself: circuit evaluation keeps all mutable state
-// in pooled per-call scratch, so one CircuitOracle may serve many
-// goroutines.
-func (o *CircuitOracle) Fork() Oracle { return o }
+// Shared returns a handle on o that any number of goroutines may query at
+// once, as a server's connections, sessions and jobs do. A *CircuitOracle is
+// its own handle: it keeps all mutable state in pooled per-call scratch. Any
+// other box makes no concurrency promise, so it gets one view that lets a
+// single query in at a time and keeps its batch path and its error classes.
+// A handle Shared returned comes back unchanged, so every layer handed it
+// queries the box under the same lock.
+func Shared(o Oracle) Oracle {
+	switch o.(type) {
+	case *CircuitOracle, *sharedOracle:
+		return o
+	}
+	return &sharedOracle{BatchOracle: AsBatch(o), fallible: AsFallible(o)}
+}
+
+// sharedOracle serializes every query to a box that is not safe for
+// concurrent use.
+type sharedOracle struct {
+	BatchOracle // the box's names and arities
+	fallible    FallibleBatch
+
+	mu sync.Mutex
+}
+
+func (s *sharedOracle) Eval(a []bool) []bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.BatchOracle.Eval(a)
+}
+
+func (s *sharedOracle) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.BatchOracle.EvalBatch(patterns, n)
+}
+
+func (s *sharedOracle) TryEval(a []bool) ([]bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.fallible.TryEval(a)
+}
+
+func (s *sharedOracle) TryEvalBatch(patterns []bitvec.Word, n int) ([]bitvec.Word, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.fallible.TryEvalBatch(patterns, n)
+}
 
 // FuncOracle adapts a Go function to the Oracle interface, for tests.
 type FuncOracle struct {

@@ -26,9 +26,10 @@ const (
 	JobDone JobState = "done"
 )
 
-// Job is one long-running learn request. It owns a private oracle fork
-// behind a private memo; the memo survives cancellation, which is what
-// makes resume cheap and — with a fixed seed — byte-identical.
+// Job is one long-running learn request. It queries the service's shared
+// handle through a private memo of the default capacity; the memo survives
+// cancellation, which is what makes resume cheap and — with a fixed seed —
+// byte-identical.
 type Job struct {
 	ID     string
 	Tenant string
@@ -60,7 +61,7 @@ func newJob(svc *Service, id string, sess *Session, seed int64) *Job {
 		cancelCh: make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	j.memo = oracle.NewMemoCap(svc.fork(), svc.cfg.JobMemo)
+	j.memo = oracle.NewMemo(svc.base)
 	svc.attachStore(j.memo)
 	j.counter = oracle.NewCounter(j.memo)
 	return j

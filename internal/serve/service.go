@@ -5,7 +5,8 @@
 //
 // The layering, bottom to top:
 //
-//	oracle.Forker        per-session / per-job oracle handles
+//	oracle.Shared        the one handle every connection, session and job
+//	                     queries
 //	oracle.Memo          per-session query cache; per-job resume cache
 //	ioserve.Server       the wire: greeting, v1 queries, v2 batch frames
 //	serve.Wire           protocol v3 verbs: session, learn, job, cancel,
@@ -25,10 +26,10 @@
 //
 // # Jobs, cancellation, resume
 //
-// A learn job runs core.Learn against a private oracle fork behind a
-// private memo. Cancellation rides the core.Options.Cancel channel and
-// lands at output boundaries; a cancelled job keeps its memo, and resuming
-// re-runs the learn with the same seed — every previously answered query
+// A learn job runs core.Learn against the shared handle behind a private
+// memo. Cancellation rides the core.Options.Cancel channel and lands at
+// output boundaries; a cancelled job keeps its memo, and resuming re-runs
+// the learn with the same seed — every previously answered query
 // replays from the memo (the same machinery that makes fixed-seed learns
 // survive connection drops), so the resumed result is byte-identical to an
 // uninterrupted run at a fraction of the oracle cost.
@@ -42,7 +43,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"logicregression/internal/bitvec"
 	"logicregression/internal/core"
 	"logicregression/internal/oracle"
 	"logicregression/internal/serve/metrics"
@@ -66,10 +66,11 @@ var (
 	ErrDraining = errors.New("serve: service is draining")
 )
 
+// maxSessions bounds live sessions across all tenants.
+const maxSessions = 8192
+
 // Config sizes the service. The zero value gives sane single-box defaults.
 type Config struct {
-	// MaxSessions bounds live sessions across all tenants (default 8192).
-	MaxSessions int
 	// MaxSessionsPerTenant bounds live sessions per tenant (default 1024).
 	MaxSessionsPerTenant int
 	// QueueDepth bounds queued (not yet running) learn jobs (default 64).
@@ -79,13 +80,6 @@ type Config struct {
 	// MaxJobsPerTenant bounds a tenant's active — queued plus running —
 	// learn jobs (default 4).
 	MaxJobsPerTenant int
-	// SessionMemo is the per-session query-cache capacity in entries
-	// (default oracle.DefaultMemoCapacity / 16: sessions are many, so the
-	// per-session cache is modest).
-	SessionMemo int
-	// JobMemo is the per-job resume-cache capacity in entries (default
-	// oracle.DefaultMemoCapacity).
-	JobMemo int
 	// Learn is the base learner configuration; Seed, Progress, and Cancel
 	// are overridden per job.
 	Learn core.Options
@@ -99,9 +93,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = 8192
-	}
 	if c.MaxSessionsPerTenant <= 0 {
 		c.MaxSessionsPerTenant = 1024
 	}
@@ -114,12 +105,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxJobsPerTenant <= 0 {
 		c.MaxJobsPerTenant = 4
 	}
-	if c.SessionMemo <= 0 {
-		c.SessionMemo = oracle.DefaultMemoCapacity / 16
-	}
-	if c.JobMemo <= 0 {
-		c.JobMemo = oracle.DefaultMemoCapacity
-	}
 	return c
 }
 
@@ -131,12 +116,11 @@ type tenantState struct {
 
 // Service is the multi-tenant learning service over one black box.
 type Service struct {
-	base   oracle.Oracle
-	locked oracle.Oracle // shared serialized handle when base cannot fork
-	cfg    Config
-	reg    *metrics.Registry
-	store  *store.Store    // nil when persistence is off
-	ident  oracle.Identity // the black box's identity, the circuit-store key root
+	base  oracle.Oracle // the box's oracle.Shared handle
+	cfg   Config
+	reg   *metrics.Registry
+	store *store.Store    // nil when persistence is off
+	ident oracle.Identity // the black box's identity, the circuit-store key root
 
 	mu       sync.Mutex
 	sessions map[string]*Session
@@ -166,21 +150,19 @@ type Service struct {
 	mStoreWarm    *metrics.Counter
 }
 
-// New builds a service over the black box and starts its worker pool. Call
-// Drain to stop it.
+// New builds a service over the black box's oracle.Shared handle and starts
+// its worker pool; give the same handle to the ioserve.Server that carries
+// the service. Call Drain to stop it.
 func New(base oracle.Oracle, cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
-		base:     base,
+		base:     oracle.Shared(base),
 		cfg:      cfg,
 		reg:      metrics.NewRegistry(),
 		sessions: make(map[string]*Session),
 		jobs:     make(map[string]*Job),
 		tenants:  make(map[string]*tenantState),
 		queue:    make(chan *Job, cfg.QueueDepth),
-	}
-	if _, ok := base.(oracle.Forker); !ok {
-		s.locked = newLockedOracle(base)
 	}
 	s.mQueries = s.reg.Counter("queries_total")
 	s.mFrames = s.reg.Counter("query_frames_total")
@@ -233,16 +215,6 @@ func (s *Service) Healthy() bool {
 	return !s.draining
 }
 
-// fork hands out an oracle handle usable concurrently with all others:
-// a true fork when the base supports it, the shared serialized handle
-// otherwise.
-func (s *Service) fork() oracle.Oracle {
-	if f, ok := s.base.(oracle.Forker); ok {
-		return f.Fork()
-	}
-	return s.locked
-}
-
 // attachStore warm-starts a freshly built memo from the persistent store
 // (preload + write-through hook) when persistence is configured. Preloaded
 // answers came from the same deterministic black box, so warm-started
@@ -258,14 +230,14 @@ func (s *Service) id(prefix string) string {
 	return fmt.Sprintf("%s%d", prefix, s.nextID.Add(1))
 }
 
-// NewSession opens a session for a tenant, forking the black box for it.
+// NewSession opens a session for a tenant.
 func (s *Service) NewSession(tenant string) (*Session, error) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		return nil, ErrDraining
 	}
-	if len(s.sessions) >= s.cfg.MaxSessions {
+	if len(s.sessions) >= maxSessions {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %d sessions live", ErrSessionQuota, len(s.sessions))
 	}
@@ -340,26 +312,6 @@ func (s *Service) CloseSession(id string) error {
 	}
 	s.mSessClosed.Inc()
 	return nil
-}
-
-// CloseIdleSessions closes every session idle longer than maxIdle and
-// returns how many it closed. Call it periodically (or before quota
-// checks) to reap abandoned sessions; there is deliberately no background
-// reaper goroutine — the caller owns the clock.
-func (s *Service) CloseIdleSessions(maxIdle time.Duration) int {
-	cutoff := time.Now().Add(-maxIdle)
-	s.mu.Lock()
-	var idle []string
-	for id, sess := range s.sessions {
-		if sess.idleSince(cutoff) {
-			idle = append(idle, id)
-		}
-	}
-	s.mu.Unlock()
-	for _, id := range idle {
-		s.CloseSession(id)
-	}
-	return len(idle)
 }
 
 // Submit enqueues a learn job for a session at the given seed, enforcing
@@ -580,32 +532,4 @@ func (s *Service) MemoStats() oracle.MemoStats {
 		total = total.Add(j.memo.Stats())
 	}
 	return total
-}
-
-// lockedOracle serializes a non-forkable oracle for shared use, preserving
-// the batch fast path.
-type lockedOracle struct {
-	mu    sync.Mutex
-	inner oracle.BatchOracle
-}
-
-func newLockedOracle(o oracle.Oracle) *lockedOracle {
-	return &lockedOracle{inner: oracle.AsBatch(o)}
-}
-
-func (l *lockedOracle) NumInputs() int        { return l.inner.NumInputs() }
-func (l *lockedOracle) NumOutputs() int       { return l.inner.NumOutputs() }
-func (l *lockedOracle) InputNames() []string  { return l.inner.InputNames() }
-func (l *lockedOracle) OutputNames() []string { return l.inner.OutputNames() }
-
-func (l *lockedOracle) Eval(a []bool) []bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inner.Eval(a)
-}
-
-func (l *lockedOracle) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inner.EvalBatch(patterns, n)
 }

@@ -53,15 +53,6 @@ func boundSession(c *ioserve.Conn) *Session {
 	return sess
 }
 
-// ConnClosed implements ioserve.Extension: detach the bound session so the
-// idle reaper sees the connection gone. The session itself survives — the
-// client may redial and re-attach.
-func (w *Wire) ConnClosed(c *ioserve.Conn) {
-	if sess := boundSession(c); sess != nil {
-		sess.detach()
-	}
-}
-
 // transientErr reports whether an admission error should be marked
 // transient on the wire.
 func transientErr(err error) bool {
@@ -104,12 +95,9 @@ func (w *Wire) Handle(c *ioserve.Conn, line string) (handled, keep bool) {
 }
 
 // bind attaches a session to the connection, rerouting its query path
-// through the session oracle.
+// through the session oracle. The session outlives the connection: a
+// client that redials may attach to it again.
 func bind(c *ioserve.Conn, sess *Session) {
-	if old := boundSession(c); old != nil {
-		old.detach()
-	}
-	sess.attach()
 	c.State = sess
 	c.BindOracle(sess.Oracle())
 }
@@ -144,7 +132,6 @@ func (w *Wire) handleSession(c *ioserve.Conn, args []string) bool {
 		if sess == nil {
 			return c.Reply("error: no session bound")
 		}
-		sess.detach()
 		c.State = nil
 		if err := w.svc.CloseSession(sess.ID); err != nil {
 			return replyErr(c, err)

@@ -1,22 +1,29 @@
 package serve
 
 import (
+	"fmt"
 	"net"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"logicregression/internal/circuit"
 	"logicregression/internal/core"
 	"logicregression/internal/ioserve"
 	"logicregression/internal/oracle"
 )
 
-// startWireService stands a full stack up on a loopback socket: service,
-// protocol extension, ioserve server. Returns the address and the service.
-func startWireService(t *testing.T, cfg Config) (string, *Service) {
+// startWireService stands a full stack up over the box on a loopback
+// socket, as iogen -serve does: one shared handle for the service, its
+// protocol extension and the ioserve server. Returns the address and the
+// service.
+func startWireService(t *testing.T, box oracle.Oracle, cfg Config) (string, *Service) {
 	t.Helper()
-	base := oracle.FromCircuit(testBox())
+	base := oracle.Shared(box)
 	svc := New(base, cfg)
 	srv := ioserve.NewServer(base)
 	srv.Ext = svc.Wire()
@@ -57,7 +64,7 @@ func TestWireEndToEnd(t *testing.T) {
 	const seed = 11
 	want := netlistText(t, core.Learn(oracle.FromCircuit(box), core.Options{Seed: seed}).Circuit)
 
-	addr, _ := startWireService(t, Config{Workers: 1})
+	addr, _ := startWireService(t, oracle.FromCircuit(box), Config{Workers: 1})
 	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
@@ -122,6 +129,207 @@ func TestWireEndToEnd(t *testing.T) {
 	}
 	if _, err := cl.Learn(seed); err == nil {
 		t.Fatal("Learn without a session succeeded; want error")
+	}
+}
+
+// wideBox is a 20-input black box: wide enough that clients can query
+// patterns no other client repeats, with outputs of small support so a
+// learn of it is quick.
+func wideBox() *circuit.Circuit {
+	c := circuit.New()
+	x := make([]circuit.Signal, 20)
+	for i := range x {
+		x[i] = c.AddPI(fmt.Sprintf("x%d", i))
+	}
+	c.AddPO("y", c.Xor(c.And(x[0], x[1]), x[19]))
+	c.AddPO("z", c.Or(c.And(x[3], x[7]), x[12]))
+	return c
+}
+
+// setBits fills in with the low bits of v and returns it.
+func setBits(in []bool, v int) []bool {
+	for b := range in {
+		in[b] = v>>b&1 == 1
+	}
+	return in
+}
+
+// TestSessionAttachFromSecondConnection is the redial story: client A opens
+// a session, queries p and keeps querying, while client B dials, attaches
+// to A's session and queries p. B must get the box's answer from the
+// session memo, while both connections query the one session at once.
+func TestSessionAttachFromSecondConnection(t *testing.T) {
+	box := wideBox()
+	addr, svc := startWireService(t, oracle.FromCircuit(box), Config{Workers: 1})
+	a, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	sid, err := a.NewSession("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// p is the only pattern either client sends twice: A's later patterns
+	// keep x19 clear, B's others set x19 and some lower bit.
+	p := setBits(make([]bool, 20), 1<<19)
+	if _, err := a.TryEval(p); err != nil {
+		t.Fatal(err)
+	}
+	started := make(chan struct{})
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		defer close(done)
+		in := make([]bool, 20)
+		// Fewer distinct patterns than the session memo holds, so p is
+		// never evicted.
+		for v := 0; v < 4096; v++ {
+			if _, err := a.TryEval(setBits(in, v)); err != nil {
+				done <- err
+				return
+			}
+			if v == 0 {
+				close(started)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	<-started
+
+	b, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.Attach(sid); err != nil {
+		t.Fatalf("Attach: %v", err)
+	}
+	if b.SessionID() != sid {
+		t.Fatalf("attached to %q, want %q", b.SessionID(), sid)
+	}
+	in := make([]bool, 20)
+	for v := 0; v < 200; v++ {
+		q := setBits(in, v|1<<19)
+		got, err := b.TryEval(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := box.Eval(q); !slices.Equal(got, want) {
+			t.Fatalf("B's query %v = %v, want %v", q, got, want)
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatalf("A: %v", err)
+	}
+	sess, ok := svc.Session(sid)
+	if !ok {
+		t.Fatalf("session %s gone", sid)
+	}
+	if hits := sess.MemoStats().Hits; hits != 1 {
+		t.Fatalf("session memo hits = %d, want 1 (B's repeat of p)", hits)
+	}
+}
+
+// TestServedUnsafeBoxOneCallAtATime serves, as iogen -serve does, a box that
+// is not safe for concurrent use, and queries it at once from a plain
+// connection, a session connection and a running learn job. The box must
+// never see two calls at a time.
+func TestServedUnsafeBoxOneCallAtATime(t *testing.T) {
+	circ := wideBox()
+	var calls int // unsynchronized on purpose: the race detector's witness
+	var inFlight, maxIn atomic.Int64
+	box := &oracle.FuncOracle{Ins: circ.PINames(), Outs: circ.PONames(), F: func(a []bool) []bool {
+		n := inFlight.Add(1)
+		defer inFlight.Add(-1)
+		for m := maxIn.Load(); n > m; m = maxIn.Load() {
+			if maxIn.CompareAndSwap(m, n) {
+				break
+			}
+		}
+		calls++
+		runtime.Gosched() // widen the window another caller could use
+		return circ.Eval(a)
+	}}
+	// The learn waits at its first phase until both connections query.
+	gate := make(chan struct{})
+	var opened sync.Once
+	openGate := func() { opened.Do(func() { close(gate) }) }
+	defer openGate() // never leave the worker blocked when the test fails
+	addr, svc := startWireService(t, box, Config{Workers: 1, Learn: core.Options{
+		Progress: func(ev core.Progress) {
+			if ev.Phase == core.PhaseTemplates {
+				<-gate
+			}
+		},
+	}})
+
+	plain, err := ioserve.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	sc, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	if _, err := sc.NewSession("acme"); err != nil {
+		t.Fatal(err)
+	}
+	jid, err := sc.Learn(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, ok := svc.Job(jid)
+	if !ok {
+		t.Fatalf("job %s unknown", jid)
+	}
+	jobDone := j.Done()
+
+	// Each connection queries fresh patterns from before the learn starts
+	// until it ends.
+	started := make(chan struct{}, 2)
+	errs := make(chan error, 2)
+	for i, cl := range []oracle.Fallible{plain, sc} {
+		go func(cl oracle.Fallible, from int) {
+			in := make([]bool, 20)
+			for n := 0; ; n++ {
+				_, err := cl.TryEval(setBits(in, from+n))
+				if n == 0 {
+					started <- struct{}{}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				select {
+				case <-jobDone:
+					errs <- nil
+					return
+				default:
+				}
+			}
+		}(cl, i<<19)
+	}
+	<-started
+	<-started
+	openGate()
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := j.Status(); st.State != JobDone || st.Queries == 0 {
+		t.Fatalf("job status %+v, want done after some queries", st)
+	}
+	if got := maxIn.Load(); got != 1 {
+		t.Fatalf("%d calls were inside the box at once, want 1", got)
 	}
 }
 
