@@ -239,8 +239,11 @@ func main() {
 			}
 			defer cl.Close()
 			<-start
-			if n := int64(runtime.NumGoroutine()); n > peak.Load() {
-				peak.Store(n)
+			n := int64(runtime.NumGoroutine())
+			for p := peak.Load(); n > p; p = peak.Load() {
+				if peak.CompareAndSwap(p, n) {
+					break
+				}
 			}
 			tenant := fmt.Sprintf("t%d", id%*tenants)
 			if _, err := cl.NewSession(tenant); err != nil {

@@ -1,11 +1,10 @@
 // Command repolint runs the repo-specific static analyzers — the AST rules
 // (scalareval, orphanerr, errcompare, nodeadline, atomicsafe), the
-// flow-sensitive contract checkers (randtaint, locksafe, panicbridge,
-// goleak), the interprocedural concurrency/allocation contracts (chanflow,
-// ctxcancel, hotalloc), the cross-package map-order determinism contract
-// (mapdet), the hot-path shift rule (shiftrange), and the value-flow
-// checkers (nilflow, deadbranch); see internal/analysis/analyzers — over
-// Go packages:
+// flow-sensitive goroutine-completion check (goleak), the interprocedural
+// concurrency/allocation contracts (chanflow, hotalloc), the cross-package
+// map-order determinism contract (mapdet), the hot-path shift rule
+// (shiftrange), and the value-flow checkers (nilflow, deadbranch); see
+// internal/analysis/analyzers — over Go packages:
 //
 //	repolint ./...
 //

@@ -12,16 +12,6 @@
 //	nodeadline  network I/O must be time-bounded: net.DialTimeout over
 //	            net.Dial, Set*Deadline before raw conn reads/writes (a
 //	            silent remote black box must not pin a goroutine)
-//	randtaint   all randomness flows from the plumbed seed: no draws from
-//	            the process-global math/rand source, and no generator
-//	            seeded from the clock or another nondeterministic value,
-//	            tracked through variables, fields, returns, and closures
-//	locksafe    flow-sensitive: every Lock/TryLock acquisition is released
-//	            on all exit paths (including panic edges); lock copies are
-//	            `go vet`'s copylocks check
-//	panicbridge flow-sensitive: in internal/core and internal/oracle only
-//	            *oracle.Failure errors may panic on oracle-reachable
-//	            paths, and recover results are type-checked
 //	goleak      every go statement has a completion witness in scope
 //	            (WaitGroup.Done, done-channel send/close, context)
 //	atomicsafe  no package-level sync/atomic functions: the typed atomics
@@ -29,10 +19,8 @@
 //	chanflow    no send on a possibly-closed channel, no double close, no
 //	            blocking send on an unbuffered channel without a select or
 //	            cancellation escape
-//	ctxcancel   a goroutine handed a context/cancel channel must observe
-//	            it on every iteration path of its unconditioned loops
 //	hotalloc    //logicreg:hotpath functions are allocation-free on all
-//	            non-panic paths (cross-checked against -gcflags=-m)
+//	            non-panic paths (bodies also held to -gcflags=-m)
 //	mapdet      range-over-map and select-arrival values must not reach
 //	            returned slices, serialized output, or merge positions
 //	            without an intervening sort — the determinism contract
@@ -48,13 +36,11 @@
 //
 // The flow-sensitive rules run on internal/analysis/flow (CFGs, a forward
 // lattice solver, and bottom-up call-graph summaries); see DESIGN.md §10.
-// The concurrency/allocation contract rules (chanflow, ctxcancel,
-// hotalloc) additionally use its reachability utilities (cold and cycle
-// blocks, avoidance-constrained reachability); see DESIGN.md §12 for the
-// annotation grammar. Three analyzers — hotalloc, panicbridge, and mapdet
-// — additionally export cross-package facts (AllocFree, OracleReachable,
-// Unordered) through the framework's facts store, so their summaries
-// survive package boundaries; see DESIGN.md §13.
+// hotalloc additionally uses its reachability utilities (cold and cycle
+// blocks); see DESIGN.md §12 for the annotation grammar. Two analyzers —
+// hotalloc and mapdet — additionally export cross-package facts
+// (AllocFree, Unordered) through the framework's facts store, so their
+// summaries survive package boundaries; see DESIGN.md §13.
 package analyzers
 
 import (
@@ -62,19 +48,18 @@ import (
 )
 
 // All returns every repo analyzer, in stable order. The first group are
-// cheap AST matchers; the second group (randtaint, locksafe, panicbridge,
-// goleak) are flow-sensitive rules built on internal/analysis/flow; the
-// third group (atomicsafe, chanflow, ctxcancel, hotalloc) are the
-// concurrency and hot-path allocation contracts; mapdet
-// is the cross-package map-order determinism contract; shiftrange is the
+// cheap AST matchers; goleak is a flow-sensitive rule built on
+// internal/analysis/flow; the third group (atomicsafe, chanflow, hotalloc)
+// are the concurrency and hot-path allocation contracts; mapdet is the
+// cross-package map-order determinism contract; shiftrange is the
 // syntactic hot-path shift rule; the last group (nilflow, deadbranch) are
 // the value-flow rules, lattices over tracked locals on the same forward
 // solver.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		ScalarEval, OrphanErr, ErrCompare, NoDeadline,
-		RandTaint, LockSafe, PanicBridge, GoLeak,
-		AtomicSafe, ChanFlow, CtxCancel, HotAlloc,
+		GoLeak,
+		AtomicSafe, ChanFlow, HotAlloc,
 		MapDet,
 		ShiftRange, NilFlow, DeadBranch,
 	}

@@ -38,8 +38,6 @@ func fixturePath(dir string) string {
 	switch dir {
 	case "scalareval":
 		return "logicregression/internal/support" // a batch-capable package
-	case "panicbridge":
-		return "logicregression/internal/core" // the learner-oracle boundary
 	case "shiftrange":
 		return "logicregression/internal/bitvec" // a bit-kernel package
 	}
@@ -74,17 +72,11 @@ func checkFixture(t *testing.T, dir string, analyzers []*analysis.Analyzer) (*to
 	return fset, files, diags
 }
 
-// runFixture checks analyzer a against the want comments of its fixture.
+// runFixture checks analyzer a against the want comments of its fixture
+// in testdata/src/<a.Name>.
 func runFixture(t *testing.T, a *analysis.Analyzer) {
 	t.Helper()
-	runFixtureDir(t, a.Name, a)
-}
-
-// runFixtureDir checks analyzer a against the want comments of the fixture
-// in testdata/src/<dir>.
-func runFixtureDir(t *testing.T, dir string, a *analysis.Analyzer) {
-	t.Helper()
-	fset, files, diags := checkFixture(t, dir, []*analysis.Analyzer{a})
+	fset, files, diags := checkFixture(t, a.Name, []*analysis.Analyzer{a})
 
 	type expectation struct {
 		substr  string
@@ -191,34 +183,6 @@ func TestNoDeadlineFixture(t *testing.T) {
 	runFixture(t, NoDeadline)
 }
 
-func TestRandTaintFixture(t *testing.T) {
-	runFixture(t, RandTaint)
-}
-
-// TestSeededRandFixture runs randtaint over the fixture of the former
-// seededrand rule, which randtaint absorbed: every case that rule reported
-// must still be reported, with the same message.
-func TestSeededRandFixture(t *testing.T) {
-	runFixtureDir(t, "seededrand", RandTaint)
-}
-
-func TestLockSafeFixture(t *testing.T) {
-	runFixture(t, LockSafe)
-}
-
-func TestPanicBridgeFixture(t *testing.T) {
-	// The contract is gated to the learner-oracle boundary; the fixture
-	// type-checks under a core import path to be inside the gate.
-	runFixture(t, PanicBridge)
-}
-
-func TestPanicBridgeSkipsOtherPackages(t *testing.T) {
-	diags := checkBadAs(t, "panicbridge", "example.com/elsewhere", PanicBridge)
-	if len(diags) != 0 {
-		t.Errorf("panicbridge fired outside internal/core and internal/oracle: %v", diags)
-	}
-}
-
 func TestGoLeakFixture(t *testing.T) {
 	runFixture(t, GoLeak)
 }
@@ -229,10 +193,6 @@ func TestAtomicSafeFixture(t *testing.T) {
 
 func TestChanFlowFixture(t *testing.T) {
 	runFixture(t, ChanFlow)
-}
-
-func TestCtxCancelFixture(t *testing.T) {
-	runFixture(t, CtxCancel)
 }
 
 func TestHotAllocFixture(t *testing.T) {

@@ -2,6 +2,7 @@ package analyzers
 
 import (
 	"go/ast"
+	"go/types"
 
 	"logicregression/internal/analysis"
 )
@@ -30,11 +31,16 @@ func runAtomicSafe(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			if fn := packageFunc(pass.TypesInfo.Uses[id], "sync/atomic"); fn != nil {
-				pass.Reportf(id.Pos(),
-					"sync/atomic.%s works on a plain word that other code can touch non-atomically; "+
-						"use a typed atomic (atomic.Int64, atomic.Bool, atomic.Pointer, ...)", fn.Name())
+			// Resolving the identifier matches calls and references alike,
+			// package-qualified or dot-imported.
+			fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
+			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" ||
+				fn.Type().(*types.Signature).Recv() != nil {
+				return true
 			}
+			pass.Reportf(id.Pos(),
+				"sync/atomic.%s works on a plain word that other code can touch non-atomically; "+
+					"use a typed atomic (atomic.Int64, atomic.Bool, atomic.Pointer, ...)", fn.Name())
 			return true
 		})
 	}

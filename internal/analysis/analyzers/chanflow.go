@@ -1,10 +1,13 @@
 package analyzers
 
 import (
+	"bytes"
 	"go/ast"
+	"go/printer"
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 
 	"logicregression/internal/analysis"
 	"logicregression/internal/analysis/astutil"
@@ -25,10 +28,10 @@ import (
 //
 // Closes through same-package helpers (`func stop(ch chan int) { close(ch) }`)
 // are resolved by bottom-up summary over the call graph. State is tracked
-// per rendered channel expression, like locksafe's lock keys; re-making a
-// channel resets its state. The analysis is deliberately function-local
-// beyond those summaries: cross-goroutine protocols (a mutex ordering a
-// close against sends elsewhere) are out of scope and not flagged. Branch
+// per rendered channel expression (renderExpr); re-making a channel resets
+// its state. The analysis is deliberately function-local beyond those
+// summaries: cross-goroutine protocols (a mutex ordering a close against
+// sends elsewhere) are out of scope and not flagged. Branch
 // correlations are not modeled: a close under `if stop` and a send under
 // `if !stop` are reported, because the lattice joins paths without their
 // conditions.
@@ -386,4 +389,12 @@ func objectOfIdent(info *types.Info, id *ast.Ident) types.Object {
 		return obj
 	}
 	return info.Uses[id]
+}
+
+// renderExpr prints e on one line with its whitespace collapsed: the key
+// under which the lattice tracks a channel.
+func renderExpr(fset *token.FileSet, e ast.Expr) string {
+	var buf bytes.Buffer
+	printer.Fprint(&buf, fset, e)
+	return strings.Join(strings.Fields(buf.String()), " ")
 }

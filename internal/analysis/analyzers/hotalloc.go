@@ -39,8 +39,9 @@ import (
 // that can only reach the CFG's panic exit are cold: a fmt.Sprintf feeding
 // a bounds-check panic is fine. Genuine exceptions (amortized growth of
 // reused scratch) are annotated with `//logicreg:allow hotalloc <reason>`.
-// The static verdicts are cross-checked against `go build -gcflags=-m`
-// escape output by TestHotpathGcflagsCrossCheck.
+// TestHotpathGcflagsCrossCheck holds the same bodies to the escapes
+// `go build -gcflags=-m` reports on their lines; the callees are this
+// analyzer's alone.
 var HotAlloc = &analysis.Analyzer{
 	Name: "hotalloc",
 	Doc: "flags heap allocations, interface boxing, closures, defer-in-loop, " +

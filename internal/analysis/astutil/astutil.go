@@ -49,34 +49,6 @@ func IsBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
 	return ok && b.Name() == name
 }
 
-// ImportedPkg returns the package a qualified identifier pkg.Sel refers to,
-// or nil when sel.X is not a package name.
-func ImportedPkg(info *types.Info, sel *ast.SelectorExpr) *types.PkgName {
-	id, ok := Unparen(sel.X).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	pkgName, _ := info.Uses[id].(*types.PkgName)
-	return pkgName
-}
-
-// NamedType reports whether t (or the pointee, when t is a pointer) is the
-// named type pkgPath.name.
-func NamedType(t types.Type, pkgPath, name string) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return pkgPath == "" && obj.Name() == name
-	}
-	return obj.Pkg().Path() == pkgPath && obj.Name() == name
-}
-
 // ObjectOf resolves the object an identifier defines or uses.
 func ObjectOf(info *types.Info, id *ast.Ident) types.Object {
 	if obj := info.Defs[id]; obj != nil {

@@ -108,44 +108,3 @@ func TestUnparen(t *testing.T) {
 		t.Error("Unparen changed an unparenthesized expression")
 	}
 }
-
-func TestImportedPkg(t *testing.T) {
-	_, f, info := typecheck(t, `package x
-import "sync"
-var once sync.Once
-var notPkg = struct{ F int }{}
-var y = notPkg.F
-`)
-	var sels []*ast.SelectorExpr
-	ast.Inspect(f, func(n ast.Node) bool {
-		if s, ok := n.(*ast.SelectorExpr); ok {
-			sels = append(sels, s)
-		}
-		return true
-	})
-	// sync.Once then notPkg.F.
-	if p := ImportedPkg(info, sels[0]); p == nil || p.Imported().Path() != "sync" {
-		t.Errorf("sync.Once: got %v, want package sync", p)
-	}
-	if p := ImportedPkg(info, sels[1]); p != nil {
-		t.Errorf("notPkg.F: got %v, want nil", p)
-	}
-}
-
-func TestNamedType(t *testing.T) {
-	_, f, info := typecheck(t, src)
-	var hit *types.Func
-	ast.Inspect(f, func(n ast.Node) bool {
-		if fd, ok := n.(*ast.FuncDecl); ok && fd.Name.Name == "Hit" {
-			hit = info.Defs[fd.Name].(*types.Func)
-		}
-		return true
-	})
-	recv := hit.Type().(*types.Signature).Recv().Type()
-	if !NamedType(recv, "x", "T") {
-		t.Errorf("NamedType(%v, x, T) = false, want true through the pointer", recv)
-	}
-	if NamedType(recv, "x", "U") {
-		t.Error("NamedType matched the wrong name")
-	}
-}

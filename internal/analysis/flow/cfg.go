@@ -1,11 +1,11 @@
 // Package flow is a stdlib-only, function-level dataflow engine for the
 // repo analyzers: control-flow graphs built from go/ast, a generic forward
-// lattice solver with branch sensitivity, a taint lattice, and a package
-// call graph with bottom-up fixpoint summaries. Two value lattices over the
-// tracked locals of a function (Locals) ride the same solver: conditional
-// constant propagation (SolveConsts) here, and nilflow's must-analysis of
-// call results in the analyzers package. All three lattices read
-// assignments through one definition-site walk (EachAssign).
+// lattice solver with branch sensitivity, and a package call graph with
+// bottom-up fixpoint summaries. Two value lattices over the tracked locals
+// of a function (Locals) ride the same solver: conditional constant
+// propagation (SolveConsts) here, and nilflow's must-analysis of call
+// results in the analyzers package. Both read assignments through one
+// definition-site walk (EachAssign).
 //
 // It deliberately mirrors the shape of golang.org/x/tools/go/cfg and the
 // x/tools dataflow passes without the dependency (this repo builds with no

@@ -11,8 +11,7 @@ import (
 
 // TestSolverFixpointOnRepo is the property test backing the solver's
 // convergence cap: for every function and function literal in the module,
-// the taint lattice (under a worst-case spec that taints every call result)
-// and the constant lattice must reach a fixed point. nilflow's lattice lives
+// the constant lattice must reach a fixed point. nilflow's lattice lives
 // with its analyzer, which fails its package when the solver does not
 // converge; it runs in the same sweep. A lattice or transfer bug that breaks
 // monotonicity shows up here as a non-converged solution on real code long
@@ -56,19 +55,6 @@ func TestSolverFixpointOnRepo(t *testing.T) {
 						return true
 					}
 
-					// Worst case for the taint lattice: every call result
-					// is a fresh source, so states grow as fast as they can.
-					spec := &flow.TaintSpec{
-						Info: pass.TypesInfo,
-						Source: func(e ast.Expr) bool {
-							_, ok := e.(*ast.CallExpr)
-							return ok
-						},
-					}
-					if sol := flow.RunTaint(g, spec); !sol.Converged {
-						t.Errorf("%s: %s: taint solver did not converge (%d iterations over %d blocks)",
-							pos, name, sol.Iterations, len(g.Blocks))
-					}
 					if c := flow.SolveConsts(n, pass.TypesInfo); !c.Converged {
 						t.Errorf("%s: %s: constant propagation did not converge (%d iterations over %d blocks)",
 							pos, name, c.Iterations, len(c.CFG.Blocks))

@@ -1,9 +1,8 @@
 package flow
 
 // This file holds the CFG reachability utilities of the flow engine (cold
-// panic-only paths, cycle membership, avoidance-constrained reachability).
-// The concurrency/allocation contract analyzers (chanflow, ctxcancel,
-// hotalloc) are built on these.
+// panic-only paths, cycle membership). The hot-path allocation contract
+// (hotalloc) is built on these.
 
 // preds returns the predecessor lists of every block.
 func (g *CFG) preds() map[*Block][]*Block {
@@ -49,48 +48,27 @@ func (g *CFG) ColdBlocks() map[*Block]bool {
 func (g *CFG) CycleBlocks() map[*Block]bool {
 	on := make(map[*Block]bool)
 	for _, b := range g.Blocks {
-		if g.reaches(b.Succs, b, nil) {
+		if reaches(b.Succs, b) {
 			on[b] = true
 		}
 	}
 	return on
 }
 
-// CanReach reports whether `to` is reachable from `from` along successor
-// edges without entering any block for which avoid returns true. `from`
-// itself is expanded unconditionally; `to` is tested before its avoid
-// status is consulted. A nil avoid means plain reachability.
-func (g *CFG) CanReach(from, to *Block, avoid func(*Block) bool) bool {
-	if from == to {
-		return true
-	}
-	return g.reaches(from.Succs, to, avoid)
-}
-
-func (g *CFG) reaches(starts []*Block, to *Block, avoid func(*Block) bool) bool {
+// reaches reports whether to is reachable along successor edges from any
+// block in starts (a start equal to to counts).
+func reaches(starts []*Block, to *Block) bool {
 	seen := make(map[*Block]bool)
-	var work []*Block
-	for _, s := range starts {
-		if s == to {
-			return true
-		}
-		if (avoid == nil || !avoid(s)) && !seen[s] {
-			seen[s] = true
-			work = append(work, s)
-		}
-	}
+	work := append([]*Block(nil), starts...)
 	for len(work) > 0 {
 		b := work[len(work)-1]
 		work = work[:len(work)-1]
-		for _, s := range b.Succs {
-			if s == to {
-				return true
-			}
-			if seen[s] || (avoid != nil && avoid(s)) {
-				continue
-			}
-			seen[s] = true
-			work = append(work, s)
+		if b == to {
+			return true
+		}
+		if !seen[b] {
+			seen[b] = true
+			work = append(work, b.Succs...)
 		}
 	}
 	return false

@@ -95,43 +95,3 @@ func f(xs []int) {
 		t.Errorf("range.head Stmt = %T, want *ast.RangeStmt", rangeHead.Stmt)
 	}
 }
-
-func TestCanReachAvoid(t *testing.T) {
-	_, fd, info := parseFunc(t, `package x
-func f(stop chan struct{}, n int) {
-	for {
-		if n > 0 {
-			<-stop
-		}
-		n--
-	}
-}
-`, "f")
-	g := New(fd.Body, info)
-	head := blockOfKind(t, g, "for.head")
-	then := blockOfKind(t, g, "if.then") // holds the <-stop receive
-
-	if !g.CanReach(head, head, nil) {
-		t.Errorf("loop head cannot reach itself")
-	}
-	// The else path skips the receive: the iteration cycle survives even
-	// when the receiving block is forbidden.
-	avoid := func(b *Block) bool { return b == then }
-	found := false
-	for _, s := range head.Succs {
-		if s != then && g.CanReach(s, head, avoid) {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no observation-free cycle found around the if/else")
-	}
-	// Avoiding the join block below the if severs every cycle.
-	done := blockOfKind(t, g, "if.done")
-	avoidDone := func(b *Block) bool { return b == done }
-	for _, s := range head.Succs {
-		if s != done && g.CanReach(s, head, avoidDone) {
-			t.Errorf("cycle survives avoiding the only join block")
-		}
-	}
-}

@@ -19,8 +19,8 @@ type Assign struct {
 }
 
 // EachAssign calls fn for every assignment one top-level CFG node performs,
-// in order. It is the engine's one definition-site walk: the taint,
-// constant and nilflow lattices all read assignments through it.
+// in order. It is the engine's one definition-site walk: the constant and
+// nilflow lattices both read assignments through it.
 func EachAssign(n ast.Node, fn func(Assign)) {
 	switch n := n.(type) {
 	case *ast.AssignStmt:

@@ -18,7 +18,7 @@ func Main(analyzers ...*Analyzer) {
 
 // Version participates in every analysis-cache key; bump it when analyzer
 // behaviour changes.
-const Version = "repolint-7.1"
+const Version = "repolint-8"
 
 func run(args []string, analyzers []*Analyzer) int {
 	fs := flag.NewFlagSet("repolint", flag.ContinueOnError)

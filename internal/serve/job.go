@@ -171,11 +171,10 @@ func (j *Job) cancel() (immediate bool, err error) {
 	}
 }
 
-// finish retires a running job after core.Learn returns, reporting whether
-// the attempt ended cancelled. A learn that completed before noticing a
-// late cancel counts as done — the result is whole and byte-identical to
-// an uninterrupted run.
-func (j *Job) finish(res *core.Result) (canceled bool) {
+// finish retires a running job after core.Learn returns. A learn that
+// completed before noticing a late cancel counts as done — the result is
+// whole and byte-identical to an uninterrupted run.
+func (j *Job) finish(res *core.Result) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.result = res
@@ -185,7 +184,6 @@ func (j *Job) finish(res *core.Result) (canceled bool) {
 		j.state = JobDone
 	}
 	close(j.done)
-	return res.Canceled
 }
 
 // prepareResume re-arms a cancelled job for another attempt: fresh cancel

@@ -47,7 +47,7 @@ const histBuckets = 32
 // are estimated from the bucket counts with linear interpolation inside the
 // hit bucket, accurate to a factor of 2 in the worst case and much better
 // in practice (latencies cluster, and buckets are narrow where they do).
-// The maximum is tracked exactly, not estimated.
+// The maximum is tracked exactly, not estimated, and caps every quantile.
 type Histogram struct {
 	buckets [histBuckets]atomic.Int64
 	count   atomic.Int64
@@ -105,7 +105,8 @@ type HistogramSnapshot struct {
 	Buckets   [histBuckets]int64
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) in seconds. With no
+// Quantile estimates the q-quantile (0 < q <= 1) in seconds. It never
+// exceeds the exact maximum, and Quantile(1) is the maximum. With no
 // observations it returns 0.
 func (s HistogramSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 {
@@ -115,21 +116,24 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	if rank < 1 {
 		rank = 1
 	}
+	maxUs := float64(s.MaxMicros)
 	var seen float64
 	for i, n := range s.Buckets {
 		if n == 0 {
 			continue
 		}
 		if seen+float64(n) >= rank {
-			// Linear interpolation inside [2^i, 2^(i+1)) microseconds.
+			// Linear interpolation inside [2^i, 2^(i+1)) microseconds. The
+			// top occupied bucket holds the maximum and ends there.
 			lo := math.Pow(2, float64(i))
+			hi := math.Min(2*lo, maxUs)
+			lo = math.Min(lo, hi)
 			frac := (rank - seen) / float64(n)
-			us := lo * (1 + frac) // lo + frac*(hi-lo), hi = 2*lo
-			return us / 1e6
+			return (lo + frac*(hi-lo)) / 1e6
 		}
 		seen += float64(n)
 	}
-	return math.Pow(2, histBuckets) / 1e6
+	return maxUs / 1e6
 }
 
 // Mean returns the mean observation in seconds (0 with no observations).

@@ -92,6 +92,34 @@ func TestHistogramMaxIsExact(t *testing.T) {
 	}
 }
 
+// TestQuantileNeverExceedsMax: with few observations in the top bucket,
+// interpolating up to the bucket's upper edge would report a p99 far above
+// anything observed; the top bucket ends at the exact maximum instead.
+func TestQuantileNeverExceedsMax(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		obs  []time.Duration
+	}{
+		{"one learn", []time.Duration{269 * time.Millisecond}},
+		{"three in one bucket", []time.Duration{262 * time.Millisecond, 265 * time.Millisecond, 269 * time.Millisecond}},
+		{"fast body, slow tail", []time.Duration{40 * time.Microsecond, 45 * time.Microsecond, 50 * time.Microsecond, 4670 * time.Millisecond}},
+		{"below a microsecond", []time.Duration{100 * time.Nanosecond, 200 * time.Nanosecond}},
+	} {
+		var h Histogram
+		for _, d := range tc.obs {
+			h.Observe(d)
+		}
+		s := h.Snapshot()
+		maxS := float64(s.MaxMicros) / 1e6
+		if p99 := s.Quantile(0.99); p99 > maxS {
+			t.Errorf("%s: p99 = %v s exceeds the max %v s", tc.name, p99, maxS)
+		}
+		if p100 := s.Quantile(1); p100 != maxS {
+			t.Errorf("%s: Quantile(1) = %v s, want the max %v s", tc.name, p100, maxS)
+		}
+	}
+}
+
 func TestMeterRate(t *testing.T) {
 	var m Meter
 	m.Add(50)

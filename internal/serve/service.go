@@ -461,10 +461,9 @@ func (s *Service) run(j *Job) {
 		if c, err := s.store.GetCircuit(learnKey); err == nil && c != nil {
 			s.running.Add(-1)
 			s.mStoreWarm.Inc()
-			res := &core.Result{Circuit: c, Size: c.Size(), SizeBeforeOpt: c.Size()}
-			j.finish(res)
 			s.jobDone(j)
 			s.mJobsDone.Inc()
+			j.finish(&core.Result{Circuit: c, Size: c.Size(), SizeBeforeOpt: c.Size()})
 			return
 		}
 	}
@@ -479,13 +478,15 @@ func (s *Service) run(j *Job) {
 	res := core.Learn(j.counter, opts)
 	s.hLearn.Observe(time.Since(start))
 	s.running.Add(-1)
-	canceled := j.finish(res)
 	s.jobDone(j)
-	if canceled {
+	if res.Canceled {
 		s.mJobsCanceled.Inc()
 	} else {
 		s.mJobsDone.Inc()
 	}
+	// The tenant's job slot and the counters settle before Done fires, so
+	// a caller it wakes reads them current.
+	j.finish(res)
 	// Persist a whole learn's circuit for future warm starts; partial ones
 	// are not the learn key's true answer.
 	if s.store != nil && store.Storable(opts, res) {
