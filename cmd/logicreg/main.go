@@ -260,29 +260,13 @@ func writeNetlist(path string, c *circuit.Circuit) {
 // validate runs oracle.Validate with transport failures as errors instead
 // of panics: a dead remote at startup is an exit-1 message, not a crash.
 func validate(o oracle.Oracle) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			f, ok := rec.(*oracle.Failure)
-			if !ok {
-				panic(rec)
-			}
-			err = f.Err
-		}
-	}()
+	defer oracle.CatchFailure(&err)
 	return oracle.Validate(o)
 }
 
 // measure runs the self-check, catching a black box that dies during it.
 func measure(o oracle.Oracle, res *core.Result, cfg eval.Config) (rep eval.Report, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			f, ok := rec.(*oracle.Failure)
-			if !ok {
-				panic(rec)
-			}
-			err = f.Err
-		}
-	}()
+	defer oracle.CatchFailure(&err)
 	return eval.Measure(o, oracle.FromCircuit(res.Circuit), cfg), nil
 }
 

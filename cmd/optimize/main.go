@@ -29,7 +29,7 @@ func main() {
 		format  = flag.String("format", "netlist", "output format: netlist, blif, verilog, aiger, dot")
 		seed    = flag.Int64("seed", 1, "FRAIG simulation seed")
 		limit   = flag.Duration("time", 60*time.Second, "optimization time limit")
-		balance = flag.Bool("balance", false, "also balance for depth")
+		balance = flag.Bool("balance", false, "also balance for depth (with -script: appends a balance pass)")
 		script  = flag.String("script", "", "explicit pass sequence, e.g. \"strash; rewrite; fraig\" (overrides the default pipeline)")
 		verify  = flag.Bool("verify", true, "SAT-verify equivalence of the result")
 	)
@@ -52,6 +52,9 @@ func main() {
 	}
 	var optimized *circuit.Circuit
 	if *script != "" {
+		if *balance {
+			*script += "; balance"
+		}
 		optimized, err = opt.RunScript(c, *script, cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "optimize:", err)

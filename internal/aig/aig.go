@@ -105,9 +105,6 @@ func (g *AIG) AddPO(name string, l Lit) {
 	g.poNames = append(g.poNames, name)
 }
 
-// SetPO replaces the driver of output i (used by optimization passes).
-func (g *AIG) SetPO(i int, l Lit) { g.pos[i] = l }
-
 // IsAnd reports whether n is an AND node.
 func (g *AIG) IsAnd(n int) bool { return n > g.numPIs }
 
@@ -153,11 +150,6 @@ func (g *AIG) Xor(a, b Lit) Lit {
 	return g.And(g.And(a, b.Not()).Not(), g.And(a.Not(), b).Not()).Not()
 }
 
-// Mux returns s ? t : e.
-func (g *AIG) Mux(s, t, e Lit) Lit {
-	return g.And(g.And(s, t).Not(), g.And(s.Not(), e).Not()).Not()
-}
-
 // NumAnds returns the number of AND nodes reachable from the outputs.
 func (g *AIG) NumAnds() int {
 	mark := g.markReachable()
@@ -195,21 +187,6 @@ func (g *AIG) markReachable() []bool {
 	return mark
 }
 
-// Levels returns the per-node AND-depth and the maximum output level.
-func (g *AIG) Levels() ([]int, int) {
-	lv := make([]int, len(g.nodes))
-	for n := g.numPIs + 1; n < len(g.nodes); n++ {
-		l0 := lv[g.nodes[n].fan0.Node()]
-		l1 := lv[g.nodes[n].fan1.Node()]
-		lv[n] = 1 + max(l0, l1)
-	}
-	best := 0
-	for _, po := range g.pos {
-		best = max(best, lv[po.Node()])
-	}
-	return lv, best
-}
-
 // SimWords simulates 64 parallel patterns: in[i] is the word of PI i.
 // It returns the value word of every node; index by Lit.Node() and
 // complement per Lit.Compl().
@@ -233,9 +210,6 @@ func litWord(vals []uint64, l Lit) uint64 {
 	}
 	return w
 }
-
-// LitWord resolves an edge against a SimWords result.
-func LitWord(vals []uint64, l Lit) uint64 { return litWord(vals, l) }
 
 // EvalPOs simulates and returns one word per output.
 func (g *AIG) EvalPOs(in []uint64) []uint64 {

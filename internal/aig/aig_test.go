@@ -48,21 +48,20 @@ func TestAndFolding(t *testing.T) {
 }
 
 func TestDerivedGates(t *testing.T) {
-	g := New([]string{"a", "b", "s"})
-	a, b, s := g.PI(0), g.PI(1), g.PI(2)
+	g := New([]string{"a", "b"})
+	a, b := g.PI(0), g.PI(1)
 	g.AddPO("or", g.Or(a, b))
 	g.AddPO("xor", g.Xor(a, b))
-	g.AddPO("mux", g.Mux(s, a, b))
-	for m := 0; m < 8; m++ {
-		in := []uint64{0, 0, 0}
-		for i := 0; i < 3; i++ {
+	for m := 0; m < 4; m++ {
+		in := []uint64{0, 0}
+		for i := 0; i < 2; i++ {
 			if m>>uint(i)&1 == 1 {
 				in[i] = ^uint64(0)
 			}
 		}
 		out := g.EvalPOs(in)
-		av, bv, sv := m&1 == 1, m>>1&1 == 1, m>>2&1 == 1
-		want := []bool{av || bv, av != bv, (sv && av) || (!sv && bv)}
+		av, bv := m&1 == 1, m>>1&1 == 1
+		want := []bool{av || bv, av != bv}
 		for j, w := range want {
 			got := out[j]&1 == 1
 			if got != w {
@@ -191,17 +190,6 @@ func TestNumAndsCountsReachableOnly(t *testing.T) {
 	}
 }
 
-func TestLevels(t *testing.T) {
-	g := New([]string{"a", "b", "c"})
-	x := g.And(g.PI(0), g.PI(1))
-	y := g.And(x, g.PI(2))
-	g.AddPO("z", y)
-	_, depth := g.Levels()
-	if depth != 2 {
-		t.Fatalf("depth = %d, want 2", depth)
-	}
-}
-
 func TestRebuildPureRestrash(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	c := randomCircuit(rng, 5, 30, 2)
@@ -247,8 +235,8 @@ func TestCNFProveEqual(t *testing.T) {
 	g := New([]string{"a", "b"})
 	a, b := g.PI(0), g.PI(1)
 	x1 := g.Xor(a, b)
-	// Build XOR via the mux identity: mux(a, ~b, b).
-	x2 := g.Mux(a, b.Not(), b)
+	// Build XOR via the mux identity: mux(a, ~b, b), written out in ANDs.
+	x2 := g.And(g.And(a, b.Not()).Not(), g.And(a.Not(), b).Not()).Not()
 	diff := g.And(a, b)
 	g.AddPO("x1", x1)
 

@@ -316,7 +316,7 @@ func unbufferedChans(info *types.Info, body ast.Node) map[types.Object]bool {
 			if !ok || id.Name == "_" {
 				continue
 			}
-			obj := objectOfIdent(info, id)
+			obj := astutil.ObjectOf(info, id)
 			if obj == nil {
 				continue
 			}
@@ -382,13 +382,6 @@ func selectComms(body ast.Node) map[ast.Stmt]bool {
 		return true
 	})
 	return comms
-}
-
-func objectOfIdent(info *types.Info, id *ast.Ident) types.Object {
-	if obj := info.Defs[id]; obj != nil {
-		return obj
-	}
-	return info.Uses[id]
 }
 
 // renderExpr prints e on one line with its whitespace collapsed: the key

@@ -215,64 +215,6 @@ func (m *Manager) Eval(f Ref, assignment []bool) bool {
 	return f == True
 }
 
-// SatCount returns the number of satisfying assignments over all nvars
-// variables (as float64 to tolerate wide supports). It computes the
-// satisfying fraction, which is order- and level-independent, and scales by
-// 2^nvars.
-func (m *Manager) SatCount(f Ref) float64 {
-	memo := make(map[Ref]float64)
-	var frac func(r Ref) float64
-	frac = func(r Ref) float64 {
-		if r == False {
-			return 0
-		}
-		if r == True {
-			return 1
-		}
-		if v, ok := memo[r]; ok {
-			return v
-		}
-		n := m.nodes[r]
-		v := (frac(Ref(n.lo)) + frac(Ref(n.hi))) / 2
-		memo[r] = v
-		return v
-	}
-	return frac(f) * pow2(m.nvars)
-}
-
-func pow2(n int) float64 {
-	v := 1.0
-	for i := 0; i < n; i++ {
-		v *= 2
-	}
-	return v
-}
-
-// Support returns the variable indices the function depends on, ascending.
-func (m *Manager) Support(f Ref) []int {
-	seen := make(map[Ref]bool)
-	vars := make(map[int]bool)
-	var walk func(Ref)
-	walk = func(r Ref) {
-		if r <= True || seen[r] {
-			return
-		}
-		seen[r] = true
-		n := m.nodes[r]
-		vars[int(n.level)] = true
-		walk(Ref(n.lo))
-		walk(Ref(n.hi))
-	}
-	walk(f)
-	out := make([]int, 0, len(vars))
-	for v := 0; v < m.nvars; v++ {
-		if vars[v] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // Guard runs f and converts a node-budget overflow inside it into
 // ErrBudget, so callers can keep using a manager for post-construction
 // operations (Not, ISOP, ...) that may themselves allocate nodes.

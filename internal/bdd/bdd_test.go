@@ -76,35 +76,6 @@ func TestOpsAgainstTruthTables(t *testing.T) {
 	}
 }
 
-func TestSatCount(t *testing.T) {
-	m := NewManager(4, 0)
-	a, b := m.Var(0), m.Var(1)
-	if got := m.SatCount(m.And(a, b)); got != 4 { // 2 free vars
-		t.Fatalf("SatCount(ab) = %f, want 4", got)
-	}
-	if got := m.SatCount(m.Xor(a, b)); got != 8 {
-		t.Fatalf("SatCount(a^b) = %f, want 8", got)
-	}
-	if got := m.SatCount(True); got != 16 {
-		t.Fatalf("SatCount(1) = %f, want 16", got)
-	}
-}
-
-func TestSupport(t *testing.T) {
-	m := NewManager(5, 0)
-	f := m.And(m.Var(1), m.Xor(m.Var(3), m.Var(4)))
-	sup := m.Support(f)
-	want := []int{1, 3, 4}
-	if len(sup) != len(want) {
-		t.Fatalf("support = %v", sup)
-	}
-	for i := range want {
-		if sup[i] != want[i] {
-			t.Fatalf("support = %v, want %v", sup, want)
-		}
-	}
-}
-
 func randomAIG(rng *rand.Rand, nPI, nGates int) *aig.AIG {
 	c := circuit.New()
 	var sigs []circuit.Signal

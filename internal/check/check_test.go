@@ -18,7 +18,7 @@ func allGates(t *testing.T) *circuit.Circuit {
 	s := c.AddPI("s")
 	x := c.Xor(c.And(a, b), c.Or(a, b))
 	y := c.Xnor(c.Nand(a, s), c.Nor(b, s))
-	m := c.Mux(s, x, y)
+	m := c.Or(c.And(s, x), c.And(c.NotGate(s), y)) // s ? x : y
 	c.AddPO("m", m)
 	c.AddPO("n", c.NotGate(m))
 	c.AddPO("buf", c.BufGate(x))

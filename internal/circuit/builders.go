@@ -5,6 +5,8 @@ package circuit
 // the synthetic benchmark cases (to play the role of industrial datapath
 // logic) and by the template matcher (to synthesize matched subcircuits).
 
+import "strconv"
+
 // Word is a little-endian vector of signals.
 type Word []Signal
 
@@ -27,21 +29,7 @@ func (c *Circuit) AddPOWord(base string, w Word) {
 }
 
 func busBit(base string, i int) string {
-	return base + "[" + itoa(i) + "]"
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	pos := len(buf)
-	for i > 0 {
-		pos--
-		buf[pos] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(buf[pos:])
+	return base + "[" + strconv.Itoa(i) + "]"
 }
 
 // ConstWord returns a width-bit word holding the constant x.
@@ -78,23 +66,6 @@ func (c *Circuit) AddWords(a, b Word) Word {
 		axb := c.Xor(a[i], b[i])
 		out[i] = c.Xor(axb, carry)
 		carry = c.Or(c.And(a[i], b[i]), c.And(axb, carry))
-	}
-	return out
-}
-
-// SubWords returns a - b modulo 2^width via two's complement.
-func (c *Circuit) SubWords(a, b Word) Word {
-	width := max(len(a), len(b))
-	a = c.ZeroExtend(a, width)
-	b = c.ZeroExtend(b, width)
-	out := make(Word, width)
-	// a + ~b + 1, implemented as ripple with initial carry 1.
-	carry := c.Const(true)
-	for i := 0; i < width; i++ {
-		nb := c.NotGate(b[i])
-		axb := c.Xor(a[i], nb)
-		out[i] = c.Xor(axb, carry)
-		carry = c.Or(c.And(a[i], nb), c.And(axb, carry))
 	}
 	return out
 }
@@ -222,16 +193,4 @@ func (c *Circuit) tree(sigs []Signal, op func(a, b Signal) Signal, emptyVal bool
 	}
 	mid := len(sigs) / 2
 	return op(c.tree(sigs[:mid], op, emptyVal), c.tree(sigs[mid:], op, emptyVal))
-}
-
-// MuxWord returns sel ? t : f bitwise.
-func (c *Circuit) MuxWord(sel Signal, t, f Word) Word {
-	width := max(len(t), len(f))
-	t = c.ZeroExtend(t, width)
-	f = c.ZeroExtend(f, width)
-	out := make(Word, width)
-	for i := range out {
-		out[i] = c.Mux(sel, t[i], f[i])
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -46,22 +47,6 @@ func TestAddWords(t *testing.T) {
 			want := (va + vb) % (1 << width)
 			if got != want {
 				t.Fatalf("%d+%d = %d, want %d", va, vb, got, want)
-			}
-		}
-	}
-}
-
-func TestSubWords(t *testing.T) {
-	const width = 6
-	c := buildTwoBusCircuit(width, func(c *Circuit, a, b Word) {
-		c.AddPOWord("z", c.SubWords(a, b))
-	})
-	for va := uint64(0); va < 1<<width; va += 3 {
-		for vb := uint64(0); vb < 1<<width; vb += 11 {
-			got := outWordToUint(evalUints(c, width, va, vb))
-			want := (va - vb) & (1<<width - 1)
-			if got != want {
-				t.Fatalf("%d-%d = %d, want %d", va, vb, got, want)
 			}
 		}
 	}
@@ -163,7 +148,7 @@ func TestTrees(t *testing.T) {
 	c := New()
 	var sigs []Signal
 	for i := 0; i < 5; i++ {
-		sigs = append(sigs, c.AddPI("x"+itoa(i)))
+		sigs = append(sigs, c.AddPI("x"+strconv.Itoa(i)))
 	}
 	c.AddPO("and", c.AndTree(sigs))
 	c.AddPO("or", c.OrTree(sigs))
@@ -195,31 +180,15 @@ func TestEmptyTrees(t *testing.T) {
 	}
 }
 
-func TestMuxWord(t *testing.T) {
-	c := New()
-	s := c.AddPI("s")
-	tw := c.AddPIWord("t", 3)
-	fw := c.AddPIWord("f", 3)
-	c.AddPOWord("z", c.MuxWord(s, tw, fw))
-	assign := []bool{true, true, false, true, false, true, false}
-	out := outWordToUint(c.Eval(assign))
-	if out != 0b101 {
-		t.Fatalf("MuxWord sel=1 = %03b, want 101", out)
-	}
-	assign[0] = false
-	out = outWordToUint(c.Eval(assign))
-	if out != 0b010 {
-		t.Fatalf("MuxWord sel=0 = %03b, want 010", out)
-	}
-}
-
 // Property: add/sub round-trip on random widths and values.
 func TestQuickAddSubRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		width := 2 + rng.Intn(10)
 		c := buildTwoBusCircuit(width, func(c *Circuit, a, b Word) {
-			c.AddPOWord("z", c.SubWords(c.AddWords(a, b), b))
+			// Subtract b by adding its two's complement, (2^width-1)*b.
+			negB := c.MulConst(b, 1<<uint(width)-1, width)
+			c.AddPOWord("z", c.AddWords(c.AddWords(a, b), negB))
 		})
 		va := rng.Uint64() & (1<<uint(width) - 1)
 		vb := rng.Uint64() & (1<<uint(width) - 1)

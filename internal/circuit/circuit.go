@@ -14,7 +14,6 @@ package circuit
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -217,11 +216,6 @@ func (c *Circuit) BufGate(a Signal) Signal {
 	return c.push(Node{Type: Buf, In0: a})
 }
 
-// Mux returns sel ? t : f built from 2-input gates.
-func (c *Circuit) Mux(sel, t, f Signal) Signal {
-	return c.Or(c.And(sel, t), c.And(c.NotGate(sel), f))
-}
-
 // Size returns the number of 2-input primitive gates (the contest metric).
 // Inverters, buffers, constants, and PIs are not counted. Only gates in the
 // transitive fanin of some PO are counted; dangling gates do not exist in the
@@ -231,19 +225,6 @@ func (c *Circuit) Size() int {
 	n := 0
 	for id, node := range c.nodes {
 		if reach[id] && node.Type.TwoInput() {
-			n++
-		}
-	}
-	return n
-}
-
-// SizeWithInverters returns the gate count including NOT gates, for
-// diagnostics where inverter pressure matters.
-func (c *Circuit) SizeWithInverters() int {
-	reach := c.reachable()
-	n := 0
-	for id, node := range c.nodes {
-		if reach[id] && (node.Type.TwoInput() || node.Type == Not) {
 			n++
 		}
 	}
@@ -514,24 +495,6 @@ func (c *Circuit) StructuralSupport(po int) []int {
 	return sup
 }
 
-// PIIndexByName returns a map from PI name to PI index.
-func (c *Circuit) PIIndexByName() map[string]int {
-	m := make(map[string]int, len(c.piNames))
-	for i, n := range c.piNames {
-		m[n] = i
-	}
-	return m
-}
-
-// POIndexByName returns a map from PO name to PO index.
-func (c *Circuit) POIndexByName() map[string]int {
-	m := make(map[string]int, len(c.poNames))
-	for i, n := range c.poNames {
-		m[n] = i
-	}
-	return m
-}
-
 // Stats summarizes a circuit for reports.
 type Stats struct {
 	PIs, POs  int
@@ -624,12 +587,4 @@ func CopyCone(dst *Circuit, piSigs []Signal, src *Circuit, po int) Signal {
 		return d
 	}
 	return walk(src.POSignal(po))
-}
-
-// SortedPINames returns the PI names in sorted order (helper for tests and
-// deterministic reports).
-func (c *Circuit) SortedPINames() []string {
-	out := c.PINames()
-	sort.Strings(out)
-	return out
 }

@@ -102,8 +102,6 @@ type Options struct {
 	MemoizeQueries bool
 	// Template configures template detection.
 	Template template.Config
-	// Opt configures the optimization pipeline.
-	Opt opt.Config
 }
 
 func (o Options) withDefaults() Options {
@@ -187,29 +185,21 @@ type Result struct {
 	Canceled bool
 }
 
-// catchFailure runs f, recovering a *oracle.Failure panic — the typed
-// payload strict oracle adapters throw on permanent transport failure —
-// into a value. Any other panic is a bug and keeps unwinding.
-func catchFailure(f func()) (failure *oracle.Failure) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			of, ok := rec.(*oracle.Failure)
-			if !ok {
-				panic(rec)
-			}
-			failure = of
-		}
-	}()
+// catchFailure runs f and returns the error of a *oracle.Failure panic — the
+// typed payload strict oracle adapters throw on permanent transport failure
+// — raised inside it. Any other panic is a bug and keeps unwinding.
+func catchFailure(f func()) (err error) {
+	defer oracle.CatchFailure(&err)
 	f()
 	return nil
 }
 
 // degrade records a permanent black-box death on the result (first reason
 // wins).
-func (r *Result) degrade(f *oracle.Failure) {
+func (r *Result) degrade(err error) {
 	if !r.Degraded {
 		r.Degraded = true
-		r.DegradedReason = f.Err.Error()
+		r.DegradedReason = err.Error()
 	}
 }
 
@@ -357,14 +347,8 @@ func Learn(o oracle.Oracle, opts Options) *Result {
 	}
 	if !opts.DisableOptimization && !res.Canceled {
 		report(&opts, Progress{Phase: PhaseOptimize, Output: nOut, Total: nOut})
-		optCfg := opts.Opt
-		if optCfg.Seed == 0 {
-			optCfg.Seed = opts.Seed + 1
-		}
-		if optCfg.TimeLimit == 0 {
-			optCfg.TimeLimit = 60 * time.Second // the paper's limit
-		}
-		c = opt.Optimize(c, optCfg)
+		// 60 seconds is the paper's limit.
+		c = opt.Optimize(c, opt.Config{Seed: opts.Seed + 1, TimeLimit: 60 * time.Second})
 		if err := check.Verify(c); err != nil {
 			panic("core: optimized circuit fails IR verification: " + err.Error())
 		}

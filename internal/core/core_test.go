@@ -134,6 +134,40 @@ func TestLearnTreePathForWiderSupport(t *testing.T) {
 	}
 }
 
+func TestExhaustiveThresholdBoundary(t *testing.T) {
+	// One output over a 5-input support of 8 inputs. The support is
+	// conquered exhaustively while it is at most ExhaustiveThreshold, so
+	// 5 is the last threshold that takes the exhaustive path and 4 sends
+	// it through the tree. Both must learn the function exactly.
+	g := circuit.New()
+	var in []circuit.Signal
+	for i := 0; i < 8; i++ {
+		in = append(in, g.AddPI("pin"+string(rune('a'+i))))
+	}
+	g.AddPO("f", g.Or(g.And(in[0], in[2]), g.And(in[3], g.Xor(in[5], in[6]))))
+
+	for _, tc := range []struct {
+		threshold int
+		want      Method
+	}{{5, MethodExhaustive}, {4, MethodTree}} {
+		res := Learn(oracle.FromCircuit(g), Options{Seed: 3, ExhaustiveThreshold: tc.threshold})
+		out := res.Outputs[0]
+		if out.Method != tc.want || out.Support != 5 {
+			t.Errorf("threshold %d: method %s over support %d, want %s over 5",
+				tc.threshold, out.Method, out.Support, tc.want)
+		}
+		a := make([]bool, 8)
+		for m := 0; m < 1<<8; m++ {
+			for i := range a {
+				a[i] = m>>uint(i)&1 == 1
+			}
+			if got, want := res.Circuit.Eval(a)[0], g.Eval(a)[0]; got != want {
+				t.Fatalf("threshold %d: learned %v at minterm %08b, want %v", tc.threshold, got, m, want)
+			}
+		}
+	}
+}
+
 func TestLearnRespectsTimeLimit(t *testing.T) {
 	// A hard 24-input parity with an (effectively) expired deadline must
 	// still return a circuit quickly.

@@ -38,7 +38,7 @@ type outputResult struct {
 	// learn. A panic must not escape the worker goroutine (it would kill
 	// the process, not the learn), so it is carried back as a value and
 	// the assembler degrades the result.
-	failure *oracle.Failure
+	failure error
 }
 
 // learnOutputsParallel learns the given outputs with opts.Parallel workers

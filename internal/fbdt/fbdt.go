@@ -10,9 +10,10 @@
 // timeout or node-budget exhaustion, pending nodes become approximate leaves
 // by majority value, preserving the paper's anytime behaviour.
 //
-// The package also implements the "conquering small functions" trick:
-// when the identified support is small, Exhaustive enumerates the whole
-// subfunction truth table instead of growing a tree.
+// Exhaustive implements the "conquering small functions" trick (trick 1):
+// it enumerates the whole subfunction truth table over a small identified
+// support instead of growing a tree. The caller (core) chooses between the
+// two from the support size.
 package fbdt
 
 import (
@@ -40,21 +41,10 @@ type Config struct {
 	// Candidates restricts split variables, typically to the support S'
 	// identified beforehand. Nil means all inputs.
 	Candidates []int
-	// MaxDepth bounds the cube length; 0 means unbounded (the candidate
-	// count is the natural bound).
-	MaxDepth int
 	// MaxNodes bounds the number of expanded (split) nodes; 0 = unbounded.
 	MaxNodes int
 	// Deadline is the wall-clock limit of Algorithm 2; zero means none.
 	Deadline time.Time
-	// ExhaustiveThreshold, when > 0 and the candidate set is at most this
-	// large, switches to exhaustive truth-table enumeration (trick 1;
-	// paper: 18).
-	ExhaustiveThreshold int
-	// ProbeR is the number of direct samples used to estimate a node's
-	// TruthRatio when no free candidate inputs remain (the candidate set
-	// underapproximated the true support). 0 defaults to 64.
-	ProbeR int
 	// DepthFirst explores the tree depth-first instead of the paper's
 	// levelized (breadth-first) order. The paper reports that exploring
 	// evenly is more beneficial under truncation — this knob exists to
@@ -62,12 +52,11 @@ type Config struct {
 	DepthFirst bool
 }
 
-func (c Config) probeR() int {
-	if c.ProbeR <= 0 {
-		return 64
-	}
-	return c.ProbeR
-}
+// probeR is the number of direct samples, one lane word, used to estimate
+// a node's TruthRatio when it is settled without a dependency sweep: over
+// budget, or with no free candidate input left (the candidate set
+// underapproximated the true support).
+const probeR = 64
 
 // Stats reports how construction went.
 type Stats struct {
@@ -111,18 +100,6 @@ func (r Result) Choose() (cover sop.Cover, negate bool) {
 
 // Build runs Algorithm 2 for output index out of the oracle.
 func Build(o oracle.Oracle, out int, cfg Config, rng *rand.Rand) Result {
-	if cfg.ExhaustiveThreshold > 0 {
-		cand := cfg.Candidates
-		if cand == nil {
-			for i := 0; i < o.NumInputs(); i++ {
-				cand = append(cand, i)
-			}
-		}
-		if len(cand) <= cfg.ExhaustiveThreshold {
-			return Exhaustive(o, out, cand, rng)
-		}
-	}
-
 	var res Result
 	queue := []sop.Cube{nil} // root: empty cube
 	first := true
@@ -144,10 +121,9 @@ func Build(o oracle.Oracle, out int, cfg Config, rng *rand.Rand) Result {
 		// settled with a cheap direct probe instead of the full
 		// PatternSampling sweep (Algorithm 2's anytime truncation).
 		overBudget := (cfg.MaxNodes > 0 && res.Stats.NodesExpanded >= cfg.MaxNodes) ||
-			(!cfg.Deadline.IsZero() && time.Now().After(cfg.Deadline)) ||
-			(cfg.MaxDepth > 0 && len(cube) >= cfg.MaxDepth)
+			(!cfg.Deadline.IsZero() && time.Now().After(cfg.Deadline))
 		if overBudget {
-			tr := probeTruthRatio(o, out, cube, cfg.probeR(), rng)
+			tr := probeTruthRatio(o, out, cube, rng)
 			if first {
 				res.RootTruthRatio = tr
 				first = false
@@ -169,7 +145,7 @@ func Build(o oracle.Oracle, out int, cfg Config, rng *rand.Rand) Result {
 		if s.Samples == 0 {
 			// Every candidate is bound: estimate the residual function
 			// directly under the cube.
-			tr = probeTruthRatio(o, out, cube, cfg.probeR(), rng)
+			tr = probeTruthRatio(o, out, cube, rng)
 		}
 		if first {
 			res.RootTruthRatio = tr
@@ -208,37 +184,13 @@ func Build(o oracle.Oracle, out int, cfg Config, rng *rand.Rand) Result {
 	return res
 }
 
-// probeTruthRatio samples r assignments satisfying the cube and returns the
-// fraction of 1s at the output. All r patterns go to the oracle as one batch.
-func probeTruthRatio(o oracle.Oracle, out int, cube sop.Cube, r int, rng *rand.Rand) float64 {
-	if r <= 0 {
-		return 0
-	}
-	ratios := sampling.DefaultRatios
-	n := o.NumInputs()
-	w := oracle.Words(r)
-	lanes := make([]uint64, n*w)
-	for b := 0; b < w; b++ {
-		words := sampling.RandomWords(rng, n, ratios[b%len(ratios)], cube)
-		for j, x := range words {
-			lanes[j*w+b] = x
-		}
-	}
-	got := oracle.EvalBatch(o, lanes, r)[out*w : (out+1)*w]
-	ones, total := 0, 0
-	for b := 0; b < w; b++ {
-		batch := min(r-b*64, 64)
-		ones += bits.OnesCount64(got[b] & maskLow(batch))
-		total += batch
-	}
-	return float64(ones) / float64(total)
-}
-
-func maskLow(n int) uint64 {
-	if n >= 64 {
-		return ^uint64(0)
-	}
-	return 1<<uint(n) - 1
+// probeTruthRatio samples probeR assignments satisfying the cube, drawn with
+// the first bias of the default pool, and returns the fraction of 1s at the
+// output. The probeR patterns go to the oracle as one batch.
+func probeTruthRatio(o oracle.Oracle, out int, cube sop.Cube, rng *rand.Rand) float64 {
+	lanes := sampling.RandomWords(rng, o.NumInputs(), sampling.DefaultRatios[0], cube)
+	got := oracle.EvalBatch(o, lanes, probeR)[out]
+	return float64(bits.OnesCount64(got)) / probeR
 }
 
 // Exhaustive implements trick 1: it enumerates all 2^|sup| assignments over

@@ -182,23 +182,6 @@ func TestBuildDeadlineTruncates(t *testing.T) {
 	}
 }
 
-func TestBuildMaxDepth(t *testing.T) {
-	c := circuit.New()
-	var sigs []circuit.Signal
-	for i := 0; i < 6; i++ {
-		sigs = append(sigs, c.AddPI(string(rune('a'+i))))
-	}
-	c.AddPO("z", c.XorTree(sigs))
-	o := oracle.FromCircuit(c)
-	rng := rand.New(rand.NewSource(9))
-	res := Build(o, 0, Config{R: 32, MaxDepth: 3}, rng)
-	for _, cube := range append(res.Onset, res.Offset...) {
-		if len(cube) > 3 {
-			t.Fatalf("cube %v deeper than MaxDepth", cube)
-		}
-	}
-}
-
 func TestExhaustiveLearnsExactly(t *testing.T) {
 	// Function over inputs {1,3} of a 5-input oracle; others ignored.
 	c := circuit.New()
@@ -231,17 +214,6 @@ func TestExhaustiveEmptySupport(t *testing.T) {
 	if (cover.Eval([]bool{false}) != negate) != true {
 		t.Fatal("constant-1 not learned from empty support")
 	}
-}
-
-func TestBuildDelegatesToExhaustive(t *testing.T) {
-	o := majorityOracle()
-	rng := rand.New(rand.NewSource(12))
-	res := Build(o, 0, Config{R: 16, Candidates: []int{0, 1, 2}, ExhaustiveThreshold: 3}, rng)
-	if !res.Stats.Exhaustive {
-		t.Fatal("Build did not delegate to Exhaustive")
-	}
-	cover, negate := res.Choose()
-	checkLearned(t, o, 0, cover, negate)
 }
 
 func TestBuildWithLeafEpsilonStopsEarly(t *testing.T) {
@@ -303,7 +275,7 @@ func TestExhaustiveMintermFallbackOnBudget(t *testing.T) {
 // consume the RNG in the scalar order and yield an identical Result.
 func TestBuildBatchMatchesScalar(t *testing.T) {
 	o := majorityOracle()
-	cfg := Config{Candidates: []int{0, 1, 2}, R: 100, MaxDepth: 8}
+	cfg := Config{Candidates: []int{0, 1, 2}, R: 100}
 	fast := Build(o, 0, cfg, rand.New(rand.NewSource(3)))
 	slow := Build(oracle.ScalarOnly(o), 0, cfg, rand.New(rand.NewSource(3)))
 	if !reflect.DeepEqual(fast, slow) {

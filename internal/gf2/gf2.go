@@ -1,11 +1,9 @@
 // Package gf2 implements linear algebra over GF(2) on bit-packed matrices:
-// Gaussian elimination, rank, and linear-system solving. It backs the affine
+// linear-system solving by Gaussian elimination. It backs the affine
 // template family — functions of the form z = b ⊕ x_{i1} ⊕ ... ⊕ x_{ik} are
 // exactly learnable from O(n) samples by solving a linear system, where
 // sampling-based decision trees need exponential effort.
 package gf2
-
-import "math/bits"
 
 // Row is a bit-packed row vector.
 type Row []uint64
@@ -49,15 +47,6 @@ func (r Row) IsZero() bool {
 	return true
 }
 
-// OnesCount counts the set bits.
-func (r Row) OnesCount() int {
-	n := 0
-	for _, w := range r {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // System is a linear system A·x = b over GF(2), built row by row.
 type System struct {
 	nVars int
@@ -67,12 +56,6 @@ type System struct {
 
 // NewSystem creates a system over nVars unknowns.
 func NewSystem(nVars int) *System { return &System{nVars: nVars} }
-
-// NumVars returns the unknown count.
-func (s *System) NumVars() int { return s.nVars }
-
-// NumRows returns the equation count.
-func (s *System) NumRows() int { return len(s.rows) }
 
 // AddEquation appends one equation; coeffs is copied.
 func (s *System) AddEquation(coeffs Row, rhs bool) {
@@ -134,43 +117,4 @@ func (s *System) Solve() (solution Row, consistent bool) {
 		}
 	}
 	return solution, true
-}
-
-// Rank computes the matrix rank (ignoring the RHS).
-func (s *System) Rank() int {
-	rows := make([]Row, len(s.rows))
-	for i := range rows {
-		rows[i] = s.rows[i].Clone()
-	}
-	rank := 0
-	for col := 0; col < s.nVars && rank < len(rows); col++ {
-		pivot := -1
-		for r := rank; r < len(rows); r++ {
-			if rows[r].Get(col) {
-				pivot = r
-				break
-			}
-		}
-		if pivot < 0 {
-			continue
-		}
-		rows[rank], rows[pivot] = rows[pivot], rows[rank]
-		for r := rank + 1; r < len(rows); r++ {
-			if rows[r].Get(col) {
-				rows[r].Xor(rows[rank])
-			}
-		}
-		rank++
-	}
-	return rank
-}
-
-// Eval computes coeffs · x ⊕ ... for a candidate solution: the parity of the
-// AND of the two bit vectors.
-func Eval(coeffs, x Row) bool {
-	parity := 0
-	for i := range coeffs {
-		parity ^= bits.OnesCount64(coeffs[i]&x[i]) & 1
-	}
-	return parity == 1
 }

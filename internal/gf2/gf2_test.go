@@ -1,10 +1,21 @@
 package gf2
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// dot is the inner product of two rows over GF(2), the parity of their
+// AND: the reference the planted equations are built from.
+func dot(a, b Row) bool {
+	parity := 0
+	for i := range a {
+		parity ^= bits.OnesCount64(a[i]&b[i]) & 1
+	}
+	return parity == 1
+}
 
 func TestRowBasics(t *testing.T) {
 	r := NewRow(130)
@@ -13,9 +24,6 @@ func TestRowBasics(t *testing.T) {
 	r.Set(129, true)
 	if !r.Get(0) || !r.Get(64) || !r.Get(129) || r.Get(1) {
 		t.Fatal("Get/Set broken")
-	}
-	if r.OnesCount() != 3 {
-		t.Fatalf("OnesCount = %d", r.OnesCount())
 	}
 	r.Set(64, false)
 	if r.Get(64) {
@@ -93,53 +101,18 @@ func TestSolveRandomSystems(t *testing.T) {
 			for i := 0; i < n; i++ {
 				row.Set(i, rng.Intn(2) == 1)
 			}
-			s.AddEquation(row, Eval(row, secret))
+			s.AddEquation(row, dot(row, secret))
 		}
 		sol, ok := s.Solve()
 		if !ok {
 			t.Fatalf("trial %d: planted system inconsistent", trial)
 		}
 		// The particular solution must satisfy every equation.
-		for k := 0; k < s.NumRows(); k++ {
-			if Eval(s.rows[k], sol) != s.rhs[k] {
+		for k := range s.rows {
+			if dot(s.rows[k], sol) != s.rhs[k] {
 				t.Fatalf("trial %d: solution violates equation %d", trial, k)
 			}
 		}
-	}
-}
-
-func TestRankFullAndDeficient(t *testing.T) {
-	s := NewSystem(3)
-	for i := 0; i < 3; i++ {
-		row := NewRow(3)
-		row.Set(i, true)
-		s.AddEquation(row, false)
-	}
-	if s.Rank() != 3 {
-		t.Fatalf("rank = %d, want 3", s.Rank())
-	}
-	// Add a dependent row: rank unchanged.
-	dep := NewRow(3)
-	dep.Set(0, true)
-	dep.Set(1, true)
-	s.AddEquation(dep, false)
-	if s.Rank() != 3 {
-		t.Fatalf("rank after dependent row = %d", s.Rank())
-	}
-}
-
-func TestEvalParity(t *testing.T) {
-	coeffs := NewRow(4)
-	coeffs.Set(1, true)
-	coeffs.Set(3, true)
-	x := NewRow(4)
-	x.Set(1, true)
-	if !Eval(coeffs, x) {
-		t.Fatal("parity of single overlap should be 1")
-	}
-	x.Set(3, true)
-	if Eval(coeffs, x) {
-		t.Fatal("parity of double overlap should be 0")
 	}
 }
 
@@ -154,15 +127,14 @@ func TestQuickExactRecovery(t *testing.T) {
 			secret.Set(i, rng.Intn(2) == 1)
 		}
 		s := NewSystem(n)
-		for k := 0; k < n+40; k++ { // overdetermined: full rank w.h.p.
+		// Overdetermined: n+40 random rows are rank-deficient with
+		// probability below 2^-39.
+		for k := 0; k < n+40; k++ {
 			row := NewRow(n)
 			for i := 0; i < n; i++ {
 				row.Set(i, rng.Intn(2) == 1)
 			}
-			s.AddEquation(row, Eval(row, secret))
-		}
-		if s.Rank() < n {
-			return true // unlucky rank deficiency: nothing to assert
+			s.AddEquation(row, dot(row, secret))
 		}
 		sol, ok := s.Solve()
 		if !ok {

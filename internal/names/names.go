@@ -37,19 +37,6 @@ type Grouping struct {
 	Singles []int
 }
 
-// VectorOf returns the index (into Vectors) of the vector containing port
-// pos, or -1 if the port is a single.
-func (g Grouping) VectorOf(pos int) int {
-	for i, v := range g.Vectors {
-		for _, p := range v.Ports {
-			if p == pos {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
 // parsed is one name split into stem and index.
 type parsed struct {
 	stem  string
@@ -57,13 +44,8 @@ type parsed struct {
 	ok    bool
 }
 
-// SplitIndex splits a port name into a stem and a numeric bit index.
-// ok is false when the name carries no recognizable index.
-func SplitIndex(name string) (stem string, index int, ok bool) {
-	p := split(name)
-	return p.stem, p.index, p.ok
-}
-
+// split splits a port name into a stem and a numeric bit index; ok is false
+// when the name carries no recognizable index.
 func split(name string) parsed {
 	for _, brackets := range [...][2]byte{{'[', ']'}, {'(', ')'}, {'<', '>'}} {
 		if len(name) >= 3 && name[len(name)-1] == brackets[1] {

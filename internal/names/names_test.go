@@ -28,13 +28,13 @@ func TestSplitIndexForms(t *testing.T) {
 		{"x[a]", "", 0, false},
 	}
 	for _, tc := range cases {
-		stem, index, ok := SplitIndex(tc.name)
-		if ok != tc.ok {
-			t.Errorf("%q: ok = %v, want %v", tc.name, ok, tc.ok)
+		p := split(tc.name)
+		if p.ok != tc.ok {
+			t.Errorf("%q: ok = %v, want %v", tc.name, p.ok, tc.ok)
 			continue
 		}
-		if ok && (stem != tc.stem || index != tc.index) {
-			t.Errorf("%q: got (%q,%d), want (%q,%d)", tc.name, stem, index, tc.stem, tc.index)
+		if p.ok && (p.stem != tc.stem || p.index != tc.index) {
+			t.Errorf("%q: got (%q,%d), want (%q,%d)", tc.name, p.stem, p.index, tc.stem, tc.index)
 		}
 	}
 }
@@ -107,16 +107,6 @@ func TestGroupSparseIndices(t *testing.T) {
 	v := g.Vectors[0]
 	if v.BitIndex[0] != 2 || v.BitIndex[1] != 4 || v.BitIndex[2] != 8 {
 		t.Fatalf("bit indices = %v", v.BitIndex)
-	}
-}
-
-func TestVectorOf(t *testing.T) {
-	g := Group([]string{"x[0]", "x[1]", "lone"})
-	if g.VectorOf(1) != 0 {
-		t.Fatal("x[1] should be in vector 0")
-	}
-	if g.VectorOf(2) != -1 {
-		t.Fatal("lone should not be in a vector")
 	}
 }
 

@@ -19,12 +19,12 @@ func TestBalanceReducesChainDepth(t *testing.T) {
 		acc = g.And(acc, g.PI(i))
 	}
 	g.AddPO("z", acc)
-	_, before := g.Levels()
+	before := g.ToCircuit().Stats().Depth
 	if before != 15 {
 		t.Fatalf("chain depth = %d, want 15", before)
 	}
 	b := Balance(g)
-	_, after := b.Levels()
+	after := b.ToCircuit().Stats().Depth
 	if after != 4 {
 		t.Fatalf("balanced depth = %d, want 4", after)
 	}
@@ -73,8 +73,8 @@ func TestBalancePreservesRandomCircuits(t *testing.T) {
 		if eq, done := ProveEquivalent(c, bc, 20000); done && !eq {
 			t.Fatalf("trial %d: balance changed function", trial)
 		}
-		_, dg := g.Levels()
-		_, db := b.Levels()
+		dg := g.ToCircuit().Stats().Depth
+		db := b.ToCircuit().Stats().Depth
 		if db > dg {
 			t.Fatalf("trial %d: balance increased depth %d -> %d", trial, dg, db)
 		}

@@ -3,14 +3,17 @@
 // rewrite, dc2/resyn scripts, fraig, collapse); this package provides the
 // same pipeline stages on our own AIG:
 //
-//   - Strash: structural hashing (AIG round trip)
+//   - strash: structural hashing (the AIG round trip)
 //   - Rewrite: local two-level AND rewriting rules
-//   - Fraig: simulation-guided equivalence classes proven by SAT and merged
+//   - Refactor: cut-based resynthesis, skipped above refactorBudget ANDs
+//   - Fraig: simulation-guided equivalence classes proven by SAT and merged,
+//     skipped above maxFraigNodes ANDs
 //   - Collapse: per-output BDD collapse with ISOP resynthesis, accepted
 //     only when it shrinks the circuit
+//   - Balance: depth balancing, run only when Config.BalanceDepth is set
 //
 // Optimize chains the stages under a time limit and returns the smallest
-// functionally equivalent circuit found.
+// functionally equivalent circuit found; RunScript runs a named sequence.
 package opt
 
 import (
@@ -41,20 +44,21 @@ type Config struct {
 	// TimeLimit bounds the whole pipeline; zero means none. The paper
 	// imposes 60 seconds.
 	TimeLimit time.Duration
-	// DisableCollapse turns the collapse stage off.
-	DisableCollapse bool
-	// MaxFraigNodes skips the FRAIG stage on AIGs with more AND nodes
-	// than this (SAT-proving every candidate pair on huge learned SOPs is
-	// not worth the time). Default 20000.
-	MaxFraigNodes int
 	// BalanceDepth additionally runs the Balance pass on the final
 	// circuit. The contest metric is gate count, so depth balancing is
 	// off by default; it never increases the gate count.
 	BalanceDepth bool
-	// RefactorBudget skips cut-based refactoring above this AND count
-	// (cut enumeration is the costly part). Default 50000.
-	RefactorBudget int
 }
+
+const (
+	// maxFraigNodes skips the FRAIG stage on AIGs with more AND nodes than
+	// this: SAT-proving every candidate pair on huge learned SOPs is not
+	// worth the time.
+	maxFraigNodes = 20000
+	// refactorBudget skips cut-based refactoring above this AND count
+	// (cut enumeration is the costly part).
+	refactorBudget = 50000
+)
 
 func (c Config) withDefaults() Config {
 	if c.SimWords <= 0 {
@@ -66,19 +70,7 @@ func (c Config) withDefaults() Config {
 	if c.BDDBudget <= 0 {
 		c.BDDBudget = 100000
 	}
-	if c.MaxFraigNodes <= 0 {
-		c.MaxFraigNodes = 20000
-	}
-	if c.RefactorBudget <= 0 {
-		c.RefactorBudget = 50000
-	}
 	return c
-}
-
-// Strash returns the structurally hashed form of c (constant folding,
-// duplicate-gate merging) as a circuit of ANDs and inverters.
-func Strash(c *circuit.Circuit) *circuit.Circuit {
-	return aig.FromCircuit(c).ToCircuit()
 }
 
 // Optimize runs the full pipeline and returns the smallest equivalent
@@ -109,14 +101,14 @@ func Optimize(c *circuit.Circuit, cfg Config) *circuit.Circuit {
 			best = s
 		}
 	}
-	if !expired() && g.NumAnds() <= cfg.RefactorBudget {
+	if !expired() && g.NumAnds() <= refactorBudget {
 		g = Refactor(g)
 		check.AssertAIG("opt/refactor", c, g)
 		if s := g.ToCircuit(); s.Size() < best.Size() {
 			best = s
 		}
 	}
-	if !expired() && g.NumAnds() <= cfg.MaxFraigNodes {
+	if !expired() && g.NumAnds() <= maxFraigNodes {
 		g = Fraig(g, cfg)
 		check.AssertAIG("opt/fraig", c, g)
 		g = Rewrite(g)
@@ -125,7 +117,7 @@ func Optimize(c *circuit.Circuit, cfg Config) *circuit.Circuit {
 			best = s
 		}
 	}
-	if !cfg.DisableCollapse && !expired() {
+	if !expired() {
 		if s, ok := Collapse(g, cfg); ok {
 			check.Assert("opt/collapse", c, s)
 			if s.Size() < best.Size() {

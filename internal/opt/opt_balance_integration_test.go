@@ -2,6 +2,7 @@ package opt
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"logicregression/internal/circuit"
@@ -34,4 +35,29 @@ func TestOptimizeWithBalanceDepth(t *testing.T) {
 		t.Fatalf("balanced depth = %d, want ~log2(32)", balanced.Stats().Depth)
 	}
 	simEqual(t, c, balanced, rand.New(rand.NewSource(5)), 60)
+}
+
+func TestRunScriptKeepsBalancedCircuit(t *testing.T) {
+	// A 16-input AND chain is size-optimal, so balancing only ties on
+	// size. The script must still keep the balanced circuit, as Optimize
+	// with BalanceDepth does: depth 15 -> 4.
+	c := circuit.New()
+	acc := c.AddPI("x0")
+	for i := 1; i < 16; i++ {
+		acc = c.And(acc, c.AddPI("x"+strconv.Itoa(i)))
+	}
+	c.AddPO("z", acc)
+
+	want := Optimize(c, Config{Seed: 1, BalanceDepth: true}).Stats().Depth
+	got, err := RunScript(c, "strash; balance", Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Size() != c.Size() {
+		t.Fatalf("script changed the size: %d -> %d", c.Size(), got.Size())
+	}
+	if d := got.Stats().Depth; d != 4 || d != want {
+		t.Fatalf("script depth = %d, want 4 (Optimize with BalanceDepth: %d)", d, want)
+	}
+	simEqual(t, c, got, rand.New(rand.NewSource(6)), 60)
 }

@@ -61,7 +61,7 @@ func simEqual(t *testing.T, c1, c2 *circuit.Circuit, rng *rand.Rand, trials int)
 func TestProveEquivalentPositive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	c := randomCircuit(rng, 5, 30, 2)
-	s := Strash(c)
+	s := aig.FromCircuit(c).ToCircuit()
 	eq, done := ProveEquivalent(c, s, 0)
 	if !done || !eq {
 		t.Fatalf("strash broke equivalence: eq=%v done=%v", eq, done)
@@ -102,7 +102,7 @@ func TestStrashMergesDuplicates(t *testing.T) {
 	g1 := c.And(a, b)
 	g2 := c.And(a, b) // duplicate
 	c.AddPO("z", c.Or(g1, g2))
-	s := Strash(c)
+	s := aig.FromCircuit(c).ToCircuit()
 	// or(x,x) = x, so the whole thing should reduce to a single AND.
 	if s.Size() != 1 {
 		t.Fatalf("strash size = %d, want 1", s.Size())

@@ -22,8 +22,8 @@ func TestCutEnumerationBasics(t *testing.T) {
 		if len(c.leaves) == 3 {
 			found = true
 			// AND3 over (a,b,c): minterm 7 is 1, replicated over the
-			// unused upper variables.
-			want := tt.Replicate(1<<7, 3)
+			// unused upper variables (bit 7 of every byte).
+			want := tt.Table(0x8080808080808080)
 			if c.tt != want {
 				t.Fatalf("AND3 tt = %v, want %v", c.tt, want)
 			}
@@ -89,7 +89,7 @@ func nodeValueUnderLeaves(g *aig.AIG, n int, leaves []int, minterm int) (bool, b
 		if !ok {
 			continue
 		}
-		v := aig.LitWord(vals, aig.MkLit(n, false))&1 == 1
+		v := vals[n]&1 == 1
 		if first {
 			val = v
 			first = false

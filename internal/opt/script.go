@@ -21,7 +21,8 @@ import (
 const DefaultScript = "strash; rewrite; refactor; fraig; rewrite; collapse"
 
 // RunScript executes the pass sequence on c and returns the smallest
-// functionally equivalent circuit seen after any pass. Pass names:
+// functionally equivalent circuit seen after any pass; on a tie in size,
+// a balance pass's circuit wins. Pass names:
 //
 //	strash    structural hashing
 //	rewrite   local two-level AND rules
@@ -37,11 +38,6 @@ func RunScript(c *circuit.Circuit, script string, cfg Config) (*circuit.Circuit,
 	}
 	best := c
 	g := aig.FromCircuit(c)
-	consider := func() {
-		if s := g.ToCircuit(); s.Size() < best.Size() {
-			best = s
-		}
-	}
 	for _, raw := range strings.Split(script, ";") {
 		pass := strings.TrimSpace(raw)
 		if pass == "" {
@@ -56,11 +52,11 @@ func RunScript(c *circuit.Circuit, script string, cfg Config) (*circuit.Circuit,
 		case "rewrite":
 			g = Rewrite(g)
 		case "refactor":
-			if g.NumAnds() <= cfg.RefactorBudget {
+			if g.NumAnds() <= refactorBudget {
 				g = Refactor(g)
 			}
 		case "fraig":
-			if g.NumAnds() <= cfg.MaxFraigNodes {
+			if g.NumAnds() <= maxFraigNodes {
 				g = Fraig(g, cfg)
 			}
 		case "balance":
@@ -77,7 +73,11 @@ func RunScript(c *circuit.Circuit, script string, cfg Config) (*circuit.Circuit,
 			return nil, fmt.Errorf("opt: unknown pass %q (know strash, rewrite, refactor, fraig, collapse, balance)", pass)
 		}
 		check.AssertAIG("opt/script:"+pass, c, g)
-		consider()
+		// Balancing never shrinks the gate count, so it wins ties, as in
+		// Optimize.
+		if s := g.ToCircuit(); s.Size() < best.Size() || pass == "balance" && s.Size() == best.Size() {
+			best = s
+		}
 	}
 	return best, nil
 }

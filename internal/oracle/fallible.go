@@ -126,9 +126,10 @@ func (r *recoveringFallible) NumOutputs() int       { return r.o.NumOutputs() }
 func (r *recoveringFallible) InputNames() []string  { return r.o.InputNames() }
 func (r *recoveringFallible) OutputNames() []string { return r.o.OutputNames() }
 
-// catchFailure recovers a *Failure panic into err, re-panicking on anything
-// else.
-func catchFailure(err *error) {
+// CatchFailure recovers a *Failure panic into *err; any other panic is a
+// bug and keeps unwinding. It must itself be the deferred call, as in
+// defer oracle.CatchFailure(&err), since recover stops a panic only there.
+func CatchFailure(err *error) {
 	if rec := recover(); rec != nil {
 		f, ok := rec.(*Failure)
 		if !ok {
@@ -139,12 +140,12 @@ func catchFailure(err *error) {
 }
 
 func (r *recoveringFallible) TryEval(a []bool) (out []bool, err error) {
-	defer catchFailure(&err)
+	defer CatchFailure(&err)
 	return r.o.Eval(a), nil
 }
 
 func (r *recoveringFallible) TryEvalBatch(patterns []bitvec.Word, n int) (out []bitvec.Word, err error) {
-	defer catchFailure(&err)
+	defer CatchFailure(&err)
 	return AsBatch(r.o).EvalBatch(patterns, n), nil
 }
 

@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"strings"
 )
 
 // Identity is a black box's stable name: its ordered input and output port
@@ -38,26 +37,6 @@ func IdentityOf(o Oracle) Identity {
 		Ins:  append([]string(nil), o.InputNames()...),
 		Outs: append([]string(nil), o.OutputNames()...),
 	}
-}
-
-// Greeting renders the canonical two-line wire greeting ("inputs a b c\n
-// outputs z\n") — byte-identical to what an ioserve server emits for this
-// oracle, which makes the hash comparable across in-process and remote
-// views of the same black box.
-func (id Identity) Greeting() string {
-	var b strings.Builder
-	b.WriteString("inputs")
-	for _, n := range id.Ins {
-		b.WriteByte(' ')
-		b.WriteString(n)
-	}
-	b.WriteString("\noutputs")
-	for _, n := range id.Outs {
-		b.WriteByte(' ')
-		b.WriteString(n)
-	}
-	b.WriteByte('\n')
-	return b.String()
 }
 
 // Hash returns a hex SHA-256 over a length-prefixed encoding of the port

@@ -29,14 +29,6 @@ func TestIdentityOf(t *testing.T) {
 	}
 }
 
-func TestIdentityGreetingCanonical(t *testing.T) {
-	id := Identity{Ins: []string{"a", "b"}, Outs: []string{"x", "y"}}
-	want := "inputs a b\noutputs x y\n"
-	if g := id.Greeting(); g != want {
-		t.Fatalf("Greeting = %q, want %q", g, want)
-	}
-}
-
 func TestIdentityHashDiscriminates(t *testing.T) {
 	base := Identity{Ins: []string{"a", "b"}, Outs: []string{"z"}}
 	variants := []Identity{

@@ -545,15 +545,6 @@ func (o *Memo) evalMisses(missKeys []bitvec.Word, nMiss int) []bitvec.Word {
 	return rows
 }
 
-// Hits returns the number of cache hits so far.
-func (o *Memo) Hits() int64 { return o.hits.Load() }
-
-// Misses returns the number of cache misses so far.
-func (o *Memo) Misses() int64 { return o.misses.Load() }
-
-// Evictions returns the number of entries evicted so far.
-func (o *Memo) Evictions() int64 { return o.evictions.Load() }
-
 // Len returns the number of cached responses.
 func (o *Memo) Len() int {
 	total := 0

@@ -381,7 +381,8 @@ func compareMemos(nIn, nOut, capacity int, seed int64) (evictions int64, err err
 				ref.SetHook(rh)
 			}
 		}
-		got := [4]int64{flat.Hits(), flat.Misses(), flat.Evictions(), int64(flat.Len())}
+		st := flat.Stats()
+		got := [4]int64{st.Hits, st.Misses, st.Evictions, int64(st.Entries)}
 		want := [4]int64{ref.hits.Load(), ref.misses.Load(), ref.evictions.Load(), int64(ref.Len())}
 		if got != want {
 			return 0, fmt.Errorf("step %d %s: hits/misses/evictions/len %v, reference %v", step, what, got, want)

@@ -51,8 +51,8 @@ func TestMemoLRUEviction(t *testing.T) {
 	if m.Len() != 4 {
 		t.Fatalf("capacity not enforced: len=%d", m.Len())
 	}
-	if m.Evictions() != 2 {
-		t.Fatalf("Evictions = %d, want 2", m.Evictions())
+	if m.Stats().Evictions != 2 {
+		t.Fatalf("Evictions = %d, want 2", m.Stats().Evictions)
 	}
 
 	callsBefore := inner.calls
@@ -98,7 +98,7 @@ func TestMemoBatchDeduplicatesMisses(t *testing.T) {
 	if inner.calls != 8 {
 		t.Fatalf("warm batch re-queried the inner oracle (calls=%d)", inner.calls)
 	}
-	if m.Hits() == 0 {
+	if m.Stats().Hits == 0 {
 		t.Fatal("no hits recorded")
 	}
 }
@@ -195,7 +195,7 @@ func TestMemoConcurrentStress(t *testing.T) {
 				default:
 					// Stats and Len walk every shard; they must be safe
 					// against concurrent mutation.
-					_ = m.Hits() + m.Misses() + m.Evictions() + int64(m.Len())
+					_ = m.Stats()
 				}
 			}
 		}(int64(w))
@@ -236,8 +236,8 @@ func TestMemoExactCapacity(t *testing.T) {
 		if m.Len() != capacity {
 			t.Fatalf("NewMemoCap(%d) holds %d entries after 4096 distinct keys", capacity, m.Len())
 		}
-		if m.Evictions() != int64(4096-capacity) {
-			t.Fatalf("NewMemoCap(%d): %d evictions, want %d", capacity, m.Evictions(), 4096-capacity)
+		if m.Stats().Evictions != int64(4096-capacity) {
+			t.Fatalf("NewMemoCap(%d): %d evictions, want %d", capacity, m.Stats().Evictions, 4096-capacity)
 		}
 	}
 }
@@ -262,8 +262,8 @@ func TestMemoPreloadDropsMisfits(t *testing.T) {
 	if m.Len() != 1 {
 		t.Fatalf("fitting preload dropped: Len = %d", m.Len())
 	}
-	if got := m.Eval(a); bitLine(got) != bitLine(want) || m.Hits() != 1 || len(inner.log) != 0 {
+	if got := m.Eval(a); bitLine(got) != bitLine(want) || m.Stats().Hits != 1 || len(inner.log) != 0 {
 		t.Fatalf("Eval after preload = %s (hits %d, inner calls %d), want %s from the cache",
-			bitLine(got), m.Hits(), len(inner.log), bitLine(want))
+			bitLine(got), m.Stats().Hits, len(inner.log), bitLine(want))
 	}
 }

@@ -77,8 +77,8 @@ func TestMemoHookEviction(t *testing.T) {
 			t.Fatalf("insert %d reported %q, want %q", i, h.inserts[i], MemoKey(p))
 		}
 	}
-	if m.Evictions() != 1 {
-		t.Fatalf("Evictions = %d, want 1", m.Evictions())
+	if m.Stats().Evictions != 1 {
+		t.Fatalf("Evictions = %d, want 1", m.Stats().Evictions)
 	}
 }
 
@@ -93,8 +93,8 @@ func TestMemoPreloadSilent(t *testing.T) {
 	if ins := h.count(); ins != 0 {
 		t.Fatalf("preload fired the hook %d times", ins)
 	}
-	if m.Hits() != 0 || m.Misses() != 0 {
-		t.Fatalf("preload touched counters: hits=%d misses=%d", m.Hits(), m.Misses())
+	if m.Stats().Hits != 0 || m.Stats().Misses != 0 {
+		t.Fatalf("preload touched counters: hits=%d misses=%d", m.Stats().Hits, m.Stats().Misses)
 	}
 
 	// The preloaded entry answers without reaching the inner oracle.
@@ -105,8 +105,8 @@ func TestMemoPreloadSilent(t *testing.T) {
 	if inner.Queries() != 0 {
 		t.Fatalf("preloaded query reached the oracle (%d queries)", inner.Queries())
 	}
-	if m.Hits() != 1 {
-		t.Fatalf("hits = %d, want 1", m.Hits())
+	if m.Stats().Hits != 1 {
+		t.Fatalf("hits = %d, want 1", m.Stats().Hits)
 	}
 }
 

@@ -178,13 +178,6 @@ func (o *Counter) Queries() int64 {
 	return o.queries
 }
 
-// Reset zeroes the query counter.
-func (o *Counter) Reset() {
-	o.mu.Lock()
-	o.queries = 0
-	o.mu.Unlock()
-}
-
 // EvalWords evaluates 64 parallel queries on any oracle (bit k of in[i] is
 // input i of query k): one EvalBatch of 64 patterns, whose single lane
 // word per input is the word itself.

@@ -73,10 +73,6 @@ func TestCounterCountsScalarAndWordQueries(t *testing.T) {
 	if cnt.Queries() != 66 {
 		t.Fatalf("Queries = %d, want 66", cnt.Queries())
 	}
-	cnt.Reset()
-	if cnt.Queries() != 0 {
-		t.Fatal("Reset did not zero")
-	}
 }
 
 func TestCounterWordFallbackOnScalarOracle(t *testing.T) {
@@ -128,8 +124,8 @@ func TestMemoCachesAndPreservesValues(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("inner called %d times, want 1", calls)
 	}
-	if m.Hits() != 1 {
-		t.Fatalf("Hits = %d, want 1", m.Hits())
+	if h := m.Stats().Hits; h != 1 {
+		t.Fatalf("Hits = %d, want 1", h)
 	}
 	if r1[0] != r2[0] || !r1[0] {
 		t.Fatal("memo changed value")

@@ -11,27 +11,6 @@ package sop
 //
 // A final Minimize pass absorbs the now-redundant siblings.
 
-// Intersects reports whether two cubes share at least one assignment, i.e.
-// they bind no variable to opposite phases.
-func Intersects(a, b Cube) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Var < b[j].Var:
-			i++
-		case a[i].Var > b[j].Var:
-			j++
-		default:
-			if a[i].Neg != b[j].Neg {
-				return false
-			}
-			i++
-			j++
-		}
-	}
-	return true
-}
-
 // ExpandAgainst widens every cube of cover against the blocking cover and
 // returns the minimized result. Neither input is modified.
 func ExpandAgainst(cover, blockers Cover) Cover {

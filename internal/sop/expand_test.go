@@ -6,21 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestIntersects(t *testing.T) {
-	ab, _ := NewCube(Literal{Var: 0}, Literal{Var: 1})
-	aNb, _ := NewCube(Literal{Var: 0}, Literal{Var: 1, Neg: true})
-	cOnly, _ := NewCube(Literal{Var: 2})
-	if Intersects(ab, aNb) {
-		t.Fatal("x0x1 vs x0!x1 must be disjoint")
-	}
-	if !Intersects(ab, cOnly) {
-		t.Fatal("x0x1 vs x2 share assignments")
-	}
-	if !Intersects(Cube{}, ab) {
-		t.Fatal("constant-1 cube intersects everything")
-	}
-}
-
 // randomPartition splits the space over nVars recursively into labeled
 // cubes, mimicking FBDT output.
 func randomPartition(rng *rand.Rand, nVars int) (onset, offset Cover) {

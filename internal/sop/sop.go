@@ -74,15 +74,6 @@ func (c Cube) Has(v int) (Literal, bool) {
 	return Literal{}, false
 }
 
-// Vars returns the bound variable ids in ascending order.
-func (c Cube) Vars() []int {
-	vs := make([]int, len(c))
-	for i, l := range c {
-		vs[i] = l.Var
-	}
-	return vs
-}
-
 // Eval reports whether the assignment (indexed by variable id) satisfies the
 // cube.
 func (c Cube) Eval(assignment []bool) bool {
@@ -222,15 +213,6 @@ func (cv Cover) Eval(assignment []bool) bool {
 		}
 	}
 	return false
-}
-
-// Literals returns the total literal count, a standard two-level size metric.
-func (cv Cover) Literals() int {
-	n := 0
-	for _, c := range cv {
-		n += len(c)
-	}
-	return n
 }
 
 // Clone deep-copies the cover.

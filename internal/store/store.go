@@ -175,15 +175,14 @@ func (k LearnKey) String() string {
 // out of the store. Parallel > 1 takes the parallel learn path, whose
 // per-output generators give other netlists than the sequential path (the
 // same ones for every worker count), so it appends ",par=1"; a sequential
-// key carries no suffix and stays byte-identical to the keys existing
-// stores hold.
+// key carries no suffix.
 func OptionsSig(o core.Options) string {
 	sig := fmt.Sprintf(
-		"sr=%d,tr=%d,eps=%g,ex=%d,max=%d,ratios=%v,nopre=%t,noopt=%t,hc=%t,ao=%t,df=%t,xt=%t,rr=%d,rp=%d,tmpl=%+v,opt=%+v",
+		"sr=%d,tr=%d,eps=%g,ex=%d,max=%d,ratios=%v,nopre=%t,noopt=%t,hc=%t,ao=%t,df=%t,xt=%t,rr=%d,rp=%d,tmpl=%+v",
 		o.SupportR, o.TreeR, o.LeafEpsilon, o.ExhaustiveThreshold, o.MaxTreeNodes,
 		o.Ratios, o.DisablePreprocessing, o.DisableOptimization, o.HiddenCompression,
 		o.AlwaysOnset, o.DepthFirstTree, o.ExtendedTemplates, o.RefineRounds,
-		o.RefinePatterns, o.Template, o.Opt)
+		o.RefinePatterns, o.Template)
 	if o.Parallel > 1 {
 		sig += ",par=1"
 	}

@@ -44,9 +44,6 @@ func TestIdentifySingleInputOutput(t *testing.T) {
 	if len(info.Support) != 1 || info.Support[0] != 2 {
 		t.Fatalf("support = %v, want [2]", info.Support)
 	}
-	if in, ok := info.MostSignificant(); !ok || in != 2 {
-		t.Fatalf("MostSignificant = %d,%v", in, ok)
-	}
 }
 
 func TestIdentifyConstantOutput(t *testing.T) {
@@ -56,57 +53,8 @@ func TestIdentifyConstantOutput(t *testing.T) {
 	if len(info.Support) != 0 {
 		t.Fatalf("constant output support = %v", info.Support)
 	}
-	if _, ok := info.MostSignificant(); ok {
-		t.Fatal("constant output has a most-significant input")
-	}
 	if info.TruthRatio != 1 {
 		t.Fatalf("TruthRatio = %f, want 1", info.TruthRatio)
-	}
-}
-
-func TestIdentifyMultiRoundUnion(t *testing.T) {
-	o := hiddenFn()
-	rng := rand.New(rand.NewSource(4))
-	one := Identify(o, 0, Config{R: 128, Rounds: 1}, rng)
-	multi := Identify(o, 0, Config{R: 128, Rounds: 4}, rand.New(rand.NewSource(4)))
-	if len(multi.Support) < len(one.Support) {
-		t.Fatalf("multi-round support %v smaller than single-round %v", multi.Support, one.Support)
-	}
-}
-
-func TestMostSignificantPrefersDominantInput(t *testing.T) {
-	// f = e OR (a AND b): e flips f whenever a AND b = 0 (3/4 of the time
-	// under even bias); a flips it only when b=1, e=0 (1/4). e must win.
-	o := hiddenFn()
-	rng := rand.New(rand.NewSource(5))
-	info := Identify(o, 0, Config{R: 1024, Ratios: []float64{0.5}}, rng)
-	if in, ok := info.MostSignificant(); !ok || in != 4 {
-		t.Fatalf("MostSignificant = %d, want 4 (input e)", in)
-	}
-}
-
-func TestWitnessFindsDependency(t *testing.T) {
-	o := hiddenFn()
-	rng := rand.New(rand.NewSource(6))
-	a, ok := Witness(o, 0, 4, 200, rng)
-	if !ok {
-		t.Fatal("no witness found for a true dependency")
-	}
-	// Verify the witness actually flips the output.
-	a[4] = false
-	v0 := o.Eval(a)[0]
-	a[4] = true
-	v1 := o.Eval(a)[0]
-	if v0 == v1 {
-		t.Fatal("returned witness does not flip the output")
-	}
-}
-
-func TestWitnessFailsOnIndependentInput(t *testing.T) {
-	o := hiddenFn()
-	rng := rand.New(rand.NewSource(7))
-	if _, ok := Witness(o, 0, 3, 100, rng); ok {
-		t.Fatal("witness found for an independent input")
 	}
 }
 

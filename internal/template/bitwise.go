@@ -48,9 +48,6 @@ func (op BitwiseOp) String() string {
 	return fmt.Sprintf("BitwiseOp(%d)", uint8(op))
 }
 
-// Unary reports whether the operator takes a single operand.
-func (op BitwiseOp) Unary() bool { return op == BNot || op == BBuf }
-
 // Eval applies the operator to whole words.
 func (op BitwiseOp) Eval(a, b uint64) uint64 {
 	switch op {

@@ -166,7 +166,4 @@ func TestBitwiseOpEvalTable(t *testing.T) {
 			t.Errorf("%v: got %b, want %b", op, got, want)
 		}
 	}
-	if !BNot.Unary() || BAnd.Unary() {
-		t.Fatal("Unary classification wrong")
-	}
 }

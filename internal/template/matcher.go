@@ -15,8 +15,6 @@ type Config struct {
 	Samples int
 	// Verify is the number of targeted probes a hypothesis must survive.
 	Verify int
-	// MaxPairs caps the number of input-vector pairs screened.
-	MaxPairs int
 	// Ratios is the bias pool for the shared probes.
 	Ratios []float64
 	// ExtendedTemplates additionally screens the bitwise lane-operator
@@ -24,6 +22,9 @@ type Config struct {
 	// bitwise.go). Off by default to keep the paper-faithful pipeline.
 	ExtendedTemplates bool
 }
+
+// maxPairs caps the number of input-vector pairs screened for comparators.
+const maxPairs = 256
 
 func (c Config) withDefaults() Config {
 	if c.Samples <= 0 {
@@ -34,9 +35,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Verify <= 0 {
 		c.Verify = 48
-	}
-	if c.MaxPairs <= 0 {
-		c.MaxPairs = 256
 	}
 	if len(c.Ratios) == 0 {
 		c.Ratios = sampling.DefaultRatios
@@ -203,8 +201,8 @@ func detectComparators(o oracle.Oracle, vecs []names.Vector, ss *sampleSet, cfg 
 	// Vector-vector forms.
 	pairs := 0
 pairLoop:
-	for i := 0; i < len(vecs) && pairs < cfg.MaxPairs; i++ {
-		for j := i + 1; j < len(vecs) && pairs < cfg.MaxPairs; j++ {
+	for i := 0; i < len(vecs) && pairs < maxPairs; i++ {
+		for j := i + 1; j < len(vecs) && pairs < maxPairs; j++ {
 			pairs++
 			for po := 0; po < o.NumOutputs(); po++ {
 				if matched[po] {

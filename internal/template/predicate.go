@@ -52,10 +52,6 @@ func (p Predicate) Eval(a, b uint64) bool {
 	panic("template: bad predicate")
 }
 
-// Ordered reports whether the predicate is a threshold relation, for which
-// the constant form admits binary search.
-func (p Predicate) Ordered() bool { return p >= LT }
-
 // Build synthesizes the predicate over two signal words.
 func (p Predicate) Build(c *circuit.Circuit, a, b circuit.Word) circuit.Signal {
 	switch p {

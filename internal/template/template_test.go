@@ -174,12 +174,12 @@ func TestDetectLinearArithmetic(t *testing.T) {
 }
 
 func TestDetectLinearSubtraction(t *testing.T) {
-	// z = a - b (mod 16): coefficient of b is 15.
+	// z = a - b (mod 16), built as a + 15*b: coefficient of b is 15.
 	const w = 4
 	c := circuit.New()
 	a := c.AddPIWord("a", w)
 	b := c.AddPIWord("b", w)
-	c.AddPOWord("z", c.SubWords(a, b))
+	c.AddPOWord("z", c.AddWords(a, c.MulConst(b, 15, w)))
 	o := oracle.FromCircuit(c)
 	m := Detect(o, Config{Samples: 64, Verify: 48}, rand.New(rand.NewSource(7)))
 	if len(m.Linear) != 1 {

@@ -1,13 +1,11 @@
-// Package tt provides truth-table utilities for functions of up to 6
-// variables packed into a single uint64 (bit m = function value at minterm
-// m, variable i contributing bit i of m). These tables back the cut-based
-// optimization passes and are a standard EDA substrate (ABC's kit_*).
+// Package tt provides truth tables of up to 6 variables packed into a
+// single uint64 (bit m = function value at minterm m, variable i
+// contributing bit i of m). The cut-based refactor pass computes cut
+// functions in this form, and check.Equiv uses it as its exhaustive
+// small-circuit reference.
 package tt
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // MaxVars is the largest supported variable count.
 const MaxVars = 6
@@ -42,188 +40,8 @@ func Mask(nVars int) Table {
 	return Table(1)<<(1<<uint(nVars)) - 1
 }
 
-// Replicate extends an n-var table (meaningful in its low 2^n bits) to the
-// full 64-bit form where the unused variables are don't-cares.
-func Replicate(t Table, nVars int) Table {
-	width := 1 << uint(nVars)
-	t &= Mask(nVars)
-	for width < 64 {
-		t |= t << uint(width)
-		width *= 2
-	}
-	return t
-}
-
-// IsConst0 reports whether the (replicated) table is constant false.
-func (t Table) IsConst0() bool { return t == 0 }
-
-// IsConst1 reports whether the (replicated) table is constant true.
-func (t Table) IsConst1() bool { return t == ^Table(0) }
-
 // Eval returns the function value at the given minterm.
 func (t Table) Eval(minterm int) bool { return t>>uint(minterm)&1 == 1 }
 
-// Ones counts the satisfying minterms among the first 2^nVars.
-func (t Table) Ones(nVars int) int {
-	return bits.OnesCount64(uint64(t & Mask(nVars)))
-}
-
-// Cofactor returns the cofactor with variable i fixed to val, replicated
-// back over i (so the result no longer depends on i).
-func (t Table) Cofactor(i int, val bool) Table {
-	m := varMasks[i]
-	shift := uint(1) << uint(i)
-	if val {
-		hi := t & Table(m)
-		return hi | hi>>shift
-	}
-	lo := t &^ Table(m)
-	return lo | lo<<shift
-}
-
-// DependsOn reports whether the function depends on variable i.
-func (t Table) DependsOn(i int) bool {
-	return t.Cofactor(i, false) != t.Cofactor(i, true)
-}
-
-// Support returns the variables (0..nVars-1) the function depends on.
-func (t Table) Support(nVars int) []int {
-	var out []int
-	for i := 0; i < nVars; i++ {
-		if t.DependsOn(i) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SwapAdjacent exchanges variables i and i+1.
-func (t Table) SwapAdjacent(i int) Table {
-	lowBlock := uint(1) << uint(i) // block size of variable i
-	// Partition minterms by (bit_i, bit_{i+1}): swap the 01 and 10 groups.
-	vi := Table(varMasks[i])
-	vj := Table(varMasks[i+1])
-	keep := t&(vi&vj) | t&^(vi|vj)
-	m01 := t & (vj &^ vi) // bit_{i+1}=1, bit_i=0
-	m10 := t & (vi &^ vj)
-	return keep | m01>>lowBlock | m10<<lowBlock
-}
-
-// Permute reorders variables: perm[i] gives the new position of variable i.
-// Implemented as adjacent transpositions (selection sort on positions).
-func (t Table) Permute(perm []int) Table {
-	cur := make([]int, len(perm))
-	copy(cur, perm)
-	for target := 0; target < len(cur); target++ {
-		// Find the variable currently at position >= target that must land
-		// on target, then bubble it left.
-		src := -1
-		for i := target; i < len(cur); i++ {
-			if cur[i] == target {
-				src = i
-				break
-			}
-		}
-		if src < 0 {
-			panic("tt: invalid permutation")
-		}
-		for i := src; i > target; i-- {
-			t = t.SwapAdjacent(i - 1)
-			cur[i], cur[i-1] = cur[i-1], cur[i]
-		}
-	}
-	return t
-}
-
-// FlipVar complements variable i (f(..., x_i, ...) -> f(..., ~x_i, ...)).
-func (t Table) FlipVar(i int) Table { return t.flipVar(i) }
-
 // String renders the table as a 16-digit hex constant.
 func (t Table) String() string { return fmt.Sprintf("%016x", uint64(t)) }
-
-// NPN is a canonical form under input negation, input permutation, and
-// output negation, with the transform that produced it.
-type NPN struct {
-	Canon Table
-	// Perm maps original variable i to its canonical position.
-	Perm [MaxVars]int
-	// FlipIn marks inputs complemented before permuting.
-	FlipIn [MaxVars]bool
-	// FlipOut marks output complementation.
-	FlipOut bool
-}
-
-// Canonical computes the NPN canonical form of an nVars-function by
-// explicit enumeration of the 2 * 2^n * n! transforms (n <= 4 recommended —
-// the optimizer only canonicalizes 4-input cut functions; up to 6 is exact
-// but slow).
-func Canonical(t Table, nVars int) NPN {
-	t = Replicate(t&Mask(nVars), nVars)
-	best := NPN{Canon: ^Table(0)}
-	first := true
-	perms := permutations(nVars)
-	for _, p := range perms {
-		for flips := 0; flips < 1<<uint(nVars); flips++ {
-			cand := t
-			var flipArr [MaxVars]bool
-			for i := 0; i < nVars; i++ {
-				if flips>>uint(i)&1 == 1 {
-					cand = cand.flipVar(i)
-					flipArr[i] = true
-				}
-			}
-			fullPerm := make([]int, nVars)
-			copy(fullPerm, p)
-			cand = cand.Permute(fullPerm)
-			for _, out := range []bool{false, true} {
-				final := cand
-				if out {
-					final = ^cand
-				}
-				if first || final < best.Canon {
-					first = false
-					best.Canon = final
-					for i := 0; i < nVars; i++ {
-						best.Perm[i] = p[i]
-						best.FlipIn[i] = flipArr[i]
-					}
-					best.FlipOut = out
-				}
-			}
-		}
-	}
-	return best
-}
-
-// flipVar complements variable i.
-func (t Table) flipVar(i int) Table {
-	shift := uint(1) << uint(i)
-	m := Table(varMasks[i])
-	hi := t & m
-	lo := t &^ m
-	return hi>>shift | lo<<shift
-}
-
-func permutations(n int) [][]int {
-	base := make([]int, n)
-	for i := range base {
-		base[i] = i
-	}
-	var out [][]int
-	var rec func(k int)
-	rec = func(k int) {
-		if k == n {
-			cp := make([]int, n)
-			copy(cp, base)
-			out = append(out, cp)
-			return
-		}
-		for i := k; i < n; i++ {
-			base[k], base[i] = base[i], base[k]
-			rec(k + 1)
-			base[k], base[i] = base[i], base[k]
-		}
-	}
-	rec(0)
-	return out
-}

@@ -1,26 +1,6 @@
 package tt
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
-
-// ref evaluates a table the slow way after applying variable ops, for
-// differential testing.
-func evalWith(t Table, nVars int, assign []bool) bool {
-	m := 0
-	for i := 0; i < nVars; i++ {
-		if assign[i] {
-			m |= 1 << uint(i)
-		}
-	}
-	return t.Eval(m)
-}
-
-func randTable(rng *rand.Rand, nVars int) Table {
-	return Replicate(Table(rng.Uint64()), nVars)
-}
+import "testing"
 
 func TestVarTables(t *testing.T) {
 	for i := 0; i < MaxVars; i++ {
@@ -43,210 +23,11 @@ func TestVarPanics(t *testing.T) {
 	Var(6)
 }
 
-func TestMaskAndReplicate(t *testing.T) {
+func TestMask(t *testing.T) {
 	if Mask(2) != 0xF {
 		t.Fatalf("Mask(2) = %x", uint64(Mask(2)))
 	}
 	if Mask(6) != ^Table(0) {
 		t.Fatal("Mask(6) wrong")
-	}
-	// Replicating the 2-var AND: minterm 3 set -> pattern 0x8888...
-	r := Replicate(0x8, 2)
-	if r != 0x8888888888888888 {
-		t.Fatalf("Replicate = %x", uint64(r))
-	}
-	if !r.DependsOn(0) || !r.DependsOn(1) || r.DependsOn(2) {
-		t.Fatal("replicated table has wrong support")
-	}
-}
-
-func TestCofactorAndDepends(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		nVars := 1 + rng.Intn(6)
-		tab := randTable(rng, nVars)
-		for i := 0; i < nVars; i++ {
-			c0 := tab.Cofactor(i, false)
-			c1 := tab.Cofactor(i, true)
-			if c0.DependsOn(i) || c1.DependsOn(i) {
-				t.Fatal("cofactor still depends on its variable")
-			}
-			// Shannon expansion: t = ~xi*c0 | xi*c1.
-			rebuilt := ^Var(i)&c0 | Var(i)&c1
-			if rebuilt != tab {
-				t.Fatalf("Shannon expansion broken: var %d", i)
-			}
-		}
-	}
-}
-
-func TestSupport(t *testing.T) {
-	f := Var(0) & Var(3) // depends on 0,3 only
-	sup := f.Support(6)
-	if len(sup) != 2 || sup[0] != 0 || sup[1] != 3 {
-		t.Fatalf("support = %v", sup)
-	}
-}
-
-func TestSwapAdjacent(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 50; trial++ {
-		nVars := 2 + rng.Intn(5)
-		tab := randTable(rng, nVars)
-		i := rng.Intn(nVars - 1)
-		sw := tab.SwapAdjacent(i)
-		assign := make([]bool, nVars)
-		for k := 0; k < 64; k++ {
-			for v := range assign {
-				assign[v] = rng.Intn(2) == 1
-			}
-			swapped := make([]bool, nVars)
-			copy(swapped, assign)
-			swapped[i], swapped[i+1] = swapped[i+1], swapped[i]
-			if evalWith(sw, nVars, assign) != evalWith(tab, nVars, swapped) {
-				t.Fatalf("swap %d wrong", i)
-			}
-		}
-		if sw.SwapAdjacent(i) != tab {
-			t.Fatal("swap not involutive")
-		}
-	}
-}
-
-func TestFlipVar(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		nVars := 1 + rng.Intn(6)
-		tab := randTable(rng, nVars)
-		i := rng.Intn(nVars)
-		fl := tab.FlipVar(i)
-		assign := make([]bool, nVars)
-		for k := 0; k < 64; k++ {
-			for v := range assign {
-				assign[v] = rng.Intn(2) == 1
-			}
-			flipped := make([]bool, nVars)
-			copy(flipped, assign)
-			flipped[i] = !flipped[i]
-			if evalWith(fl, nVars, assign) != evalWith(tab, nVars, flipped) {
-				t.Fatalf("flip %d wrong", i)
-			}
-		}
-		if fl.FlipVar(i) != tab {
-			t.Fatal("flip not involutive")
-		}
-	}
-}
-
-func TestPermute(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 50; trial++ {
-		nVars := 2 + rng.Intn(5)
-		tab := randTable(rng, nVars)
-		perm := rng.Perm(nVars)
-		pt := tab.Permute(perm)
-		assign := make([]bool, nVars)
-		for k := 0; k < 64; k++ {
-			for v := range assign {
-				assign[v] = rng.Intn(2) == 1
-			}
-			// pt at canonical positions equals tab at original positions:
-			// variable i moved to perm[i], so pt(y) where y[perm[i]] =
-			// x[i] must equal tab(x).
-			moved := make([]bool, nVars)
-			for i := 0; i < nVars; i++ {
-				moved[perm[i]] = assign[i]
-			}
-			if evalWith(pt, nVars, moved) != evalWith(tab, nVars, assign) {
-				t.Fatalf("permute %v wrong", perm)
-			}
-		}
-	}
-}
-
-func TestOnes(t *testing.T) {
-	if (Var(0) & Var(1)).Ones(2) != 1 {
-		t.Fatal("AND2 has one onset minterm")
-	}
-	if Table(0).Ones(4) != 0 || (^Table(0)).Ones(4) != 16 {
-		t.Fatal("constant ones counts wrong")
-	}
-}
-
-func TestCanonicalInvariance(t *testing.T) {
-	// NPN-equivalent functions must share a canonical form.
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 30; trial++ {
-		nVars := 2 + rng.Intn(3) // up to 4 vars: enumeration stays fast
-		tab := randTable(rng, nVars)
-		canon := Canonical(tab, nVars).Canon
-
-		// Random NPN transform of tab.
-		tr := tab
-		for i := 0; i < nVars; i++ {
-			if rng.Intn(2) == 1 {
-				tr = tr.FlipVar(i)
-			}
-		}
-		tr = tr.Permute(rng.Perm(nVars))
-		if rng.Intn(2) == 1 {
-			tr = ^tr
-		}
-		if got := Canonical(tr, nVars).Canon; got != canon {
-			t.Fatalf("trial %d: NPN-equivalent tables canonize differently: %v vs %v",
-				trial, got, canon)
-		}
-	}
-}
-
-func TestCanonicalDistinguishesClasses(t *testing.T) {
-	// AND2 and XOR2 are in different NPN classes.
-	and2 := Replicate(0x8, 2)
-	xor2 := Replicate(0x6, 2)
-	if Canonical(and2, 2).Canon == Canonical(xor2, 2).Canon {
-		t.Fatal("AND and XOR canonized to the same class")
-	}
-}
-
-func TestQuickCofactorIdempotent(t *testing.T) {
-	f := func(raw uint64, varRaw uint8) bool {
-		i := int(varRaw) % MaxVars
-		tab := Table(raw)
-		c := tab.Cofactor(i, true)
-		return c.Cofactor(i, true) == c && c.Cofactor(i, false) == c
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickPermuteComposition(t *testing.T) {
-	// Permuting by p then by q equals permuting by q∘p.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(5)
-		tab := randTable(rng, n)
-		p := rng.Perm(n)
-		q := rng.Perm(n)
-		comp := make([]int, n)
-		for i := 0; i < n; i++ {
-			comp[i] = q[p[i]]
-		}
-		return tab.Permute(p).Permute(q) == tab.Permute(comp)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickCanonicalIdempotent(t *testing.T) {
-	f := func(raw uint64) bool {
-		tab := Replicate(Table(raw), 3)
-		c1 := Canonical(tab, 3).Canon
-		c2 := Canonical(c1, 3).Canon
-		return c1 == c2
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }
