@@ -144,6 +144,20 @@ func TestLtConst(t *testing.T) {
 	}
 }
 
+func TestClz64(t *testing.T) {
+	if got := clz64(0); got != 64 {
+		t.Fatalf("clz64(0) = %d", got)
+	}
+	for k := 0; k < 64; k++ {
+		if got := clz64(1 << uint(k)); got != 63-k {
+			t.Fatalf("clz64(1<<%d) = %d", k, got)
+		}
+	}
+	if got := clz64(^uint64(0)); got != 0 {
+		t.Fatalf("clz64(2^64-1) = %d", got)
+	}
+}
+
 func TestTrees(t *testing.T) {
 	c := New()
 	var sigs []Signal

@@ -53,6 +53,13 @@ func TestConstNodesSharedAndCorrect(t *testing.T) {
 	if out[0] != false || out[1] != true {
 		t.Fatalf("constants evaluate to %v", out)
 	}
+	// On a fresh circuit the first constant is node 0.
+	for _, b := range []bool{false, true} {
+		c := New()
+		if s := c.Const(b); c.Const(b) != s || c.NumNodes() != 1 {
+			t.Fatalf("Const(%v) twice on a fresh circuit: %d nodes", b, c.NumNodes())
+		}
+	}
 }
 
 func TestEvalWordsMatchesEval(t *testing.T) {
@@ -168,6 +175,33 @@ func TestEvalPanicsOnWrongArity(t *testing.T) {
 		}
 	}()
 	c.Eval([]bool{true, false})
+}
+
+// TestSimulateRejectsMisSizedScratch calls the kernel with a word count
+// outside [1, kernelWords] or a value array that is not k words per node:
+// each must panic rather than run.
+func TestSimulateRejectsMisSizedScratch(t *testing.T) {
+	c := New()
+	c.AddPO("z", c.NotGate(c.AddPI("a")))
+	n := c.NumNodes()
+	for _, tc := range []struct {
+		name string
+		k    int
+		vals int
+	}{
+		{"zero words", 0, 0},
+		{"too many words", kernelWords + 1, n * (kernelWords + 1)},
+		{"one spare value word", 1, n + 1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: simulate ran", tc.name)
+				}
+			}()
+			c.simulate(make([]uint64, kernelWords+1), 1, 0, tc.k, make([]uint64, tc.vals))
+		}()
+	}
 }
 
 // Property: random circuits evaluated in parallel agree with scalar eval.

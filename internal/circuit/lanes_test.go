@@ -2,6 +2,7 @@ package circuit_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"logicregression/internal/cases"
@@ -63,6 +64,58 @@ func checkedPatterns(rng *rand.Rand, w int) []int {
 		}
 	}
 	return ks
+}
+
+// TestCopyConeMatchesSource copies each output's cone of a few benchmark
+// circuits into a fresh circuit that declares every PI, and checks the copy
+// against that output of the source on random batches. The copy holds no
+// more nodes than the source. A pi-signal list of the wrong length panics.
+func TestCopyConeMatchesSource(t *testing.T) {
+	const w = 3
+	for _, name := range []string{"case_2", "case_5", "case_14"} {
+		cs, err := cases.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := cs.Circuit
+		nIn, nOut := src.NumPI(), src.NumPO()
+		rng := rand.New(rand.NewSource(int64(len(name))))
+		lanes := make([]uint64, nIn*w)
+		for i := range lanes {
+			lanes[i] = rng.Uint64()
+		}
+		want := make([]uint64, nOut*w)
+		src.NewEvaluator().EvalLanes(lanes, w, want)
+		for po := 0; po < nOut; po++ {
+			dst := circuit.New()
+			pis := make([]circuit.Signal, nIn)
+			for i, n := range src.PINames() {
+				pis[i] = dst.AddPI(n)
+			}
+			dst.AddPO("z", circuit.CopyCone(dst, pis, src, po))
+			if dst.NumNodes() > src.NumNodes() {
+				t.Fatalf("%s output %d: cone copy has %d nodes, source %d", name, po, dst.NumNodes(), src.NumNodes())
+			}
+			got := make([]uint64, w)
+			dst.NewEvaluator().EvalLanes(lanes, w, got)
+			if !slices.Equal(got, want[po*w:(po+1)*w]) {
+				t.Fatalf("%s output %d: cone copy differs from the source", name, po)
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: CopyCone accepted %d pi signals for %d PIs", name, nIn-1, nIn)
+				}
+			}()
+			dst := circuit.New()
+			pis := make([]circuit.Signal, nIn-1)
+			for i := range pis {
+				pis[i] = dst.AddPI("x")
+			}
+			circuit.CopyCone(dst, pis, src, 0)
+		}()
+	}
 }
 
 // TestEvalLanesToleratesGrowth checks that one Evaluator keeps agreeing with

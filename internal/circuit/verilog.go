@@ -104,7 +104,7 @@ func vlogID(name string) string {
 			break
 		}
 	}
-	if simple && !(name[0] >= '0' && name[0] <= '9') {
+	if simple {
 		return name
 	}
 	return "\\" + name + " " // escaped identifier: backslash..space

@@ -68,6 +68,84 @@ func TestVerilogEscapedIdentifiers(t *testing.T) {
 	}
 }
 
+func TestVlogIDEscaping(t *testing.T) {
+	for name, want := range map[string]string{
+		"a": "a", "a9": "a9", "_$x": "_$x",
+		"9a": "\\9a ", "0": "\\0 ", "a[3]": "\\a[3] ", "*x": "\\*x ",
+	} {
+		if got := vlogID(name); got != want {
+			t.Errorf("vlogID(%q) = %q, want %q", name, got, want)
+		}
+	}
+}
+
+// TestVerilogSlashAndStarNames round-trips names holding the characters
+// that open comments: a '*' or '/' that does not follow a '/' is part of a
+// name, not a comment.
+func TestVerilogSlashAndStarNames(t *testing.T) {
+	c := New()
+	x := c.AddPI("*x")
+	y := c.AddPI("a/b")
+	d := c.AddPI("9lives")
+	c.AddPO("/z*", c.And(c.Or(x, y), d))
+	var buf bytes.Buffer
+	if err := WriteVerilog(&buf, c, "names"); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	back, err := ParseVerilog(&buf)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, text)
+	}
+	if got := back.PINames(); len(got) != 3 || got[0] != "*x" || got[1] != "a/b" || got[2] != "9lives" {
+		t.Fatalf("input names %q", got)
+	}
+	if got := back.PONames(); len(got) != 1 || got[0] != "/z*" {
+		t.Fatalf("output names %q", got)
+	}
+	for m := 0; m < 8; m++ {
+		a := []bool{m&1 == 1, m>>1&1 == 1, m>>2&1 == 1}
+		if got, want := back.Eval(a)[0], c.Eval(a)[0]; got != want {
+			t.Fatalf("assignment %03b: %v, want %v", m, got, want)
+		}
+	}
+}
+
+// TestVerilogTrailingSlash: a lone '/' at the end of the source opens no
+// comment. After a complete module it is ignored like any trailing token;
+// alone it is an error.
+func TestVerilogTrailingSlash(t *testing.T) {
+	c, err := ParseVerilog(strings.NewReader("module m(a, z); input a; output z; not (z, a); endmodule /"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Eval([]bool{true})[0] {
+		t.Fatal("not gate lost")
+	}
+	if _, err := ParseVerilog(strings.NewReader("/")); err == nil {
+		t.Fatal("a lone / parsed")
+	}
+}
+
+// TestVerilogSinglePort round-trips a module whose port list holds one
+// name: a constant output and no inputs.
+func TestVerilogSinglePort(t *testing.T) {
+	c := New()
+	c.AddPO("z", c.Const(true))
+	var buf bytes.Buffer
+	if err := WriteVerilog(&buf, c, "one"); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	back, err := ParseVerilog(&buf)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, text)
+	}
+	if back.NumPI() != 0 || back.NumPO() != 1 || !back.Eval(nil)[0] {
+		t.Fatalf("round trip gave %d inputs, %d outputs\n%s", back.NumPI(), back.NumPO(), text)
+	}
+}
+
 func TestVerilogConstantsRoundTrip(t *testing.T) {
 	c := New()
 	a := c.AddPI("a")

@@ -189,7 +189,7 @@ func Build(o oracle.Oracle, out int, cfg Config, rng *rand.Rand) Result {
 // output. The probeR patterns go to the oracle as one batch.
 func probeTruthRatio(o oracle.Oracle, out int, cube sop.Cube, rng *rand.Rand) float64 {
 	lanes := sampling.RandomWords(rng, o.NumInputs(), sampling.DefaultRatios[0], cube)
-	got := oracle.EvalBatch(o, lanes, probeR)[out]
+	got := oracle.EvalOutput(o, lanes, probeR, out)[0]
 	return float64(bits.OnesCount64(got)) / probeR
 }
 
@@ -209,7 +209,6 @@ func Exhaustive(o oracle.Oracle, out int, sup []int, rng *rand.Rand) Result {
 
 	ones := uint64(0)
 	table := make([]bool, total)
-	batchOracle := oracle.AsBatch(o)
 	for base := uint64(0); base < total; base += exhaustiveChunk {
 		count := min(total-base, exhaustiveChunk)
 		w := oracle.Words(int(count))
@@ -222,7 +221,7 @@ func Exhaustive(o oracle.Oracle, out int, sup []int, rng *rand.Rand) Result {
 				}
 			}
 		}
-		got := batchOracle.EvalBatch(lanes, int(count))[out*w : (out+1)*w]
+		got := oracle.EvalOutput(o, lanes, int(count), out)
 		for pat := uint64(0); pat < count; pat++ {
 			if got[pat>>6]>>(pat&63)&1 == 1 {
 				table[base+pat] = true

@@ -91,6 +91,26 @@ func EvalBatch(o Oracle, patterns []bitvec.Word, n int) []bitvec.Word {
 	return AsBatch(o).EvalBatch(patterns, n)
 }
 
+// EvalOutput evaluates n lane-packed patterns on any oracle and returns
+// output po's Words(n) result words, bit for bit lane po of EvalBatch. A
+// box that can answer one output for less than the whole batch does so;
+// any other answers the whole batch and the lane is sliced out.
+func EvalOutput(o Oracle, patterns []bitvec.Word, n, po int) []bitvec.Word {
+	if one, ok := o.(outputOracle); ok {
+		return one.evalOutput(patterns, n, po)
+	}
+	w := Words(n)
+	return EvalBatch(o, patterns, n)[po*w : (po+1)*w : (po+1)*w]
+}
+
+// outputOracle is implemented by the boxes that answer one output of a
+// batch on their own: the circuit-backed oracle, from that output's cone,
+// and Counter, which forwards. A box whose unit of work is a whole response
+// (a memo entry, a transcript line, a wire reply) must not implement it.
+type outputOracle interface {
+	evalOutput(patterns []bitvec.Word, n, po int) []bitvec.Word
+}
+
 // ScalarOnly restricts o to the plain Eval interface, hiding any batch-level
 // fast path it implements. It is the reference wrapper for the
 // equivalence guarantee: for any oracle, learning against ScalarOnly(o) and

@@ -7,8 +7,10 @@ package oracle_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -68,10 +70,25 @@ func assertLanesEqual(t *testing.T, name string, got, want []bitvec.Word, nOut, 
 	}
 }
 
+// assertOutputEqual checks a one-output answer: exactly Words(n) words,
+// equal to lane po of the reference over the live patterns.
+func assertOutputEqual(t *testing.T, name string, got, want []bitvec.Word, po, n int) {
+	t.Helper()
+	w := oracle.Words(n)
+	if len(got) != w {
+		t.Fatalf("%s: output %d: %d words for %d patterns", name, po, len(got), n)
+	}
+	assertLanesEqual(t, fmt.Sprintf("%s output %d", name, po), got, want[po*w:(po+1)*w], 1, n)
+}
+
 // TestEvalBatchParityAllCases is the seeded fuzz/parity sweep over every
 // benchmark oracle: the circuit-backed batch path, the lifted scalar
 // adapter, and the Counter/Memo/Recorder wrappers must all agree with the
-// scalar reference bit for bit.
+// scalar reference bit for bit. EvalOutput must return the reference's lane
+// for every output: from the output's cone on the circuit oracle and
+// through a Counter over it, and by the whole-batch fallback on the Memo
+// and ScalarOnly boxes (at one small n: ScalarOnly re-evaluates the whole
+// batch per output).
 func TestEvalBatchParityAllCases(t *testing.T) {
 	for _, cs := range cases.All() {
 		cs := cs
@@ -100,6 +117,27 @@ func TestEvalBatchParityAllCases(t *testing.T) {
 				memo := oracle.NewMemoCap(o, 4096)
 				assertLanesEqual(t, "memo-cold", memo.EvalBatch(lanes, n), want, o.NumOutputs(), n)
 				assertLanesEqual(t, "memo-warm", memo.EvalBatch(lanes, n), want, o.NumOutputs(), n)
+
+				w := oracle.Words(n)
+				counted = oracle.NewCounter(o)
+				for po := 0; po < o.NumOutputs(); po++ {
+					cone := oracle.EvalOutput(o, lanes, n, po)
+					assertOutputEqual(t, "cone", cone, want, po, n)
+					if !slices.Equal(cone, got[po*w:(po+1)*w]) {
+						t.Fatalf("cone output %d differs from the batch lane beyond the live patterns", po)
+					}
+					assertOutputEqual(t, "counter-cone", oracle.EvalOutput(counted, lanes, n, po), want, po, n)
+					if q := counted.Queries(); q != int64(n)*int64(po+1) {
+						t.Fatalf("counter charged %d queries after %d one-output calls of %d", q, po+1, n)
+					}
+				}
+				if n == 63 {
+					scalar := oracle.ScalarOnly(o)
+					for po := 0; po < o.NumOutputs(); po++ {
+						assertOutputEqual(t, "memo-output", oracle.EvalOutput(memo, lanes, n, po), want, po, n)
+						assertOutputEqual(t, "scalar-output", oracle.EvalOutput(scalar, lanes, n, po), want, po, n)
+					}
+				}
 			}
 		})
 	}
@@ -108,8 +146,11 @@ func TestEvalBatchParityAllCases(t *testing.T) {
 // TestCircuitOracleConcurrentBatches drives one CircuitOracle (as Shared
 // hands it out) from several goroutines with batches of different widths,
 // so the pooled evaluators are borrowed, regrown and returned concurrently.
-// Every answer must equal the one computed alone beforehand; run under
-// -race this is the pool's safety witness.
+// Between batches each goroutine asks one output through EvalOutput, on POs
+// staggered so that several goroutines build the same and different cones
+// at once. Every answer must equal the one computed alone beforehand; run
+// under -race this is the safety witness of the pool and of the cones'
+// first builds.
 func TestCircuitOracleConcurrentBatches(t *testing.T) {
 	cs, err := cases.ByName("case_14") // 9030 nodes
 	if err != nil {
@@ -124,6 +165,7 @@ func TestCircuitOracleConcurrentBatches(t *testing.T) {
 		lanes[i] = randomLanes(rng, o.NumInputs(), n)
 		want[i] = oracle.EvalBatch(o, lanes[i], n)
 	}
+	nPO := o.NumOutputs()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -133,12 +175,17 @@ func TestCircuitOracleConcurrentBatches(t *testing.T) {
 			for round := 0; round < 3; round++ {
 				for j := range sizes {
 					i := (j + g) % len(sizes)
-					got := oracle.EvalBatch(h, lanes[i], sizes[i])
-					for w := range got {
-						if got[w] != want[i][w] {
-							t.Errorf("goroutine %d, %d patterns: word %d differs", g, sizes[i], w)
-							return
-						}
+					n := sizes[i]
+					got := oracle.EvalBatch(h, lanes[i], n)
+					if !slices.Equal(got, want[i]) {
+						t.Errorf("goroutine %d, %d patterns: batch differs", g, n)
+						return
+					}
+					po := (round*len(sizes) + j + g/2) % nPO
+					w := oracle.Words(n)
+					if !slices.Equal(oracle.EvalOutput(h, lanes[i], n, po), want[i][po*w:(po+1)*w]) {
+						t.Errorf("goroutine %d, %d patterns: output %d differs", g, n, po)
+						return
 					}
 				}
 			}

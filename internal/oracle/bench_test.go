@@ -6,7 +6,8 @@ package oracle_test
 //	go test -run '^$' -bench BenchmarkOracleBatch ./internal/oracle
 //
 // writes BENCH_oracle.json at the repository root with patterns/sec for the
-// scalar and batch paths and the batch-over-scalar speedup.
+// scalar and batch paths and for one-output EvalOutput calls, each with its
+// speedup over the scalar path.
 
 import (
 	"encoding/json"
@@ -37,8 +38,9 @@ type benchRow struct {
 var benchOnce sync.Once
 
 // BenchmarkOracleBatch times one 4096-pattern EvalBatch on a circuit oracle.
-// The first run also benchmarks the scalar path on the same workload and
-// writes both rows to BENCH_oracle.json.
+// The first run also benchmarks the scalar path and a one-output EvalOutput
+// (the mean over every output in turn) on the same workload and writes the
+// three rows to BENCH_oracle.json.
 func BenchmarkOracleBatch(b *testing.B) {
 	cs, err := cases.ByName(benchCase)
 	if err != nil {
@@ -58,21 +60,28 @@ func BenchmarkOracleBatch(b *testing.B) {
 
 func writeBenchJSON(b *testing.B, o oracle.Oracle, lanes []uint64) {
 	modes := []struct {
-		name string
-		fn   func()
+		name  string
+		calls int // oracle calls per fn
+		fn    func()
 	}{
-		{"scalar", func() {
+		{"scalar", 1, func() {
 			// One Eval per pattern: the pre-batching reference cost.
 			scalarReference(oracle.ScalarOnly(o), lanes, benchPatterns)
 		}},
-		{"batch", func() {
+		{"batch", 1, func() {
 			// The full batch path with amortized simulation scratch.
 			oracle.EvalBatch(o, lanes, benchPatterns)
+		}},
+		{"output", o.NumOutputs(), func() {
+			// Each output from its own cone, as the learner asks.
+			for po := 0; po < o.NumOutputs(); po++ {
+				oracle.EvalOutput(o, lanes, benchPatterns, po)
+			}
 		}},
 	}
 	rows := make([]benchRow, len(modes))
 	for i, m := range modes {
-		ns := timeMode(m.fn)
+		ns := timeMode(m.fn) / float64(m.calls)
 		rows[i] = benchRow{
 			Mode:           m.name,
 			NsPerBatch:     ns,

@@ -12,7 +12,9 @@
 //	EvalBatch  any number of assignments packed into lanes (BatchOracle,
 //	           see batch.go) — the engine the pipeline actually drives
 //
-// The EvalWords helper is EvalBatch on one 64-pattern word per input.
+// The EvalWords helper is EvalBatch on one 64-pattern word per input, and
+// EvalOutput is EvalBatch read at one output: what support identification
+// and tree growth ask, since the learner takes the outputs one at a time.
 // Every wrapper in this package (Counter, Memo, Recorder) preserves
 // the batch capability of the oracle it wraps. The circuit-backed
 // oracle answers a batch with the circuit's k-word simulation kernel (up to
@@ -20,6 +22,14 @@
 // wide batches — a whole PatternSampling sweep per call — cost no per-call
 // scratch allocation. That also makes it safe for concurrent use; Shared
 // gives any other box one handle that many goroutines may query.
+//
+// Two boxes answer EvalOutput on their own: the circuit-backed oracle
+// simulates only that output's fan-in cone, and Counter forwards the call
+// and charges its patterns. Every other box answers the whole batch and the
+// output's lane is sliced out. Memo and Recorder must stay on that
+// fallback: a memo entry and a transcript line are each a whole response,
+// so a one-output answer could neither fill the cache nor be recorded, and
+// a learn would query and store other rows than it does without them.
 package oracle
 
 import (
@@ -51,11 +61,21 @@ type CircuitOracle struct {
 	// evals pools simulation scratch across calls and goroutines: each
 	// EvalBatch borrows one *circuit.Evaluator for its duration.
 	evals sync.Pool
+	// cones holds, per output, a one-output oracle over that output's
+	// fan-in cone, built on the output's first EvalOutput query.
+	cones []cone
 }
 
-// FromCircuit returns an oracle backed by the given circuit.
+type cone struct {
+	once sync.Once
+	o    *CircuitOracle
+}
+
+// FromCircuit returns an oracle backed by the given circuit. A circuit
+// queried through EvalOutput must not change afterwards: the oracle keeps
+// the copies of output cones it has built.
 func FromCircuit(c *circuit.Circuit) *CircuitOracle {
-	return &CircuitOracle{c: c}
+	return &CircuitOracle{c: c, cones: make([]cone, c.NumPO())}
 }
 
 func (o *CircuitOracle) NumInputs() int        { return o.c.NumPI() }
@@ -80,11 +100,29 @@ func (o *CircuitOracle) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 	return out
 }
 
+// evalOutput simulates only output po's fan-in cone: a copy of the circuit
+// with every PI, in order, and that one output, so input lanes pass through
+// unchanged.
+func (o *CircuitOracle) evalOutput(patterns []bitvec.Word, n, po int) []bitvec.Word {
+	cn := &o.cones[po]
+	cn.once.Do(func() {
+		c := circuit.New()
+		pis := make([]circuit.Signal, o.c.NumPI())
+		for i, name := range o.c.PINames() {
+			pis[i] = c.AddPI(name)
+		}
+		c.AddPO(o.c.PONames()[po], circuit.CopyCone(c, pis, o.c, po))
+		cn.o = FromCircuit(c)
+	})
+	return cn.o.EvalBatch(patterns, n)
+}
+
 // Shared returns a handle on o that any number of goroutines may query at
 // once, as a server's connections, sessions and jobs do. A *CircuitOracle is
-// its own handle: it keeps all mutable state in pooled per-call scratch. Any
-// other box makes no concurrency promise, so it gets one view that lets a
-// single query in at a time and keeps its batch path and its error classes.
+// its own handle: it keeps all mutable state in pooled per-call scratch and
+// in output cones each built once, under a sync.Once. Any other box makes
+// no concurrency promise, so it gets one view that lets a single query in
+// at a time and keeps its batch path and its error classes.
 // A handle Shared returned comes back unchanged, so every layer handed it
 // queries the box under the same lock.
 func Shared(o Oracle) Oracle {
@@ -169,6 +207,15 @@ func (o *Counter) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 	o.queries += int64(n)
 	o.mu.Unlock()
 	return AsBatch(o.inner).EvalBatch(patterns, n)
+}
+
+// evalOutput forwards to the inner oracle's one-output path, accounting
+// exactly n queries.
+func (o *Counter) evalOutput(patterns []bitvec.Word, n, po int) []bitvec.Word {
+	o.mu.Lock()
+	o.queries += int64(n)
+	o.mu.Unlock()
+	return EvalOutput(o.inner, patterns, n, po)
 }
 
 // Queries returns the number of queries issued so far.

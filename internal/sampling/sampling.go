@@ -9,9 +9,11 @@
 //
 // A sweep's 2*r*|Free| queries reach the oracle as one batch: every free
 // input's alpha_i/alpha_not_i sub-batches are drawn in per-input order and
-// packed densely, at most 2^14 patterns per EvalBatch call (or one
+// packed densely, at most 2^14 patterns per oracle.EvalOutput call (or one
 // sub-batch, when r alone exceeds that), so a sweep costs one call or a few
 // instead of two per input, with the same query count and pattern order.
+// The sweep reads only the probed output, so a circuit-backed box simulates
+// only that output's cone.
 //
 // Following the paper's observation that some outputs only reveal
 // sensitivities under assignments with an uneven ratio of 0s and 1s, the
@@ -137,7 +139,6 @@ func PatternSampling(o oracle.Oracle, out int, cube sop.Cube, cfg Config, rng *r
 	words := (r + 63) / 64
 	per := max(1, sweepChunk/r) // sub-batches per oracle call
 	units := 2 * len(res.Free)
-	b := oracle.AsBatch(o)
 	draw := make([]uint64, n*words) // the current input's R patterns, lane layout
 	one := make([]uint64, words)    // alpha_i's outputs, kept for alpha_not_i
 	got := make([]uint64, words)
@@ -182,7 +183,7 @@ func PatternSampling(o oracle.Oracle, out int, cube sop.Cube, cfg Config, rng *r
 				packBits(lanes[j*bw:(j+1)*bw], at, draw[j*words:(j+1)*words], r)
 			}
 		}
-		outLane := b.EvalBatch(lanes, m)[out*bw : (out+1)*bw]
+		outLane := oracle.EvalOutput(o, lanes, m, out)
 		for u := u0; u < u0+cnt; u++ {
 			unpackBits(got, outLane, (u-u0)*r, r)
 			if u%2 == 0 {
@@ -264,38 +265,28 @@ func applyCubeWords(cube sop.Cube, words []uint64) {
 }
 
 // BiasedWord returns a 64-bit word whose bits are independently 1 with
-// probability p (quantized to 16 binary digits). The construction processes
-// the binary expansion of p from the least significant digit: OR with a fresh
-// random word realizes p -> (1+p)/2 and AND realizes p -> p/2.
+// probability p (quantized to 16 binary digits, q = p*2^16). The
+// construction processes the binary expansion of q from its lowest set bit:
+// that bit takes a fresh random word, and every higher bit one more, ORed in
+// where the bit is 1 (p -> (1+p)/2) and ANDed in where it is 0 (p -> p/2).
+// q == 0 draws nothing. The loop is branch-free: a bit's mask m selects OR
+// (all ones) or AND (zero).
 func BiasedWord(rng *rand.Rand, p float64) uint64 {
 	switch {
 	case p <= 0:
 		return 0
 	case p >= 1:
 		return ^uint64(0)
-	case p == 0.5:
-		return rng.Uint64()
 	}
-	q := uint32(p * 65536)
+	q := uint32(p * 65536) // p < 1, so q < 2^16
 	if q == 0 {
 		return 0
 	}
-	var w uint64
-	started := false
-	for bit := 0; bit < 16; bit++ {
-		d := q >> uint(bit) & 1
-		if !started {
-			if d == 1 {
-				w = rng.Uint64()
-				started = true
-			}
-			continue
-		}
-		if d == 1 {
-			w |= rng.Uint64()
-		} else {
-			w &= rng.Uint64()
-		}
+	w := rng.Uint64()
+	for bit := bits.TrailingZeros32(q) + 1; bit < 16; bit++ {
+		r := rng.Uint64()
+		m := -uint64(q >> uint(bit) & 1)
+		w = (w | r&m) & (r | m)
 	}
 	return w
 }

@@ -140,6 +140,65 @@ func TestBiasedWordStatistics(t *testing.T) {
 	}
 }
 
+// referenceBiasedWord is BiasedWord as a branching loop over the 16 binary
+// digits of q, skipping the digits below the lowest set one.
+func referenceBiasedWord(rng *rand.Rand, p float64) uint64 {
+	switch {
+	case p <= 0:
+		return 0
+	case p >= 1:
+		return ^uint64(0)
+	case p == 0.5:
+		return rng.Uint64()
+	}
+	q := uint32(p * 65536)
+	if q == 0 {
+		return 0
+	}
+	var w uint64
+	started := false
+	for bit := 0; bit < 16; bit++ {
+		d := q >> uint(bit) & 1
+		if !started {
+			if d == 1 {
+				w = rng.Uint64()
+				started = true
+			}
+			continue
+		}
+		if d == 1 {
+			w |= rng.Uint64()
+		} else {
+			w &= rng.Uint64()
+		}
+	}
+	return w
+}
+
+// TestBiasedWordMatchesReference checks that BiasedWord returns the
+// reference's word and leaves the generator where the reference does (the
+// next draw agrees), over the default pool, the edges of the 16-digit
+// quantization and a few thousand random biases.
+func TestBiasedWordMatchesReference(t *testing.T) {
+	ps := append([]float64(nil), DefaultRatios...)
+	ps = append(ps, 0, 1, -0.5, 1.5, 0.5/65536, 1.0/65536, 2.0/65536, 3.0/65536,
+		65535.0/65536, 65534.0/65536, 0.5+1.0/65536, math.Nextafter(1, 0), math.SmallestNonzeroFloat64)
+	pick := rand.New(rand.NewSource(21))
+	for k := 0; k < 2000; k++ {
+		ps = append(ps, pick.Float64(), float64(pick.Intn(65536))/65536)
+	}
+	for k, p := range ps {
+		seed := int64(k)
+		got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		if g, w := BiasedWord(got, p), referenceBiasedWord(want, p); g != w {
+			t.Fatalf("p=%v: word %016x, reference %016x", p, g, w)
+		}
+		if g, w := got.Uint64(), want.Uint64(); g != w {
+			t.Fatalf("p=%v: next draw %016x, reference %016x", p, g, w)
+		}
+	}
+}
+
 func TestRandomAssignmentBiasAndCube(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	cube, _ := sop.NewCube(sop.Literal{Var: 0, Neg: false}, sop.Literal{Var: 3, Neg: true})

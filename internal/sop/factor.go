@@ -13,12 +13,15 @@ package sop
 import "logicregression/internal/circuit"
 
 // SynthesizeFactored builds the cover as factored multi-level gates in c.
-// vars maps variable ids to signals; negate complements the result (the
-// offset-cover option). The flat Synthesize remains available for callers
+// vars maps variable ids to signals, and every cube variable must index it;
+// negate complements the result (the offset-cover option). Each division
+// takes the literal in the most cubes, ties to the smallest variable and the
+// positive literal before the negative one, so the structure is a function
+// of the cover alone. The flat Synthesize remains available for callers
 // that need two-level structure.
 func SynthesizeFactored(c *circuit.Circuit, cv Cover, vars []circuit.Signal, negate bool) circuit.Signal {
 	lits := newLitSignals(c, vars)
-	out := factor(c, cv.Clone(), lits)
+	out := factor(c, cv.Clone(), lits, make([]int, 2*len(vars)))
 	if negate {
 		out = negSignal(c, out)
 	}
@@ -67,15 +70,16 @@ func (ls *litSignals) signal(l Literal) circuit.Signal {
 	return ls.neg[l.Var]
 }
 
-// factor recursively synthesizes the cover.
-func factor(c *circuit.Circuit, cv Cover, lits *litSignals) circuit.Signal {
+// factor recursively synthesizes the cover. counts is mostFrequentLiteral's
+// scratch, two zeroed entries per variable.
+func factor(c *circuit.Circuit, cv Cover, lits *litSignals, counts []int) circuit.Signal {
 	switch len(cv) {
 	case 0:
 		return c.Const(false)
 	case 1:
 		return andCube(c, cv[0], lits)
 	}
-	best, count := mostFrequentLiteral(cv)
+	best, count := mostFrequentLiteral(cv, counts)
 	if count < 2 {
 		// No sharing available: flat OR of cube ANDs.
 		terms := make([]circuit.Signal, len(cv))
@@ -92,11 +96,11 @@ func factor(c *circuit.Circuit, cv Cover, lits *litSignals) circuit.Signal {
 			remainder = append(remainder, cube)
 		}
 	}
-	q := c.And(lits.signal(best), factor(c, quotient, lits))
+	q := c.And(lits.signal(best), factor(c, quotient, lits, counts))
 	if len(remainder) == 0 {
 		return q
 	}
-	return c.Or(q, factor(c, remainder, lits))
+	return c.Or(q, factor(c, remainder, lits, counts))
 }
 
 func andCube(c *circuit.Circuit, cube Cube, lits *litSignals) circuit.Signal {
@@ -110,22 +114,38 @@ func andCube(c *circuit.Circuit, cube Cube, lits *litSignals) circuit.Signal {
 	return c.AndTree(sigs)
 }
 
-// mostFrequentLiteral scans the cover for the literal occurring in the most
-// cubes.
-func mostFrequentLiteral(cv Cover) (Literal, int) {
-	counts := make(map[Literal]int)
+// mostFrequentLiteral returns the literal occurring in the most cubes and
+// its count: ties go to the smallest variable, then to the positive
+// literal, the order less gives. counts holds two zeroed entries per
+// variable (positive, then negative), and it is zeroed again on return.
+func mostFrequentLiteral(cv Cover, counts []int) (Literal, int) {
+	for _, cube := range cv {
+		for _, l := range cube {
+			counts[litIndex(l)]++
+		}
+	}
 	var best Literal
 	bestN := 0
 	for _, cube := range cv {
 		for _, l := range cube {
-			counts[l]++
-			if counts[l] > bestN || (counts[l] == bestN && less(l, best)) {
-				best = l
-				bestN = counts[l]
+			// A literal's first occurrence reads its total and clears it;
+			// later ones read 0, which never beats bestN >= 1.
+			i := litIndex(l)
+			if n := counts[i]; n > bestN || (n == bestN && less(l, best)) {
+				best, bestN = l, n
 			}
+			counts[i] = 0
 		}
 	}
 	return best, bestN
+}
+
+// litIndex is l's entry in mostFrequentLiteral's counts.
+func litIndex(l Literal) int {
+	if l.Neg {
+		return 2*l.Var + 1
+	}
+	return 2 * l.Var
 }
 
 // less gives a deterministic tie-break order on literals.

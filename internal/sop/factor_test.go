@@ -112,3 +112,43 @@ func TestQuickFactoredEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// referenceMostFrequentLiteral is mostFrequentLiteral over a map, updating
+// the best literal as each occurrence is counted.
+func referenceMostFrequentLiteral(cv Cover) (Literal, int) {
+	counts := make(map[Literal]int)
+	var best Literal
+	bestN := 0
+	for _, cube := range cv {
+		for _, l := range cube {
+			counts[l]++
+			if counts[l] > bestN || (counts[l] == bestN && less(l, best)) {
+				best = l
+				bestN = counts[l]
+			}
+		}
+	}
+	return best, bestN
+}
+
+// TestMostFrequentLiteralMatchesReference compares the dense count with the
+// map reference on random covers over a few variables, where ties are
+// common, reusing one scratch slice to check it is left zeroed.
+func TestMostFrequentLiteralMatchesReference(t *testing.T) {
+	const maxVars = 5
+	rng := rand.New(rand.NewSource(17))
+	counts := make([]int, 2*maxVars)
+	for k := 0; k < 5000; k++ {
+		cv := randomCover(rng, rng.Intn(10), 1+rng.Intn(maxVars), 0.2+0.6*rng.Float64())
+		gotL, gotN := mostFrequentLiteral(cv, counts)
+		wantL, wantN := referenceMostFrequentLiteral(cv)
+		if gotL != wantL || gotN != wantN {
+			t.Fatalf("cover %v: got %v x%d, reference %v x%d", cv, gotL, gotN, wantL, wantN)
+		}
+		for i, n := range counts {
+			if n != 0 {
+				t.Fatalf("cover %v: scratch entry %d left at %d", cv, i, n)
+			}
+		}
+	}
+}

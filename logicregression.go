@@ -64,7 +64,9 @@ func Learn(o Oracle, opts Options) *Result {
 	return core.Learn(o, opts)
 }
 
-// NewCircuitOracle wraps a circuit as a black box.
+// NewCircuitOracle wraps a circuit as a black box. The circuit must not
+// change once the oracle is queried: a learn asks it one output at a time,
+// from copies of the output cones that the oracle keeps.
 func NewCircuitOracle(c *Circuit) Oracle {
 	return oracle.FromCircuit(c)
 }
