@@ -1,9 +1,13 @@
-// Command optimize runs the circuit-optimization pipeline (strash, rewrite,
-// cut refactoring, FRAIG, BDD collapse, optional balancing) on a standalone
-// netlist — the piece the paper delegates to ABC, usable here on any circuit.
+// Command optimize runs a script of optimization passes on a standalone
+// netlist — the piece the paper delegates to ABC, usable here on any
+// circuit. The script defaults to opt.DefaultScript, the pipeline every learn
+// runs (strash, rewrite, cut refactoring, FRAIG, BDD collapse); -balance
+// appends a balance pass, with or without -script. opt.RunScript documents
+// the pass names and rules.
 //
 //	optimize -in learned.net -out smaller.net
 //	optimize -in design.blif -format verilog -out design_opt.v -balance
+//	optimize -in learned.net -script "strash; rewrite; fraig" -out fraiged.net
 //
 // Input format is chosen by extension (.blif, .v/.sv, else text netlist);
 // -format picks the output encoding (netlist, blif, verilog, aiger, dot).
@@ -29,8 +33,8 @@ func main() {
 		format  = flag.String("format", "netlist", "output format: netlist, blif, verilog, aiger, dot")
 		seed    = flag.Int64("seed", 1, "FRAIG simulation seed")
 		limit   = flag.Duration("time", 60*time.Second, "optimization time limit")
-		balance = flag.Bool("balance", false, "also balance for depth (with -script: appends a balance pass)")
-		script  = flag.String("script", "", "explicit pass sequence, e.g. \"strash; rewrite; fraig\" (overrides the default pipeline)")
+		balance = flag.Bool("balance", false, "append a balance pass to the script (depth balancing; never grows the gate count)")
+		script  = flag.String("script", opt.DefaultScript, "pass sequence, semicolon separated (strash, rewrite, refactor, fraig, collapse, balance)")
 		verify  = flag.Bool("verify", true, "SAT-verify equivalence of the result")
 	)
 	flag.Parse()
@@ -45,23 +49,13 @@ func main() {
 	}
 
 	before := c.Stats()
-	cfg := opt.Config{
-		Seed:         *seed,
-		TimeLimit:    *limit,
-		BalanceDepth: *balance,
+	if *balance {
+		*script += "; balance"
 	}
-	var optimized *circuit.Circuit
-	if *script != "" {
-		if *balance {
-			*script += "; balance"
-		}
-		optimized, err = opt.RunScript(c, *script, cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "optimize:", err)
-			os.Exit(2)
-		}
-	} else {
-		optimized = opt.Optimize(c, cfg)
+	optimized, err := opt.RunScript(c, *script, opt.Config{Seed: *seed, TimeLimit: *limit})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "optimize:", err)
+		os.Exit(2)
 	}
 	after := optimized.Stats()
 	fmt.Fprintf(os.Stderr, "optimize: %d -> %d gates, depth %d -> %d\n",

@@ -322,8 +322,8 @@ func coverPair(m *Manager, r *refManager, f Ref, maxCubes int) error {
 	return nil
 }
 
-// collapseBudget is opt.Config's default BDDBudget, the budget the collapse
-// pass builds every output under.
+// collapseBudget is opt's bddBudget, the budget the collapse pass builds
+// every output under.
 const collapseBudget = 100000
 
 // TestReferenceAIGOutputs builds every output of every case circuit on both

@@ -32,7 +32,7 @@ func TestLearnByteIdenticalWithBatching(t *testing.T) {
 		{"default", Options{Seed: 1}},
 		{"tree-path", Options{Seed: 2, ExhaustiveThreshold: 1, DisablePreprocessing: true}},
 		{"memoized", Options{Seed: 3, MemoizeQueries: true}},
-		{"refined", Options{Seed: 4, RefineRounds: 1, RefinePatterns: 1024}},
+		{"refined", Options{Seed: 4, RefineRounds: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := oracle.FromCircuit(g)

@@ -66,17 +66,15 @@ type Options struct {
 	// DepthFirstTree explores decision trees depth-first instead of the
 	// paper's levelized order (exploration-order ablation).
 	DepthFirstTree bool
-	// ExtendedTemplates enables the bitwise lane-operator template family
-	// (an extension beyond the paper; see internal/template/bitwise.go).
+	// ExtendedTemplates additionally screens the outputs the paper's two
+	// template families leave unmatched for a GF(2)-affine form (an
+	// extension beyond the paper; see internal/template/affine.go).
 	ExtendedTemplates bool
 	// RefineRounds enables counterexample-guided refinement (an extension
 	// beyond the paper; see refine.go): after learning, the circuit is
 	// checked against the black box and mismatching outputs are relearned
 	// with their support augmented from the mismatch witnesses. 0 = off.
 	RefineRounds int
-	// RefinePatterns is the number of self-check patterns per refinement
-	// round (default 8192).
-	RefinePatterns int
 	// Parallel learns non-template outputs with this many concurrent
 	// workers (a library extension — the contest forbade parallelism, so
 	// <= 1 keeps the paper-faithful sequential path). The oracle must be
@@ -128,8 +126,6 @@ const (
 	MethodExhaustive Method = "exhaustive"
 	MethodTree       Method = "tree"
 	MethodCompressed Method = "tree-compressed"
-	// MethodBitwise is the extended lane-operator family (extension).
-	MethodBitwise Method = "template-bitwise"
 	// MethodAffine is the extended GF(2)-parity family (extension).
 	MethodAffine Method = "template-affine"
 	// MethodDegraded marks an output the learner could not finish because
@@ -229,11 +225,12 @@ func Learn(o oracle.Oracle, opts Options) *Result {
 	// which emits constants.
 	var matches template.Matches
 	if !opts.DisablePreprocessing {
-		tcfg := opts.Template
-		if opts.ExtendedTemplates {
-			tcfg.ExtendedTemplates = true
-		}
-		if f := catchFailure(func() { matches = template.Detect(counter, tcfg, rng) }); f != nil {
+		if f := catchFailure(func() {
+			matches = template.Detect(counter, opts.Template, rng)
+			if opts.ExtendedTemplates {
+				matches.Affine = template.DetectAffine(counter, matches, opts.Template, rng)
+			}
+		}); f != nil {
 			res.degrade(f)
 			matches = template.Matches{}
 		}
@@ -247,8 +244,7 @@ func Learn(o oracle.Oracle, opts Options) *Result {
 	for i, name := range o.InputNames() {
 		piSigs[i] = c.AddPI(name)
 	}
-	// Synthesized linear adders and bitwise buses, one per match, shared
-	// by its bits.
+	// Synthesized linear adders, one per match, shared by its bits.
 	words := make(map[string]circuit.Word)
 
 	outNames := o.OutputNames()
@@ -362,9 +358,9 @@ func Learn(o oracle.Oracle, opts Options) *Result {
 }
 
 // A poTemplate is the template match that settles one PO (method "" for
-// none). Comparators and affine parities synthesize the PO's own signal;
-// linear and bitwise matches synthesize their whole bus once, cached under
-// key, and the PO takes its bit.
+// none). Comparators and affine parities synthesize the PO's own signal; a
+// linear match synthesizes its whole bus once, cached under key, and the PO
+// takes its bit.
 type poTemplate struct {
 	method Method
 	signal func(*circuit.Circuit, []circuit.Signal) circuit.Signal
@@ -374,8 +370,8 @@ type poTemplate struct {
 }
 
 // templateTable maps every PO to the template that settles it. Precedence
-// is comparator, then linear, affine, bitwise; within one kind a later
-// match for the same PO replaces an earlier one.
+// is comparator, then linear, then affine; within one kind a later match
+// for the same PO replaces an earlier one.
 func templateTable(m template.Matches, nOut int) []poTemplate {
 	table := make([]poTemplate, nOut)
 	set := func(po int, t poTemplate) {
@@ -395,13 +391,6 @@ func templateTable(m template.Matches, nOut int) []poTemplate {
 	}
 	for _, am := range m.Affine {
 		set(am.Out, poTemplate{method: MethodAffine, signal: am.Synthesize})
-	}
-	for _, bm := range m.Bitwise {
-		for bit, pos := range bm.OutVec.Ports {
-			if bit < bm.Width {
-				set(pos, poTemplate{method: MethodBitwise, word: bm.Synthesize, key: "bit:" + bm.OutVec.Stem, bit: bit})
-			}
-		}
 	}
 	return table
 }
@@ -555,16 +544,6 @@ func tryCompressed(c *circuit.Circuit, counter *oracle.Counter, po int, piSigs [
 			}
 			coCounter := oracle.NewCounter(co)
 			info := support.Identify(coCounter, po, support.Config{R: opts.SupportR, Ratios: opts.Ratios}, rng)
-			var res fbdt.Result
-			if len(info.Support) <= opts.ExhaustiveThreshold {
-				res = fbdt.Exhaustive(coCounter, po, info.Support, rng)
-			} else {
-				res = fbdt.Build(coCounter, po, fbdt.Config{
-					R: opts.TreeR, Ratios: opts.Ratios, LeafEpsilon: opts.LeafEpsilon,
-					Candidates: info.Support, MaxNodes: opts.MaxTreeNodes, Deadline: deadline,
-				}, rng)
-			}
-			cover, negate := chooseCover(res, opts)
 			// Map compressed variables to signals: the delegate becomes
 			// the bare predicate subcircuit (the observation polarity of
 			// the hidden match concerns the PO, not the delegate).
@@ -575,13 +554,9 @@ func tryCompressed(c *circuit.Circuit, counter *oracle.Counter, po int, piSigs [
 			for v := range vars {
 				vars[v] = co.VarSignal(v, piSigs, delegateSig)
 			}
-			rep := OutputReport{
-				Method:  MethodCompressed,
-				Support: len(info.Support),
-				Cubes:   len(cover),
-				Negated: negate,
-			}
-			return sop.SynthesizeFactored(c, cover, vars, negate), rep, true
+			sig, rep := learnWithSupport(c, coCounter, po, vars, info.Support, opts, deadline, rng)
+			rep.Method = MethodCompressed
+			return sig, rep, true
 		}
 	}
 	return 0, OutputReport{}, false

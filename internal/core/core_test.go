@@ -241,6 +241,29 @@ func TestHiddenCompressionLearnsThroughDelegate(t *testing.T) {
 	}
 }
 
+func TestHiddenCompressionTreeTakesTheTreeDispatch(t *testing.T) {
+	// z = (d AND e OR f) XOR (Na < Nb) over 5-bit buses: compression leaves
+	// {d, e, f, delegate}, which a threshold of 1 sends to the tree, and a
+	// two-node budget truncates it. A compressed output must go through the
+	// same step-4 dispatch as any other and report the truncation.
+	g := circuit.New()
+	a := g.AddPIWord("a", 5)
+	b := g.AddPIWord("b", 5)
+	d, e, f := g.AddPI("d"), g.AddPI("e"), g.AddPI("f")
+	g.AddPO("z", g.Xor(g.Or(g.And(d, e), f), g.LtWords(a, b)))
+
+	res := Learn(oracle.FromCircuit(g), Options{
+		Seed:                8,
+		ExhaustiveThreshold: 1,
+		MaxTreeNodes:        2,
+		HiddenCompression:   true,
+	})
+	rep := res.Outputs[0]
+	if rep.Method != MethodCompressed || !rep.Truncated || rep.ApproxLeaf == 0 {
+		t.Fatalf("report = %+v, want a truncated tree-compressed output with approximate leaves", rep)
+	}
+}
+
 func TestOptimizationShrinksOrKeeps(t *testing.T) {
 	g := circuit.New()
 	var in []circuit.Signal

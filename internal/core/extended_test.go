@@ -8,41 +8,6 @@ import (
 	"logicregression/internal/oracle"
 )
 
-func TestExtendedTemplatesLearnBitwiseDatapath(t *testing.T) {
-	// z = a AND b lane-wise over 8-bit buses: with extended templates the
-	// whole bus is settled by one match; the paper pipeline would need
-	// eight 2-input exhaustive learns.
-	const w = 8
-	g := circuit.New()
-	a := g.AddPIWord("lhs", w)
-	b := g.AddPIWord("rhs", w)
-	z := make(circuit.Word, w)
-	for i := range z {
-		z[i] = g.And(a[i], b[i])
-	}
-	g.AddPOWord("res", z)
-	o := oracle.FromCircuit(g)
-
-	res := Learn(o, Options{Seed: 21, ExtendedTemplates: true})
-	if res.TemplateMatches != w {
-		t.Fatalf("TemplateMatches = %d, want %d (outputs: %+v)", res.TemplateMatches, w, res.Outputs)
-	}
-	for _, or := range res.Outputs {
-		if or.Method != MethodBitwise {
-			t.Fatalf("output %s method = %s", or.Name, or.Method)
-		}
-	}
-	rep := eval.Measure(o, oracle.FromCircuit(res.Circuit), eval.Config{Patterns: 6000, Seed: 1})
-	if rep.Accuracy != 1 {
-		t.Fatalf("accuracy = %f", rep.Accuracy)
-	}
-	// A lane-wise AND of two 8-bit buses is 8 gates; optimization keeps it
-	// tight.
-	if res.Size > 2*w {
-		t.Fatalf("size = %d, want <= %d", res.Size, 2*w)
-	}
-}
-
 func TestExtendedTemplatesOffByDefault(t *testing.T) {
 	const w = 4
 	g := circuit.New()
@@ -57,8 +22,8 @@ func TestExtendedTemplatesOffByDefault(t *testing.T) {
 
 	res := Learn(o, Options{Seed: 22})
 	for _, or := range res.Outputs {
-		if or.Method == MethodBitwise {
-			t.Fatalf("bitwise method used with extensions off: %+v", or)
+		if or.Method == MethodAffine {
+			t.Fatalf("affine method used with extensions off: %+v", or)
 		}
 	}
 	// Still must be exact (each lane has support 2: exhaustive path).

@@ -91,22 +91,18 @@ func templateDesigns() []templateDesign {
 	}
 	parity.AddPO("parity", parity.XorTree(sigs))
 
-	// A lane-wise AND of two 8-bit buses.
+	// An 8-bit adder: one linear match settles the whole bus.
 	bus := circuit.New()
-	x := bus.AddPIWord("lhs", 8)
-	y := bus.AddPIWord("rhs", 8)
-	z := make(circuit.Word, 8)
+	bus.AddPOWord("res", bus.AddWords(bus.AddPIWord("lhs", 8), bus.AddPIWord("rhs", 8)))
 	busMethods := make(map[int]Method)
-	for i := range z {
-		z[i] = bus.And(x[i], y[i])
-		busMethods[i] = MethodBitwise
+	for i := 0; i < 8; i++ {
+		busMethods[i] = MethodLinear
 	}
-	bus.AddPOWord("res", z)
 
 	return []templateDesign{
 		{"comparator", mixed, Options{Seed: 13}, map[int]Method{0: MethodComparator}},
 		{"parity", parity, Options{Seed: 31, ExtendedTemplates: true, MaxTreeNodes: 50}, map[int]Method{0: MethodAffine}},
-		{"bitwise", bus, Options{Seed: 21, ExtendedTemplates: true}, busMethods},
+		{"adder", bus, Options{Seed: 21, ExtendedTemplates: true}, busMethods},
 	}
 }
 

@@ -27,7 +27,7 @@ import (
 )
 
 const (
-	defaultRefinePatterns = 8192
+	refinePatterns        = 8192 // self-check patterns per round
 	maxWitnessesPerOutput = 16
 )
 
@@ -36,16 +36,12 @@ const (
 func refine(c *circuit.Circuit, counter *oracle.Counter, reports []OutputReport,
 	supports map[int][]int, opts Options, deadline time.Time, rng *rand.Rand) int {
 
-	patterns := opts.RefinePatterns
-	if patterns <= 0 {
-		patterns = defaultRefinePatterns
-	}
 	relearned := 0
 	for round := 0; round < opts.RefineRounds; round++ {
 		if cancelled(&opts) {
 			return relearned
 		}
-		witnesses := findMismatches(c, counter, patterns, rng)
+		witnesses := findMismatches(c, counter, refinePatterns, rng)
 		if len(witnesses) == 0 {
 			return relearned
 		}

@@ -1,19 +1,19 @@
 // Package opt implements the circuit-optimization step of the paper
-// (Sec. IV-E). The paper delegates this step to Berkeley ABC (strash,
-// rewrite, dc2/resyn scripts, fraig, collapse); this package provides the
-// same pipeline stages on our own AIG:
+// (Sec. IV-E). The paper delegates this step to a script of Berkeley ABC
+// passes (strash, rewrite, dc2/resyn scripts, fraig, collapse); this
+// package provides the same passes on our own AIG, and RunScript is the one
+// driver that runs a script of them:
 //
 //   - strash: structural hashing (the AIG round trip)
 //   - Rewrite: local two-level AND rewriting rules
 //   - Refactor: cut-based resynthesis, skipped above refactorBudget ANDs
 //   - Fraig: simulation-guided equivalence classes proven by SAT and merged,
-//     skipped above maxFraigNodes ANDs
-//   - Collapse: per-output BDD collapse with ISOP resynthesis, accepted
-//     only when it shrinks the circuit
-//   - Balance: depth balancing, run only when Config.BalanceDepth is set
+//     then rewritten; skipped above maxFraigNodes ANDs
+//   - Collapse: per-output BDD collapse with ISOP resynthesis
+//   - Balance: depth balancing of the best circuit so far
 //
-// Optimize chains the stages under a time limit and returns the smallest
-// functionally equivalent circuit found; RunScript runs a named sequence.
+// RunScript keeps the smallest functionally equivalent circuit seen after
+// any pass, under a time limit. Optimize runs DefaultScript through it.
 package opt
 
 import (
@@ -23,7 +23,6 @@ import (
 
 	"logicregression/internal/aig"
 	"logicregression/internal/bdd"
-	"logicregression/internal/check"
 	"logicregression/internal/circuit"
 	"logicregression/internal/sat"
 	"logicregression/internal/sop"
@@ -33,21 +32,9 @@ import (
 type Config struct {
 	// Seed drives the FRAIG simulation patterns.
 	Seed int64
-	// SimWords is the number of 64-pattern words used to form candidate
-	// equivalence classes (default 8).
-	SimWords int
-	// MaxConflicts bounds each SAT equivalence proof (default 1000).
-	MaxConflicts int64
-	// BDDBudget bounds per-output BDD node allocation for Collapse
-	// (default 100000); over-budget outputs keep their original logic.
-	BDDBudget int
 	// TimeLimit bounds the whole pipeline; zero means none. The paper
 	// imposes 60 seconds.
 	TimeLimit time.Duration
-	// BalanceDepth additionally runs the Balance pass on the final
-	// circuit. The contest metric is gate count, so depth balancing is
-	// off by default; it never increases the gate count.
-	BalanceDepth bool
 }
 
 const (
@@ -58,78 +45,23 @@ const (
 	// refactorBudget skips cut-based refactoring above this AND count
 	// (cut enumeration is the costly part).
 	refactorBudget = 50000
+	// fraigSimWords is the number of 64-pattern words that form FRAIG's
+	// first candidate equivalence classes.
+	fraigSimWords = 8
+	// fraigMaxConflicts bounds each SAT equivalence proof in FRAIG.
+	fraigMaxConflicts = 1000
 )
 
-func (c Config) withDefaults() Config {
-	if c.SimWords <= 0 {
-		c.SimWords = 8
-	}
-	if c.MaxConflicts <= 0 {
-		c.MaxConflicts = 1000
-	}
-	if c.BDDBudget <= 0 {
-		c.BDDBudget = 100000
-	}
-	return c
-}
+// bddBudget bounds per-output BDD node allocation for Collapse; an output
+// over budget keeps its original logic. Tests lower it to force that path.
+var bddBudget = 100000
 
-// Optimize runs the full pipeline and returns the smallest equivalent
+// Optimize runs DefaultScript on c and returns the smallest equivalent
 // circuit found (possibly c itself).
 func Optimize(c *circuit.Circuit, cfg Config) *circuit.Circuit {
-	cfg = cfg.withDefaults()
-	deadline := time.Time{}
-	if cfg.TimeLimit > 0 {
-		deadline = time.Now().Add(cfg.TimeLimit)
-	}
-	expired := func() bool {
-		return !deadline.IsZero() && time.Now().After(deadline)
-	}
-
-	// Every pass is followed by a debug-gated IR + equivalence assertion
-	// against the input circuit (no-op unless LOGICREG_CHECK is set; see
-	// internal/check).
-	best := c
-	g := aig.FromCircuit(c)
-	check.AssertAIG("opt/strash", c, g)
-	if s := g.ToCircuit(); s.Size() < best.Size() {
-		best = s
-	}
-	if !expired() {
-		g = Rewrite(g)
-		check.AssertAIG("opt/rewrite", c, g)
-		if s := g.ToCircuit(); s.Size() < best.Size() {
-			best = s
-		}
-	}
-	if !expired() && g.NumAnds() <= refactorBudget {
-		g = Refactor(g)
-		check.AssertAIG("opt/refactor", c, g)
-		if s := g.ToCircuit(); s.Size() < best.Size() {
-			best = s
-		}
-	}
-	if !expired() && g.NumAnds() <= maxFraigNodes {
-		g = Fraig(g, cfg)
-		check.AssertAIG("opt/fraig", c, g)
-		g = Rewrite(g)
-		check.AssertAIG("opt/fraig+rewrite", c, g)
-		if s := g.ToCircuit(); s.Size() < best.Size() {
-			best = s
-		}
-	}
-	if !expired() {
-		if s, ok := Collapse(g, cfg); ok {
-			check.Assert("opt/collapse", c, s)
-			if s.Size() < best.Size() {
-				best = s
-			}
-		}
-	}
-	if cfg.BalanceDepth && !expired() {
-		if s := Balance(aig.FromCircuit(best)).ToCircuit(); s.Size() <= best.Size() {
-			check.Assert("opt/balance", c, s)
-			best = s
-		}
+	best, err := RunScript(c, DefaultScript, cfg)
+	if err != nil {
+		panic("opt: DefaultScript: " + err.Error())
 	}
 	return best
 }
@@ -256,12 +188,11 @@ func fanins(g *aig.AIG, l aig.Lit) *[2]aig.Lit {
 // nodes into candidate classes; SAT proves (or refutes, yielding a fresh
 // distinguishing pattern) each candidate merge.
 func Fraig(g *aig.AIG, cfg Config) *aig.AIG {
-	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	nPI := g.NumPIs()
 
-	patterns := make([][]uint64, 0, cfg.SimWords+8)
-	for w := 0; w < cfg.SimWords; w++ {
+	patterns := make([][]uint64, 0, fraigSimWords+8)
+	for w := 0; w < fraigSimWords; w++ {
 		word := make([]uint64, nPI)
 		for i := range word {
 			word[i] = rng.Uint64()
@@ -325,7 +256,7 @@ func Fraig(g *aig.AIG, cfg Config) *aig.AIG {
 				compl := phase[rep] != phase[n]
 				a := aig.MkLit(rep, false)
 				b := aig.MkLit(n, compl)
-				switch cnf.ProveEqual(a, b, cfg.MaxConflicts) {
+				switch cnf.ProveEqual(a, b, fraigMaxConflicts) {
 				case sat.Unsat:
 					subst[n] = aig.MkLit(rep, compl)
 				case sat.Sat:
@@ -366,9 +297,9 @@ func sigKey(sig []uint64) string {
 
 // Collapse rebuilds every output from its BDD's irredundant SOP (choosing
 // the smaller of the onset and offset covers). ok is false when no output
-// could be collapsed within the budget.
-func Collapse(g *aig.AIG, cfg Config) (*circuit.Circuit, bool) {
-	cfg = cfg.withDefaults()
+// could be collapsed within bddBudget. The Config is not read: the pass has
+// no seed and no settable budget.
+func Collapse(g *aig.AIG, _ Config) (*circuit.Circuit, bool) {
 	c := circuit.New()
 	piSigs := make([]circuit.Signal, g.NumPIs())
 	for i, name := range g.PINames() {
@@ -377,7 +308,7 @@ func Collapse(g *aig.AIG, cfg Config) (*circuit.Circuit, bool) {
 	any := false
 	orig := g.ToCircuit()
 	for po := 0; po < g.NumPOs(); po++ {
-		m, root, err := bdd.FromAIGOutput(g, po, cfg.BDDBudget)
+		m, root, err := bdd.FromAIGOutput(g, po, bddBudget)
 		if err != nil {
 			// Keep the original cone: re-synthesize just this output from
 			// the original circuit through a fresh sub-AIG.

@@ -9,8 +9,8 @@ import (
 )
 
 func TestOptimizeWithBalanceDepth(t *testing.T) {
-	// A long AND chain: size-optimal already, but deep. With BalanceDepth
-	// the result keeps its size and flattens.
+	// A long AND chain: size-optimal already, but deep. With a balance pass
+	// after the default pipeline the result keeps its size and flattens.
 	c := circuit.New()
 	var acc circuit.Signal
 	for i := 0; i < 32; i++ {
@@ -24,7 +24,10 @@ func TestOptimizeWithBalanceDepth(t *testing.T) {
 	c.AddPO("z", acc)
 
 	plain := Optimize(c, Config{Seed: 1})
-	balanced := Optimize(c, Config{Seed: 1, BalanceDepth: true})
+	balanced, err := RunScript(c, DefaultScript+"; balance", Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if balanced.Size() > plain.Size() {
 		t.Fatalf("balance grew size: %d vs %d", balanced.Size(), plain.Size())
 	}
@@ -39,8 +42,7 @@ func TestOptimizeWithBalanceDepth(t *testing.T) {
 
 func TestRunScriptKeepsBalancedCircuit(t *testing.T) {
 	// A 16-input AND chain is size-optimal, so balancing only ties on
-	// size. The script must still keep the balanced circuit, as Optimize
-	// with BalanceDepth does: depth 15 -> 4.
+	// size. The script must still keep the balanced circuit: depth 15 -> 4.
 	c := circuit.New()
 	acc := c.AddPI("x0")
 	for i := 1; i < 16; i++ {
@@ -48,7 +50,6 @@ func TestRunScriptKeepsBalancedCircuit(t *testing.T) {
 	}
 	c.AddPO("z", acc)
 
-	want := Optimize(c, Config{Seed: 1, BalanceDepth: true}).Stats().Depth
 	got, err := RunScript(c, "strash; balance", Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -56,8 +57,8 @@ func TestRunScriptKeepsBalancedCircuit(t *testing.T) {
 	if got.Size() != c.Size() {
 		t.Fatalf("script changed the size: %d -> %d", c.Size(), got.Size())
 	}
-	if d := got.Stats().Depth; d != 4 || d != want {
-		t.Fatalf("script depth = %d, want 4 (Optimize with BalanceDepth: %d)", d, want)
+	if d := got.Stats().Depth; d != 4 {
+		t.Fatalf("script depth = %d, want 4", d)
 	}
 	simEqual(t, c, got, rand.New(rand.NewSource(6)), 60)
 }

@@ -260,7 +260,10 @@ func TestCollapseBudgetKeepsOriginalCone(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	c := randomCircuit(rng, 8, 80, 2)
 	g := aig.FromCircuit(c)
-	col, _ := Collapse(g, Config{BDDBudget: 3}) // everything over budget
+	old := bddBudget
+	bddBudget = 3 // everything over budget
+	defer func() { bddBudget = old }()
+	col, _ := Collapse(g, Config{})
 	simEqual(t, c, col, rng, 50)
 }
 
@@ -326,21 +329,6 @@ func TestDiagnoseEquivalentAfterOptimize(t *testing.T) {
 	verdict, _, _ := Diagnose(c, o, 0)
 	if verdict != sat.Unsat {
 		t.Fatalf("verdict = %v, want Unsat", verdict)
-	}
-}
-
-func TestRunScriptDefaultMatchesOptimizeQuality(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	c := randomCircuit(rng, 6, 60, 2)
-	viaScript, err := RunScript(c, DefaultScript, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaOptimize := Optimize(c, Config{Seed: 1})
-	simEqual(t, c, viaScript, rng, 60)
-	// Same passes, same seed: identical outcomes.
-	if viaScript.Size() != viaOptimize.Size() {
-		t.Fatalf("script %d gates vs optimize %d", viaScript.Size(), viaOptimize.Size())
 	}
 }
 

@@ -19,7 +19,7 @@ func TestPassesPreserveInvariants(t *testing.T) {
 	t.Cleanup(func() { check.SetEnabled(prev) })
 
 	passes := []string{"strash", "rewrite", "refactor", "fraig", "balance", "collapse", DefaultScript}
-	cfg := Config{Seed: 1, SimWords: 2, MaxConflicts: 200}
+	cfg := Config{Seed: 1}
 
 	all := cases.All()
 	if testing.Short() {

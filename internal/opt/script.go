@@ -1,11 +1,10 @@
 package opt
 
-// Script runner: optimization pipelines expressed as ABC-style semicolon
-// separated pass names, e.g. "strash; rewrite; refactor; fraig; collapse;
-// balance". Each pass maps to one of this package's stages; unknown names
-// are errors so typos don't silently skip work. Optimize remains the
-// one-call default; RunScript is the power-user path (exposed by
-// `cmd/optimize -script`).
+// Script runner: the one pass driver. An optimization pipeline is an
+// ABC-style semicolon separated list of pass names, e.g. "strash; rewrite;
+// fraig; balance". Each pass maps to one of this package's stages; unknown
+// names are errors so typos don't silently skip work. Optimize runs
+// DefaultScript; `cmd/optimize -script` runs any other.
 
 import (
 	"fmt"
@@ -18,26 +17,34 @@ import (
 )
 
 // DefaultScript is the pipeline Optimize runs.
-const DefaultScript = "strash; rewrite; refactor; fraig; rewrite; collapse"
+const DefaultScript = "strash; rewrite; refactor; fraig; collapse"
 
 // RunScript executes the pass sequence on c and returns the smallest
-// functionally equivalent circuit seen after any pass; on a tie in size,
-// a balance pass's circuit wins. Pass names:
+// functionally equivalent circuit seen after any pass (possibly c itself).
+// The first pass works on aig.FromCircuit(c), and the deadline set by
+// cfg.TimeLimit is checked before every pass. Pass names:
 //
-//	strash    structural hashing
+//	strash    structural hashing; a leading strash is the conversion of c
 //	rewrite   local two-level AND rules
-//	refactor  6-input-cut DAG-aware resynthesis
-//	fraig     SAT-backed functional reduction
-//	collapse  per-output BDD + ISOP resynthesis
-//	balance   depth balancing (never grows size)
+//	refactor  6-input-cut DAG-aware resynthesis; skipped above
+//	          refactorBudget ANDs
+//	fraig     SAT-backed functional reduction, then rewrite, as one pass;
+//	          skipped above maxFraigNodes ANDs
+//	collapse  per-output BDD + ISOP resynthesis; its circuit competes for
+//	          best, and the working AIG stays as it was
+//	balance   depth balancing of the best circuit so far, which becomes
+//	          the working AIG; it wins ties in size
 func RunScript(c *circuit.Circuit, script string, cfg Config) (*circuit.Circuit, error) {
-	cfg = cfg.withDefaults()
 	deadline := time.Time{}
 	if cfg.TimeLimit > 0 {
 		deadline = time.Now().Add(cfg.TimeLimit)
 	}
+	// Every pass is followed by a debug-gated IR + equivalence assertion
+	// against the input circuit (no-op unless LOGICREG_CHECK is set; see
+	// internal/check).
 	best := c
 	g := aig.FromCircuit(c)
+	begun := 0
 	for _, raw := range strings.Split(script, ";") {
 		pass := strings.TrimSpace(raw)
 		if pass == "" {
@@ -46,35 +53,42 @@ func RunScript(c *circuit.Circuit, script string, cfg Config) (*circuit.Circuit,
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			break
 		}
+		begun++
 		switch pass {
 		case "strash":
-			g = g.Rebuild(nil)
+			if begun > 1 { // a leading strash is the conversion above
+				g = g.Rebuild(nil)
+			}
 		case "rewrite":
 			g = Rewrite(g)
 		case "refactor":
-			if g.NumAnds() <= refactorBudget {
-				g = Refactor(g)
+			if g.NumAnds() > refactorBudget {
+				continue
 			}
+			g = Refactor(g)
 		case "fraig":
-			if g.NumAnds() <= maxFraigNodes {
-				g = Fraig(g, cfg)
+			if g.NumAnds() > maxFraigNodes {
+				continue
 			}
-		case "balance":
-			g = Balance(g)
+			g = Fraig(g, cfg)
+			check.AssertAIG("opt/fraig", c, g)
+			g = Rewrite(g)
 		case "collapse":
 			if s, ok := Collapse(g, cfg); ok {
-				check.Assert("opt/script:collapse", c, s)
+				check.Assert("opt/collapse", c, s)
 				if s.Size() < best.Size() {
 					best = s
 				}
 			}
-			continue // collapse yields a circuit, not a new working AIG
+			continue
+		case "balance":
+			g = Balance(aig.FromCircuit(best))
 		default:
 			return nil, fmt.Errorf("opt: unknown pass %q (know strash, rewrite, refactor, fraig, collapse, balance)", pass)
 		}
-		check.AssertAIG("opt/script:"+pass, c, g)
-		// Balancing never shrinks the gate count, so it wins ties, as in
-		// Optimize.
+		check.AssertAIG("opt/"+pass, c, g)
+		// Balancing never grows the AND count, so a balanced circuit of
+		// equal size replaces the best one: it is no larger and shallower.
 		if s := g.ToCircuit(); s.Size() < best.Size() || pass == "balance" && s.Size() == best.Size() {
 			best = s
 		}

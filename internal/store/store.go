@@ -163,7 +163,7 @@ type LearnKey struct {
 
 // String renders the canonical key the circuit index stores.
 func (k LearnKey) String() string {
-	return fmt.Sprintf("v1|%s|seed=%d|%s", k.Identity.Hash(), k.Seed, k.Options)
+	return fmt.Sprintf("v2|%s|seed=%d|%s", k.Identity.Hash(), k.Seed, k.Options)
 }
 
 // OptionsSig renders the result-determining fields of core.Options into a
@@ -178,11 +178,11 @@ func (k LearnKey) String() string {
 // key carries no suffix.
 func OptionsSig(o core.Options) string {
 	sig := fmt.Sprintf(
-		"sr=%d,tr=%d,eps=%g,ex=%d,max=%d,ratios=%v,nopre=%t,noopt=%t,hc=%t,ao=%t,df=%t,xt=%t,rr=%d,rp=%d,tmpl=%+v",
+		"sr=%d,tr=%d,eps=%g,ex=%d,max=%d,ratios=%v,nopre=%t,noopt=%t,hc=%t,ao=%t,df=%t,xt=%t,rr=%d,tmpl=%+v",
 		o.SupportR, o.TreeR, o.LeafEpsilon, o.ExhaustiveThreshold, o.MaxTreeNodes,
 		o.Ratios, o.DisablePreprocessing, o.DisableOptimization, o.HiddenCompression,
 		o.AlwaysOnset, o.DepthFirstTree, o.ExtendedTemplates, o.RefineRounds,
-		o.RefinePatterns, o.Template)
+		o.Template)
 	if o.Parallel > 1 {
 		sig += ",par=1"
 	}

@@ -9,10 +9,10 @@ package template
 // maximally significant and no subcube is constant), yet they are exactly
 // learnable from O(|I|) queries by solving a linear system over GF(2).
 // Screening is cheap: collect |I|+slack samples, solve, and verify the
-// candidate on fresh targeted probes. Miter-style NEQ outputs are often
-// affine or nearly so, which is precisely the hard tail of Table II.
+// candidate on fresh targeted probes.
 //
-// Gated behind Config.ExtendedTemplates alongside the bitwise family.
+// Detect leaves this family out; core.Learn runs DetectAffine after Detect
+// when Options.ExtendedTemplates is set.
 
 import (
 	"math/rand"
@@ -52,9 +52,12 @@ func (am AffineMatch) Synthesize(c *circuit.Circuit, piSigs []circuit.Signal) ci
 	return out
 }
 
-// detectAffine screens every output for a GF(2)-affine form. The constant b
-// is folded in as an extra always-one variable.
-func detectAffine(o oracle.Oracle, skip map[int]bool, cfg Config, rng *rand.Rand) []AffineMatch {
+// DetectAffine screens every output that m leaves unmatched for a
+// GF(2)-affine form. The constant b is folded in as an extra always-one
+// variable.
+func DetectAffine(o oracle.Oracle, m Matches, cfg Config, rng *rand.Rand) []AffineMatch {
+	cfg = cfg.withDefaults()
+	skip := m.MatchedOutputs()
 	n := o.NumInputs()
 	nOut := o.NumOutputs()
 	samples := n + 65 // overdetermined: full rank w.h.p. plus slack

@@ -27,14 +27,22 @@ func parityGolden(n int, sel []int, constant bool) *circuit.Circuit {
 	return c
 }
 
+// detectAll runs Detect and then DetectAffine on one generator, as
+// core.Learn does with Options.ExtendedTemplates set.
+func detectAll(o oracle.Oracle, cfg Config, seed int64) Matches {
+	rng := rand.New(rand.NewSource(seed))
+	m := Detect(o, cfg, rng)
+	m.Affine = DetectAffine(o, m, cfg, rng)
+	return m
+}
+
 func TestDetectAffineWideParity(t *testing.T) {
 	// A 40-input parity over 23 of the inputs: hopeless for trees, exact
 	// for the affine family.
 	sel := []int{0, 1, 3, 5, 7, 8, 11, 13, 15, 16, 19, 21, 22, 25, 27, 28, 30, 31, 33, 35, 36, 38, 39}
 	golden := parityGolden(40, sel, true)
 	o := oracle.NewCounter(oracle.FromCircuit(golden))
-	m := Detect(o, Config{Samples: 64, Verify: 48, ExtendedTemplates: true},
-		rand.New(rand.NewSource(1)))
+	m := detectAll(o, Config{Samples: 64, Verify: 48}, 1)
 	if len(m.Affine) != 1 {
 		t.Fatalf("affine matches = %+v", m.Affine)
 	}
@@ -82,8 +90,7 @@ func TestDetectAffineRejectsNonAffine(t *testing.T) {
 	d := c.AddPI("cc")
 	c.AddPO("maj", c.Or(c.Or(c.And(a, b), c.And(a, d)), c.And(b, d)))
 	o := oracle.FromCircuit(c)
-	m := Detect(o, Config{Samples: 64, Verify: 48, ExtendedTemplates: true},
-		rand.New(rand.NewSource(3)))
+	m := detectAll(o, Config{Samples: 64, Verify: 48}, 3)
 	if len(m.Affine) != 0 {
 		t.Fatalf("false affine match: %+v", m.Affine)
 	}
@@ -96,8 +103,7 @@ func TestDetectAffineConstantFunction(t *testing.T) {
 	c.AddPI("aa")
 	c.AddPO("one", c.Const(true))
 	o := oracle.FromCircuit(c)
-	m := Detect(o, Config{Samples: 64, Verify: 24, ExtendedTemplates: true},
-		rand.New(rand.NewSource(4)))
+	m := detectAll(o, Config{Samples: 64, Verify: 24}, 4)
 	if len(m.Affine) != 1 {
 		t.Fatalf("affine = %+v", m.Affine)
 	}

@@ -8,7 +8,8 @@ import (
 	"logicregression/internal/sampling"
 )
 
-// Config controls template detection.
+// Config controls template detection: Detect's two paper families, and the
+// affine family DetectAffine screens.
 type Config struct {
 	// Samples is the number of shared random probe assignments used for
 	// hypothesis screening.
@@ -17,10 +18,6 @@ type Config struct {
 	Verify int
 	// Ratios is the bias pool for the shared probes.
 	Ratios []float64
-	// ExtendedTemplates additionally screens the bitwise lane-operator
-	// family (an extension beyond the paper's two families; see
-	// bitwise.go). Off by default to keep the paper-faithful pipeline.
-	ExtendedTemplates bool
 }
 
 // maxPairs caps the number of input-vector pairs screened for comparators.
@@ -72,9 +69,7 @@ type LinMatch struct {
 type Matches struct {
 	Comparators []CompMatch
 	Linear      []LinMatch
-	// Bitwise holds lane-operator matches (extended family only).
-	Bitwise []BitwiseMatch
-	// Affine holds GF(2)-parity matches (extended family only).
+	// Affine holds GF(2)-parity matches (DetectAffine; extension).
 	Affine []AffineMatch
 }
 
@@ -87,13 +82,6 @@ func (m Matches) MatchedOutputs() map[int]bool {
 	for _, lm := range m.Linear {
 		for i, pos := range lm.OutVec.Ports {
 			if i < lm.Width {
-				covered[pos] = true
-			}
-		}
-	}
-	for _, bm := range m.Bitwise {
-		for i, pos := range bm.OutVec.Ports {
-			if i < bm.Width {
 				covered[pos] = true
 			}
 		}
@@ -160,27 +148,6 @@ func Detect(o oracle.Oracle, cfg Config, rng *rand.Rand) Matches {
 		m.Comparators = detectComparators(o, vecs, ss, cfg, rng)
 	}
 	m.Linear = detectLinear(o, vecs, outG.Vectors, cfg, rng)
-	if cfg.ExtendedTemplates {
-		// Screen the extended lane-operator family on output vectors the
-		// paper families did not settle.
-		covered := m.MatchedOutputs()
-		var remaining []names.Vector
-		for _, z := range outG.Vectors {
-			taken := false
-			for _, pos := range z.Ports {
-				if covered[pos] {
-					taken = true
-					break
-				}
-			}
-			if !taken {
-				remaining = append(remaining, z)
-			}
-		}
-		m.Bitwise = detectBitwise(o, vecs, remaining, cfg, rng)
-		// Affine (parity) screening for outputs nothing else settled.
-		m.Affine = detectAffine(o, m.MatchedOutputs(), cfg, rng)
-	}
 	return m
 }
 

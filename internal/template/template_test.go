@@ -234,21 +234,46 @@ func TestLinearSynthesizeMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestDetectLinearRejectsNonLinear(t *testing.T) {
-	// z = a AND b bitwise is not affine.
-	const w = 4
+// laneGolden builds z[i] = lane(a[i], b[i]) over two width-w buses.
+func laneGolden(w int, lane func(c *circuit.Circuit, a, b circuit.Signal) circuit.Signal) *circuit.Circuit {
 	c := circuit.New()
 	a := c.AddPIWord("a", w)
 	b := c.AddPIWord("b", w)
 	z := make(circuit.Word, w)
 	for i := range z {
-		z[i] = c.And(a[i], b[i])
+		z[i] = lane(c, a[i], b[i])
 	}
 	c.AddPOWord("z", z)
-	o := oracle.FromCircuit(c)
-	m := Detect(o, Config{Samples: 64, Verify: 48}, rand.New(rand.NewSource(9)))
-	if len(m.Linear) != 0 {
-		t.Fatalf("false linear match: %+v", m.Linear)
+	return c
+}
+
+func TestDetectLinearRejectsNonLinear(t *testing.T) {
+	// Lane-wise AND is not affine, and lane-wise XOR is addition without
+	// carries, which differs from modular addition.
+	for name, lane := range map[string]func(c *circuit.Circuit, a, b circuit.Signal) circuit.Signal{
+		"and": (*circuit.Circuit).And,
+		"xor": (*circuit.Circuit).Xor,
+	} {
+		o := oracle.FromCircuit(laneGolden(4, lane))
+		m := Detect(o, Config{Samples: 64, Verify: 48}, rand.New(rand.NewSource(9)))
+		if len(m.Linear) != 0 {
+			t.Fatalf("%s: false linear match: %+v", name, m.Linear)
+		}
+	}
+}
+
+func TestUnaryLaneOpsAreCoveredByLinearFamily(t *testing.T) {
+	// z = a and z = NOT a lane-wise are affine (coefficients 1 and -1), so
+	// the linear family settles every bit.
+	for name, lane := range map[string]func(c *circuit.Circuit, a, b circuit.Signal) circuit.Signal{
+		"buf": func(c *circuit.Circuit, a, _ circuit.Signal) circuit.Signal { return c.BufGate(a) },
+		"not": func(c *circuit.Circuit, a, _ circuit.Signal) circuit.Signal { return c.NotGate(a) },
+	} {
+		o := oracle.FromCircuit(laneGolden(5, lane))
+		m := Detect(o, Config{Samples: 96, Verify: 24}, rand.New(rand.NewSource(7)))
+		if len(m.MatchedOutputs()) != 5 {
+			t.Fatalf("%s: outputs not covered: %v (linear %+v)", name, m.MatchedOutputs(), m.Linear)
+		}
 	}
 }
 
