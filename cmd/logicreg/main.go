@@ -10,6 +10,10 @@
 //	logicreg -case case_16 -out learned.net
 //	logicreg -netlist golden.net -seed 7 -time 60s -out learned.net
 //	logicreg -remote 127.0.0.1:9000 -oracle-timeout 10s -oracle-retries 12
+//	logicreg -case case_11 -cpuprofile learn.prof -out learned.net
+//
+// -cpuprofile writes a runtime/pprof CPU profile of the whole run, for
+// `go tool pprof`; profiling never changes the learned netlist.
 //
 // Remote sessions send every multi-pattern query as batch frames and are
 // fault tolerant: transport hiccups are retried with reconnection
@@ -24,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 
 	"logicregression/internal/cases"
 	"logicregression/internal/check"
@@ -57,11 +62,20 @@ func main() {
 		record    = flag.String("record", "", "record every black-box query to this transcript file")
 		storeDir  = flag.String("store", "", "persistent store directory: warm-start the memo from the log, persist every answered query, and reuse a previously learned circuit when this oracle/seed/options was already solved")
 		storeImp  = flag.String("store-import", "", "import a recorded transcript (-record format) into the store's memo log before learning (requires -store)")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (runtime/pprof format)")
 	)
 	flag.Parse()
 	if *storeImp != "" && *storeDir == "" {
 		fmt.Fprintln(os.Stderr, "logicreg: -store-import requires -store")
 		os.Exit(1)
+	}
+	if *cpuProf != "" {
+		stop, err := startCPUProfile(*cpuProf)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "logicreg:", err)
+			os.Exit(1)
+		}
+		defer stop()
 	}
 
 	o, closer, err := loadOracle(*caseName, *netlist, *remote, ioserve.DialConfig{
@@ -255,6 +269,25 @@ func writeNetlist(path string, c *circuit.Circuit) {
 		fmt.Fprintln(os.Stderr, "logicreg:", err)
 		os.Exit(1)
 	}
+}
+
+// startCPUProfile starts a CPU profile written to path; stop ends it and
+// closes the file.
+func startCPUProfile(path string) (stop func(), err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "logicreg: cpuprofile:", err)
+		}
+	}, nil
 }
 
 // validate runs oracle.Validate with transport failures as errors instead

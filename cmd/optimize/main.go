@@ -1,7 +1,9 @@
 // Command optimize runs a script of optimization passes on a standalone
 // netlist — the piece the paper delegates to ABC, usable here on any
-// circuit. The script defaults to opt.DefaultScript, the pipeline every learn
-// runs (strash, rewrite, cut refactoring, FRAIG, BDD collapse); -balance
+// circuit. The script defaults to opt.DefaultScript (strash, rewrite, cut
+// refactoring, FRAIG, BDD collapse), the script for an arbitrary netlist; a
+// learn's own step 5, opt.Optimize, runs only strash, rewrite and FRAIG,
+// because on learned covers refactoring and collapse never win. -balance
 // appends a balance pass, with or without -script. opt.RunScript documents
 // the pass names and rules.
 //

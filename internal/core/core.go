@@ -341,10 +341,15 @@ func Learn(o oracle.Oracle, opts Options) *Result {
 			panic("core: learned circuit: " + err.Error())
 		}
 	}
-	if !opts.DisableOptimization && !res.Canceled {
+	// 60 seconds is the paper's limit for opt; a TimeLimit cuts it to what
+	// is left of the learn's, and a deadline already past skips opt.
+	optLimit := 60 * time.Second
+	if !deadline.IsZero() {
+		optLimit = min(optLimit, time.Until(deadline))
+	}
+	if !opts.DisableOptimization && !res.Canceled && optLimit > 0 {
 		report(&opts, Progress{Phase: PhaseOptimize, Output: nOut, Total: nOut})
-		// 60 seconds is the paper's limit.
-		c = opt.Optimize(c, opt.Config{Seed: opts.Seed + 1, TimeLimit: 60 * time.Second})
+		c = opt.Optimize(c, opt.Config{Seed: opts.Seed + 1, TimeLimit: optLimit})
 		if err := check.Verify(c); err != nil {
 			panic("core: optimized circuit fails IR verification: " + err.Error())
 		}

@@ -209,16 +209,30 @@ func Exhaustive(o oracle.Oracle, out int, sup []int, rng *rand.Rand) Result {
 
 	ones := uint64(0)
 	table := make([]bool, total)
-	for base := uint64(0); base < total; base += exhaustiveChunk {
-		count := min(total-base, exhaustiveChunk)
-		w := oracle.Words(int(count))
-		lanes := make([]uint64, n*w) // non-support inputs held at 0
-		for pat := uint64(0); pat < count; pat++ {
-			m := base + pat
-			for b, in := range sup {
-				if m>>uint(b)&1 == 1 {
-					lanes[in*w+int(pat>>6)] |= 1 << (pat & 63)
+	// Pattern base+pat assigns bit b of base+pat to input sup[b]. Both
+	// total and the chunk are powers of two, so every chunk holds count
+	// patterns and starts at a multiple of 64: bit b < 6 of a pattern is
+	// bit b of its lane position (a fixed mask per word), and bit b >= 6 is
+	// the same for the whole word. Bits past count stay 0, and so do the
+	// rows of inputs outside the support.
+	count := min(total, exhaustiveChunk)
+	w := oracle.Words(int(count))
+	lanes := make([]uint64, n*w)
+	for base := uint64(0); base < total; base += count {
+		for b, in := range sup {
+			row := lanes[in*w : (in+1)*w]
+			for i := range row {
+				switch {
+				case b < len(laneMasks):
+					row[i] = laneMasks[b]
+				case (base+64*uint64(i))>>uint(b)&1 == 1:
+					row[i] = ^uint64(0)
+				default:
+					row[i] = 0
 				}
+			}
+			if r := count % 64; r != 0 {
+				row[w-1] &= 1<<r - 1
 			}
 		}
 		got := oracle.EvalOutput(o, lanes, int(count), out)
@@ -261,6 +275,16 @@ func Exhaustive(o oracle.Oracle, out int, sup []int, rng *rand.Rand) Result {
 // exhaustiveBDDBudget bounds the BDD used to collapse exhaustive truth
 // tables; overridable in tests to exercise the minterm fallback.
 var exhaustiveBDDBudget = 1 << 22
+
+// laneMasks[b] holds bit b of each lane position 0..63 of a word.
+var laneMasks = [6]uint64{
+	0xAAAAAAAAAAAAAAAA,
+	0xCCCCCCCCCCCCCCCC,
+	0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00,
+	0xFFFF0000FFFF0000,
+	0xFFFFFFFF00000000,
+}
 
 // exhaustiveChunk is the number of patterns per oracle batch when
 // enumerating exhaustive truth tables, bounding the lane buffer to

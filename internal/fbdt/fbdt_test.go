@@ -1,8 +1,10 @@
 package fbdt
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -286,5 +288,75 @@ func TestBuildBatchMatchesScalar(t *testing.T) {
 	slowEx := Exhaustive(oracle.ScalarOnly(o), 0, []int{0, 1, 2}, rand.New(rand.NewSource(4)))
 	if !reflect.DeepEqual(fastEx, slowEx) {
 		t.Fatalf("Exhaustive diverges:\nbatch  %+v\nscalar %+v", fastEx, slowEx)
+	}
+}
+
+// laneRecorder answers output 0 as the AND of inputs a and b, and keeps a
+// copy of the lanes of every batch it is asked.
+type laneRecorder struct {
+	oracle.Oracle
+	a, b  int
+	calls [][]uint64
+	sizes []int
+}
+
+func (r *laneRecorder) EvalBatch(patterns []uint64, n int) []uint64 {
+	r.calls = append(r.calls, append([]uint64(nil), patterns...))
+	r.sizes = append(r.sizes, n)
+	w := oracle.Words(n)
+	got := make([]uint64, w)
+	for i := range got {
+		got[i] = patterns[r.a*w+i] & patterns[r.b*w+i]
+	}
+	return got
+}
+
+func TestExhaustiveLanesMatchPerBitConstruction(t *testing.T) {
+	// k = 1..5 fill part of one word, k = 15 and 16 take two and four
+	// chunks. Every batch must carry exactly the lanes of the per-bit
+	// construction: support bits in order, zero rows outside the support
+	// and zero bits past the batch.
+	const n = 20
+	ins := make([]string, n)
+	for i := range ins {
+		ins[i] = fmt.Sprintf("x%d", i)
+	}
+	rng := rand.New(rand.NewSource(12))
+	for k := 1; k <= 16; k++ {
+		sup := rng.Perm(n)[:k]
+		slices.Sort(sup) // the BDD wants ascending support
+		rec := &laneRecorder{
+			Oracle: &oracle.FuncOracle{Ins: ins, Outs: []string{"z"}},
+			a:      sup[0], b: sup[k-1],
+		}
+		res := Exhaustive(rec, 0, sup, rng)
+		total := uint64(1) << uint(k)
+		want := 0.25
+		if k == 1 {
+			want = 0.5
+		}
+		if res.RootTruthRatio != want {
+			t.Fatalf("k=%d: RootTruthRatio = %v, want %v", k, res.RootTruthRatio, want)
+		}
+		base := uint64(0)
+		for call, lanes := range rec.calls {
+			count := uint64(rec.sizes[call])
+			w := oracle.Words(int(count))
+			ref := make([]uint64, n*w)
+			for pat := uint64(0); pat < count; pat++ {
+				for b, in := range sup {
+					if (base+pat)>>uint(b)&1 == 1 {
+						ref[in*w+int(pat>>6)] |= 1 << (pat & 63)
+					}
+				}
+			}
+			if !reflect.DeepEqual(lanes, ref) {
+				t.Fatalf("k=%d call %d (base %d, %d patterns): lanes differ from the per-bit construction", k, call, base, count)
+			}
+			base += count
+		}
+		if base != total || len(rec.calls) != int(max(1, total/exhaustiveChunk)) {
+			t.Fatalf("k=%d: %d calls covered %d patterns, want %d", k, len(rec.calls), base, total)
+		}
 	}
 }

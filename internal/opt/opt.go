@@ -13,7 +13,9 @@
 //   - Balance: depth balancing of the best circuit so far
 //
 // RunScript keeps the smallest functionally equivalent circuit seen after
-// any pass, under a time limit. Optimize runs DefaultScript through it.
+// any pass, under a time limit. Optimize, the learn's step 5, runs strash,
+// rewrite and fraig through it; cmd/optimize runs DefaultScript, all five
+// passes, on any circuit.
 package opt
 
 import (
@@ -56,12 +58,13 @@ const (
 // over budget keeps its original logic. Tests lower it to force that path.
 var bddBudget = 100000
 
-// Optimize runs DefaultScript on c and returns the smallest equivalent
-// circuit found (possibly c itself).
+// Optimize post-optimizes a learned circuit: it runs learnScript (strash,
+// rewrite, fraig) on c and returns the smallest equivalent circuit found
+// (possibly c itself).
 func Optimize(c *circuit.Circuit, cfg Config) *circuit.Circuit {
-	best, err := RunScript(c, DefaultScript, cfg)
+	best, err := RunScript(c, learnScript, cfg)
 	if err != nil {
-		panic("opt: DefaultScript: " + err.Error())
+		panic("opt: learnScript: " + err.Error())
 	}
 	return best
 }

@@ -17,30 +17,41 @@ func ExpandAgainst(cover, blockers Cover) Cover {
 	if len(cover) == 0 {
 		return nil
 	}
-	// Index blockers by variable for fast conflict counting: a blocker
-	// blocks an expansion iff after dropping a literal the cube still
-	// conflicts with it on no variable.
+	var s expandScratch
 	out := make(Cover, 0, len(cover))
 	for _, c := range cover {
-		expanded := expandOne(c, blockers)
-		out = append(out, expanded)
+		out = append(out, s.expand(c, blockers))
 	}
 	return Minimize(out)
 }
 
-// expandOne drops literals of c greedily while the cube stays disjoint from
+// expandScratch holds the working arrays of expand, reused from cube to
+// cube so that one ExpandAgainst call allocates them only as they grow.
+type expandScratch struct {
+	pos    []int // every blocker's conflicting literal positions, flat
+	posOff []int // blocker bi's positions are pos[posOff[bi]:posOff[bi+1]]
+	cnt    []int // per blocker: its conflicts whose literal is not dropped
+	// Per literal k: singletonUses[k] counts the blockers whose only
+	// remaining conflict is k, and alive[aliveOff[k]:aliveOff[k+1]] lists
+	// the blockers conflicting at k, in increasing order.
+	singletonUses []int
+	aliveOff      []int
+	alive         []int
+	fill          []int
+	dropped       []bool
+}
+
+// expand drops literals of c greedily while the cube stays disjoint from
 // all blockers. A literal may be dropped as long as no blocker relies on it
 // as its ONLY conflict with the cube; conflict counts are maintained
 // incrementally, giving O(|c| * sum-of-conflicts) per cube.
-func expandOne(c Cube, blockers Cover) Cube {
+func (s *expandScratch) expand(c Cube, blockers Cover) Cube {
 	if len(c) == 0 {
 		return c
 	}
 	// Per blocker: which literal positions of c conflict with it.
-	conflicts := make([][]int, 0, len(blockers))
-	blocked := false
+	s.pos, s.posOff = s.pos[:0], append(s.posOff[:0], 0)
 	for _, b := range blockers {
-		var pos []int
 		i, j := 0, 0
 		for i < len(c) && j < len(b) {
 			switch {
@@ -50,52 +61,60 @@ func expandOne(c Cube, blockers Cover) Cube {
 				j++
 			default:
 				if c[i].Neg != b[j].Neg {
-					pos = append(pos, i)
+					s.pos = append(s.pos, i)
 				}
 				i++
 				j++
 			}
 		}
-		if len(pos) == 0 {
+		if len(s.pos) == s.posOff[len(s.posOff)-1] {
 			// c already intersects this blocker: the inputs were not a
 			// partition. Refuse to expand.
-			blocked = true
-			break
+			return append(Cube(nil), c...)
 		}
-		conflicts = append(conflicts, pos)
-	}
-	if blocked {
-		return append(Cube(nil), c...)
+		s.posOff = append(s.posOff, len(s.pos))
 	}
 
-	// singletonUses[k] = number of blockers whose only conflict is k.
-	cnt := make([]int, len(conflicts))
-	singletonUses := make([]int, len(c))
-	alive := make([][]int, len(c)) // literal -> blockers still conflicting there
-	for bi, pos := range conflicts {
+	nb := len(blockers)
+	s.cnt = resize(s.cnt, nb)
+	s.singletonUses = resize(s.singletonUses, len(c))
+	s.aliveOff = resize(s.aliveOff, len(c)+1)
+	s.fill = resize(s.fill, len(c))
+	s.alive = resize(s.alive, len(s.pos))
+	s.dropped = resize(s.dropped, len(c))
+	cnt, singletonUses, dropped := s.cnt, s.singletonUses, s.dropped
+	for _, k := range s.pos {
+		s.aliveOff[k+1]++
+	}
+	for k := 0; k < len(c); k++ {
+		s.aliveOff[k+1] += s.aliveOff[k]
+		s.fill[k] = s.aliveOff[k]
+	}
+	for bi := 0; bi < nb; bi++ {
+		pos := s.pos[s.posOff[bi]:s.posOff[bi+1]]
 		cnt[bi] = len(pos)
 		for _, k := range pos {
-			alive[k] = append(alive[k], bi)
+			s.alive[s.fill[k]] = bi
+			s.fill[k]++
 		}
 		if len(pos) == 1 {
 			singletonUses[pos[0]]++
 		}
 	}
-	droppedAt := make([]bool, len(c))
 	for {
-		dropped := false
+		droppedAny := false
 		for k := 0; k < len(c); k++ {
-			if droppedAt[k] || singletonUses[k] > 0 {
+			if dropped[k] || singletonUses[k] > 0 {
 				continue
 			}
-			droppedAt[k] = true
-			dropped = true
-			for _, bi := range alive[k] {
+			dropped[k] = true
+			droppedAny = true
+			for _, bi := range s.alive[s.aliveOff[k]:s.aliveOff[k+1]] {
 				cnt[bi]--
 				if cnt[bi] == 1 {
 					// Find the surviving conflict and pin it.
-					for _, kk := range conflicts[bi] {
-						if !droppedAt[kk] {
+					for _, kk := range s.pos[s.posOff[bi]:s.posOff[bi+1]] {
+						if !dropped[kk] {
 							singletonUses[kk]++
 							break
 						}
@@ -103,15 +122,26 @@ func expandOne(c Cube, blockers Cover) Cube {
 				}
 			}
 		}
-		if !dropped {
+		if !droppedAny {
 			break
 		}
 	}
 	out := make(Cube, 0, len(c))
 	for k, l := range c {
-		if !droppedAt[k] {
+		if !dropped[k] {
 			out = append(out, l)
 		}
 	}
 	return out
+}
+
+// resize returns buf with length n and every element zero, reusing its
+// backing array when it is large enough.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }

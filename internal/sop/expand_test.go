@@ -127,3 +127,147 @@ func TestQuickExpandEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// expandOneReference is expand as it was before the scratch arrays: fresh
+// slices for every cube, a position slice per blocker. The reference for
+// TestExpandAgainstMatchesReference.
+func expandOneReference(c Cube, blockers Cover) Cube {
+	if len(c) == 0 {
+		return c
+	}
+	conflicts := make([][]int, 0, len(blockers))
+	for _, b := range blockers {
+		var pos []int
+		i, j := 0, 0
+		for i < len(c) && j < len(b) {
+			switch {
+			case c[i].Var < b[j].Var:
+				i++
+			case c[i].Var > b[j].Var:
+				j++
+			default:
+				if c[i].Neg != b[j].Neg {
+					pos = append(pos, i)
+				}
+				i++
+				j++
+			}
+		}
+		if len(pos) == 0 {
+			return append(Cube(nil), c...)
+		}
+		conflicts = append(conflicts, pos)
+	}
+	cnt := make([]int, len(conflicts))
+	singletonUses := make([]int, len(c))
+	alive := make([][]int, len(c))
+	for bi, pos := range conflicts {
+		cnt[bi] = len(pos)
+		for _, k := range pos {
+			alive[k] = append(alive[k], bi)
+		}
+		if len(pos) == 1 {
+			singletonUses[pos[0]]++
+		}
+	}
+	droppedAt := make([]bool, len(c))
+	for {
+		dropped := false
+		for k := 0; k < len(c); k++ {
+			if droppedAt[k] || singletonUses[k] > 0 {
+				continue
+			}
+			droppedAt[k] = true
+			dropped = true
+			for _, bi := range alive[k] {
+				cnt[bi]--
+				if cnt[bi] == 1 {
+					for _, kk := range conflicts[bi] {
+						if !droppedAt[kk] {
+							singletonUses[kk]++
+							break
+						}
+					}
+				}
+			}
+		}
+		if !dropped {
+			break
+		}
+	}
+	out := make(Cube, 0, len(c))
+	for k, l := range c {
+		if !droppedAt[k] {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// randomCube draws a cube over nVars with each variable bound with
+// probability 1/2.
+func randomCube(rng *rand.Rand, nVars int) Cube {
+	var lits []Literal
+	for v := 0; v < nVars; v++ {
+		if rng.Intn(2) == 0 {
+			lits = append(lits, Literal{Var: v, Neg: rng.Intn(2) == 0})
+		}
+	}
+	c, _ := NewCube(lits...)
+	return c
+}
+
+func TestExpandAgainstMatchesReference(t *testing.T) {
+	// One scratch serves every cube of a call, so each case expands a whole
+	// cover with it: partitions (where literals really drop) and random
+	// covers and blockers, where some cubes already meet a blocker and
+	// must come back unchanged in between cubes that expand.
+	rng := rand.New(rand.NewSource(71))
+	met := 0
+	for trial := 0; trial < 400; trial++ {
+		nVars := 2 + rng.Intn(9)
+		var cover, blockers Cover
+		if trial%2 == 0 {
+			cover, blockers = randomPartition(rng, nVars)
+		} else {
+			for i := rng.Intn(12); i >= 0; i-- {
+				cover = append(cover, randomCube(rng, nVars))
+			}
+			for i := rng.Intn(12); i >= 0; i-- {
+				blockers = append(blockers, randomCube(rng, nVars))
+			}
+		}
+		var s expandScratch
+		want := make(Cover, 0, len(cover))
+		for i, c := range cover {
+			ref := expandOneReference(c, blockers)
+			got := s.expand(c, blockers)
+			if got.Key() != ref.Key() {
+				t.Fatalf("trial %d cube %d %v against %v: got %v, want %v", trial, i, c, blockers, got, ref)
+			}
+			for _, b := range blockers {
+				if len(c) > 0 && !conflicts(c, b) {
+					met++
+					break
+				}
+			}
+			want = append(want, ref)
+		}
+		if got, w := ExpandAgainst(cover, blockers), Minimize(want); got.String() != w.String() {
+			t.Fatalf("trial %d: ExpandAgainst = %v, want %v", trial, got, w)
+		}
+	}
+	if met == 0 {
+		t.Fatal("no cube met a blocker: the refusal path went untested")
+	}
+}
+
+// conflicts reports whether cubes a and b bind some variable oppositely.
+func conflicts(a, b Cube) bool {
+	for _, l := range a {
+		if m, ok := b.Has(l.Var); ok && m.Neg != l.Neg {
+			return true
+		}
+	}
+	return false
+}
