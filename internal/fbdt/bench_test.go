@@ -1,6 +1,7 @@
 package fbdt
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -55,4 +56,35 @@ func BenchmarkExhaustive16(b *testing.B) {
 		}
 	}
 	b.ReportMetric(65536, "queries/op")
+}
+
+func BenchmarkISOP18(b *testing.B) {
+	// Exhaustive's cover extraction at the paper's support limit, on an
+	// XOR-rich table (x0x1 ^ x2x3 ^ ... ^ x16x17) and a random one.
+	const k = 18
+	sup := make([]int, k)
+	for i := range sup {
+		sup[i] = i
+	}
+	rng := rand.New(rand.NewSource(18))
+	for _, kind := range []string{"xor-of-ands", "random"} {
+		// Pattern p, whose bit b is input sup[b], is table bit k-1-b
+		// reversed, as Exhaustive packs it.
+		table := make([]uint64, 1<<(k-6))
+		for p, v := range isopTable(kind, k, rng) {
+			if v {
+				m := bits.Reverse64(uint64(p)) >> (64 - k)
+				table[m/64] |= 1 << (m % 64)
+			}
+		}
+		b.Run(kind, func(b *testing.B) {
+			b.ReportAllocs()
+			var cubes int
+			for i := 0; i < b.N; i++ {
+				onset, offset := isopCovers(table, sup)
+				cubes = len(onset) + len(offset)
+			}
+			b.ReportMetric(float64(cubes), "cubes")
+		})
+	}
 }

@@ -12,7 +12,9 @@
 //
 // Exhaustive implements the "conquering small functions" trick (trick 1):
 // it enumerates the whole subfunction truth table over a small identified
-// support instead of growing a tree. The caller (core) chooses between the
+// support instead of growing a tree, packs it into words, and takes the
+// irredundant onset and offset covers from those words with the
+// Minato-Morreale ISOP of isop.go. The caller (core) chooses between the
 // two from the support size.
 package fbdt
 
@@ -21,10 +23,10 @@ import (
 	"math/rand"
 	"time"
 
-	"logicregression/internal/bdd"
 	"logicregression/internal/oracle"
 	"logicregression/internal/sampling"
 	"logicregression/internal/sop"
+	"logicregression/internal/tt"
 )
 
 // Config controls tree construction.
@@ -194,27 +196,33 @@ func probeTruthRatio(o oracle.Oracle, out int, cube sop.Cube, rng *rand.Rand) fl
 }
 
 // Exhaustive implements trick 1: it enumerates all 2^|sup| assignments over
-// the support, with every other input held at 0, and extracts compact
-// onset/offset covers from the resulting truth table. The primary extractor
-// collapses the table into a BDD and runs Minato-Morreale ISOP on it (the
-// quality step the paper gets from ABC's collapse); if the diagram blows its
-// node budget, a plain minterm cover with fast two-level reduction is the
-// fallback. The caller guarantees len(sup) is small (<= ~20); the query
-// count is 2^|sup|.
+// the support, with every other input held at 0, packs the answers into one
+// truth table, and extracts irredundant onset and offset covers from the
+// table words with the Minato-Morreale ISOP (the quality step the paper
+// gets from ABC's collapse). The covers are, cube for cube, those of the
+// BDD ISOP with the inputs ordered as in sup. sup must be strictly
+// ascending, or Exhaustive panics before its first query; the caller keeps
+// it small (<= ~20), since the query count is 2^|sup|.
 func Exhaustive(o oracle.Oracle, out int, sup []int, rng *rand.Rand) Result {
+	for b := 1; b < len(sup); b++ {
+		if sup[b] <= sup[b-1] {
+			panic("fbdt: exhaustive support must be strictly ascending")
+		}
+	}
 	res := Result{Stats: Stats{Exhaustive: true}}
 	n := o.NumInputs()
 	k := len(sup)
 	total := uint64(1) << uint(k)
 
-	ones := uint64(0)
-	table := make([]bool, total)
-	// Pattern base+pat assigns bit b of base+pat to input sup[b]. Both
-	// total and the chunk are powers of two, so every chunk holds count
-	// patterns and starts at a multiple of 64: bit b < 6 of a pattern is
-	// bit b of its lane position (a fixed mask per word), and bit b >= 6 is
-	// the same for the whole word. Bits past count stay 0, and so do the
-	// rows of inputs outside the support.
+	// Pattern p assigns bit b of p to input sup[b], and its answer goes to
+	// table bit m, the k-bit reversal of p (see isop.go). Both total and the
+	// chunk are powers of two, so every chunk holds count patterns and
+	// starts at a multiple of 64: bit b < 6 of a pattern is bit b of its
+	// lane position (a fixed mask per word), and bit b >= 6 is the same for
+	// the whole word. Bits past count stay 0, and so do the rows of inputs
+	// outside the support.
+	table := make([]uint64, max(1, total/64))
+	ones := 0
 	count := min(total, exhaustiveChunk)
 	w := oracle.Words(int(count))
 	lanes := make([]uint64, n*w)
@@ -223,8 +231,8 @@ func Exhaustive(o oracle.Oracle, out int, sup []int, rng *rand.Rand) Result {
 			row := lanes[in*w : (in+1)*w]
 			for i := range row {
 				switch {
-				case b < len(laneMasks):
-					row[i] = laneMasks[b]
+				case b < tt.MaxVars:
+					row[i] = uint64(tt.Var(b))
 				case (base+64*uint64(i))>>uint(b)&1 == 1:
 					row[i] = ^uint64(0)
 				default:
@@ -236,69 +244,30 @@ func Exhaustive(o oracle.Oracle, out int, sup []int, rng *rand.Rand) Result {
 			}
 		}
 		got := oracle.EvalOutput(o, lanes, int(count), out)
-		for pat := uint64(0); pat < count; pat++ {
-			if got[pat>>6]>>(pat&63)&1 == 1 {
-				table[base+pat] = true
-				ones++
+		for i, word := range got {
+			if r := count % 64; r != 0 {
+				word &= 1<<r - 1
+			}
+			ones += bits.OnesCount64(word)
+			for ; word != 0; word &= word - 1 {
+				p := base + 64*uint64(i) + uint64(bits.TrailingZeros64(word))
+				m := bits.Reverse64(p) >> (64 - k)
+				table[m/64] |= 1 << (m % 64)
 			}
 		}
 	}
-	if total > 0 {
-		res.RootTruthRatio = float64(ones) / float64(total)
+	// Below six inputs the table repeats across its one word.
+	for s := total; s < 64; s *= 2 {
+		table[0] |= table[0] << s
 	}
-
-	// Primary: BDD collapse + ISOP over the support variables.
-	mgr := bdd.NewManager(n, exhaustiveBDDBudget)
-	err := mgr.Guard(func() {
-		root := bdd.FromTruthTable(mgr, table, sup)
-		res.Onset = mgr.ISOP(root)
-		res.Offset = mgr.ISOP(mgr.Not(root))
-	})
-	if err != nil {
-		// Fallback: explicit minterm covers with fast reduction.
-		res.Onset, res.Offset = nil, nil
-		for m := uint64(0); m < total; m++ {
-			if table[m] {
-				res.Onset = append(res.Onset, mintermCube(sup, m))
-			} else {
-				res.Offset = append(res.Offset, mintermCube(sup, m))
-			}
-		}
-		res.Onset = sop.Minimize(res.Onset)
-		res.Offset = sop.Minimize(res.Offset)
-	}
+	res.RootTruthRatio = float64(ones) / float64(total)
+	res.Onset, res.Offset = isopCovers(table, sup)
 	res.Stats.Leaves1 = len(res.Onset)
 	res.Stats.Leaves0 = len(res.Offset)
 	return res
-}
-
-// exhaustiveBDDBudget bounds the BDD used to collapse exhaustive truth
-// tables; overridable in tests to exercise the minterm fallback.
-var exhaustiveBDDBudget = 1 << 22
-
-// laneMasks[b] holds bit b of each lane position 0..63 of a word.
-var laneMasks = [6]uint64{
-	0xAAAAAAAAAAAAAAAA,
-	0xCCCCCCCCCCCCCCCC,
-	0xF0F0F0F0F0F0F0F0,
-	0xFF00FF00FF00FF00,
-	0xFFFF0000FFFF0000,
-	0xFFFFFFFF00000000,
 }
 
 // exhaustiveChunk is the number of patterns per oracle batch when
 // enumerating exhaustive truth tables, bounding the lane buffer to
 // |I| * chunk/64 words while still amortizing per-query overhead.
 const exhaustiveChunk = 1 << 14
-
-func mintermCube(sup []int, m uint64) sop.Cube {
-	lits := make([]sop.Literal, len(sup))
-	for b, in := range sup {
-		lits[b] = sop.Literal{Var: in, Neg: m>>uint(b)&1 == 0}
-	}
-	cube, ok := sop.NewCube(lits...)
-	if !ok {
-		panic("fbdt: duplicate support input")
-	}
-	return cube
-}

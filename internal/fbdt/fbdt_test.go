@@ -259,17 +259,22 @@ func TestDepthFirstDigsDeeperUnderBudget(t *testing.T) {
 	}
 }
 
-func TestExhaustiveMintermFallbackOnBudget(t *testing.T) {
-	// Shrink the BDD budget so Exhaustive takes the explicit-minterm path;
-	// the learned function must still be exact.
-	old := exhaustiveBDDBudget
-	exhaustiveBDDBudget = 4
-	defer func() { exhaustiveBDDBudget = old }()
-
-	o := majorityOracle()
-	res := Exhaustive(o, 0, []int{0, 1, 2}, rand.New(rand.NewSource(20)))
-	cover, negate := res.Choose()
-	checkLearned(t, o, 0, cover, negate)
+func TestExhaustiveRejectsUnsortedSupport(t *testing.T) {
+	// An input twice or out of order panics before any query is asked.
+	for _, sup := range [][]int{{0, 0}, {0, 2, 1}, {2, 1}} {
+		o := oracle.NewCounter(majorityOracle())
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Exhaustive with support %v did not panic", sup)
+				}
+			}()
+			Exhaustive(o, 0, sup, rand.New(rand.NewSource(21)))
+		}()
+		if q := o.Queries(); q != 0 {
+			t.Errorf("support %v: %d queries before the panic, want 0", sup, q)
+		}
+	}
 }
 
 // TestBuildBatchMatchesScalar pins the batching-on/off equivalence of the
@@ -324,7 +329,7 @@ func TestExhaustiveLanesMatchPerBitConstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for k := 1; k <= 16; k++ {
 		sup := rng.Perm(n)[:k]
-		slices.Sort(sup) // the BDD wants ascending support
+		slices.Sort(sup) // Exhaustive wants ascending support
 		rec := &laneRecorder{
 			Oracle: &oracle.FuncOracle{Ins: ins, Outs: []string{"z"}},
 			a:      sup[0], b: sup[k-1],

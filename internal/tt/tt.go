@@ -1,8 +1,9 @@
 // Package tt provides truth tables of up to 6 variables packed into a
 // single uint64 (bit m = function value at minterm m, variable i
 // contributing bit i of m). The cut-based refactor pass computes cut
-// functions in this form, and check.Equiv uses it as its exhaustive
-// small-circuit reference.
+// functions in this form, check.Equiv uses it as its exhaustive
+// small-circuit reference, and fbdt.Exhaustive takes its variable masks for
+// lanes and packed truth tables.
 package tt
 
 import "fmt"
