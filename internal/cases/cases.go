@@ -59,11 +59,24 @@ type Case struct {
 // Oracle returns the black-box view of the case.
 func (c *Case) Oracle() oracle.Oracle { return oracle.FromCircuit(c.Circuit) }
 
-// ByName returns the named case.
+// table lists the 20 cases in Table II order, each with its constructor,
+// so that one case is found and built without building the others.
+var table = []struct {
+	name  string
+	build func() *Case
+}{
+	{"case_1", case1}, {"case_2", case2}, {"case_3", case3}, {"case_4", case4},
+	{"case_5", case5}, {"case_6", case6}, {"case_7", case7}, {"case_8", case8},
+	{"case_9", case9}, {"case_10", case10}, {"case_11", case11}, {"case_12", case12},
+	{"case_13", case13}, {"case_14", case14}, {"case_15", case15}, {"case_16", case16},
+	{"case_17", case17}, {"case_18", case18}, {"case_19", case19}, {"case_20", case20},
+}
+
+// ByName builds the named case.
 func ByName(name string) (*Case, error) {
-	for _, c := range All() {
-		if c.Name == name {
-			return c, nil
+	for _, e := range table {
+		if e.name == name {
+			return e.build(), nil
 		}
 	}
 	return nil, fmt.Errorf("cases: unknown case %q", name)
@@ -71,21 +84,20 @@ func ByName(name string) (*Case, error) {
 
 // Names lists all case names in Table II order.
 func Names() []string {
-	var out []string
-	for _, c := range All() {
-		out = append(out, c.Name)
+	out := make([]string, len(table))
+	for i, e := range table {
+		out[i] = e.name
 	}
 	return out
 }
 
 // All builds the 20 cases. Construction is deterministic.
 func All() []*Case {
-	return []*Case{
-		case1(), case2(), case3(), case4(), case5(),
-		case6(), case7(), case8(), case9(), case10(),
-		case11(), case12(), case13(), case14(), case15(),
-		case16(), case17(), case18(), case19(), case20(),
+	out := make([]*Case, len(table))
+	for i, e := range table {
+		out[i] = e.build()
 	}
+	return out
 }
 
 // ---- construction helpers ----

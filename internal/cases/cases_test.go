@@ -185,3 +185,37 @@ func TestMiterOutputsNotAllConstant(t *testing.T) {
 		}
 	}
 }
+
+// TestByNameMatchesAll checks that the table behind ByName and Names
+// agrees with All: Names lists Table II's names in order, and ByName(n)
+// builds a case with name n whose Verilog is byte-identical to All()'s
+// case n.
+func TestByNameMatchesAll(t *testing.T) {
+	all := All()
+	names := Names()
+	if len(names) != len(tableII) {
+		t.Fatalf("Names has %d entries, want %d", len(names), len(tableII))
+	}
+	verilog := func(c *Case) []byte {
+		var buf bytes.Buffer
+		if err := circuit.WriteVerilog(&buf, c.Circuit, "top"); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for i, name := range names {
+		if name != tableII[i].name {
+			t.Fatalf("Names()[%d] = %s, want %s", i, name, tableII[i].name)
+		}
+		c, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Name != name || c.Type != all[i].Type || c.Hidden != all[i].Hidden || c.Paper != all[i].Paper || c.Hard != all[i].Hard {
+			t.Fatalf("ByName(%s) = %s/%s, All has %s/%s", name, c.Name, c.Type, all[i].Name, all[i].Type)
+		}
+		if !bytes.Equal(verilog(c), verilog(all[i])) {
+			t.Fatalf("ByName(%s): Verilog differs from All()'s", name)
+		}
+	}
+}

@@ -20,6 +20,7 @@ import (
 	"logicregression/internal/names"
 	"logicregression/internal/opt"
 	"logicregression/internal/oracle"
+	"logicregression/internal/sampling"
 	"logicregression/internal/sop"
 	"logicregression/internal/support"
 	"logicregression/internal/template"
@@ -207,7 +208,11 @@ func Learn(o oracle.Oracle, opts Options) *Result {
 	if opts.TimeLimit > 0 {
 		deadline = start.Add(opts.TimeLimit)
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
+	// One generator for the whole learn. The sweeps read it in bulk; the
+	// template detectors, which need *rand.Rand's other methods, draw from
+	// the same stream through rng.
+	src := sampling.NewSource(opts.Seed)
+	rng := rand.New(src)
 	var learnFrom oracle.Oracle = o
 	if opts.MemoizeQueries {
 		if _, already := o.(*oracle.Memo); !already {
@@ -299,7 +304,7 @@ func Learn(o oracle.Oracle, opts Options) *Result {
 				sig = c.Const(false)
 				rep.Method = MethodDegraded
 			} else if f := catchFailure(func() {
-				sig, rep, sup = learnOutput(c, counter, po, piSigs, inG, opts, deadline, rng)
+				sig, rep, sup = learnOutput(c, counter, po, piSigs, inG, opts, deadline, src)
 			}); f != nil {
 				res.degrade(f)
 				sig = c.Const(false)
@@ -317,7 +322,7 @@ func Learn(o oracle.Oracle, opts Options) *Result {
 		// A death mid-refinement keeps the current circuit: every
 		// SetPODriver so far was a completed improvement.
 		if f := catchFailure(func() {
-			refine(c, counter, res.Outputs, supports, opts, deadline, rng)
+			refine(c, counter, res.Outputs, supports, opts, deadline, src)
 		}); f != nil {
 			res.degrade(f)
 		}
@@ -418,10 +423,10 @@ func (t poTemplate) synthesize(c *circuit.Circuit, piSigs []circuit.Signal, word
 // either exhaustive enumeration, compressed-tree learning, or the FBDT.
 // It returns the learned signal, the report, and the identified support.
 func learnOutput(c *circuit.Circuit, counter *oracle.Counter, po int, piSigs []circuit.Signal,
-	inG names.Grouping, opts Options, deadline time.Time, rng *rand.Rand) (circuit.Signal, OutputReport, []int) {
+	inG names.Grouping, opts Options, deadline time.Time, src *sampling.Source) (circuit.Signal, OutputReport, []int) {
 
 	// Step 3: support identification.
-	info := support.Identify(counter, po, support.Config{R: opts.SupportR, Ratios: opts.Ratios}, rng)
+	info := support.Identify(counter, po, support.Config{R: opts.SupportR, Ratios: opts.Ratios}, src)
 
 	if len(info.Support) == 0 {
 		rep := OutputReport{Method: MethodConstant}
@@ -431,12 +436,12 @@ func learnOutput(c *circuit.Circuit, counter *oracle.Counter, po int, piSigs []c
 	// Optional: hidden comparator compression when the support spans
 	// exactly-two grouped vectors plus other inputs.
 	if opts.HiddenCompression && !opts.DisablePreprocessing {
-		if sig, crep, ok := tryCompressed(c, counter, po, piSigs, inG, info.Support, opts, deadline, rng); ok {
+		if sig, crep, ok := tryCompressed(c, counter, po, piSigs, inG, info.Support, opts, deadline, src); ok {
 			return sig, crep, info.Support
 		}
 	}
 
-	sig, rep := learnWithSupport(c, counter, po, piSigs, info.Support, opts, deadline, rng)
+	sig, rep := learnWithSupport(c, counter, po, piSigs, info.Support, opts, deadline, src)
 	return sig, rep, info.Support
 }
 
@@ -444,13 +449,13 @@ func learnOutput(c *circuit.Circuit, counter *oracle.Counter, po int, piSigs []c
 // explicitly given candidate support. The refinement loop reuses it after
 // augmenting the support from mismatch witnesses.
 func learnWithSupport(c *circuit.Circuit, counter *oracle.Counter, po int, piSigs []circuit.Signal,
-	sup []int, opts Options, deadline time.Time, rng *rand.Rand) (circuit.Signal, OutputReport) {
+	sup []int, opts Options, deadline time.Time, src *sampling.Source) (circuit.Signal, OutputReport) {
 
 	rep := OutputReport{Support: len(sup)}
 
 	// Trick 1: conquer small functions exhaustively.
 	if len(sup) <= opts.ExhaustiveThreshold {
-		res := fbdt.Exhaustive(counter, po, sup, rng)
+		res := fbdt.Exhaustive(counter, po, sup, src)
 		cover, negate := chooseCover(res, opts)
 		rep.Method = MethodExhaustive
 		rep.Cubes = len(cover)
@@ -467,7 +472,7 @@ func learnWithSupport(c *circuit.Circuit, counter *oracle.Counter, po int, piSig
 		MaxNodes:    opts.MaxTreeNodes,
 		Deadline:    deadline,
 		DepthFirst:  opts.DepthFirstTree,
-	}, rng)
+	}, src)
 	// The tree's leaf cubes partition the space, so each cover can be
 	// expanded exactly against the other before minimization (the EXPAND
 	// step ABC's two-level engine would perform). On very large truncated
@@ -517,7 +522,7 @@ func pickSmaller(onset, offset sop.Cover, rootTruth float64) (sop.Cover, bool) {
 // support and, when found, learns the output over the compressed input
 // space, synthesizing the delegate as the comparator subcircuit.
 func tryCompressed(c *circuit.Circuit, counter *oracle.Counter, po int, piSigs []circuit.Signal,
-	inG names.Grouping, sup []int, opts Options, deadline time.Time, rng *rand.Rand) (circuit.Signal, OutputReport, bool) {
+	inG names.Grouping, sup []int, opts Options, deadline time.Time, src *sampling.Source) (circuit.Signal, OutputReport, bool) {
 
 	supSet := make(map[int]bool, len(sup))
 	for _, s := range sup {
@@ -537,6 +542,7 @@ func tryCompressed(c *circuit.Circuit, counter *oracle.Counter, po int, piSigs [
 			cand = append(cand, v)
 		}
 	}
+	rng := rand.New(src)
 	for i := 0; i < len(cand); i++ {
 		for j := i + 1; j < len(cand); j++ {
 			hm, ok := template.DetectHidden(counter, cand[i], cand[j], 3, opts.Template, rng)
@@ -548,7 +554,7 @@ func tryCompressed(c *circuit.Circuit, counter *oracle.Counter, po int, piSigs [
 				continue
 			}
 			coCounter := oracle.NewCounter(co)
-			info := support.Identify(coCounter, po, support.Config{R: opts.SupportR, Ratios: opts.Ratios}, rng)
+			info := support.Identify(coCounter, po, support.Config{R: opts.SupportR, Ratios: opts.Ratios}, src)
 			// Map compressed variables to signals: the delegate becomes
 			// the bare predicate subcircuit (the observation polarity of
 			// the hidden match concerns the PO, not the delegate).
@@ -559,7 +565,7 @@ func tryCompressed(c *circuit.Circuit, counter *oracle.Counter, po int, piSigs [
 			for v := range vars {
 				vars[v] = co.VarSignal(v, piSigs, delegateSig)
 			}
-			sig, rep := learnWithSupport(c, coCounter, po, vars, info.Support, opts, deadline, rng)
+			sig, rep := learnWithSupport(c, coCounter, po, vars, info.Support, opts, deadline, src)
 			rep.Method = MethodCompressed
 			return sig, rep, true
 		}

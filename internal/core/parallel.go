@@ -13,13 +13,13 @@ package core
 // generator.
 
 import (
-	"math/rand"
 	"sync"
 	"time"
 
 	"logicregression/internal/circuit"
 	"logicregression/internal/names"
 	"logicregression/internal/oracle"
+	"logicregression/internal/sampling"
 )
 
 // outputJob is one output to learn.
@@ -60,10 +60,11 @@ func learnOutputsParallel(counter *oracle.Counter, jobs []outputJob, inG names.G
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// One generator per worker, re-seeded for each output: the
+			// draws are deterministic regardless of scheduling order.
+			var src sampling.Source
 			for job := range in {
-				// Per-output generator: deterministic regardless of
-				// scheduling order.
-				rng := rand.New(rand.NewSource(opts.Seed + 0x9E3779B9*int64(job.po+1)))
+				src.Seed(opts.Seed + 0x9E3779B9*int64(job.po+1))
 				scratch := circuit.New()
 				piSigs := make([]circuit.Signal, counter.NumInputs())
 				for i, name := range counter.InputNames() {
@@ -73,7 +74,7 @@ func learnOutputsParallel(counter *oracle.Counter, jobs []outputJob, inG names.G
 				var rep OutputReport
 				var sup []int
 				if f := catchFailure(func() {
-					sig, rep, sup = learnOutput(scratch, counter, job.po, piSigs, inG, opts, deadline, rng)
+					sig, rep, sup = learnOutput(scratch, counter, job.po, piSigs, inG, opts, deadline, &src)
 				}); f != nil {
 					out <- outputResult{po: job.po, failure: f}
 					continue

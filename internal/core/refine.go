@@ -16,7 +16,6 @@ package core
 
 import (
 	"math/bits"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -34,20 +33,20 @@ const (
 // refine runs the refinement rounds in place on the learned circuit.
 // It returns the number of outputs that were relearned.
 func refine(c *circuit.Circuit, counter *oracle.Counter, reports []OutputReport,
-	supports map[int][]int, opts Options, deadline time.Time, rng *rand.Rand) int {
+	supports map[int][]int, opts Options, deadline time.Time, src *sampling.Source) int {
 
 	relearned := 0
 	for round := 0; round < opts.RefineRounds; round++ {
 		if cancelled(&opts) {
 			return relearned
 		}
-		witnesses := findMismatches(c, counter, refinePatterns, rng)
+		witnesses := findMismatches(c, counter, refinePatterns, src)
 		if len(witnesses) == 0 {
 			return relearned
 		}
-		// Relearning consumes the shared rng (and races the deadline), so
-		// the outputs must be visited in a fixed order for byte-identical
-		// reruns — not in witness-map order.
+		// Relearning consumes the shared generator (and races the
+		// deadline), so the outputs must be visited in a fixed order for
+		// byte-identical reruns — not in witness-map order.
 		pos := make([]int, 0, len(witnesses))
 		for po := range witnesses {
 			pos = append(pos, po)
@@ -104,7 +103,7 @@ func refine(c *circuit.Circuit, counter *oracle.Counter, reports []OutputReport,
 			for i := 0; i < c.NumPI(); i++ {
 				piSigs[i] = c.PISignal(i)
 			}
-			sig, rep := learnWithSupport(c, counter, po, piSigs, sup, opts, deadline, rng)
+			sig, rep := learnWithSupport(c, counter, po, piSigs, sup, opts, deadline, src)
 			rep.Name = reports[po].Name
 			rep.Refined = true
 			reports[po] = rep
@@ -162,7 +161,7 @@ func toggleProbe(o oracle.Oracle, base []bool, probes []int) []patternBits {
 // findMismatches simulates the learned circuit against the oracle on whole
 // batches of fresh patterns and returns up to maxWitnessesPerOutput
 // mismatching assignments per output.
-func findMismatches(c *circuit.Circuit, counter *oracle.Counter, patterns int, rng *rand.Rand) map[int][][]bool {
+func findMismatches(c *circuit.Circuit, counter *oracle.Counter, patterns int, src *sampling.Source) map[int][][]bool {
 	n := c.NumPI()
 	out := make(map[int][][]bool)
 	ratios := sampling.DefaultRatios
@@ -172,7 +171,7 @@ func findMismatches(c *circuit.Circuit, counter *oracle.Counter, patterns int, r
 		w := oracle.Words(cnt)
 		lanes := make([]uint64, n*w)
 		for b := 0; b < w; b++ {
-			words := sampling.RandomWords(rng, n, ratios[(done/64+b)%len(ratios)], nil)
+			words := sampling.RandomWords(src, n, ratios[(done/64+b)%len(ratios)], nil)
 			for j, x := range words {
 				lanes[j*w+b] = x
 			}

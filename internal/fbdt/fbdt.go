@@ -20,7 +20,6 @@ package fbdt
 
 import (
 	"math/bits"
-	"math/rand"
 	"time"
 
 	"logicregression/internal/oracle"
@@ -101,7 +100,7 @@ func (r Result) Choose() (cover sop.Cover, negate bool) {
 }
 
 // Build runs Algorithm 2 for output index out of the oracle.
-func Build(o oracle.Oracle, out int, cfg Config, rng *rand.Rand) Result {
+func Build(o oracle.Oracle, out int, cfg Config, rng sampling.RNG) Result {
 	var res Result
 	queue := []sop.Cube{nil} // root: empty cube
 	first := true
@@ -189,7 +188,7 @@ func Build(o oracle.Oracle, out int, cfg Config, rng *rand.Rand) Result {
 // probeTruthRatio samples probeR assignments satisfying the cube, drawn with
 // the first bias of the default pool, and returns the fraction of 1s at the
 // output. The probeR patterns go to the oracle as one batch.
-func probeTruthRatio(o oracle.Oracle, out int, cube sop.Cube, rng *rand.Rand) float64 {
+func probeTruthRatio(o oracle.Oracle, out int, cube sop.Cube, rng sampling.RNG) float64 {
 	lanes := sampling.RandomWords(rng, o.NumInputs(), sampling.DefaultRatios[0], cube)
 	got := oracle.EvalOutput(o, lanes, probeR, out)[0]
 	return float64(bits.OnesCount64(got)) / probeR
@@ -202,8 +201,11 @@ func probeTruthRatio(o oracle.Oracle, out int, cube sop.Cube, rng *rand.Rand) fl
 // gets from ABC's collapse). The covers are, cube for cube, those of the
 // BDD ISOP with the inputs ordered as in sup. sup must be strictly
 // ascending, or Exhaustive panics before its first query; the caller keeps
-// it small (<= ~20), since the query count is 2^|sup|.
-func Exhaustive(o oracle.Oracle, out int, sup []int, rng *rand.Rand) Result {
+// it small (<= ~20), since the query count is 2^|sup|. The enumeration
+// draws nothing: the generator argument is unused, and stays only because
+// the benchmark's layer-by-layer replay of the learn passes every layer its
+// generator, until per-layer timing moves into the program.
+func Exhaustive(o oracle.Oracle, out int, sup []int, _ sampling.RNG) Result {
 	for b := 1; b < len(sup); b++ {
 		if sup[b] <= sup[b-1] {
 			panic("fbdt: exhaustive support must be strictly ascending")

@@ -50,3 +50,15 @@ func BenchmarkBiasedWord(b *testing.B) {
 		BiasedWord(rng, 0.25)
 	}
 }
+
+// BenchmarkFillBiased is BenchmarkBiasedWord's bulk counterpart: rows of
+// 64 words at the same bias, read from a *Source's ring. ns/word compares
+// with BenchmarkBiasedWord's ns/op.
+func BenchmarkFillBiased(b *testing.B) {
+	src := NewSource(4)
+	row := make([]uint64, 64)
+	for i := 0; i < b.N; i++ {
+		src.fillBiased(row, 0.25)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(row)), "ns/word")
+}

@@ -19,12 +19,23 @@
 // sensitivities under assignments with an uneven ratio of 0s and 1s, the
 // generator draws each 64-pattern word from a pool of one-bias ratios
 // (Config.Ratios); the default pool mixes the even ratio with several uneven
-// ones.
+// ones. A biased word takes 1 to 16 draws (BiasedWord).
+//
+// The sweeps draw from an RNG, any generator with a Uint64 method. With a
+// *rand.Rand they call it once per draw. Source is math/rand's generator
+// with the same stream for the same seed, laid out as a ring of its next
+// 607 outputs: with a *Source, PatternSampling and RandomWords read each
+// word's draws straight from the ring, one pass over it per block of
+// inputs, and produce the same words and leave the generator at the same
+// position as the per-draw path. The learner draws from a *Source;
+// rand.New over it serves the callers that need *rand.Rand's other methods
+// from the same stream.
 package sampling
 
 import (
 	"math/bits"
 	"math/rand"
+	"sync"
 
 	"logicregression/internal/oracle"
 	"logicregression/internal/sop"
@@ -98,7 +109,7 @@ func (r Result) Support() []int {
 
 // PatternSampling implements Algorithm 1 for a single output of the oracle.
 // out selects the output index; cube constrains every sampled assignment.
-func PatternSampling(o oracle.Oracle, out int, cube sop.Cube, cfg Config, rng *rand.Rand) Result {
+func PatternSampling(o oracle.Oracle, out int, cube sop.Cube, cfg Config, rng RNG) Result {
 	n := o.NumInputs()
 	res := Result{D: make([]int, n)}
 	constrained := make([]bool, n)
@@ -139,48 +150,43 @@ func PatternSampling(o oracle.Oracle, out int, cube sop.Cube, cfg Config, rng *r
 	words := (r + 63) / 64
 	per := max(1, sweepChunk/r) // sub-batches per oracle call
 	units := 2 * len(res.Free)
-	draw := make([]uint64, n*words) // the current input's R patterns, lane layout
-	one := make([]uint64, words)    // alpha_i's outputs, kept for alpha_not_i
-	got := make([]uint64, words)
-	var lanes []uint64
+	buf := sweepPool.Get().(*sweepBufs)
+	defer sweepPool.Put(buf)
+	buf.draw = resize(buf.draw, (n+2)*words)
+	// The current input's R patterns, word-major: word w of input j is
+	// draw[w*n+j], so each block's n draws fill one row in place.
+	draw := buf.draw[:n*words]
+	one := buf.draw[n*words : (n+1)*words] // alpha_i's outputs, kept for alpha_not_i
+	got := buf.draw[(n+1)*words:]
 	ones := 0
 	ratioIdx := 0
 	for u0 := 0; u0 < units; u0 += per {
 		cnt := min(per, units-u0)
 		m := cnt * r
 		bw := oracle.Words(m)
-		if cap(lanes) < n*bw {
-			lanes = make([]uint64, n*bw)
-		}
-		lanes = lanes[:n*bw]
+		buf.lanes = resize(buf.lanes, n*bw)
+		lanes := buf.lanes
 		clear(lanes)
 		for u := u0; u < u0+cnt; u++ {
 			i := res.Free[u/2]
-			lane := draw[i*words : (i+1)*words]
+			force := ^uint64(0) // alpha_i: input forced to 1
 			if u%2 == 0 {
 				for w := 0; w < words; w++ {
 					p := ratios[ratioIdx%len(ratios)]
 					ratioIdx++
-					for j := 0; j < n; j++ {
-						draw[j*words+w] = BiasedWord(rng, p)
-					}
-					for _, l := range cube {
-						if l.Neg {
-							draw[l.Var*words+w] = 0
-						} else {
-							draw[l.Var*words+w] = ^uint64(0)
-						}
-					}
-				}
-				for w := range lane {
-					lane[w] = ^uint64(0) // alpha_i: input forced to 1
+					row := draw[w*n : (w+1)*n]
+					fillBiased(rng, row, p)
+					applyCubeWords(cube, row)
 				}
 			} else {
-				clear(lane) // alpha_not_i: input forced to 0
+				force = 0 // alpha_not_i: input forced to 0
+			}
+			for w := 0; w < words; w++ {
+				draw[w*n+i] = force
 			}
 			at := (u - u0) * r
 			for j := 0; j < n; j++ {
-				packBits(lanes[j*bw:(j+1)*bw], at, draw[j*words:(j+1)*words], r)
+				packBits(lanes[j*bw:(j+1)*bw], at, draw[j:], n, r)
 			}
 		}
 		outLane := oracle.EvalOutput(o, lanes, m, out)
@@ -209,11 +215,29 @@ func PatternSampling(o oracle.Oracle, out int, cube sop.Cube, cfg Config, rng *r
 // enumeration does) while amortizing per-call overhead over many inputs.
 const sweepChunk = 1 << 14
 
-// packBits ORs the low r bits of src (bit k = pattern k) into dst starting
-// at bit offset at. dst must be zero over [at, at+r).
-func packBits(dst []uint64, at int, src []uint64, r int) {
+// sweepBufs is one PatternSampling call's scratch: the lane buffer, and the
+// draw rows followed by the words of alpha_i's and of the current
+// sub-batch's outputs. The buffers go back to sweepPool when the call
+// returns, so the sweep at every fbdt.Build node reuses them instead of
+// allocating up to |I| * sweepChunk/64 lane words.
+type sweepBufs struct{ lanes, draw []uint64 }
+
+var sweepPool = sync.Pool{New: func() any { return new(sweepBufs) }}
+
+// resize returns buf with length n, reallocating only when it is too short.
+func resize(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
+	}
+	return buf[:n]
+}
+
+// packBits ORs the low r bits of the words src[0], src[stride], ... (bit k
+// of the w-th = pattern 64w+k) into dst starting at bit offset at. dst must
+// be zero over [at, at+r).
+func packBits(dst []uint64, at int, src []uint64, stride, r int) {
 	for w := 0; w*64 < r; w++ {
-		x := src[w] & maskLow(r-w*64)
+		x := src[w*stride] & maskLow(r-w*64)
 		p := at + w*64
 		sh := uint(p & 63)
 		dst[p>>6] |= x << sh
@@ -246,13 +270,6 @@ func maskLow(n int) uint64 {
 
 func popcount(x uint64) int { return bits.OnesCount64(x) }
 
-// fillRandomWords fills one 64-pattern word per input, each bit Bernoulli(p).
-func fillRandomWords(rng *rand.Rand, words []uint64, p float64) {
-	for i := range words {
-		words[i] = BiasedWord(rng, p)
-	}
-}
-
 // applyCubeWords forces the cube literals across all 64 patterns.
 func applyCubeWords(cube sop.Cube, words []uint64) {
 	for _, l := range cube {
@@ -270,17 +287,13 @@ func applyCubeWords(cube sop.Cube, words []uint64) {
 // that bit takes a fresh random word, and every higher bit one more, ORed in
 // where the bit is 1 (p -> (1+p)/2) and ANDed in where it is 0 (p -> p/2).
 // q == 0 draws nothing. The loop is branch-free: a bit's mask m selects OR
-// (all ones) or AND (zero).
-func BiasedWord(rng *rand.Rand, p float64) uint64 {
-	switch {
-	case p <= 0:
-		return 0
-	case p >= 1:
-		return ^uint64(0)
-	}
-	q := uint32(p * 65536) // p < 1, so q < 2^16
-	if q == 0 {
-		return 0
+// (all ones) or AND (zero). This is the per-draw path, one rng.Uint64 call
+// per draw; PatternSampling and RandomWords read the same draws in bulk when
+// rng is a *Source.
+func BiasedWord(rng RNG, p float64) uint64 {
+	q, c, constant := quantize(p)
+	if constant {
+		return c
 	}
 	w := rng.Uint64()
 	for bit := bits.TrailingZeros32(q) + 1; bit < 16; bit++ {
@@ -289,6 +302,19 @@ func BiasedWord(rng *rand.Rand, p float64) uint64 {
 		w = (w | r&m) & (r | m)
 	}
 	return w
+}
+
+// quantize returns BiasedWord's q = p*2^16, or, when p is 0 or 1 or beyond
+// them or q is 0, constant set and the word c that takes no draw.
+func quantize(p float64) (q uint32, c uint64, constant bool) {
+	switch {
+	case p <= 0:
+		return 0, 0, true
+	case p >= 1:
+		return 0, ^uint64(0), true
+	}
+	q = uint32(p * 65536) // p < 1, so q < 2^16
+	return q, 0, q == 0
 }
 
 // RandomAssignment returns an n-bit assignment with each bit 1 with
@@ -304,9 +330,9 @@ func RandomAssignment(rng *rand.Rand, n int, p float64, cube sop.Cube) []bool {
 
 // RandomWords returns one 64-pattern word per input with bias p, constrained
 // by cube.
-func RandomWords(rng *rand.Rand, n int, p float64, cube sop.Cube) []uint64 {
+func RandomWords(rng RNG, n int, p float64, cube sop.Cube) []uint64 {
 	words := make([]uint64, n)
-	fillRandomWords(rng, words, p)
+	fillBiased(rng, words, p)
 	applyCubeWords(cube, words)
 	return words
 }

@@ -17,7 +17,7 @@ import (
 // input, draw its R patterns, then issue alpha_i and alpha_not_i as two
 // batches of R. The batched sweep must match it query for query: same
 // Result, same RNG consumption, same patterns in the same order.
-func referenceSampling(o oracle.Oracle, out int, cube sop.Cube, cfg Config, rng *rand.Rand) Result {
+func referenceSampling(o oracle.Oracle, out int, cube sop.Cube, cfg Config, rng RNG) Result {
 	n := o.NumInputs()
 	res := Result{D: make([]int, n)}
 	constrained := make([]bool, n)
@@ -163,7 +163,7 @@ func TestPatternSamplingBatchesSweep(t *testing.T) {
 	}
 }
 
-type samplerFunc func(oracle.Oracle, int, sop.Cube, Config, *rand.Rand) Result
+type samplerFunc func(oracle.Oracle, int, sop.Cube, Config, RNG) Result
 
 // miniLearn grows a small breadth-first tree the way fbdt.Build does: one
 // support sweep, then cube-constrained sweeps over the support, splitting on

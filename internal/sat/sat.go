@@ -91,7 +91,6 @@ type Solver struct {
 
 	activity []float64
 	varInc   float64
-	order    []int // lazily maintained activity order (heap-free: scan)
 
 	conflicts  int64
 	decisions  int64

@@ -15,8 +15,6 @@
 package support
 
 import (
-	"math/rand"
-
 	"logicregression/internal/oracle"
 	"logicregression/internal/sampling"
 )
@@ -39,7 +37,7 @@ type Info struct {
 
 // Identify estimates the support of oracle output out with one
 // PatternSampling sweep over every input.
-func Identify(o oracle.Oracle, out int, cfg Config, rng *rand.Rand) Info {
+func Identify(o oracle.Oracle, out int, cfg Config, rng sampling.RNG) Info {
 	res := sampling.PatternSampling(o, out, nil, sampling.Config{R: cfg.R, Ratios: cfg.Ratios}, rng)
 	return Info{Support: res.Support(), TruthRatio: res.TruthRatio}
 }
