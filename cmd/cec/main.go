@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	conflicts := flag.Int64("conflicts", 0, "per-output SAT conflict budget (0 = unlimited)")
+	conflicts := flag.Int64("conflicts", 0, "SAT conflict budget shared by all outputs' proofs (0 = unlimited)")
 	flag.Parse()
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: cec [-conflicts N] <circuit1> <circuit2>")

@@ -95,7 +95,7 @@ func runCircuit(args []string) {
 	var (
 		seed         = fs.Int64("seed", 1, "campaign seed (per-case samples derive from it)")
 		budget       = fs.Int("budget", 10, "max mutants per case (0 = every fault site)")
-		maxConflicts = fs.Int64("max-conflicts", 20000, "SAT conflict budget per CEC proof (0 = unlimited)")
+		maxConflicts = fs.Int64("max-conflicts", 20000, "SAT conflict budget per CEC check, shared by all outputs' proofs (0 = unlimited)")
 		bddBudget    = fs.Int("bdd-budget", 1<<21, "BDD node budget per case manager")
 		caseList     = fs.String("cases", "", "comma-separated case names (default: all 20)")
 		jsonOut      = fs.String("json", "", "write the full report to this file")

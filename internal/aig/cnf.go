@@ -66,10 +66,11 @@ func (c *CNF) Lit(l Lit) sat.Lit {
 }
 
 // ProveEqual checks whether edges a and b of the encoded AIG are functionally
-// equal by asking the solver for a distinguishing assignment. maxConflicts
-// bounds the effort (0 = unlimited); the result is sat.Unknown when the
-// budget ran out, sat.Unsat when proven equal, sat.Sat when a counterexample
-// exists.
+// equal by asking the solver for a distinguishing assignment, in up to two
+// Solve calls. maxConflicts (0 = unlimited) is the solver's MaxConflicts
+// during both: it bounds the solver's conflicts since it was made, so
+// proofs on one CNF share it. The result is sat.Unknown when the budget ran
+// out, sat.Unsat when proven equal, sat.Sat when a counterexample exists.
 func (c *CNF) ProveEqual(a, b Lit, maxConflicts int64) sat.Status {
 	// a != b is satisfiable iff they differ: encode a XOR b via two queries
 	// with assumptions: (a, ~b) or (~a, b).

@@ -44,7 +44,8 @@ type Layers struct {
 	SimWords int `json:"sim_words"`
 	// SimSeed drives the random simulation patterns.
 	SimSeed int64 `json:"sim_seed"`
-	// MaxConflicts bounds each SAT proof; 0 = unlimited (complete CEC).
+	// MaxConflicts bounds the SAT conflicts of each CEC check, all outputs'
+	// proofs together (opt.Diagnose); 0 = unlimited (complete CEC).
 	MaxConflicts int64 `json:"max_conflicts"`
 	// BDDBudget bounds the shared BDD manager (default 1<<21 nodes).
 	BDDBudget int `json:"bdd_budget"`

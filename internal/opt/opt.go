@@ -19,8 +19,10 @@
 package opt
 
 import (
+	"cmp"
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"logicregression/internal/aig"
@@ -50,7 +52,13 @@ const (
 	// fraigSimWords is the number of 64-pattern words that form FRAIG's
 	// first candidate equivalence classes.
 	fraigSimWords = 8
-	// fraigMaxConflicts bounds each SAT equivalence proof in FRAIG.
+	// fraigRounds bounds FRAIG's rounds of proofs; each round but the last
+	// refines the classes by one counterexample word.
+	fraigRounds = 24
+	// fraigMaxConflicts is the solver's conflict budget during FRAIG's
+	// proofs. sat.Solver counts conflicts over all its calls, so the budget
+	// is shared by every proof of one Fraig call (see
+	// sat.Solver.MaxConflicts).
 	fraigMaxConflicts = 1000
 )
 
@@ -189,18 +197,38 @@ func fanins(g *aig.AIG, l aig.Lit) *[2]aig.Lit {
 
 // Fraig merges functionally equivalent nodes: random simulation partitions
 // nodes into candidate classes; SAT proves (or refutes, yielding a fresh
-// distinguishing pattern) each candidate merge.
+// distinguishing pattern) each candidate merge. Each round's first
+// counterexample adds one more simulation word, and the classes are split
+// by that word alone (the incremental refinement of FRAIGs).
 func Fraig(g *aig.AIG, cfg Config) *aig.AIG {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	nPI := g.NumPIs()
 
-	patterns := make([][]uint64, 0, fraigSimWords+8)
+	// Every node but the PIs (which cannot be merged away) starts in one
+	// class, in node order.
+	members := make([]int, 0, g.NumNodes()-nPI)
+	members = append(members, 0)
+	for n := nPI + 1; n < g.NumNodes(); n++ {
+		members = append(members, n)
+	}
+	c := fraigClasses{members: members, ends: []int{len(members)}}
+
+	// A node's signature is stored complemented when its first simulated
+	// bit is 1, so complementary nodes share a class; flip holds that mask.
+	words := make([]uint64, fraigSimWords*nPI)
+	for i := range words {
+		words[i] = rng.Uint64()
+	}
+	var flip []uint64
 	for w := 0; w < fraigSimWords; w++ {
-		word := make([]uint64, nPI)
-		for i := range word {
-			word[i] = rng.Uint64()
+		vals := g.SimWords(words[w*nPI : (w+1)*nPI])
+		if w == 0 {
+			flip = make([]uint64, len(vals))
+			for n, v := range vals {
+				flip[n] = -(v & 1)
+			}
 		}
-		patterns = append(patterns, word)
+		c.refine(vals, flip)
 	}
 
 	solver := sat.New()
@@ -208,47 +236,15 @@ func Fraig(g *aig.AIG, cfg Config) *aig.AIG {
 	subst := g.NewSubstMap()
 	refuted := make(map[[2]int]bool)
 
-	for iter := 0; iter < 24; iter++ {
-		// Signatures over all patterns, canonicalized by first bit.
-		sigs := make([][]uint64, g.NumNodes())
-		phase := make([]bool, g.NumNodes()) // true: signature stored complemented
-		for w, word := range patterns {
-			vals := g.SimWords(word)
-			for n := range vals {
-				if w == 0 {
-					sigs[n] = make([]uint64, len(patterns))
-					phase[n] = vals[n]&1 == 1
-				}
-				v := vals[n]
-				if phase[n] {
-					v = ^v
-				}
-				sigs[n][w] = v
-			}
-		}
-		classes := make(map[string][]int)
-		for n := 0; n < g.NumNodes(); n++ {
-			if n > 0 && !g.IsAnd(n) {
-				continue // PIs cannot be merged away
-			}
-			classes[sigKey(sigs[n])] = append(classes[sigKey(sigs[n])], n)
-		}
-
+	for round := 0; ; round++ {
 		var cex []uint64
 		// The first Sat pair supplies the counterexample pattern for the
 		// next round, so the class visit order shapes every later
-		// signature; walk the classes in sorted key order to keep the
-		// optimized circuit identical run to run.
-		classKeys := make([]string, 0, len(classes))
-		for k := range classes {
-			classKeys = append(classKeys, k)
-		}
-		sort.Strings(classKeys)
-		for _, k := range classKeys {
-			class := classes[k]
-			if len(class) < 2 {
-				continue
-			}
+		// signature: refine keeps it fixed run to run.
+		start := 0
+		for _, end := range c.ends {
+			class := c.members[start:end]
+			start = end
 			rep := class[0]
 			for _, n := range class[1:] {
 				if subst[n] != aig.NoSubst || refuted[[2]int{rep, n}] {
@@ -256,7 +252,7 @@ func Fraig(g *aig.AIG, cfg Config) *aig.AIG {
 				}
 				// Candidate polarity: equal canonical signatures mean
 				// n == rep XOR (phase difference).
-				compl := phase[rep] != phase[n]
+				compl := flip[rep] != flip[n]
 				a := aig.MkLit(rep, false)
 				b := aig.MkLit(n, compl)
 				switch cnf.ProveEqual(a, b, fraigMaxConflicts) {
@@ -280,22 +276,69 @@ func Fraig(g *aig.AIG, cfg Config) *aig.AIG {
 				}
 			}
 		}
-		if cex == nil {
+		if cex == nil || round == fraigRounds-1 {
 			break
 		}
-		patterns = append(patterns, cex)
+		c.refine(g.SimWords(cex), flip)
 	}
 	return g.Rebuild(subst)
 }
 
-func sigKey(sig []uint64) string {
-	buf := make([]byte, 0, len(sig)*8)
-	for _, w := range sig {
-		for s := 0; s < 64; s += 8 {
-			buf = append(buf, byte(w>>uint(s)))
+// fraigClasses are FRAIG's candidate equivalence classes of two or more
+// nodes: class i is members[ends[i-1]:ends[i]] (from 0 for i = 0).
+type fraigClasses struct {
+	members []int
+	ends    []int
+}
+
+// refine splits every class by one more simulated word, vals[n] ^ flip[n]
+// for node n, and drops the parts of a single node: they cannot merge
+// again. The order is the one a sort of the nodes' whole signatures as
+// little-endian byte strings would give: classes keep their order, the
+// parts of a class follow the new word's byte-reversed value, and members
+// stay in node order.
+func (c *fraigClasses) refine(vals, flip []uint64) {
+	byWord := func(a, b int) int {
+		ka := bits.ReverseBytes64(vals[a] ^ flip[a])
+		kb := bits.ReverseBytes64(vals[b] ^ flip[b])
+		if ka != kb {
+			return cmp.Compare(ka, kb)
+		}
+		return a - b
+	}
+	next := make([]int, 0, len(c.ends))
+	kept, start := 0, 0
+	for _, end := range c.ends {
+		class := c.members[start:end]
+		start = end
+		w0 := vals[class[0]] ^ flip[class[0]]
+		split := false
+		for _, n := range class[1:] {
+			if vals[n]^flip[n] != w0 {
+				split = true
+				break
+			}
+		}
+		if split {
+			slices.SortFunc(class, byWord)
+		}
+		// Copy each part of two or more nodes down over the dropped ones;
+		// kept never passes the part being read.
+		for i := 0; i < len(class); {
+			w := vals[class[i]] ^ flip[class[i]]
+			j := i + 1
+			for j < len(class) && vals[class[j]]^flip[class[j]] == w {
+				j++
+			}
+			if j-i >= 2 {
+				kept += copy(c.members[kept:], class[i:j])
+				next = append(next, kept)
+			}
+			i = j
 		}
 	}
-	return string(buf)
+	c.members = c.members[:kept]
+	c.ends = next
 }
 
 // Collapse rebuilds every output from its BDD's irredundant SOP (choosing
@@ -357,8 +400,8 @@ func copyCone(dst, src *circuit.Circuit, po int, piSigs []circuit.Signal) {
 
 // ProveEquivalent checks functional equivalence of two circuits with the
 // same PI/PO arity via a SAT miter over a combined AIG. It returns
-// (equivalent, completed): completed is false when a proof exceeded
-// maxConflicts.
+// (equivalent, completed): completed is false when the proofs ran out of
+// their shared budget of maxConflicts conflicts (see Diagnose).
 func ProveEquivalent(c1, c2 *circuit.Circuit, maxConflicts int64) (eq, completed bool) {
 	verdict, _, _ := Diagnose(c1, c2, maxConflicts)
 	switch verdict {
@@ -376,7 +419,9 @@ func ProveEquivalent(c1, c2 *circuit.Circuit, maxConflicts int64) (eq, completed
 // differ, returns a distinguishing input assignment and the index of the
 // first differing output. The verdict is sat.Unsat for equivalent circuits,
 // sat.Sat with a counterexample for non-equivalent ones, and sat.Unknown
-// when a proof exceeded maxConflicts (0 = unlimited).
+// when the proofs ran out of conflicts. maxConflicts (0 = unlimited) bounds
+// all outputs' proofs together: they share one solver, whose conflict
+// count runs on from output to output.
 func Diagnose(c1, c2 *circuit.Circuit, maxConflicts int64) (verdict sat.Status, cex []bool, badOutput int) {
 	if c1.NumPI() != c2.NumPI() || c1.NumPO() != c2.NumPO() {
 		return sat.Sat, nil, -1

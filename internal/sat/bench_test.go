@@ -5,36 +5,10 @@ import (
 	"testing"
 )
 
-// phpInstance encodes the pigeonhole principle PHP(h+1, h).
-func phpInstance(s *Solver, holes int) {
-	pigeons := holes + 1
-	v := make([][]int, pigeons)
-	for p := range v {
-		v[p] = make([]int, holes)
-		for h := range v[p] {
-			v[p][h] = s.NewVar()
-		}
-	}
-	for p := 0; p < pigeons; p++ {
-		lits := make([]Lit, holes)
-		for h := 0; h < holes; h++ {
-			lits[h] = MkLit(v[p][h], false)
-		}
-		s.AddClause(lits...)
-	}
-	for h := 0; h < holes; h++ {
-		for p1 := 0; p1 < pigeons; p1++ {
-			for p2 := p1 + 1; p2 < pigeons; p2++ {
-				s.AddClause(MkLit(v[p1][h], true), MkLit(v[p2][h], true))
-			}
-		}
-	}
-}
-
 func BenchmarkSolvePigeonhole6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := New()
-		phpInstance(s, 6)
+		pigeonhole(s, 7, 6, -1)
 		if s.Solve() != Unsat {
 			b.Fatal("PHP(7,6) must be unsat")
 		}

@@ -1,11 +1,16 @@
 // Package sat implements a CDCL (conflict-driven clause learning) SAT
-// solver: two-literal watching, first-UIP learning, VSIDS-style activities,
-// phase saving, and Luby restarts. It plays the role Berkeley ABC's internal
-// SAT solver plays in the paper's optimization step: proving candidate node
-// equivalences during FRAIG and checking circuit equivalence in tests.
+// solver: two-literal watching, first-UIP learning, VSIDS-style activities
+// with an activity heap for decisions, phase saving, and Luby restarts. It
+// plays the role Berkeley ABC's internal SAT solver plays in the paper's
+// optimization step: proving candidate node equivalences during FRAIG and
+// checking circuit equivalence in tests.
 package sat
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // Lit is a literal: variable v in positive phase is 2v, negated 2v+1.
 // Variables are 0-based.
@@ -91,6 +96,24 @@ type Solver struct {
 
 	activity []float64
 	varInc   float64
+	// A decision takes the unassigned variable with the highest activity,
+	// the lowest index among equals: the one a scan of every variable
+	// would pick. Unassigned variables with a positive activity wait in
+	// order, a binary heap in that order; the others, which take nearly
+	// every decision of a FRAIG proof, are set bits of zero, taken lowest
+	// first. An assigned variable leaves either only when a pick meets it
+	// (MiniSat's lazy deletion), and backtracking releases every variable
+	// it unassigns into the one its activity calls for.
+	order   []int
+	heapPos []int    // variable -> index in order, -1 when absent
+	free    int      // unassigned variables with a positive activity
+	zero    []uint64 // bit v: v had activity 0 when it was last released
+	zeroLow int      // the words of zero below this one are empty
+
+	// seen marks variables during analyze and is all false between calls;
+	// toClear holds the marks analyze leaves set.
+	seen    []bool
+	toClear []Lit
 
 	conflicts  int64
 	decisions  int64
@@ -98,8 +121,11 @@ type Solver struct {
 	// curAssumptions is the number of currently open assumption levels.
 	curAssumptions int
 
-	// MaxConflicts bounds the search when positive; Solve returns Unknown
-	// once exceeded.
+	// MaxConflicts, when positive, makes Solve return Unknown once the
+	// solver's conflict count reaches it. The count is the one Stats
+	// reports: it runs on across calls, so on a reused solver the budget
+	// is shared by every call since New, and a call made past it returns
+	// Unknown at its first conflict that does not learn a unit clause.
 	MaxConflicts int64
 }
 
@@ -117,6 +143,12 @@ func (s *Solver) NewVar() int {
 	s.phase = append(s.phase, false)
 	s.activity = append(s.activity, 0)
 	s.watches = append(s.watches, nil, nil)
+	s.seen = append(s.seen, false)
+	s.heapPos = append(s.heapPos, -1)
+	if v%64 == 0 {
+		s.zero = append(s.zero, 0)
+	}
+	s.release(v)
 	return v
 }
 
@@ -140,21 +172,21 @@ func (s *Solver) value(l Lit) lbool {
 // AddClause adds a clause. It returns false if the formula became trivially
 // unsatisfiable (empty clause or conflicting units at level 0).
 func (s *Solver) AddClause(lits ...Lit) bool {
-	// Remove duplicates and detect tautologies.
-	seen := make(map[Lit]bool, len(lits))
-	var out []Lit
+	// Remove duplicates and detect tautologies; clauses are short, so a
+	// scan of the kept literals beats a set.
+	out := make([]Lit, 0, len(lits))
 	for _, l := range lits {
 		if int(l.Var()) >= s.NumVars() {
 			panic(fmt.Sprintf("sat: literal %v beyond %d vars", l, s.NumVars()))
 		}
-		if seen[l.Not()] {
+		if slices.Contains(out, l.Not()) {
 			return true // tautology
 		}
-		if seen[l] {
+		if slices.Contains(out, l) {
 			continue
 		}
 		// Drop literals already false at level 0; satisfied clause is a no-op.
-		if s.level != nil && len(s.trailLim) == 0 {
+		if len(s.trailLim) == 0 {
 			switch s.value(l) {
 			case lTrue:
 				return true
@@ -162,7 +194,6 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 				continue
 			}
 		}
-		seen[l] = true
 		out = append(out, l)
 	}
 	switch len(out) {
@@ -195,6 +226,9 @@ func (s *Solver) enqueue(l Lit, from int) bool {
 		s.assign[v] = lFalse
 	} else {
 		s.assign[v] = lTrue
+	}
+	if s.activity[v] > 0 {
+		s.free--
 	}
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = from
@@ -261,7 +295,7 @@ func (s *Solver) propagate() int {
 // analyze computes the first-UIP learned clause and backtrack level.
 func (s *Solver) analyze(confl int) ([]Lit, int) {
 	learned := []Lit{0} // slot 0 for the asserting literal
-	seen := make([]bool, s.NumVars())
+	seen := s.seen
 	counter := 0
 	var p Lit
 	idx := len(s.trail) - 1
@@ -300,6 +334,7 @@ func (s *Solver) analyze(confl int) ([]Lit, int) {
 		confl = s.reason[p.Var()]
 	}
 	learned[0] = p.Not()
+	s.toClear = append(s.toClear[:0], learned[1:]...)
 
 	// Clause minimization (MiniSat's "basic" rule): a literal q is
 	// redundant when its reason clause's other literals are all either
@@ -326,6 +361,9 @@ func (s *Solver) analyze(confl int) ([]Lit, int) {
 		}
 	}
 	learned = kept
+	for _, q := range s.toClear {
+		seen[q.Var()] = false
+	}
 
 	// Backtrack level: second-highest level in the clause.
 	bt := 0
@@ -349,7 +387,93 @@ func (s *Solver) bumpVar(v int) {
 			s.activity[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
+		s.rebuildOrder()
 	}
+	if i := s.heapPos[v]; i >= 0 {
+		s.heapUp(i)
+	}
+}
+
+// rebuildOrder restores the heap after the activities were scaled. Scaling
+// keeps their order but can round distinct ones to equal values, whose
+// order then falls to the index, and can round small ones to zero, whose
+// variables belong in zero.
+func (s *Solver) rebuildOrder() {
+	kept := s.order[:0]
+	for _, v := range s.order {
+		if s.activity[v] > 0 {
+			kept = append(kept, v)
+			continue
+		}
+		s.heapPos[v] = -1
+		if s.assign[v] == lUndef {
+			s.free--
+			s.release(v)
+		}
+	}
+	s.order = kept
+	for i, v := range kept {
+		s.heapPos[v] = i
+	}
+	for i := len(kept)/2 - 1; i >= 0; i-- {
+		s.heapDown(i)
+	}
+}
+
+// release makes the unassigned variable v a decision candidate again.
+func (s *Solver) release(v int) {
+	if s.activity[v] == 0 {
+		s.zero[v/64] |= 1 << (v % 64)
+		s.zeroLow = min(s.zeroLow, v/64)
+		return
+	}
+	s.free++
+	if s.heapPos[v] < 0 { // else no pick met it while it was assigned
+		s.order = append(s.order, v)
+		s.heapUp(len(s.order) - 1)
+	}
+}
+
+// before reports whether variable a is decided before b: higher activity
+// first, then the lower index.
+func (s *Solver) before(a, b int) bool {
+	return s.activity[a] > s.activity[b] || s.activity[a] == s.activity[b] && a < b
+}
+
+func (s *Solver) heapUp(i int) {
+	v := s.order[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.before(v, s.order[p]) {
+			break
+		}
+		s.order[i] = s.order[p]
+		s.heapPos[s.order[i]] = i
+		i = p
+	}
+	s.order[i] = v
+	s.heapPos[v] = i
+}
+
+func (s *Solver) heapDown(i int) {
+	v := s.order[i]
+	for {
+		c := 2*i + 1
+		if c >= len(s.order) {
+			break
+		}
+		if c+1 < len(s.order) && s.before(s.order[c+1], s.order[c]) {
+			c++
+		}
+		if !s.before(s.order[c], v) {
+			break
+		}
+		s.order[i] = s.order[c]
+		s.heapPos[s.order[i]] = i
+		i = c
+	}
+	s.order[i] = v
+	s.heapPos[v] = i
 }
 
 func (s *Solver) backtrackTo(level int) {
@@ -361,23 +485,46 @@ func (s *Solver) backtrackTo(level int) {
 		v := s.trail[i].Var()
 		s.assign[v] = lUndef
 		s.reason[v] = -1
+		s.release(v)
 	}
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:level]
 	s.qhead = len(s.trail)
 }
 
+// pickBranch returns the next decision: the unassigned variable with the
+// highest activity (the lowest index among equals) in its saved phase.
 func (s *Solver) pickBranch() (Lit, bool) {
-	best, bestAct := -1, -1.0
-	for v := 0; v < s.NumVars(); v++ {
-		if s.assign[v] == lUndef && s.activity[v] > bestAct {
-			best, bestAct = v, s.activity[v]
-		}
-	}
-	if best < 0 {
+	if len(s.trail) == len(s.assign) {
+		// Every variable is assigned. The scan of zero below relies on
+		// this check to find a variable.
 		return 0, false
 	}
-	return MkLit(best, !s.phase[best]), true
+	for s.free > 0 {
+		v := s.order[0]
+		last := s.order[len(s.order)-1]
+		s.order = s.order[:len(s.order)-1]
+		s.heapPos[v] = -1
+		if len(s.order) > 0 {
+			s.order[0] = last
+			s.heapDown(0)
+		}
+		if s.assign[v] == lUndef {
+			return MkLit(v, !s.phase[v]), true
+		}
+	}
+	// Every unassigned variable has activity 0: take the lowest, dropping
+	// the bits of variables assigned or bumped since their release.
+	for w := s.zeroLow; ; w++ {
+		for s.zero[w] != 0 {
+			v := w*64 + bits.TrailingZeros64(s.zero[w])
+			s.zero[w] &= s.zero[w] - 1
+			if s.assign[v] == lUndef && s.activity[v] == 0 {
+				s.zeroLow = w
+				return MkLit(v, !s.phase[v]), true
+			}
+		}
+	}
 }
 
 // luby returns the i-th element (1-based) of the Luby restart sequence.

@@ -307,28 +307,7 @@ func TestAssumptionsIncremental(t *testing.T) {
 func TestMaxConflictsReturnsUnknown(t *testing.T) {
 	// A hard instance (PHP 7/6) with a tiny conflict budget.
 	s := New()
-	const P, H = 7, 6
-	v := make([][]int, P)
-	for p := range v {
-		v[p] = make([]int, H)
-		for h := range v[p] {
-			v[p][h] = s.NewVar()
-		}
-	}
-	for p := 0; p < P; p++ {
-		lits := make([]Lit, H)
-		for h := 0; h < H; h++ {
-			lits[h] = MkLit(v[p][h], false)
-		}
-		s.AddClause(lits...)
-	}
-	for h := 0; h < H; h++ {
-		for p1 := 0; p1 < P; p1++ {
-			for p2 := p1 + 1; p2 < P; p2++ {
-				s.AddClause(MkLit(v[p1][h], true), MkLit(v[p2][h], true))
-			}
-		}
-	}
+	pigeonhole(s, 7, 6, -1)
 	s.MaxConflicts = 10
 	if got := s.Solve(); got != Unknown {
 		t.Fatalf("Solve with tiny budget = %v, want Unknown", got)
