@@ -19,7 +19,9 @@
 // fault tolerant: transport hiccups are retried with reconnection
 // (-oracle-retries, -oracle-backoff), every query carries an I/O deadline
 // (-oracle-timeout), and answered patterns are memoized so a reconnect
-// resumes instead of re-querying. If the black box dies
+// resumes instead of re-querying. With -memo, -remote or -store, the
+// report's "memo:" line after the learn gives the cache's hits, misses,
+// hit rate, evictions and entries. If the black box dies
 // permanently mid-learn the run degrades: the best-so-far circuit is still
 // written and the report says DEGRADED instead of the process panicking.
 package main
@@ -227,6 +229,11 @@ func main() {
 	if res.Degraded {
 		fmt.Fprintf(os.Stderr, "logicreg: black box died mid-learn (%s); writing best-so-far circuit\n",
 			res.DegradedReason)
+	}
+	if m != nil {
+		ms := m.Stats()
+		fmt.Fprintf(os.Stderr, "memo: %d hits, %d misses (%.1f%% hit rate), %d evictions, %d entries\n",
+			ms.Hits, ms.Misses, 100*ms.HitRate(), ms.Evictions, ms.Entries)
 	}
 	// Only a whole learn is the learn key's true answer: a degraded or
 	// time-limited one is never cached as one.

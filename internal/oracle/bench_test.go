@@ -121,23 +121,14 @@ func timeMode(fn func()) float64 {
 	}
 }
 
-// BenchmarkMemoBatch times one 16 384-pattern EvalBatch through a
-// default-capacity memo over case_10 (37 inputs, one key word), the shape
-// of a remote learn's sampling sweeps: about 5% of each batch repeats
-// patterns of the batch before, and the cache is full, so every miss
-// evicts.
-func BenchmarkMemoBatch(b *testing.B) {
-	cs, err := cases.ByName("case_10")
-	if err != nil {
-		b.Fatal(err)
-	}
-	o := cs.Oracle()
-	nIn := o.NumInputs()
-	const n = 1 << 14
+// sweepBatches returns a generator of n-pattern batches over nIn inputs in
+// the shape of a remote learn's sampling sweeps: each draws fresh random
+// patterns, except that about 5% of them repeat the pattern at the same
+// position in the batch before.
+func sweepBatches(rng *rand.Rand, nIn, n int) func() []bitvec.Word {
 	w := oracle.Words(n)
-	rng := rand.New(rand.NewSource(1))
 	prev := randomLanes(rng, nIn, n)
-	next := func() []bitvec.Word {
+	return func() []bitvec.Word {
 		cur := randomLanes(rng, nIn, n)
 		for j := 0; j < w; j++ {
 			var repeat bitvec.Word // the ~5% of patterns copied from prev
@@ -153,6 +144,24 @@ func BenchmarkMemoBatch(b *testing.B) {
 		prev = cur
 		return cur
 	}
+}
+
+// memoBenchOracle is case_10's oracle (37 inputs, one key word).
+func memoBenchOracle(b *testing.B) oracle.Oracle {
+	cs, err := cases.ByName("case_10")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cs.Oracle()
+}
+
+// BenchmarkMemoBatch times one 16 384-pattern EvalBatch through a
+// default-capacity memo over case_10, the shape of a remote learn's
+// sampling sweeps. The cache is full, so every miss evicts.
+func BenchmarkMemoBatch(b *testing.B) {
+	o := memoBenchOracle(b)
+	const n = 1 << 14
+	next := sweepBatches(rand.New(rand.NewSource(1)), o.NumInputs(), n)
 	m := oracle.NewMemo(o)
 	for m.Len() < oracle.DefaultMemoCapacity {
 		m.EvalBatch(next(), n)
@@ -165,4 +174,27 @@ func BenchmarkMemoBatch(b *testing.B) {
 		m.EvalBatch(lanes, n)
 	}
 	b.ReportMetric(float64(n), "patterns/op")
+}
+
+// BenchmarkMemoFill times what a learn with MemoizeQueries pays its memo:
+// one op feeds 32 sweep-sized batches (BenchmarkMemoBatch's) to a fresh
+// default-capacity memo over case_10, about the probes of one remote learn.
+// The shards grow from empty, appends and reindexes included, and the last
+// half of the batches evict.
+func BenchmarkMemoFill(b *testing.B) {
+	o := memoBenchOracle(b)
+	const n, batches = 1 << 14, 32
+	next := sweepBatches(rand.New(rand.NewSource(1)), o.NumInputs(), n)
+	feed := make([][]bitvec.Word, batches)
+	for i := range feed {
+		feed[i] = next()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := oracle.NewMemo(o)
+		for _, lanes := range feed {
+			m.EvalBatch(lanes, n)
+		}
+	}
+	b.ReportMetric(float64(n*batches), "patterns/op")
 }

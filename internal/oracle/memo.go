@@ -4,8 +4,8 @@ package oracle
 // repeated queries, but caching keeps the learner's query count honest when
 // the tree resamples overlapping regions — and with the batch interface the
 // cache no longer forces scalar evaluation: a batched query probes the cache
-// per pattern, gathers the misses, and forwards them to the inner oracle as
-// one (smaller) batch.
+// for every pattern, gathers the misses, and forwards them to the inner
+// oracle as one (smaller) batch.
 //
 // The cache is a bounded LRU, sharded by key hash so concurrent learners
 // (Options.Parallel, multi-connection ioserve) do not serialize on one lock.
@@ -19,6 +19,13 @@ package oracle
 // slot, an open-addressed index of slots tagged with their hash, and an
 // intrusive int32 LRU list through the slots. A slot freed by eviction is
 // refilled at once, so a shard's slots are always 0 to its length - 1.
+//
+// A batch works a shard at a time: its patterns are grouped by shard, and
+// each shard is locked once to probe its group and once to fill its misses.
+// Probes and fills spend most of their time waiting on cache misses in the
+// index and the arena, so each loop is preceded by a pass that loads what
+// the loop will read, and the processor overlaps those misses. A batch's
+// own buffers come from a sync.Pool.
 
 import (
 	"fmt"
@@ -181,13 +188,16 @@ func (o *Memo) NumOutputs() int       { return o.inner.NumOutputs() }
 func (o *Memo) InputNames() []string  { return o.inner.InputNames() }
 func (o *Memo) OutputNames() []string { return o.inner.OutputNames() }
 
-// shard picks the shard for a key by FNV-1a hash over its kb key bytes,
-// the bytes of MemoKey.
+// shard picks the shard for a key.
+func (o *Memo) shard(key []bitvec.Word) *memoShard { return &o.shards[o.shardIndex(key)] }
+
+// shardIndex numbers the shard for a key by FNV-1a hash over its kb key
+// bytes, the bytes of MemoKey.
 //
 //logicreg:hotpath
-func (o *Memo) shard(key []bitvec.Word) *memoShard {
+func (o *Memo) shardIndex(key []bitvec.Word) int {
 	if len(o.shards) == 1 {
-		return &o.shards[0]
+		return 0
 	}
 	h := uint32(2166136261)
 	nb := o.kb
@@ -198,7 +208,7 @@ func (o *Memo) shard(key []bitvec.Word) *memoShard {
 			nb--
 		}
 	}
-	return &o.shards[h&uint32(len(o.shards)-1)]
+	return int(h & uint32(len(o.shards)-1))
 }
 
 // memoHash mixes a key's words into the hash that places it in a shard
@@ -345,18 +355,23 @@ func (o *Memo) get(s *memoShard, key []bitvec.Word, h uint64, resp []bitvec.Word
 	return slot >= 0
 }
 
-// insert is the locked core of put and Preload: unless key is cached
-// already (then it only becomes the most recent entry), it caches resp
-// under key, evicting the least recently used entry first when the shard is
-// full. It reports whether key was freshly inserted and whether an entry
-// was evicted.
+// insert is the core of put and Preload: add under the shard lock.
 func (o *Memo) insert(s *memoShard, key, resp []bitvec.Word, h uint64) (inserted, evicted bool) {
-	kw, stride := o.kw, o.kw+o.ow
 	s.mu.Lock()
+	inserted, evicted = s.add(key, resp, h, o.kw+o.ow)
+	s.mu.Unlock()
+	return inserted, evicted
+}
+
+// add caches resp under key unless key is cached already (then it only
+// becomes the most recent entry), evicting the least recently used entry
+// first when the shard is full. It reports whether key was freshly inserted
+// and whether an entry was evicted. The caller holds s.mu.
+func (s *memoShard) add(key, resp []bitvec.Word, h uint64, stride int) (inserted, evicted bool) {
+	kw := len(key)
 	b, slot := s.find(key, h, stride)
 	if slot >= 0 {
 		s.touch(slot)
-		s.mu.Unlock()
 		return false, false
 	}
 	if n := len(s.next); n < int(s.limit) {
@@ -386,7 +401,6 @@ func (o *Memo) insert(s *memoShard, key, resp []bitvec.Word, h uint64) (inserted
 	copy(s.words[at+kw:at+stride], resp)
 	s.index[b] = indexEntry(h, slot)
 	s.pushFront(slot)
-	s.mu.Unlock()
 	return true, evicted
 }
 
@@ -458,62 +472,151 @@ func (o *Memo) Eval(a []bool) []bool {
 	return v
 }
 
-// EvalBatch probes the cache per pattern, in pattern order, deduplicates
-// the misses, forwards them to the inner oracle as one batch, and fills the
-// cache with the fresh responses in miss order. A pattern whose key already
-// missed earlier in the batch takes that miss's answer without a probe.
+// EvalBatch answers a batch shard by shard. It hashes every pattern's key
+// once and groups the patterns by shard, in pattern order within a group;
+// then it locks each shard once to probe its group and once more, after the
+// inner call, to fill in its misses in miss order. Shards share no state,
+// so each one sees the probes and fills that probing every pattern in turn
+// and filling every miss in turn would make: the LRU order and the counters
+// are the same, and so are the inner batch (the deduplicated misses in
+// pattern order) and the hook events (in miss order, fired after the fills
+// outside the locks). A pattern whose key already missed earlier in the
+// batch takes that miss's answer without a probe.
+//
+// A probe or fill mostly waits on cache misses: the index bucket of its
+// key and, in a full shard, the key words and bucket of the entry it
+// evicts. So before each loop, warm and warmVictims load all of them in
+// one pass of independent loads, which the processor overlaps.
 func (o *Memo) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 	nIn, kw, ow := o.nIn, o.kw, o.ow
+	stride := kw + ow
 	w := Words(n)
 	checkBatch(len(patterns), nIn, n)
+	sc := memoScratchPool.Get().(*memoScratch)
 
-	resp := make([]bitvec.Word, n*ow) // every pattern's response row
-	ref := make([]int32, n)           // per pattern: miss number, or -1 on a hit
-	missKeys := make([]bitvec.Word, 0, n*kw)
-	// seen indexes this batch's misses by key hash: miss number + 1, 0
-	// empty, at most half full.
+	// Take the keys, hash them, and sort the patterns by shard (a stable
+	// counting sort): shard si's group is order[start[si]:start[si+1]].
+	keys := grow(&sc.keys, n*kw)
+	for b := 0; b < w; b++ {
+		bitvec.LanesToRows(keys[64*b*kw:min(n, 64*b+64)*kw], patterns, w, nIn, b)
+	}
+	hash, shardOf := grow(&sc.hash, n), grow(&sc.shardOf, n)
+	var start [memoShardCount + 1]int32
+	for k := 0; k < n; k++ {
+		key := keys[k*kw : (k+1)*kw]
+		hash[k] = memoHash(key)
+		si := o.shardIndex(key)
+		shardOf[k] = uint8(si)
+		start[si+1]++
+	}
+	for si := 1; si < len(start); si++ {
+		start[si] += start[si-1]
+	}
+	order, next := grow(&sc.order, n), start
+	for k, si := range shardOf {
+		order[next[si]] = int32(k)
+		next[si]++
+	}
+
+	// Probe. ref[k] is -1 for a hit, k for a miss, and j for a pattern
+	// whose key missed at pattern j < k. seen indexes the batch's misses by
+	// key hash (pattern + 1, 0 empty, at most half full). A group's misses
+	// overwrite the front of its range in order, for the fills.
 	size, shift := 2, uint(63)
 	for size < 2*n {
 		size, shift = 2*size, shift-1
 	}
-	seen := make([]int32, size)
+	seen := grow(&sc.seen, size)
+	clear(seen)
 	mask := size - 1
-	rows := make([]bitvec.Word, 64*kw)
-	var hits int64
-	var nMiss int32
-	for b := 0; b < w; b++ {
-		bitvec.LanesToRows(rows, patterns, w, nIn, b)
-		for p := 0; p < 64 && 64*b+p < n; p++ {
-			k := 64*b + p
-			key := rows[p*kw : (p+1)*kw]
-			h := memoHash(key)
+	resp, ref := grow(&sc.resp, n*ow), grow(&sc.ref, n)
+	var nFill [memoShardCount]int32
+	var hits, misses int64
+	for si := range o.shards {
+		group := order[start[si]:start[si+1]:start[si+1]]
+		if len(group) == 0 {
+			continue
+		}
+		s := &o.shards[si]
+		s.mu.Lock()
+		sc.sink += s.warm(group, hash)
+		fills := group[:0]
+		for _, k := range group {
+			key, h := keys[int(k)*kw:int(k+1)*kw], hash[k]
 			bk := int(h>>(shift&63)) & mask
-			for seen[bk] != 0 && !sameKey(missKeys[int(seen[bk]-1)*kw:int(seen[bk])*kw], key) {
+			for seen[bk] != 0 && !sameKey(keys[int(seen[bk]-1)*kw:int(seen[bk])*kw], key) {
 				bk = (bk + 1) & mask
 			}
 			if seen[bk] != 0 {
 				ref[k] = seen[bk] - 1
 				continue
 			}
-			if o.get(o.shard(key), key, h, resp[k*ow:(k+1)*ow]) {
+			if _, slot := s.find(key, h, stride); slot >= 0 {
+				s.touch(slot)
+				at := int(slot)*stride + kw
+				copy(resp[int(k)*ow:int(k+1)*ow], s.words[at:at+ow])
 				ref[k] = -1
 				hits++
 				continue
 			}
-			nMiss++
-			seen[bk] = nMiss
-			ref[k] = nMiss - 1
-			missKeys = append(missKeys, key...)
+			seen[bk] = k + 1
+			ref[k] = k
+			fills = append(fills, k)
 		}
+		s.mu.Unlock()
+		nFill[si] = int32(len(fills))
+		misses += int64(len(fills))
 	}
 	o.hits.Add(hits)
-	o.misses.Add(int64(nMiss))
+	o.misses.Add(misses)
 
-	if nMiss > 0 {
-		missResp := o.evalMisses(missKeys, int(nMiss))
-		for m := 0; m < int(nMiss); m++ {
-			key := missKeys[m*kw : (m+1)*kw]
-			o.put(o.shard(key), key, missResp[m*ow:(m+1)*ow], memoHash(key))
+	if nMiss := int(misses); nMiss > 0 {
+		// Number the misses in pattern order; ref becomes each pattern's
+		// miss number (-1 on a hit).
+		missKeys := grow(&sc.missKeys, nMiss*kw)
+		var m int32
+		for k, r := range ref {
+			switch {
+			case r == int32(k):
+				copy(missKeys[int(m)*kw:int(m+1)*kw], keys[k*kw:(k+1)*kw])
+				ref[k] = m
+				m++
+			case r >= 0:
+				ref[k] = ref[r]
+			}
+		}
+		missResp := o.evalMisses(sc, missKeys, nMiss)
+
+		inserted := grow(&sc.inserted, nMiss)
+		var evictions int64
+		for si := range o.shards {
+			fills := order[start[si] : start[si]+nFill[si]]
+			if len(fills) == 0 {
+				continue
+			}
+			s := &o.shards[si]
+			s.mu.Lock()
+			sc.sink += s.warm(fills, hash)
+			if room := int(s.limit) - len(s.next); len(fills) > room {
+				sc.sink += s.warmVictims(len(fills)-room, kw, stride)
+			}
+			for _, k := range fills {
+				m := ref[k]
+				var evicted bool
+				inserted[m], evicted = s.add(keys[int(k)*kw:int(k+1)*kw], missResp[int(m)*ow:int(m+1)*ow], hash[k], stride)
+				if evicted {
+					evictions++
+				}
+			}
+			s.mu.Unlock()
+		}
+		o.evictions.Add(evictions)
+		if hook := o.currentHook(); hook != nil {
+			for m := 0; m < nMiss; m++ {
+				if inserted[m] {
+					hook.MemoInsert(o.keyString(missKeys[m*kw:(m+1)*kw]), o.bools(missResp[m*ow:(m+1)*ow]))
+				}
+			}
 		}
 		for k, m := range ref {
 			if m >= 0 {
@@ -525,20 +628,81 @@ func (o *Memo) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 	for b := 0; b < w; b++ {
 		bitvec.RowsToLanes(out, w, o.nOut, b, resp[64*b*ow:min(n, 64*b+64)*ow])
 	}
+	memoScratchPool.Put(sc)
 	return out
 }
 
+// warm loads the index bucket that each pattern of group hashes to, the
+// first word a probe or fill of its key reads, and returns their sum so the
+// loads are kept. The caller holds s.mu.
+//
+//logicreg:hotpath
+func (s *memoShard) warm(group []int32, hash []uint64) uint64 {
+	mask := len(s.index) - 1
+	var sum uint64
+	for _, k := range group {
+		sum += s.index[int(hash[k]>>(s.shift&63))&mask]
+	}
+	return sum
+}
+
+// warmVictims loads the key words and index buckets of the shard's n least
+// recently used entries, the next n that a full shard evicts, and returns
+// the buckets' sum so the loads are kept. Only the walk down the LRU links
+// waits on its loads. The caller holds s.mu.
+//
+//logicreg:hotpath
+func (s *memoShard) warmVictims(n, kw, stride int) uint64 {
+	mask := len(s.index) - 1
+	var sum uint64
+	for v := s.tail; v >= 0 && n > 0; v, n = s.prev[v], n-1 {
+		at := int(v) * stride
+		sum += s.index[int(memoHash(s.words[at:at+kw])>>(s.shift&63))&mask]
+	}
+	return sum
+}
+
+// memoScratch is one EvalBatch call's working memory. It comes from
+// memoScratchPool and goes back there when the call returns, so a learn's
+// batches reuse it; each buffer is resized to the batch and the memo's key
+// and response widths.
+type memoScratch struct {
+	keys, resp []bitvec.Word // pattern k's key row at k*kw, response row at k*ow
+	hash       []uint64      // pattern k's memoHash
+	shardOf    []uint8       // pattern k's shard
+	order      []int32       // the patterns grouped by shard
+	ref, seen  []int32       // see EvalBatch
+	missKeys   []bitvec.Word // the misses' key rows, in miss order
+	lanes      []bitvec.Word // the inner batch
+	missResp   []bitvec.Word // the inner batch's response rows
+	inserted   []bool        // per miss: whether its fill inserted it
+	sink       uint64        // the warm loads' sum, stored so they are not dead code
+}
+
+var memoScratchPool = sync.Pool{New: func() any { return new(memoScratch) }}
+
+// grow resizes *buf to n elements, reallocating only when it is too short,
+// and returns it. The contents are not cleared.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
 // evalMisses asks the inner oracle for the nMiss key rows of missKeys as
-// one batch and returns the response rows in the same order.
-func (o *Memo) evalMisses(missKeys []bitvec.Word, nMiss int) []bitvec.Word {
+// one batch and returns the response rows in the same order, in sc.
+func (o *Memo) evalMisses(sc *memoScratch, missKeys []bitvec.Word, nMiss int) []bitvec.Word {
 	kw, ow := o.kw, o.ow
 	mw := Words(nMiss)
-	lanes := make([]bitvec.Word, o.nIn*mw)
+	lanes := grow(&sc.lanes, o.nIn*mw)
+	clear(lanes)
 	for b := 0; b < mw; b++ {
 		bitvec.RowsToLanes(lanes, mw, o.nIn, b, missKeys[64*b*kw:min(nMiss, 64*b+64)*kw])
 	}
 	res := AsBatch(o.inner).EvalBatch(lanes, nMiss)
-	rows := make([]bitvec.Word, nMiss*ow)
+	rows := grow(&sc.missResp, nMiss*ow)
 	for b := 0; b < mw; b++ {
 		bitvec.LanesToRows(rows[64*b*ow:min(nMiss, 64*b+64)*ow], res, mw, o.nOut, b)
 	}

@@ -299,102 +299,190 @@ func TestMemoMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	t.Run("sweep", func(t *testing.T) {
+		// Batches the size of the learner's sweeps, sent in turn to two
+		// pairs of different key and response widths, so each batch runs
+		// on pooled scratch that the other geometry sized last.
+		for _, capacity := range []int{1024, 1 << 18} {
+			rng := rand.New(rand.NewSource(int64(capacity)))
+			pairs := []*memoPair{newMemoPair(56, 5, capacity, rng), newMemoPair(173, 70, capacity, rng)}
+			pairs[0].setHook(true)
+			for _, n := range []int{4096, 16384, 16385} {
+				for i, p := range pairs {
+					if err := p.evalBatch(rng, n, 0.9); err != nil {
+						t.Fatalf("cap%d pair %d EvalBatch(n=%d): %v", capacity, i, n, err)
+					}
+				}
+			}
+			for i, p := range pairs {
+				if err := p.finish(); err != nil {
+					t.Fatalf("cap%d pair %d: %v", capacity, i, err)
+				}
+				if capacity == 1024 && p.ref.evictions.Load() == 0 {
+					t.Fatalf("cap%d pair %d: the drive never evicted", capacity, i)
+				}
+			}
+		}
+	})
+}
+
+// memoPair is a flat memo and a reference memo of the same capacity, each
+// over its own logOracle, that every drive step queries alike.
+type memoPair struct {
+	nIn                 int
+	flatInner, refInner *logOracle
+	flat                *Memo
+	ref                 *refMemo
+	flatHooks, refHooks []*eventHook
+	// alpha is a small alphabet of assignments, so that keys repeat.
+	alpha [][]bool
+}
+
+// newMemoPair builds a pair whose alphabet holds twice the capacity (up to
+// 2048), so that drawing from it makes every shard evict.
+func newMemoPair(nIn, nOut, capacity int, rng *rand.Rand) *memoPair {
+	p := &memoPair{
+		nIn:       nIn,
+		flatInner: &logOracle{nIn: nIn, nOut: nOut},
+		refInner:  &logOracle{nIn: nIn, nOut: nOut},
+	}
+	p.flat = NewMemoCap(p.flatInner, capacity)
+	p.ref = newRefMemo(p.refInner, capacity)
+	p.alpha = make([][]bool, min(2*capacity+3, 2048))
+	for i := range p.alpha {
+		p.alpha[i] = randomBools(rng, nIn)
+	}
+	return p
+}
+
+// randomBools draws n fair random bits.
+func randomBools(rng *rand.Rand, n int) []bool {
+	a := make([]bool, n)
+	for j := range a {
+		a[j] = rng.Intn(2) == 1
+	}
+	return a
+}
+
+func (p *memoPair) pick(rng *rand.Rand) []bool { return p.alpha[rng.Intn(len(p.alpha))] }
+
+// lanesOf packs n patterns, each a fresh random one with probability fresh
+// and an alphabet pick otherwise.
+func (p *memoPair) lanesOf(rng *rand.Rand, n int, fresh float64) []bitvec.Word {
+	w := Words(n)
+	lanes := make([]bitvec.Word, p.nIn*w)
+	for k := 0; k < n; k++ {
+		a := p.pick(rng)
+		if fresh > 0 && rng.Float64() < fresh {
+			a = randomBools(rng, p.nIn)
+		}
+		for i, bit := range a {
+			if bit {
+				setLaneBit(lanes, w, i, k)
+			}
+		}
+	}
+	// Tail bits are don't-cares: both memos must ignore them.
+	if n%64 != 0 {
+		for i := 0; i < p.nIn; i++ {
+			lanes[i*w+w-1] |= rng.Uint64() << uint(n%64)
+		}
+	}
+	return lanes
+}
+
+// evalBatch sends one n-pattern batch to both memos and compares the
+// results and counters.
+func (p *memoPair) evalBatch(rng *rand.Rand, n int, fresh float64) error {
+	lanes := p.lanesOf(rng, n, fresh)
+	if !slices.Equal(p.flat.EvalBatch(lanes, n), p.ref.EvalBatch(lanes, n)) {
+		return fmt.Errorf("results differ")
+	}
+	return p.check()
+}
+
+// setHook attaches a fresh event hook to both memos, or detaches them.
+func (p *memoPair) setHook(on bool) {
+	if !on {
+		p.flat.SetHook(nil)
+		p.ref.SetHook(nil)
+		return
+	}
+	fh, rh := &eventHook{}, &eventHook{}
+	p.flatHooks, p.refHooks = append(p.flatHooks, fh), append(p.refHooks, rh)
+	p.flat.SetHook(fh)
+	p.ref.SetHook(rh)
+}
+
+// check compares the hit, miss and eviction counters and the lengths.
+func (p *memoPair) check() error {
+	st := p.flat.Stats()
+	got := [4]int64{st.Hits, st.Misses, st.Evictions, int64(st.Entries)}
+	want := [4]int64{p.ref.hits.Load(), p.ref.misses.Load(), p.ref.evictions.Load(), int64(p.ref.Len())}
+	if got != want {
+		return fmt.Errorf("hits/misses/evictions/len %v, reference %v", got, want)
+	}
+	return nil
+}
+
+// finish compares the inner oracles' call logs and the hook event
+// sequences.
+func (p *memoPair) finish() error {
+	if a, b := strings.Join(p.flatInner.log, "\n"), strings.Join(p.refInner.log, "\n"); a != b {
+		return fmt.Errorf("inner call logs differ (%d vs %d calls)", len(p.flatInner.log), len(p.refInner.log))
+	}
+	for i := range p.flatHooks {
+		if a, b := strings.Join(p.flatHooks[i].events, "\n"), strings.Join(p.refHooks[i].events, "\n"); a != b {
+			return fmt.Errorf("hook %d event sequences differ (%d vs %d events)", i, len(p.flatHooks[i].events), len(p.refHooks[i].events))
+		}
+	}
+	return nil
 }
 
 func compareMemos(nIn, nOut, capacity int, seed int64) (evictions int64, err error) {
 	rng := rand.New(rand.NewSource(seed))
-	flatInner := &logOracle{nIn: nIn, nOut: nOut}
-	refInner := &logOracle{nIn: nIn, nOut: nOut}
-	flat := NewMemoCap(flatInner, capacity)
-	ref := newRefMemo(refInner, capacity)
-	var flatHooks, refHooks []*eventHook
-
-	// A small alphabet makes keys repeat; twice the capacity (up to 2048)
-	// makes every shard evict.
-	alpha := make([][]bool, min(2*capacity+3, 2048))
-	for i := range alpha {
-		alpha[i] = make([]bool, nIn)
-		for j := range alpha[i] {
-			alpha[i][j] = rng.Intn(2) == 1
-		}
-	}
-	pick := func() []bool { return alpha[rng.Intn(len(alpha))] }
-	lanesOf := func(n int) []bitvec.Word {
-		w := Words(n)
-		lanes := make([]bitvec.Word, nIn*w)
-		for k := 0; k < n; k++ {
-			for i, bit := range pick() {
-				if bit {
-					setLaneBit(lanes, w, i, k)
-				}
-			}
-		}
-		// Tail bits are don't-cares: both memos must ignore them.
-		if n%64 != 0 {
-			for i := 0; i < nIn; i++ {
-				lanes[i*w+w-1] |= rng.Uint64() << uint(n%64)
-			}
-		}
-		return lanes
-	}
-
+	p := newMemoPair(nIn, nOut, capacity, rng)
 	for step := 0; step < 40; step++ {
 		var what string
+		var err error
 		switch r := rng.Intn(20); {
 		case r < 10:
 			n := 1 + rng.Intn(300)
-			lanes := lanesOf(n)
 			what = fmt.Sprintf("EvalBatch(n=%d)", n)
-			got, want := flat.EvalBatch(lanes, n), ref.EvalBatch(lanes, n)
-			if !slices.Equal(got, want) {
-				return 0, fmt.Errorf("step %d %s: results differ", step, what)
-			}
+			err = p.evalBatch(rng, n, 0)
 		case r < 13:
-			a := pick()
+			a := p.pick(rng)
 			what = "Eval"
-			if got, want := bitLine(flat.Eval(a)), bitLine(ref.Eval(a)); got != want {
-				return 0, fmt.Errorf("step %d Eval: %s, reference %s", step, got, want)
+			if got, want := bitLine(p.flat.Eval(a)), bitLine(p.ref.Eval(a)); got != want {
+				err = fmt.Errorf("%s, reference %s", got, want)
 			}
 		case r < 15:
-			lanes := lanesOf(64)
+			lanes := p.lanesOf(rng, 64, 0)
 			what = "EvalWords"
-			if got, want := EvalWords(flat, lanes), ref.EvalBatch(lanes, 64); !slices.Equal(got, want) {
-				return 0, fmt.Errorf("step %d EvalWords: results differ", step)
+			if !slices.Equal(EvalWords(p.flat, lanes), p.ref.EvalBatch(lanes, 64)) {
+				err = fmt.Errorf("results differ")
 			}
 		case r < 18:
 			what = "Preload"
 			for i := rng.Intn(5); i >= 0; i-- {
-				a := pick()
-				key, out := MemoKey(a), refInner.f(a)
-				flat.Preload(key, out)
-				ref.Preload(key, out)
+				a := p.pick(rng)
+				key, out := MemoKey(a), p.refInner.f(a)
+				p.flat.Preload(key, out)
+				p.ref.Preload(key, out)
 			}
 		default:
 			what = "SetHook"
-			if rng.Intn(3) == 0 {
-				flat.SetHook(nil)
-				ref.SetHook(nil)
-			} else {
-				fh, rh := &eventHook{}, &eventHook{}
-				flatHooks, refHooks = append(flatHooks, fh), append(refHooks, rh)
-				flat.SetHook(fh)
-				ref.SetHook(rh)
-			}
+			p.setHook(rng.Intn(3) != 0)
 		}
-		st := flat.Stats()
-		got := [4]int64{st.Hits, st.Misses, st.Evictions, int64(st.Entries)}
-		want := [4]int64{ref.hits.Load(), ref.misses.Load(), ref.evictions.Load(), int64(ref.Len())}
-		if got != want {
-			return 0, fmt.Errorf("step %d %s: hits/misses/evictions/len %v, reference %v", step, what, got, want)
+		if err == nil {
+			err = p.check()
+		}
+		if err != nil {
+			return 0, fmt.Errorf("step %d %s: %v", step, what, err)
 		}
 	}
-	if a, b := strings.Join(flatInner.log, "\n"), strings.Join(refInner.log, "\n"); a != b {
-		return 0, fmt.Errorf("inner call logs differ (%d vs %d calls)", len(flatInner.log), len(refInner.log))
+	if err := p.finish(); err != nil {
+		return 0, err
 	}
-	for i := range flatHooks {
-		if a, b := strings.Join(flatHooks[i].events, "\n"), strings.Join(refHooks[i].events, "\n"); a != b {
-			return 0, fmt.Errorf("hook %d event sequences differ (%d vs %d events)", i, len(flatHooks[i].events), len(refHooks[i].events))
-		}
-	}
-	return ref.evictions.Load(), nil
+	return p.ref.evictions.Load(), nil
 }

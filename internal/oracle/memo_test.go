@@ -210,6 +210,90 @@ func TestMemoConcurrentStress(t *testing.T) {
 	}
 }
 
+// TestMemoConcurrentStressSharded is the stress test on a 16-shard memo, so
+// that batches hold shard locks in turn while other goroutines probe and
+// fill the same shards. Workers mix batches of up to 5,000 patterns with
+// Eval and Stats, and the hook sees every fresh insert once: each one is
+// either still cached or was evicted.
+func TestMemoConcurrentStressSharded(t *testing.T) {
+	const nIn, nOut, capacity = 16, 3, 256
+	f := (&logOracle{nIn: nIn, nOut: nOut}).f
+	inner := &FuncOracle{Ins: make([]string, nIn), Outs: make([]string, nOut), F: f}
+	m := NewMemoCap(inner, capacity)
+	if len(m.shards) != memoShardCount {
+		t.Fatalf("capacity %d built %d shards, want %d", capacity, len(m.shards), memoShardCount)
+	}
+	inserts := newRecordingHook()
+	m.SetHook(inserts)
+
+	const workers = 6
+	const rounds = 40
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			// Ten free low bits under fixed high bits: 1,024 keys, four
+			// times the capacity, so batches both hit and evict.
+			pattern := func() uint64 { return uint64(rng.Intn(1024)) | 0x25<<10 }
+			for r := 0; r < rounds; r++ {
+				switch rng.Intn(4) {
+				case 0, 1:
+					n := 1 + rng.Intn(5000)
+					w := Words(n)
+					lanes := make([]bitvec.Word, nIn*w)
+					for k := 0; k < n; k++ {
+						x := pattern()
+						for i := 0; i < nIn; i++ {
+							if x>>uint(i)&1 == 1 {
+								setLaneBit(lanes, w, i, k)
+							}
+						}
+					}
+					got, want := m.EvalBatch(lanes, n), EvalBatch(inner, lanes, n)
+					for j := 0; j < nOut; j++ {
+						for k := 0; k < n; k++ {
+							if laneBit(got, w, j, k) != laneBit(want, w, j, k) {
+								errs <- fmt.Errorf("EvalBatch(n=%d) output %d pattern %d differs from the inner oracle", n, j, k)
+								return
+							}
+						}
+					}
+				case 2:
+					a := make([]bool, nIn)
+					x := pattern()
+					for i := range a {
+						a[i] = x>>uint(i)&1 == 1
+					}
+					if got, want := bitLine(m.Eval(a)), bitLine(f(a)); got != want {
+						errs <- fmt.Errorf("Eval(%s) = %s, want %s", bitLine(a), got, want)
+						return
+					}
+				default:
+					_ = m.Stats()
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	st := m.Stats()
+	if st.Entries > capacity {
+		t.Errorf("cache holds %d entries, capacity %d", st.Entries, capacity)
+	}
+	if st.Evictions == 0 || st.Hits == 0 {
+		t.Errorf("the drive never evicted or never hit: %+v", st)
+	}
+	if got, want := int64(inserts.count()), st.Evictions+int64(st.Entries); got != want {
+		t.Errorf("hook saw %d inserts, want evictions + entries = %d (%+v)", got, want, st)
+	}
+}
+
 // statelessOracle is countingOracle's function without the call counter, so
 // concurrent cache misses do not race on the oracle itself.
 type statelessOracle struct{}

@@ -16,7 +16,10 @@
 // EvalOutput is EvalBatch read at one output: what support identification
 // and tree growth ask, since the learner takes the outputs one at a time.
 // Every wrapper in this package (Counter, Memo, Recorder) preserves
-// the batch capability of the oracle it wraps. The circuit-backed
+// the batch capability of the oracle it wraps. Memo forwards a batch's
+// deduplicated misses as one inner batch; it probes and fills its cache a
+// shard at a time, on pooled scratch, with the results, counters and LRU
+// order of taking the patterns one by one. The circuit-backed
 // oracle answers a batch with the circuit's k-word simulation kernel (up to
 // 1024 patterns per pass over the gates) on pooled scratch, so the pipeline's
 // wide batches — a whole PatternSampling sweep per call — cost no per-call
