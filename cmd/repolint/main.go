@@ -8,21 +8,20 @@
 //
 //	repolint ./...
 //
-// It schedules packages over the dependency DAG in parallel (-parallel,
-// default GOMAXPROCS), passes cross-package summaries (facts) from each
-// package to its dependents, and, with -cache DIR (or the REPOLINT_CACHE
-// environment variable), replays unchanged packages from a
-// content-addressed cache keyed on source, the analyzer set, and
-// dependency facts — output is byte-identical to a cold sequential run.
-// -stats prints unit, cache-hit, and wall-clock counts to stderr.
-//
-//	repolint -parallel 8 -cache ~/.cache/repolint -stats ./...
+// It lists the patterns with one `go list -deps -export`, type-checks
+// every package of the module in their dependency closure from source,
+// and analyzes them one after another in dependency order, so the
+// cross-package summaries (facts) of a package are in place before its
+// dependents are analyzed, whether or not the patterns name it. Only the
+// matched packages' findings are printed.
 //
 // -format selects text (default) or sarif (SARIF 2.1.0, for GitHub code
 // scanning uploads). Exit status is 2 when any analyzer reports a finding:
 // the gate is zero findings, and the per-line escape hatch is a reviewed
-// //logicreg:allow <analyzer> <reason> comment. Lock values copied by
-// value are `go vet`'s copylocks check, not repolint's.
+// //logicreg:allow <analyzer> <reason> comment. It is 1 when a package
+// fails to list or type-check, with the error, naming the package, on
+// stderr. Lock values copied by value are `go vet`'s copylocks check, not
+// repolint's.
 package main
 
 import (

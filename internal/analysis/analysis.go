@@ -5,11 +5,11 @@
 // It mirrors the golang.org/x/tools/go/analysis API surface this repo needs
 // (Analyzer, Pass, Diagnostic) on the standard library alone, so the module
 // keeps no dependencies. There is one entry point, Main (cmd/repolint),
-// and one way the analyzers run: the Driver (driver.go) loads packages and
-// compiler export data via `go list`, type-checks each package from
-// source, schedules packages over the dependency DAG in parallel, passes
-// cross-package facts from each package to its dependents, and replays
-// unchanged packages from a content-addressed cache (cache.go):
+// and one way the analyzers run: Load (load.go) lists the patterns'
+// dependency closure with one `go list`, type-checks the module's packages
+// from source into one types universe, and Run analyzes every module
+// package in dependency order, passing cross-package facts through one
+// in-memory map (facts.go):
 //
 //	go run ./cmd/repolint ./...
 //
@@ -33,11 +33,6 @@ type Analyzer struct {
 	Doc string
 	// Run inspects a package and reports findings through the pass.
 	Run func(*Pass) error
-	// FactTypes declares the cross-package fact types the analyzer
-	// exports or imports (pointer prototypes; see facts.go). An analyzer
-	// with fact types also runs on dependency-only units so its
-	// summaries reach dependents.
-	FactTypes []Fact
 }
 
 // A Pass presents one package to one analyzer.
@@ -56,11 +51,9 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	report func(Diagnostic)
-	// readFacts resolves dependency fact sets; exported collects this
-	// package's outgoing facts. readFacts is nil for fact-less runs
-	// (CheckFiles, the fixtures): Import finds nothing.
-	readFacts FactReader
-	exported  *PackageFacts
+	// facts is the run's fact store, shared by every package and analyzer
+	// of one Run or Check.
+	facts map[factKey]Fact
 }
 
 // Reportf records a diagnostic at pos.
@@ -81,16 +74,4 @@ type Diagnostic struct {
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s (%s)", d.Pos, d.Message, d.Analyzer)
-}
-
-// newInfo allocates the types.Info maps every analyzer may consult.
-func newInfo() *types.Info {
-	return &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
 }

@@ -39,8 +39,9 @@
 // hotalloc additionally uses its reachability utilities (cold and cycle
 // blocks); see DESIGN.md §12 for the annotation grammar. Two analyzers —
 // hotalloc and mapdet — additionally export cross-package facts
-// (AllocFree, Unordered) through the framework's facts store, so their
-// summaries survive package boundaries; see DESIGN.md §13.
+// (AllocFree, Unordered) into the run's fact map, which repolint fills
+// package by package in dependency order, so their summaries survive
+// package boundaries; see DESIGN.md §13.
 package analyzers
 
 import (

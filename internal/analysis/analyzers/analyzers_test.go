@@ -1,13 +1,15 @@
 package analyzers
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -22,12 +24,22 @@ import (
 // exercises each way the rule fires; fixed.go shows the repaired code and
 // must be silent.
 
-var exportsOnce = sync.OnceValues(func() (map[string]string, error) {
-	// Repo root relative to this package; the index covers the full
-	// dependency closure (internal packages, math/rand, io, ...) so the
-	// fixtures type-check against real export data.
-	return analysis.ExportIndex("../../..", "logicregression/...")
+// loadModule loads the whole module once: the fixtures type-check against
+// its packages and the export data of their dependency closure (math/rand,
+// io, ...), and TestRepoIsClean runs over it.
+var loadModule = sync.OnceValues(func() (*analysis.Program, error) {
+	return analysis.Load("../../..", "logicregression/...")
 })
+
+// program returns the loaded module or fails the test.
+func program(t *testing.T) *analysis.Program {
+	t.Helper()
+	prog, err := loadModule()
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	return prog
+}
 
 var wantRE = regexp.MustCompile(`// want "([^"]*)"`)
 
@@ -44,17 +56,17 @@ func fixturePath(dir string) string {
 	return "logicregression/fixture/" + dir
 }
 
-// checkFixture parses testdata/src/<dir> and runs the analyzers over it as
-// one package under fixturePath(dir).
+// checkFixture runs the analyzers over testdata/src/<dir> as one package
+// under fixturePath(dir), and returns the fixture's parsed files too.
 func checkFixture(t *testing.T, dir string, analyzers []*analysis.Analyzer) (*token.FileSet, []*ast.File, []analysis.Diagnostic) {
 	t.Helper()
-	exports, err := exportsOnce()
-	if err != nil {
-		t.Fatalf("export index: %v", err)
-	}
 	paths, err := filepath.Glob(filepath.Join("testdata", "src", dir, "*.go"))
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no fixtures for %s: %v", dir, err)
+	}
+	diags, err := program(t).Check(fixturePath(dir), paths, analyzers)
+	if err != nil {
+		t.Fatalf("Check: %v", err)
 	}
 	fset := token.NewFileSet()
 	var files []*ast.File
@@ -64,10 +76,6 @@ func checkFixture(t *testing.T, dir string, analyzers []*analysis.Analyzer) (*to
 			t.Fatalf("%s: %v", p, err)
 		}
 		files = append(files, f)
-	}
-	diags, err := analysis.CheckFiles(fset, files, fixturePath(dir), exports, analyzers)
-	if err != nil {
-		t.Fatalf("CheckFiles: %v", err)
 	}
 	return fset, files, diags
 }
@@ -118,16 +126,8 @@ func runFixture(t *testing.T, a *analysis.Analyzer) {
 // package importPath.
 func checkBadAs(t *testing.T, dir, importPath string, a *analysis.Analyzer) []analysis.Diagnostic {
 	t.Helper()
-	exports, err := exportsOnce()
-	if err != nil {
-		t.Fatalf("export index: %v", err)
-	}
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, filepath.Join("testdata", "src", dir, "bad.go"), nil, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := analysis.CheckFiles(fset, []*ast.File{f}, importPath, exports, []*analysis.Analyzer{a})
+	diags, err := program(t).Check(importPath, []string{filepath.Join("testdata", "src", dir, "bad.go")},
+		[]*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,74 +235,204 @@ func TestDeadBranchFixture(t *testing.T) {
 	runFixture(t, DeadBranch)
 }
 
-// TestRepoIsClean runs every analyzer over the whole module through the
-// parallel facts-aware driver: the rules the analyzers encode are supposed
-// to hold in production code right now, including the cross-package ones.
+// TestDeadBranchFollowsDependencyEdit checks deadbranch across a package
+// boundary under a narrow pattern: the branch in hot folds through a
+// constant imported from mode, which the pattern does not name, and the
+// verdict flips when mode is edited.
+func TestDeadBranchFollowsDependencyEdit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs go list on a temp module")
+	}
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod":       "module example.com/constdep\n\ngo 1.21\n",
+		"mode/mode.go": "package mode\n\nconst Threshold = 1\n",
+		"hot/hot.go": `package hot
+
+import "example.com/constdep/mode"
+
+func Pick(x int) int {
+	v := mode.Threshold
+	if v > 0 {
+		return x
+	}
+	return -x
+}
+`,
+	}
+	for name, src := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	verdict := func() string {
+		t.Helper()
+		prog, err := analysis.Load(dir, "./hot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		diags, err := prog.Run([]*analysis.Analyzer{DeadBranch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(diags) != 1 || filepath.Base(diags[0].Pos.Filename) != "hot.go" {
+			t.Fatalf("want one finding in hot.go, got %v", diags)
+		}
+		return diags[0].Message
+	}
+
+	if msg := verdict(); !strings.Contains(msg, "always true") {
+		t.Fatalf("mode.Threshold = 1: %q, want an always-true verdict", msg)
+	}
+	modePath := filepath.Join(dir, "mode", "mode.go")
+	if err := os.WriteFile(modePath, []byte("package mode\n\nconst Threshold = -1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if msg := verdict(); !strings.Contains(msg, "always false") {
+		t.Fatalf("mode.Threshold = -1: %q, want an always-false verdict", msg)
+	}
+}
+
+// TestWriteSARIF writes the hotalloc fixture's diagnostics as SARIF and
+// decodes the log: one rule per analyzer in All() order carrying its Doc,
+// one result per diagnostic in order, with file paths made relative to the
+// working directory.
+func TestWriteSARIF(t *testing.T) {
+	_, _, diags := checkFixture(t, "hotalloc", All())
+	if len(diags) == 0 {
+		t.Fatal("the hotalloc fixture drew no diagnostics; the check is vacuous")
+	}
+	rel := make([]string, len(diags))
+	for i := range diags {
+		rel[i] = filepath.ToSlash(diags[i].Pos.Filename)
+		abs, err := filepath.Abs(diags[i].Pos.Filename)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diags[i].Pos.Filename = abs
+	}
+	var buf bytes.Buffer
+	if err := analysis.WriteSARIF(&buf, All(), diags); err != nil {
+		t.Fatal(err)
+	}
+	var log struct {
+		Runs []struct {
+			Tool struct {
+				Driver struct {
+					Name, Version string
+					Rules         []struct {
+						ID               string
+						ShortDescription struct{ Text string }
+					}
+				}
+			}
+			Results []struct {
+				RuleID, Level string
+				Message       struct{ Text string }
+				Locations     []struct {
+					PhysicalLocation struct {
+						ArtifactLocation struct{ URI string }
+						Region           struct{ StartLine, StartColumn int }
+					}
+				}
+			}
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &log); err != nil {
+		t.Fatalf("decode: %v\n%s", err, buf.String())
+	}
+	if len(log.Runs) != 1 {
+		t.Fatalf("%d runs, want 1", len(log.Runs))
+	}
+	run := log.Runs[0]
+	if d := run.Tool.Driver; d.Name != "repolint" || d.Version != analysis.Version {
+		t.Errorf("tool %s %s, want repolint %s", d.Name, d.Version, analysis.Version)
+	}
+	rules := run.Tool.Driver.Rules
+	if len(rules) != len(All()) {
+		t.Fatalf("%d rules, want %d", len(rules), len(All()))
+	}
+	for i, a := range All() {
+		if rules[i].ID != a.Name || rules[i].ShortDescription.Text != a.Doc {
+			t.Errorf("rule %d is %q, want %s with its Doc", i, rules[i].ID, a.Name)
+		}
+	}
+	if len(run.Results) != len(diags) {
+		t.Fatalf("%d results, want %d", len(run.Results), len(diags))
+	}
+	for i, r := range run.Results {
+		d := diags[i]
+		if r.RuleID != d.Analyzer || r.Level != "warning" || r.Message.Text != d.Message || len(r.Locations) != 1 {
+			t.Errorf("result %d = %+v, want %s", i, r, d)
+			continue
+		}
+		loc := r.Locations[0].PhysicalLocation
+		if loc.ArtifactLocation.URI != rel[i] || loc.Region.StartLine != d.Pos.Line || loc.Region.StartColumn != d.Pos.Column {
+			t.Errorf("result %d at %s:%d:%d, want %s:%d:%d", i, loc.ArtifactLocation.URI,
+				loc.Region.StartLine, loc.Region.StartColumn, rel[i], d.Pos.Line, d.Pos.Column)
+		}
+	}
+
+	buf.Reset()
+	if err := analysis.WriteSARIF(&buf, All(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"results": []`) {
+		t.Errorf("no diagnostics did not encode as \"results\": []:\n%s", buf.String())
+	}
+}
+
+// TestRepoIsClean runs every analyzer over the whole module, cross-package
+// facts included: the rules the analyzers encode are supposed to hold in
+// production code right now.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and analyzes the full module")
 	}
-	units, err := analysis.LoadPackages("../../..", "logicregression/...")
+	diags, err := program(t).Run(All())
 	if err != nil {
-		t.Fatalf("load: %v", err)
+		t.Fatal(err)
 	}
-	d := &analysis.Driver{Analyzers: All(), Parallel: runtime.NumCPU()}
-	results, stats, err := d.Run(units)
-	if err != nil {
-		t.Fatalf("driver: %v", err)
-	}
-	if stats.Failed != 0 {
-		t.Errorf("%d units failed to analyze", stats.Failed)
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			t.Errorf("%s: %v", r.Unit.ImportPath, r.Err)
-		}
-		for _, d := range r.Diags {
-			t.Errorf("%s", d)
-		}
+	for _, d := range diags {
+		t.Errorf("%s", d)
 	}
 }
 
 // TestHotAllocExportsFactsOnRealCode pins the cross-package side of the
 // hot-path contract: analyzing internal/bitvec (all hot-path leaf code)
 // must yield AllocFree facts on its exported API, or callers in other
-// packages would have nothing to import.
+// packages would have nothing to import. A probe run after hotalloc reads
+// them back from bitvec's own pass.
 func TestHotAllocExportsFactsOnRealCode(t *testing.T) {
-	exports, err := exportsOnce()
-	if err != nil {
-		t.Fatalf("export index: %v", err)
+	var free, total int
+	probe := &analysis.Analyzer{
+		Name: "allocfreeprobe",
+		Doc:  "test-only: counts AllocFree facts on bitvec's exported functions",
+		Run: func(pass *analysis.Pass) error {
+			if pass.Pkg.Path() != "logicregression/internal/bitvec" {
+				return nil
+			}
+			for _, f := range pass.Files {
+				for _, d := range f.Decls {
+					if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() {
+						total++
+						if pass.ImportObjectFact(pass.TypesInfo.Defs[fd.Name], &AllocFree{}) {
+							free++
+						}
+					}
+				}
+			}
+			return nil
+		},
 	}
-	paths, err := filepath.Glob(filepath.Join("..", "..", "bitvec", "*.go"))
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no bitvec sources: %v", err)
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, p := range paths {
-		if strings.HasSuffix(p, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, f)
-	}
-	_, facts, err := analysis.CheckFilesWithFacts(fset, files,
-		"logicregression/internal/bitvec", exports,
-		[]*analysis.Analyzer{HotAlloc}, nil)
-	if err != nil {
+	if _, err := program(t).Run([]*analysis.Analyzer{HotAlloc, probe}); err != nil {
 		t.Fatal(err)
 	}
-	if facts.Len() == 0 {
-		t.Fatal("hotalloc exported no facts for internal/bitvec")
-	}
-	blob, err := facts.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(blob), `"AllocFree"`) {
-		t.Errorf("facts blob carries no AllocFree entries:\n%s", blob)
+	if total == 0 || free == 0 {
+		t.Fatalf("hotalloc exported AllocFree on %d of bitvec's %d exported functions, want some", free, total)
 	}
 }

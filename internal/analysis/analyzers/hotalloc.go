@@ -31,14 +31,15 @@ import (
 // Same-package callees are resolved by bottom-up summary over the call
 // graph, so a hotpath kernel may call local helpers freely as long as the
 // whole tree stays allocation-free. Cross-package callees are resolved
-// through the facts store: every package run exports an AllocFree fact on
-// each exported function its summary proves allocation-free, and a
-// hot-path call into another module package is vouched for when the
-// callee carries that fact — the static allowlist below remains only for
-// packages outside the module (whose facts are never computed). Blocks
-// that can only reach the CFG's panic exit are cold: a fmt.Sprintf feeding
-// a bounds-check panic is fine. Genuine exceptions (amortized growth of
-// reused scratch) are annotated with `//logicreg:allow hotalloc <reason>`.
+// through the run's facts: every module package exports an AllocFree fact
+// on each exported function its summary proves allocation-free, before any
+// package that imports it is analyzed, and a hot-path call into another
+// module package is vouched for when the callee carries that fact — the
+// static allowlist below remains only for packages outside the module
+// (whose facts are never computed). Blocks that can only reach the CFG's
+// panic exit are cold: a fmt.Sprintf feeding a bounds-check panic is fine.
+// Genuine exceptions (amortized growth of reused scratch) are annotated
+// with `//logicreg:allow hotalloc <reason>`.
 // TestHotpathGcflagsCrossCheck holds the same bodies to the escapes
 // `go build -gcflags=-m` reports on their lines; the callees are this
 // analyzer's alone.
@@ -48,8 +49,7 @@ var HotAlloc = &analysis.Analyzer{
 		"and unvouched calls on the non-panic paths of //logicreg:hotpath " +
 		"functions, with bottom-up summaries for same-package callees and " +
 		"AllocFree facts for cross-package ones",
-	Run:       runHotAlloc,
-	FactTypes: []analysis.Fact{&AllocFree{}},
+	Run: runHotAlloc,
 }
 
 // An AllocFree fact marks an exported function whose bottom-up summary
@@ -158,8 +158,9 @@ func runHotAlloc(pass *analysis.Pass) error {
 	}
 
 	// Publish the clean summaries: an exported function with no
-	// allocation evidence is vouched for dependents' hot paths.
-	for _, n := range graph.Exported() {
+	// allocation evidence is vouched for dependents' hot paths
+	// (ExportObjectFact skips what a dependent cannot name).
+	for _, n := range graph.Order {
 		if summary[n] == nil {
 			pass.ExportObjectFact(n.Fn, &AllocFree{})
 		}

@@ -37,17 +37,16 @@ import (
 // Functions that deliberately return map-ordered slices acknowledge it
 // with //logicreg:allow mapdet <reason>; the finding is suppressed but the
 // function still exports an Unordered fact, and callers — in this package
-// or any dependent one, via the facts store — have the same contract
-// applied to the call's result: sort it before returning, serializing, or
-// merging it.
+// or, through the run's facts, any module package that imports it — have
+// the same contract applied to the call's result: sort it before
+// returning, serializing, or merging it.
 var MapDet = &analysis.Analyzer{
 	Name: "mapdet",
 	Doc: "range-over-map and select-arrival values must not flow into " +
 		"returned slices, serialized output, or merge positions without an " +
 		"intervening sort; unordered-returning functions export a fact so " +
 		"callers inherit the obligation",
-	Run:       runMapDet,
-	FactTypes: []analysis.Fact{&Unordered{}},
+	Run: runMapDet,
 }
 
 // An Unordered fact marks an exported function at least one of whose
@@ -175,8 +174,6 @@ func runMapDet(pass *analysis.Pass) error {
 				pass.Reportf(f.pos, "%s", f.msg)
 			}
 		}
-	}
-	for _, n := range graph.Exported() {
 		if unordered[n.Fn] {
 			pass.ExportObjectFact(n.Fn, &Unordered{})
 		}

@@ -90,36 +90,6 @@ func BuildCallGraph(files []*ast.File, info *types.Info) *CallGraph {
 	return g
 }
 
-// Exported returns the graph's nodes a dependent package can name through
-// export data — exported package-level functions, and exported methods
-// whose receiver is an exported package-level named type — in source
-// order. It is the iteration hook analyzers use to publish their bottom-up
-// summaries as cross-package facts once Fixpoint has settled.
-func (g *CallGraph) Exported() []*CallNode {
-	var out []*CallNode
-	for _, n := range g.Order {
-		if !n.Fn.Exported() {
-			continue
-		}
-		if recv := n.Fn.Type().(*types.Signature).Recv(); recv != nil {
-			t := recv.Type()
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			named, ok := t.(*types.Named)
-			if !ok {
-				continue
-			}
-			tn := named.Obj()
-			if !tn.Exported() || tn.Parent() != tn.Pkg().Scope() {
-				continue
-			}
-		}
-		out = append(out, n)
-	}
-	return out
-}
-
 // Fixpoint iterates visit over every node until one full sweep reports no
 // change, in reverse source order first (callees tend to precede callers in
 // Go files less often than the opposite, but iteration makes order a

@@ -20,7 +20,7 @@ func TestSolverFixpointOnRepo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and solves the full module")
 	}
-	units, err := analysis.LoadPackages("../../..", "logicregression/...")
+	prog, err := analysis.Load("../../..", "logicregression/...")
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -65,16 +65,8 @@ func TestSolverFixpointOnRepo(t *testing.T) {
 			return nil
 		},
 	}
-	// Sequential: the probe counts into a shared variable.
-	d := &analysis.Driver{Analyzers: []*analysis.Analyzer{probe, analyzers.NilFlow}, Parallel: 1}
-	results, _, err := d.Run(units)
-	if err != nil {
+	if _, err := prog.Run([]*analysis.Analyzer{probe, analyzers.NilFlow}); err != nil {
 		t.Fatal(err)
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatalf("%s: %v", r.Unit.ImportPath, r.Err)
-		}
 	}
 	// The module is not small; a probe that silently analyzed nothing
 	// would make this test vacuous.

@@ -10,8 +10,10 @@ import (
 // SARIF 2.1.0 output for the GitHub code-scanning endpoint. Paths are
 // relative to the working directory so reports are stable across
 // checkouts, and the log is emitted from the already-sorted diagnostic
-// list, so byte-for-byte equality holds across sequential, parallel, and
-// cached runs.
+// list, so the same tree always gives the same bytes.
+
+// Version is the tool version SARIF logs carry.
+const Version = "repolint-8"
 
 // relPath makes path relative to the working directory when possible.
 func relPath(path string) string {

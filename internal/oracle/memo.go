@@ -481,7 +481,8 @@ func (o *Memo) Eval(a []bool) []bool {
 // are the same, and so are the inner batch (the deduplicated misses in
 // pattern order) and the hook events (in miss order, fired after the fills
 // outside the locks). A pattern whose key already missed earlier in the
-// batch takes that miss's answer without a probe.
+// batch takes that miss's answer without a probe and counts as a hit: the
+// box is never asked for it, so hits plus misses is the patterns probed.
 //
 // A probe or fill mostly waits on cache misses: the index bucket of its
 // key and, in a full shard, the key words and bucket of the entry it
@@ -531,7 +532,7 @@ func (o *Memo) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 	mask := size - 1
 	resp, ref := grow(&sc.resp, n*ow), grow(&sc.ref, n)
 	var nFill [memoShardCount]int32
-	var hits, misses int64
+	var misses int64
 	for si := range o.shards {
 		group := order[start[si]:start[si+1]:start[si+1]]
 		if len(group) == 0 {
@@ -556,7 +557,6 @@ func (o *Memo) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 				at := int(slot)*stride + kw
 				copy(resp[int(k)*ow:int(k+1)*ow], s.words[at:at+ow])
 				ref[k] = -1
-				hits++
 				continue
 			}
 			seen[bk] = k + 1
@@ -567,7 +567,7 @@ func (o *Memo) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 		nFill[si] = int32(len(fills))
 		misses += int64(len(fills))
 	}
-	o.hits.Add(hits)
+	o.hits.Add(int64(n) - misses)
 	o.misses.Add(misses)
 
 	if nMiss := int(misses); nMiss > 0 {

@@ -159,6 +159,7 @@ func (o *refMemo) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 		key := assignKey(assign)
 		if m, dup := missOf[key]; dup {
 			ref[k] = m
+			o.hits.Add(1)
 			continue
 		}
 		if v, ok := o.get(o.shard(key), key); ok {
