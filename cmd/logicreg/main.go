@@ -11,9 +11,12 @@
 //	logicreg -netlist golden.net -seed 7 -time 60s -out learned.net
 //	logicreg -remote 127.0.0.1:9000 -oracle-timeout 10s -oracle-retries 12
 //	logicreg -case case_11 -cpuprofile learn.prof -out learned.net
+//	logicreg -case case_11 -memprofile alloc.prof -out learned.net
 //
-// -cpuprofile writes a runtime/pprof CPU profile of the whole run, for
-// `go tool pprof`; profiling never changes the learned netlist.
+// -cpuprofile writes a runtime/pprof CPU profile of the whole run, and
+// -memprofile the allocs profile (every allocation sampled since the start,
+// at the default rate) once the learn returns, for `go tool pprof`;
+// profiling never changes the learned netlist.
 //
 // Remote sessions send every multi-pattern query as batch frames and are
 // fault tolerant: transport hiccups are retried with reconnection
@@ -30,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"runtime/pprof"
 
 	"logicregression/internal/cases"
@@ -65,6 +69,7 @@ func main() {
 		storeDir  = flag.String("store", "", "persistent store directory: warm-start the memo from the log, persist every answered query, and reuse a previously learned circuit when this oracle/seed/options was already solved")
 		storeImp  = flag.String("store-import", "", "import a recorded transcript (-record format) into the store's memo log before learning (requires -store)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (runtime/pprof format)")
+		memProf   = flag.String("memprofile", "", "write an allocation profile of the learn to this file (runtime/pprof format)")
 	)
 	flag.Parse()
 	if *storeImp != "" && *storeDir == "" {
@@ -78,6 +83,15 @@ func main() {
 			os.Exit(1)
 		}
 		defer stop()
+	}
+	writeMemProfile := func() {}
+	if *memProf != "" {
+		write, err := createMemProfile(*memProf)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "logicreg:", err)
+			os.Exit(1)
+		}
+		writeMemProfile = write
 	}
 
 	o, closer, err := loadOracle(*caseName, *netlist, *remote, ioserve.DialConfig{
@@ -213,6 +227,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "logicreg: stored circuit unusable, relearning:", err)
 		case c != nil:
 			fmt.Fprintf(os.Stderr, "store: warm start — reusing stored circuit (%d gates) for this oracle/seed/options\n", c.Size())
+			writeMemProfile()
 			finishRecording()
 			writeNetlist(*outPath, c)
 			return
@@ -220,6 +235,7 @@ func main() {
 	}
 
 	res := core.Learn(o, opts)
+	writeMemProfile()
 
 	fmt.Fprintf(os.Stderr, "learned: %s\n", res)
 	for _, or := range res.Outputs {
@@ -293,6 +309,26 @@ func startCPUProfile(path string) (stop func(), err error) {
 		pprof.StopCPUProfile()
 		if err := f.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "logicreg: cpuprofile:", err)
+		}
+	}, nil
+}
+
+// createMemProfile creates path for an allocs profile; write, called once
+// the learn returns, runs a GC so the profile counts every allocation made
+// so far, writes the profile and closes the file.
+func createMemProfile(path string) (write func(), err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return func() {
+		runtime.GC()
+		err := pprof.Lookup("allocs").WriteTo(f, 0)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "logicreg: memprofile:", err)
 		}
 	}, nil
 }

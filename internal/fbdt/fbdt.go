@@ -104,6 +104,7 @@ func Build(o oracle.Oracle, out int, cfg Config, rng sampling.RNG) Result {
 	var res Result
 	queue := []sop.Cube{nil} // root: empty cube
 	first := true
+	probe := make([]uint64, o.NumInputs()) // probeTruthRatio's lane words
 	for len(queue) > 0 {
 		var cube sop.Cube
 		if cfg.DepthFirst {
@@ -124,7 +125,7 @@ func Build(o oracle.Oracle, out int, cfg Config, rng sampling.RNG) Result {
 		overBudget := (cfg.MaxNodes > 0 && res.Stats.NodesExpanded >= cfg.MaxNodes) ||
 			(!cfg.Deadline.IsZero() && time.Now().After(cfg.Deadline))
 		if overBudget {
-			tr := probeTruthRatio(o, out, cube, rng)
+			tr := probeTruthRatio(o, out, cube, rng, probe)
 			if first {
 				res.RootTruthRatio = tr
 				first = false
@@ -146,7 +147,7 @@ func Build(o oracle.Oracle, out int, cfg Config, rng sampling.RNG) Result {
 		if s.Samples == 0 {
 			// Every candidate is bound: estimate the residual function
 			// directly under the cube.
-			tr = probeTruthRatio(o, out, cube, rng)
+			tr = probeTruthRatio(o, out, cube, rng, probe)
 		}
 		if first {
 			res.RootTruthRatio = tr
@@ -187,9 +188,10 @@ func Build(o oracle.Oracle, out int, cfg Config, rng sampling.RNG) Result {
 
 // probeTruthRatio samples probeR assignments satisfying the cube, drawn with
 // the first bias of the default pool, and returns the fraction of 1s at the
-// output. The probeR patterns go to the oracle as one batch.
-func probeTruthRatio(o oracle.Oracle, out int, cube sop.Cube, rng sampling.RNG) float64 {
-	lanes := sampling.RandomWords(rng, o.NumInputs(), sampling.DefaultRatios[0], cube)
+// output. The probeR patterns go to the oracle as one batch, drawn into
+// lanes, one word per input, which Build keeps for all its probes.
+func probeTruthRatio(o oracle.Oracle, out int, cube sop.Cube, rng sampling.RNG, lanes []uint64) float64 {
+	sampling.FillRandomWords(rng, lanes, sampling.DefaultRatios[0], cube)
 	got := oracle.EvalOutput(o, lanes, probeR, out)[0]
 	return float64(bits.OnesCount64(got)) / probeR
 }

@@ -12,8 +12,12 @@
 // packed densely, at most 2^14 patterns per oracle.EvalOutput call (or one
 // sub-batch, when r alone exceeds that), so a sweep costs one call or a few
 // instead of two per input, with the same query count and pattern order.
-// The sweep reads only the probed output, so a circuit-backed box simulates
-// only that output's cone.
+// A sub-batch reaches the lanes in one pass over its draw rows, its word
+// offset and shift computed once: each draw word is stored into its lane
+// when the sub-batch starts on a word boundary, as every one does when r is
+// a multiple of 64, and ORed in as a shifted pair otherwise, as at the
+// tree's r of 60. The sweep reads only the probed output, so a
+// circuit-backed box simulates only that output's cone.
 //
 // Following the paper's observation that some outputs only reveal
 // sensitivities under assignments with an uneven ratio of 0s and 1s, the
@@ -112,24 +116,32 @@ func (r Result) Support() []int {
 func PatternSampling(o oracle.Oracle, out int, cube sop.Cube, cfg Config, rng RNG) Result {
 	n := o.NumInputs()
 	res := Result{D: make([]int, n)}
-	constrained := make([]bool, n)
+	// D marks the inputs while Free is listed: -1 for a cube-bound input
+	// (its final value), 1 for a free one until it is listed.
 	for _, l := range cube {
-		constrained[l.Var] = true
 		res.D[l.Var] = -1
 	}
-	if cfg.Candidates != nil {
-		inCand := make([]bool, n)
-		for _, i := range cfg.Candidates {
-			inCand[i] = true
-		}
-		for i := 0; i < n; i++ {
-			if !constrained[i] && inCand[i] {
-				res.Free = append(res.Free, i)
+	free := 0
+	if cfg.Candidates == nil {
+		for i, d := range res.D {
+			if d == 0 {
+				res.D[i] = 1
+				free++
 			}
 		}
 	} else {
-		for i := 0; i < n; i++ {
-			if !constrained[i] {
+		for _, i := range cfg.Candidates {
+			if res.D[i] == 0 {
+				res.D[i] = 1
+				free++
+			}
+		}
+	}
+	if free > 0 {
+		res.Free = make([]int, 0, free)
+		for i, d := range res.D {
+			if d == 1 {
+				res.D[i] = 0
 				res.Free = append(res.Free, i)
 			}
 		}
@@ -148,7 +160,8 @@ func PatternSampling(o oracle.Oracle, out int, cube sop.Cube, cfg Config, rng RN
 	r := cfg.R
 	ratios := cfg.ratios()
 	words := (r + 63) / 64
-	per := max(1, sweepChunk/r) // sub-batches per oracle call
+	tail := maskLow(r - (words-1)*64) // pattern bits of an input's last word
+	per := max(1, sweepChunk/r)       // sub-batches per oracle call
 	units := 2 * len(res.Free)
 	buf := sweepPool.Get().(*sweepBufs)
 	defer sweepPool.Put(buf)
@@ -164,9 +177,13 @@ func PatternSampling(o oracle.Oracle, out int, cube sop.Cube, cfg Config, rng RN
 		cnt := min(per, units-u0)
 		m := cnt * r
 		bw := oracle.Words(m)
-		buf.lanes = resize(buf.lanes, n*bw)
+		// One spare word after the last lane takes the zero spill of
+		// packSubBatch's shifted pairs.
+		buf.lanes = resize(buf.lanes, n*bw+1)
 		lanes := buf.lanes
-		clear(lanes)
+		if r%64 != 0 {
+			clear(lanes) // unaligned sub-batches OR their words in
+		}
 		for u := u0; u < u0+cnt; u++ {
 			i := res.Free[u/2]
 			force := ^uint64(0) // alpha_i: input forced to 1
@@ -184,12 +201,9 @@ func PatternSampling(o oracle.Oracle, out int, cube sop.Cube, cfg Config, rng RN
 			for w := 0; w < words; w++ {
 				draw[w*n+i] = force
 			}
-			at := (u - u0) * r
-			for j := 0; j < n; j++ {
-				packBits(lanes[j*bw:(j+1)*bw], at, draw[j:], n, r)
-			}
+			packSubBatch(lanes, draw, n, bw, (u-u0)*r, tail)
 		}
-		outLane := oracle.EvalOutput(o, lanes, m, out)
+		outLane := oracle.EvalOutput(o, lanes[:n*bw], m, out)
 		for u := u0; u < u0+cnt; u++ {
 			unpackBits(got, outLane, (u-u0)*r, r)
 			if u%2 == 0 {
@@ -232,17 +246,41 @@ func resize(buf []uint64, n int) []uint64 {
 	return buf[:n]
 }
 
-// packBits ORs the low r bits of the words src[0], src[stride], ... (bit k
-// of the w-th = pattern 64w+k) into dst starting at bit offset at. dst must
-// be zero over [at, at+r).
-func packBits(dst []uint64, at int, src []uint64, stride, r int) {
-	for w := 0; w*64 < r; w++ {
-		x := src[w*stride] & maskLow(r-w*64)
-		p := at + w*64
-		sh := uint(p & 63)
-		dst[p>>6] |= x << sh
-		if sh != 0 && p>>6+1 < len(dst) {
-			dst[p>>6+1] |= x >> (64 - sh)
+// packSubBatch packs one sub-batch into a call's lanes: the R patterns of
+// input j, the words draw[j], draw[n+j], ... (bit k of the w-th is pattern
+// 64w+k; tail masks the last word to R's bits), go to lane j, the bw words
+// at lanes[j*bw], from bit at on. The word offset and shift are the same
+// for every word of the sub-batch. At a word boundary each word is stored:
+// the sub-batches packed before it end at bit at, so no store overwrites
+// their bits, and when every sub-batch is aligned (R % 64 == 0) each lane
+// word is stored exactly once and the lanes need no zeroing. Off a word
+// boundary each word is ORed in as a shifted pair, into lanes zeroed from
+// at on. The high half of a lane's last pair can fall past the lane's end
+// only with bits past R, which are zero, so it lands harmlessly on the next
+// lane's first word or on the spare word after the last lane.
+//
+//logicreg:hotpath
+func packSubBatch(lanes, draw []uint64, n, bw, at int, tail uint64) {
+	words := len(draw) / n
+	base, sh := at>>6, uint(at)&63
+	for w := 0; w < words; w++ {
+		mask := ^uint64(0)
+		if w == words-1 {
+			mask = tail
+		}
+		k := base + w
+		if sh == 0 {
+			for _, x := range draw[w*n : w*n+n] {
+				lanes[k] = x & mask
+				k += bw
+			}
+			continue
+		}
+		for _, x := range draw[w*n : w*n+n] {
+			x &= mask
+			lanes[k] |= x << (sh & 63)
+			lanes[k+1] |= x >> ((64 - sh) & 63)
+			k += bw
 		}
 	}
 }
@@ -332,7 +370,13 @@ func RandomAssignment(rng *rand.Rand, n int, p float64, cube sop.Cube) []bool {
 // by cube.
 func RandomWords(rng RNG, n int, p float64, cube sop.Cube) []uint64 {
 	words := make([]uint64, n)
-	fillBiased(rng, words, p)
-	applyCubeWords(cube, words)
+	FillRandomWords(rng, words, p, cube)
 	return words
+}
+
+// FillRandomWords is RandomWords into a caller's buffer: it sets one
+// 64-pattern word per input of dst, with the same draws.
+func FillRandomWords(rng RNG, dst []uint64, p float64, cube sop.Cube) {
+	fillBiased(rng, dst, p)
+	applyCubeWords(cube, dst)
 }

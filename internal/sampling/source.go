@@ -76,6 +76,8 @@ func (s *Source) Int63() int64 {
 // refill replaces the block x[n..n+606] with x[n+607..n+1213]. Word i of
 // the new block is x[n+i] + x[n+334+i]: below ringTap the second term is
 // still in the old block, from ringTap on it is a word already written.
+//
+//logicreg:hotpath
 func (s *Source) refill() {
 	r := &s.ring
 	for i := 0; i < ringTap; i++ {
@@ -127,6 +129,8 @@ func (s *Source) fillBiased(dst []uint64, p float64) {
 // combineDraws sets dst[i] from the k = len(masks)+1 draws at
 // draws[i*k:]: the first draw, then each later one ORed in where its mask
 // is all ones and ANDed in where it is zero.
+//
+//logicreg:hotpath
 func combineDraws(dst, draws, masks []uint64) {
 	k := len(masks) + 1
 	for i := range dst {

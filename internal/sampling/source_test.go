@@ -101,35 +101,35 @@ func TestFillBiasedMatchesBiasedWord(t *testing.T) {
 // on a *rand.Rand of the same seed, and the per-input reference on another
 // *rand.Rand: the three Results and the generators' next draws must agree.
 // R covers one pattern, the tree's 60, one short of a word, one word, one
-// past it, the benchmark's support R and one past a whole oracle call.
+// past it, two words unaligned and aligned, the benchmark's support R,
+// three sub-batches a call, and one past a whole oracle call, on case_10
+// and on the wide box.
 func TestPatternSamplingSourceMatchesRand(t *testing.T) {
 	// Output 1 of case_10 depends on inputs 5, 18, 22, 25 and 36; the cube
 	// binds one of them and one other input, and the candidates include
 	// both bound inputs and three of the support.
-	o := caseOracle(t, "case_10") // 37 inputs, 2 outputs
 	cube, _ := sop.NewCube(sop.Literal{Var: 3, Neg: false}, sop.Literal{Var: 22, Neg: true})
 	cands := []int{0, 3, 5, 7, 11, 18, 22, 25, 31}
-	for _, r := range []int{1, 60, 63, 64, 65, 768, sweepChunk + 1} {
-		for _, cb := range []sop.Cube{nil, cube} {
-			for _, cand := range [][]int{nil, cands} {
-				t.Run(fmt.Sprintf("R=%d/cube=%d/cands=%d", r, len(cb), len(cand)), func(t *testing.T) {
-					cfg := Config{R: r, Candidates: cand}
-					seed := int64(r)*3 + int64(len(cb)+len(cand))
-					src, rng, ref := NewSource(seed), rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-					got := PatternSampling(o, 1, cb, cfg, src)
-					want := PatternSampling(o, 1, cb, cfg, rng)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("Source %+v\nrand.Rand %+v", got, want)
-					}
-					if loop := referenceSampling(oracle.NewCounter(o), 1, cb, cfg, ref); !reflect.DeepEqual(got, loop) {
-						t.Fatalf("Source %+v\nreference %+v", got, loop)
-					}
-					g, w, x := src.Uint64(), rng.Uint64(), ref.Uint64()
-					if g != w || g != x {
-						t.Fatalf("next draw: Source %#x, rand.Rand %#x, reference %#x", g, w, x)
-					}
-				})
-			}
+	shapes := sweepShapes(t, cube, cands)
+	for _, r := range []int{1, 60, 63, 64, 65, 100, 128, 768, 5000, sweepChunk + 1} {
+		for _, sh := range shapes {
+			t.Run(fmt.Sprintf("R=%d/%s", r, sh.name), func(t *testing.T) {
+				cfg := Config{R: r, Candidates: sh.cands}
+				seed := int64(r)*3 + int64(len(sh.cube)+len(sh.cands))
+				src, rng, ref := NewSource(seed), rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				got := PatternSampling(sh.o, sh.out, sh.cube, cfg, src)
+				want := PatternSampling(sh.o, sh.out, sh.cube, cfg, rng)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("Source %+v\nrand.Rand %+v", got, want)
+				}
+				if loop := referenceSampling(oracle.NewCounter(sh.o), sh.out, sh.cube, cfg, ref); !reflect.DeepEqual(got, loop) {
+					t.Fatalf("Source %+v\nreference %+v", got, loop)
+				}
+				g, w, x := src.Uint64(), rng.Uint64(), ref.Uint64()
+				if g != w || g != x {
+					t.Fatalf("next draw: Source %#x, rand.Rand %#x, reference %#x", g, w, x)
+				}
+			})
 		}
 	}
 }

@@ -92,35 +92,73 @@ func caseOracle(t *testing.T, name string) oracle.Oracle {
 	return cs.Oracle()
 }
 
+// wideBox is the second, wider box of the identity tests: output 1 of
+// case_18, whose 102 inputs make more lanes than a word has bits and a lane
+// count that is not a multiple of 8. The cube binds one of the 30 inputs
+// an R 768 sweep finds in the output's support and one outside it; the
+// candidates are those 30 and both bound inputs.
+func wideBox(t *testing.T) (o oracle.Oracle, out int, cube sop.Cube, cands []int) {
+	t.Helper()
+	cube, _ = sop.NewCube(sop.Literal{Var: 9, Neg: false}, sop.Literal{Var: 40, Neg: true})
+	cands = []int{0, 8, 9, 12, 14, 15, 16, 17, 19, 23, 25, 26, 31, 33, 35, 37, 39, 40,
+		42, 48, 51, 53, 54, 57, 59, 72, 73, 74, 76, 83, 101}
+	return caseOracle(t, "case_18"), 1, cube, cands
+}
+
+// sweepShape is one box, output, cube and candidate set an identity test
+// sweeps at every R it lists.
+type sweepShape struct {
+	name  string
+	o     oracle.Oracle
+	out   int
+	cube  sop.Cube
+	cands []int
+}
+
+// sweepShapes returns output 1 of case_10 (37 inputs) with and without
+// cube and with and without cands, and the wide box.
+func sweepShapes(t *testing.T, cube sop.Cube, cands []int) []sweepShape {
+	t.Helper()
+	o := caseOracle(t, "case_10")
+	var shapes []sweepShape
+	for _, cb := range []sop.Cube{nil, cube} {
+		for _, cand := range [][]int{nil, cands} {
+			shapes = append(shapes, sweepShape{fmt.Sprintf("cube=%d/cands=%d", len(cb), len(cand)), o, 1, cb, cand})
+		}
+	}
+	wo, wout, wcube, wcands := wideBox(t)
+	return append(shapes, sweepShape{"case_18", wo, wout, wcube, wcands})
+}
+
 // TestPatternSamplingMatchesReference compares the batched sweep with the
 // per-input reference across R (one pattern, the tree's 60, exactly one
-// word, one past a word, the benchmark's support R), with and without a
-// cube, and with and without a candidate set that includes cube-bound
-// inputs.
+// word, one past a word, two words unaligned and aligned, the benchmark's
+// support R, and 5000, three sub-batches a call with pairs split across
+// calls off a word boundary), with and without a cube, and with and
+// without a candidate set that includes cube-bound inputs, on case_10 and
+// on the wide box.
 func TestPatternSamplingMatchesReference(t *testing.T) {
-	o := caseOracle(t, "case_10") // 37 inputs, 2 outputs
 	cube, _ := sop.NewCube(sop.Literal{Var: 3, Neg: false}, sop.Literal{Var: 7, Neg: true})
 	cands := []int{0, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
-	for _, r := range []int{1, 60, 64, 65, 768} {
-		for _, cb := range []sop.Cube{nil, cube} {
-			for _, cand := range [][]int{nil, cands} {
-				t.Run(fmt.Sprintf("R=%d/cube=%d/cands=%d", r, len(cb), len(cand)), func(t *testing.T) {
-					cfg := Config{R: r, Candidates: cand}
-					gotO, wantO := oracle.NewCounter(o), oracle.NewCounter(o)
-					gotR, wantR := rand.New(rand.NewSource(int64(r))), rand.New(rand.NewSource(int64(r)))
-					got := PatternSampling(gotO, 1, cb, cfg, gotR)
-					want := referenceSampling(wantO, 1, cb, cfg, wantR)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("sweep %+v\nreference %+v", got, want)
-					}
-					if g, w := gotR.Uint64(), wantR.Uint64(); g != w {
-						t.Fatalf("next RNG draw %#x, reference %#x", g, w)
-					}
-					if g, w := gotO.Queries(), wantO.Queries(); g != w {
-						t.Fatalf("%d queries, reference %d", g, w)
-					}
-				})
-			}
+	shapes := sweepShapes(t, cube, cands)
+	for _, r := range []int{1, 60, 64, 65, 100, 128, 768, 5000} {
+		for _, sh := range shapes {
+			t.Run(fmt.Sprintf("R=%d/%s", r, sh.name), func(t *testing.T) {
+				cfg := Config{R: r, Candidates: sh.cands}
+				gotO, wantO := oracle.NewCounter(sh.o), oracle.NewCounter(sh.o)
+				gotR, wantR := rand.New(rand.NewSource(int64(r))), rand.New(rand.NewSource(int64(r)))
+				got := PatternSampling(gotO, sh.out, sh.cube, cfg, gotR)
+				want := referenceSampling(wantO, sh.out, sh.cube, cfg, wantR)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("sweep %+v\nreference %+v", got, want)
+				}
+				if g, w := gotR.Uint64(), wantR.Uint64(); g != w {
+					t.Fatalf("next RNG draw %#x, reference %#x", g, w)
+				}
+				if g, w := gotO.Queries(), wantO.Queries(); g != w {
+					t.Fatalf("%d queries, reference %d", g, w)
+				}
+			})
 		}
 	}
 }
@@ -209,5 +247,27 @@ func TestSmallLearnTranscriptMatchesReference(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("transcripts differ: sweep %d bytes, reference %d bytes", len(got), len(want))
+	}
+}
+
+// TestTreeSweepAllocs holds a tree node's sweep to its three objects: the
+// Result's D and Free, and the oracle's result lane. It runs at the tree's
+// R of 60, with a cube and candidates, so the sweep is one oracle call; the
+// lane and draw buffers come from the pool, and the inputs are marked in D.
+func TestTreeSweepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race the pool drops buffers at random")
+	}
+	wo, out, cube, cands := wideBox(t)
+	o := oracle.NewCounter(wo)
+	src := NewSource(1)
+	cfg := Config{R: 60, Candidates: cands}
+	rec := &callSizes{Oracle: wo}
+	PatternSampling(rec, out, cube, cfg, src)
+	if len(rec.sizes) != 1 {
+		t.Fatalf("the sweep took %d oracle calls, want 1", len(rec.sizes))
+	}
+	if got := testing.AllocsPerRun(100, func() { PatternSampling(o, out, cube, cfg, src) }); got > 3 {
+		t.Fatalf("a tree-shaped sweep allocates %v objects, want at most 3", got)
 	}
 }
