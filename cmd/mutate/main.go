@@ -1,209 +1,48 @@
-// Command mutate measures the adequacy of the verification stack by running
-// the two-level mutation campaign of internal/mutation.
+// Command mutate is the source mutation gate of internal/mutation: it runs
+// one mutant per mutation site on the selected lines of each package,
+// tests it with that package's tests, and exits 1 on any surviving mutant
+// that the baseline does not triage as equivalent.
 //
-//	mutate circuit -seed 1 -budget 10                 # fault-inject the 20 cases
-//	mutate circuit -json report.json -baseline MUTATION_BASELINE.json
-//	mutate source -pkgs internal/circuit,internal/check -budget 8
-//	mutate source -list -pkgs internal/circuit        # enumerate sites only
+//	mutate -base origin/main -baseline MUTATION_BASELINE.json   # a change's lines
+//	mutate -pkgs internal/sop -v                                # every site of one package
+//	mutate -list -base HEAD~1                                   # list the sites only
 //
-// Both subcommands are deterministic for a fixed -seed. With -baseline the
-// run is ratcheted against the checked-in MUTATION_BASELINE.json: untriaged
-// circuit-level escapes, any false kill or layer inconsistency, and source
-// mutation scores below the package floors all exit 1.
+// -base REV selects the lines that `git diff -U0 $(git merge-base REV HEAD)`
+// adds or modifies in production .go files, so the working tree's edits
+// count and untracked files do not; without -base every site runs. A
+// package whose tests fail before mutation is an error (exit 1).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"os/exec"
 	"strings"
 	"time"
 
-	"logicregression/internal/cases"
 	"logicregression/internal/mutation"
 )
 
-// baseline mirrors MUTATION_BASELINE.json.
-type baseline struct {
-	Circuit struct {
-		// TriagedEscapes lists known-unkillable mutants as "case/kind@site"
-		// keys; any escape not in this list fails the ratchet.
-		TriagedEscapes []string `json:"triaged_escapes"`
-	} `json:"circuit"`
-	Source struct {
-		// MinScore maps package path to the lowest acceptable mutation score.
-		MinScore map[string]float64 `json:"min_score"`
-	} `json:"source"`
-}
+// defaultPkgs are the learner's packages plus the circuit IR and its checks.
+const defaultPkgs = "internal/sampling,internal/support,internal/fbdt,internal/sop,internal/template," +
+	"internal/core,internal/opt,internal/circuit,internal/check"
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-	}
-	switch os.Args[1] {
-	case "circuit":
-		runCircuit(os.Args[2:])
-	case "source":
-		runSource(os.Args[2:])
-	default:
-		usage()
-	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: mutate circuit|source [flags]")
-	os.Exit(2)
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "mutate: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-func loadBaseline(path string) *baseline {
-	if path == "" {
-		return nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fail("baseline: %v", err)
-	}
-	var b baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		fail("baseline %s: %v", path, err)
-	}
-	return &b
-}
-
-func writeJSON(path string, v any) {
-	if path == "" {
-		return
-	}
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		fail("encode report: %v", err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fail("write report: %v", err)
-	}
-}
-
-func runCircuit(args []string) {
-	fs := flag.NewFlagSet("mutate circuit", flag.ExitOnError)
 	var (
-		seed         = fs.Int64("seed", 1, "campaign seed (per-case samples derive from it)")
-		budget       = fs.Int("budget", 10, "max mutants per case (0 = every fault site)")
-		maxConflicts = fs.Int64("max-conflicts", 20000, "SAT conflict budget per CEC check, shared by all outputs' proofs (0 = unlimited)")
-		bddBudget    = fs.Int("bdd-budget", 1<<21, "BDD node budget per case manager")
-		caseList     = fs.String("cases", "", "comma-separated case names (default: all 20)")
-		jsonOut      = fs.String("json", "", "write the full report to this file")
-		basePath     = fs.String("baseline", "", "ratchet against this MUTATION_BASELINE.json")
-		verbose      = fs.Bool("v", false, "print one line per case")
+		base     = flag.String("base", "", "mutate only the lines changed since the merge base of this revision and HEAD (default: every site)")
+		pkgs     = flag.String("pkgs", defaultPkgs, "comma-separated package directories")
+		modRoot  = flag.String("mod-root", ".", "module root directory")
+		basePath = flag.String("baseline", "", "MUTATION_BASELINE.json, whose triaged survivors do not fail the run")
+		list     = flag.Bool("list", false, "list the selected mutation sites and exit")
+		verbose  = flag.Bool("v", false, "print one line per executed mutant")
 	)
-	fs.Parse(args)
-	base := loadBaseline(*basePath)
-
-	selected := cases.All()
-	if *caseList != "" {
-		selected = nil
-		for _, name := range strings.Split(*caseList, ",") {
-			cs, err := cases.ByName(strings.TrimSpace(name))
-			if err != nil {
-				fail("%v", err)
-			}
-			selected = append(selected, cs)
-		}
+	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "mutate: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
 	}
-
-	rep := &mutation.Report{
-		Seed:   *seed,
-		Budget: *budget,
-		Layers: mutation.Layers{MaxConflicts: *maxConflicts, BDDBudget: *bddBudget},
-	}
-	for _, cs := range selected {
-		start := time.Now()
-		rep.RunCircuit(cs.Name, cs.Circuit, *budget)
-		if *verbose {
-			cr := rep.Cases[len(rep.Cases)-1]
-			fmt.Printf("%-10s %6.1fs mutants=%-3d changed=%-3d killed=%-3d escapes=%d\n",
-				cs.Name, time.Since(start).Seconds(), cr.Mutants, cr.Changed, cr.Killed, len(cr.Escaped))
-		}
-	}
-	writeJSON(*jsonOut, rep)
-
-	t := rep.Totals
-	fmt.Printf("mutate circuit: %d mutants, %d changed, %d killed, %d escaped, %d false kills, %d inconsistent\n",
-		t.Mutants, t.Changed, t.Killed, t.Escaped, t.FalseKills, t.Inconsistent)
-	printKillMatrix(rep)
-
-	bad := 0
-	if t.FalseKills > 0 {
-		fmt.Fprintf(os.Stderr, "mutate: %d false kill(s): an equivalence layer killed a semantics-preserving mutant\n", t.FalseKills)
-		bad++
-	}
-	if t.Inconsistent > 0 {
-		fmt.Fprintf(os.Stderr, "mutate: %d inconsistent mutant(s): complete layers disagreed\n", t.Inconsistent)
-		bad++
-	}
-	triaged := map[string]bool{}
-	if base != nil {
-		for _, k := range base.Circuit.TriagedEscapes {
-			triaged[k] = true
-		}
-	}
-	for _, k := range rep.EscapeKeys() {
-		if triaged[k] {
-			fmt.Printf("mutate: escape %s (triaged in baseline)\n", k)
-			continue
-		}
-		fmt.Fprintf(os.Stderr, "mutate: untriaged escape: %s\n", k)
-		bad++
-	}
-	if bad > 0 {
-		os.Exit(1)
-	}
-}
-
-// printKillMatrix renders fault kind x first-killing layer as a table.
-func printKillMatrix(rep *mutation.Report) {
-	cols := append(append([]string{}, mutation.LayerOrder...), "none")
-	var kinds []string
-	for k := range rep.KillMatrix {
-		kinds = append(kinds, string(k))
-	}
-	sort.Strings(kinds)
-	fmt.Printf("%-16s", "kind")
-	for _, c := range cols {
-		fmt.Printf("%9s", c)
-	}
-	fmt.Println()
-	for _, k := range kinds {
-		row := rep.KillMatrix[mutation.Kind(k)]
-		fmt.Printf("%-16s", k)
-		for _, c := range cols {
-			fmt.Printf("%9d", row[c])
-		}
-		fmt.Println()
-	}
-}
-
-func runSource(args []string) {
-	fs := flag.NewFlagSet("mutate source", flag.ExitOnError)
-	var (
-		seed     = fs.Int64("seed", 1, "campaign seed (per-package samples derive from it)")
-		budget   = fs.Int("budget", 8, "max mutants per package (0 = every site)")
-		pkgs     = fs.String("pkgs", "internal/circuit,internal/check", "comma-separated package directories")
-		timeout  = fs.Duration("timeout", 2*time.Minute, "per-mutant test timeout")
-		modRoot  = fs.String("mod-root", ".", "module root directory")
-		jsonOut  = fs.String("json", "", "write the full report to this file")
-		basePath = fs.String("baseline", "", "ratchet against this MUTATION_BASELINE.json")
-		list     = fs.Bool("list", false, "enumerate mutation sites and exit")
-		verbose  = fs.Bool("v", false, "print one line per executed mutant")
-	)
-	fs.Parse(args)
-	base := loadBaseline(*basePath)
 
 	var pkgList []string
 	for _, p := range strings.Split(*pkgs, ",") {
@@ -211,9 +50,16 @@ func runSource(args []string) {
 			pkgList = append(pkgList, p)
 		}
 	}
+	var lines mutation.Lines // nil: every site
+	if *base != "" {
+		var err error
+		if lines, err = changedLines(*modRoot, *base, pkgList); err != nil {
+			fail("%v", err)
+		}
+	}
 	if *list {
 		for _, pkg := range pkgList {
-			sites, err := mutation.ListSites(*modRoot, pkg)
+			sites, err := mutation.ListSites(*modRoot, pkg, lines)
 			if err != nil {
 				fail("%v", err)
 			}
@@ -225,13 +71,14 @@ func runSource(args []string) {
 		return
 	}
 
-	cfg := mutation.SourceConfig{
-		ModRoot:     *modRoot,
-		Packages:    pkgList,
-		Seed:        *seed,
-		Budget:      *budget,
-		TestTimeout: *timeout,
+	var baseline *mutation.Baseline
+	if *basePath != "" {
+		var err error
+		if baseline, err = mutation.ReadBaseline(*basePath); err != nil {
+			fail("%v", err)
+		}
 	}
+	cfg := mutation.SourceConfig{ModRoot: *modRoot, Packages: pkgList, Lines: lines}
 	if *verbose {
 		cfg.Progress = func(line string) { fmt.Println(line) }
 	}
@@ -239,24 +86,55 @@ func runSource(args []string) {
 	if err != nil {
 		fail("%v", err)
 	}
-	writeJSON(*jsonOut, rep)
-
-	bad := 0
+	if len(rep.Packages) == 0 {
+		fmt.Println("mutate: no mutation site on the selected lines")
+	}
 	for _, pr := range rep.Packages {
-		fmt.Printf("mutate source: %-20s sites=%-4d executed=%-3d killed=%-3d timeout=%-2d survived=%-3d invalid=%-2d score=%.2f\n",
-			pr.Package, pr.Sites, pr.Executed, pr.Killed, pr.Timeout, pr.Survived, pr.Invalid, pr.Score)
-		for _, s := range pr.Survivors {
-			fmt.Printf("  survivor: %s\n", s.Mutant)
-		}
-		if base != nil {
-			if min, ok := base.Source.MinScore[pr.Package]; ok && pr.Score < min {
-				fmt.Fprintf(os.Stderr, "mutate: %s score %.2f below baseline floor %.2f\n", pr.Package, pr.Score, min)
-				bad++
-			}
+		n := pr.Outcomes
+		fmt.Printf("mutate: %s: %d mutants, %d killed, %d timed out, %d survived, %d invalid (test timeout %s)\n",
+			pr.Package, pr.Sites, n[mutation.Killed], n[mutation.Timeout], n[mutation.Survived], n[mutation.Invalid],
+			pr.TestTimeout.Round(time.Second))
+		for _, m := range pr.Survivors {
+			fmt.Printf("  survivor: %s\n", m)
 		}
 	}
-	fmt.Printf("mutate source: aggregate score %.2f\n", rep.Score)
-	if bad > 0 {
+	untriaged := rep.Untriaged(baseline)
+	for _, m := range untriaged {
+		fmt.Fprintf(os.Stderr, "mutate: untriaged survivor: %s\n", m)
+	}
+	if len(untriaged) > 0 {
 		os.Exit(1)
 	}
+}
+
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "mutate: "+format+"\n", args...)
+	os.Exit(1)
+}
+
+// changedLines selects the lines of pkgs that the working tree adds or
+// modifies since the merge base of rev and HEAD.
+func changedLines(modRoot, rev string, pkgs []string) (mutation.Lines, error) {
+	mergeBase, err := git(modRoot, "merge-base", rev, "HEAD")
+	if err != nil {
+		return nil, err
+	}
+	// --relative keeps the paths module-relative when the module is a
+	// subdirectory of the repository.
+	diff, err := git(modRoot, "diff", "-U0", "--relative", strings.TrimSpace(mergeBase))
+	if err != nil {
+		return nil, err
+	}
+	return mutation.ChangedLines(diff, pkgs)
+}
+
+func git(dir string, args ...string) (string, error) {
+	cmd := exec.Command("git", args...)
+	cmd.Dir = dir
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return "", fmt.Errorf("git %s: %w", strings.Join(args, " "), err)
+	}
+	return string(out), nil
 }

@@ -1,6 +1,5 @@
 // Package chaos provides deterministic, seeded fault injection for the
-// oracle transport — the transport-layer sibling of internal/mutation's
-// "an injected defect must be caught" philosophy. Wrap a black box in
+// oracle transport: an injected fault must be caught. Wrap a black box in
 // chaos.Oracle (transient errors, latency, permanent death, flipped output
 // bits) or a listener in chaos.Listen (dropped, hung, truncated, corrupted
 // connections) and the fault-tolerance layer must either absorb the fault

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -146,6 +147,36 @@ func TestVerifyViolations(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("Verify error %q does not mention %q", err, tc.wantSub)
+			}
+		})
+	}
+}
+
+// TestIRFaultsKilledByVerify feeds Verify the raw node-list corruptions
+// the builder never makes: a gate whose fanin is its own id, for each
+// arity and fanin, and a second CONST0 node away from node 0. Each must be
+// rejected at the offending node.
+func TestIRFaultsKilledByVerify(t *testing.T) {
+	pi := circuit.Node{Type: circuit.PI}
+	tests := []struct {
+		name  string
+		nodes []circuit.Node // after the PIs a and b at nodes 0 and 1
+		bad   int
+	}{
+		{"NOT fanin is itself", []circuit.Node{pi, pi, {Type: circuit.Not, In0: 2}}, 2},
+		{"BUF fanin is itself", []circuit.Node{pi, pi, {Type: circuit.Buf, In0: 2}}, 2},
+		{"AND fanin 0 is itself", []circuit.Node{pi, pi, {Type: circuit.And, In0: 2, In1: 1}}, 2},
+		{"XOR fanin 1 is itself", []circuit.Node{pi, pi, {Type: circuit.Xor, In0: 0, In1: 2}}, 2},
+		{"second CONST0", []circuit.Node{pi, pi, {Type: circuit.Const0}, {Type: circuit.And, In0: 0, In1: 1}, {Type: circuit.Const0}}, 4},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			c := circuit.FromNodes(tc.nodes, []string{"a", "b"}, []circuit.Signal{0, 1},
+				[]string{"z"}, []circuit.Signal{len(tc.nodes) - 1})
+			err := Verify(c)
+			var ce *Error
+			if !errors.As(err, &ce) || ce.Node != tc.bad {
+				t.Fatalf("Verify = %v, want a violation at node %d", err, tc.bad)
 			}
 		})
 	}

@@ -3,8 +3,7 @@ package ioserve
 // Chaos soak and fault drills: every injected fault class must be absorbed
 // (retried/reconnected, byte-identical circuit at a fixed seed) or surfaced
 // (degraded result, failed accuracy check) — never a panic, never a silently
-// wrong answer. These are the transport-layer counterpart of the
-// internal/mutation adequacy suite.
+// wrong answer.
 
 import (
 	"bytes"

@@ -15,9 +15,8 @@ import (
 // SourceOutcome classifies one source mutant's fate.
 type SourceOutcome string
 
-// Outcomes. Killed and Timeout both count toward the mutation score (an
-// infinite loop is a detected defect); Invalid mutants do not compile and
-// are excluded from the denominator.
+// Outcomes. A timeout counts as a kill (an infinite loop is a detected
+// defect); an invalid mutant does not compile and is not counted.
 const (
 	Killed   SourceOutcome = "killed"
 	Survived SourceOutcome = "survived"
@@ -25,65 +24,55 @@ const (
 	Invalid  SourceOutcome = "invalid"
 )
 
-// SourceResult is one executed source mutant.
-type SourceResult struct {
-	Mutant  SourceMutant  `json:"mutant"`
-	Outcome SourceOutcome `json:"outcome"`
-	// Detail carries the first line of the failing test output for killed
-	// mutants (what caught it), or the build error for invalid ones.
-	Detail string `json:"detail,omitempty"`
-}
-
 // SourceConfig drives a source mutation run.
 type SourceConfig struct {
 	// ModRoot is the module root directory (where go.mod lives).
-	ModRoot string `json:"-"`
+	ModRoot string
 	// Packages are module-relative package directories, e.g.
 	// "internal/circuit".
-	Packages []string `json:"packages"`
-	// Seed drives mutant sampling.
-	Seed int64 `json:"seed"`
-	// Budget caps the number of executed mutants per package (0 = all).
-	Budget int `json:"budget"`
-	// TestTimeout bounds each mutant's test run (default 2 minutes).
-	TestTimeout time.Duration `json:"test_timeout"`
+	Packages []string
+	// Lines restricts the run to the sites on these lines (ChangedLines);
+	// nil runs every site.
+	Lines Lines
 	// Progress, when non-nil, receives one line per executed mutant.
-	Progress func(string) `json:"-"`
+	Progress func(string)
 }
 
-// SourcePackageReport aggregates one package's mutants.
+// SourcePackageReport is one package's run.
 type SourcePackageReport struct {
-	Package string `json:"package"`
-	// Sites is the total number of enumerable mutation sites.
-	Sites    int `json:"sites"`
-	Executed int `json:"executed"`
-	Killed   int `json:"killed"`
-	Survived int `json:"survived"`
-	Timeout  int `json:"timeout"`
-	Invalid  int `json:"invalid"`
-	// Score = (Killed + Timeout) / (Killed + Timeout + Survived).
-	Score float64 `json:"score"`
-	// Survivors lists the mutants the test suite missed — the work list
-	// for new tests, and the triage input for the baseline.
-	Survivors []SourceResult `json:"survivors,omitempty"`
+	Package string
+	// TestTimeout is each mutant's go test -timeout (testTimeout).
+	TestTimeout time.Duration
+	// Sites is the number of mutation sites on the selected lines, one
+	// mutant each; Outcomes counts them by outcome.
+	Sites    int
+	Outcomes map[SourceOutcome]int
+	// Survivors are the mutants the tests missed: the work list for new
+	// tests, and what the baseline triages.
+	Survivors []SourceMutant
 }
 
-// SourceReport is the full source-level mutation run.
+// SourceReport is a full source mutation run. Packages with no site on
+// the selected lines are left out.
 type SourceReport struct {
-	Seed     int64                 `json:"seed"`
-	Budget   int                   `json:"budget"`
-	Packages []SourcePackageReport `json:"packages"`
-	// Score is the aggregate over all packages.
-	Score float64 `json:"score"`
+	Packages []SourcePackageReport
 }
 
-// RunSource executes the source mutation campaign: for every package,
-// enumerate sites, sample to budget, and for each mutant compile with
-// `go build -overlay` and run the package tests under the timeout.
+// A mutant's go test -timeout is timeoutFactor times the wall time of the
+// package's unmutated go test run, and at least minTestTimeout; DESIGN §8
+// gives the reasons for both.
+const (
+	timeoutFactor  = 10
+	minTestTimeout = 30 * time.Second
+)
+
+// RunSource runs the mutants of every package: it enumerates the sites on
+// the selected lines, runs the package's tests once unmutated to set the
+// per-mutant timeout, and then compiles each mutant with `go build
+// -overlay` and runs the package's tests against it. It fails when a
+// package's tests fail before any mutation, since every mutant would then
+// count as killed.
 func RunSource(cfg SourceConfig) (*SourceReport, error) {
-	if cfg.TestTimeout <= 0 {
-		cfg.TestTimeout = 2 * time.Minute
-	}
 	if cfg.ModRoot == "" {
 		cfg.ModRoot = "."
 	}
@@ -93,16 +82,22 @@ func RunSource(cfg SourceConfig) (*SourceReport, error) {
 	}
 	defer os.RemoveAll(tmp)
 
-	rep := &SourceReport{Seed: cfg.Seed, Budget: cfg.Budget}
-	totKilled, totDenom := 0, 0
+	rep := &SourceReport{}
 	for _, pkg := range cfg.Packages {
-		files, refs, err := packageSites(cfg.ModRoot, pkg)
+		files, refs, err := packageSites(cfg.ModRoot, pkg, cfg.Lines)
 		if err != nil {
 			return nil, err
 		}
-		pr := SourcePackageReport{Package: pkg, Sites: len(refs)}
-		sample := sampleRefs(refs, cfg.Seed+int64(stringHash(pkg)), cfg.Budget)
-		for i, ref := range sample {
+		if len(refs) == 0 {
+			continue
+		}
+		target := "./" + filepath.ToSlash(pkg)
+		timeout, err := testTimeout(cfg.ModRoot, target)
+		if err != nil {
+			return nil, err
+		}
+		pr := SourcePackageReport{Package: pkg, TestTimeout: timeout, Sites: len(refs), Outcomes: map[SourceOutcome]int{}}
+		for i, ref := range refs {
 			sf := files[ref.file]
 			mut := sf.sites[ref.site].mutant
 			mutPath := filepath.Join(tmp, fmt.Sprintf("m%d.go", i))
@@ -113,34 +108,30 @@ func RunSource(cfg SourceConfig) (*SourceReport, error) {
 			if err := writeOverlay(overlay, sf.absPath, mutPath); err != nil {
 				return nil, err
 			}
-			res := runOneMutant(cfg, pkg, overlay, mut)
-			pr.Executed++
-			switch res.Outcome {
-			case Killed:
-				pr.Killed++
-			case Timeout:
-				pr.Timeout++
-			case Survived:
-				pr.Survived++
-				pr.Survivors = append(pr.Survivors, res)
-			case Invalid:
-				pr.Invalid++
+			outcome := runOneMutant(cfg.ModRoot, target, overlay, timeout)
+			pr.Outcomes[outcome]++
+			if outcome == Survived {
+				pr.Survivors = append(pr.Survivors, mut)
 			}
 			if cfg.Progress != nil {
-				cfg.Progress(fmt.Sprintf("[%d/%d] %s %s: %s", i+1, len(sample), pkg, mut, res.Outcome))
+				cfg.Progress(fmt.Sprintf("[%d/%d] %s %s: %s", i+1, len(refs), pkg, mut, outcome))
 			}
-		}
-		if denom := pr.Killed + pr.Timeout + pr.Survived; denom > 0 {
-			pr.Score = float64(pr.Killed+pr.Timeout) / float64(denom)
-			totKilled += pr.Killed + pr.Timeout
-			totDenom += denom
 		}
 		rep.Packages = append(rep.Packages, pr)
 	}
-	if totDenom > 0 {
-		rep.Score = float64(totKilled) / float64(totDenom)
-	}
 	return rep, nil
+}
+
+// testTimeout runs the package's tests unmutated and returns the mutants'
+// test timeout from its wall time, or an error when the tests fail.
+func testTimeout(modRoot, target string) (time.Duration, error) {
+	start := time.Now()
+	test := exec.Command("go", "test", "-count=1", target)
+	test.Dir = modRoot
+	if out, err := test.CombinedOutput(); err != nil {
+		return 0, fmt.Errorf("mutation: %s: tests fail before mutation: %s", target, failureLine(out))
+	}
+	return max(minTestTimeout, timeoutFactor*time.Since(start)), nil
 }
 
 // writeOverlay emits a go-build overlay file mapping orig to mutated.
@@ -159,49 +150,33 @@ func writeOverlay(path, orig, mutated string) error {
 }
 
 // runOneMutant builds and tests one mutant through the overlay.
-func runOneMutant(cfg SourceConfig, pkg, overlay string, mut SourceMutant) SourceResult {
-	res := SourceResult{Mutant: mut}
-	target := "./" + filepath.ToSlash(pkg)
-
+func runOneMutant(modRoot, target, overlay string, timeout time.Duration) SourceOutcome {
 	// Compile first: a mutant that does not build is not a valid mutant.
 	build := exec.Command("go", "build", "-overlay", overlay, target)
-	build.Dir = cfg.ModRoot
-	if out, err := build.CombinedOutput(); err != nil {
-		res.Outcome = Invalid
-		res.Detail = firstLine(out)
-		return res
+	build.Dir = modRoot
+	if err := build.Run(); err != nil {
+		return Invalid
 	}
 
 	// Grace period on top of go test's own -timeout so the panic traceback
 	// (which is itself a kill signal) normally wins over the hard kill.
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.TestTimeout+30*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout+30*time.Second)
 	defer cancel()
 	test := exec.CommandContext(ctx, "go", "test", "-overlay", overlay, "-count=1",
-		fmt.Sprintf("-timeout=%s", cfg.TestTimeout), target)
-	test.Dir = cfg.ModRoot
+		fmt.Sprintf("-timeout=%s", timeout), target)
+	test.Dir = modRoot
 	out, err := test.CombinedOutput()
 	switch {
 	case err == nil:
-		res.Outcome = Survived
+		return Survived
 	case ctx.Err() != nil || bytes.Contains(out, []byte("test timed out")):
-		res.Outcome = Timeout
-	default:
-		res.Outcome = Killed
-		res.Detail = failureLine(out)
+		return Timeout
 	}
-	return res
-}
-
-func firstLine(out []byte) string {
-	s := strings.TrimSpace(string(out))
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		s = s[:i]
-	}
-	return s
+	return Killed
 }
 
 // failureLine extracts the most informative line from failing test output:
-// the first "--- FAIL" (which test died) or panic line.
+// the first "--- FAIL" (which test died) or panic line, else the first line.
 func failureLine(out []byte) string {
 	for _, line := range strings.Split(string(out), "\n") {
 		t := strings.TrimSpace(line)
@@ -209,5 +184,6 @@ func failureLine(out []byte) string {
 			return t
 		}
 	}
-	return firstLine(out)
+	first, _, _ := strings.Cut(strings.TrimSpace(string(out)), "\n")
+	return first
 }

@@ -1,3 +1,14 @@
+// Package mutation is the source mutation gate: a go/ast mutator applies
+// classic operators (conditional boundary, equality, arithmetic and logic
+// swaps, negated conditions, off-by-one loop bounds, dropped early returns)
+// at every site on the selected lines of a package, compiles each mutant
+// with `go build -overlay` and runs that package's tests against it. A
+// mutant the tests do not kill is a survivor; the gate fails on any
+// survivor that MUTATION_BASELINE.json does not triage as equivalent.
+//
+// The selected lines come from a diff (ChangedLines), so a change is
+// mutated where it changed: an edit to one function never changes which
+// sites of another run.
 package mutation
 
 import (
@@ -7,7 +18,6 @@ import (
 	"go/parser"
 	"go/printer"
 	"go/token"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,11 +28,11 @@ import (
 // A SourceMutant is one source-level mutation site, identified by file
 // position and operator so runs are comparable across reports.
 type SourceMutant struct {
-	File string `json:"file"` // module-relative path
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
-	Op   string `json:"op"`   // operator name, e.g. "cond-boundary"
-	Desc string `json:"desc"` // human-readable change, e.g. "< -> <="
+	File string // module-relative path
+	Line int
+	Col  int
+	Op   string // operator name, e.g. "cond-boundary"
+	Desc string // human-readable change, e.g. "< -> <="
 }
 
 func (m SourceMutant) String() string {
@@ -249,9 +259,9 @@ func (sf *sourceFile) render() ([]byte, error) {
 }
 
 // packageSites parses every production .go file of the package directory
-// pkgDir (relative to modRoot) and returns the files plus the flattened
-// site list in deterministic (file, position) order.
-func packageSites(modRoot, pkgDir string) ([]*sourceFile, []siteRef, error) {
+// pkgDir (relative to modRoot) and returns the files plus the sites on the
+// selected lines, in deterministic (file, position) order.
+func packageSites(modRoot, pkgDir string, lines Lines) ([]*sourceFile, []siteRef, error) {
 	paths, err := filepath.Glob(filepath.Join(modRoot, pkgDir, "*.go"))
 	if err != nil {
 		return nil, nil, err
@@ -273,8 +283,10 @@ func packageSites(modRoot, pkgDir string) ([]*sourceFile, []siteRef, error) {
 		}
 		fi := len(files)
 		files = append(files, sf)
-		for si := range sf.sites {
-			refs = append(refs, siteRef{file: fi, site: si})
+		for si, site := range sf.sites {
+			if lines.has(site.mutant.File, site.mutant.Line) {
+				refs = append(refs, siteRef{file: fi, site: si})
+			}
 		}
 	}
 	return files, refs, nil
@@ -283,11 +295,11 @@ func packageSites(modRoot, pkgDir string) ([]*sourceFile, []siteRef, error) {
 // siteRef addresses one site within a file list.
 type siteRef struct{ file, site int }
 
-// ListSites enumerates every mutation site of the package directory pkgDir
-// (relative to modRoot) in deterministic (file, position) order — the site
-// universe a campaign samples from.
-func ListSites(modRoot, pkgDir string) ([]SourceMutant, error) {
-	files, refs, err := packageSites(modRoot, pkgDir)
+// ListSites enumerates the mutation sites on the selected lines of the
+// package directory pkgDir (relative to modRoot) in deterministic (file,
+// position) order: the mutants RunSource would run there.
+func ListSites(modRoot, pkgDir string, lines Lines) ([]SourceMutant, error) {
+	files, refs, err := packageSites(modRoot, pkgDir, lines)
 	if err != nil {
 		return nil, err
 	}
@@ -296,19 +308,6 @@ func ListSites(modRoot, pkgDir string) ([]SourceMutant, error) {
 		out[i] = files[r.file].sites[r.site].mutant
 	}
 	return out, nil
-}
-
-// SampleSourceSites deterministically samples up to budget sites for a
-// package. Exposed for the benchmark and cmd/mutate's -list mode.
-func sampleRefs(refs []siteRef, seed int64, budget int) []siteRef {
-	out := make([]siteRef, len(refs))
-	copy(out, refs)
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	if budget > 0 && budget < len(out) {
-		out = out[:budget]
-	}
-	return out
 }
 
 // mutateToFile applies site s of sf, writes the mutated source to dst, and

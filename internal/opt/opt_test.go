@@ -2,9 +2,11 @@ package opt
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"logicregression/internal/aig"
+	"logicregression/internal/cases"
 	"logicregression/internal/circuit"
 	"logicregression/internal/sat"
 )
@@ -319,6 +321,103 @@ func TestDiagnoseProducesValidCounterexample(t *testing.T) {
 		default:
 			t.Fatalf("unexpected verdict %v with unlimited budget", verdict)
 		}
+	}
+}
+
+// TestDiagnoseCounterexamples holds Diagnose's Sat path on every built-in
+// case. A copy whose last output is XORed with PI 0 differs from the
+// original exactly where PI 0 is 1, so Diagnose must name that output and
+// return an assignment that splits it. A complemented output would not
+// test the model: any assignment splits f from its complement.
+func TestDiagnoseCounterexamples(t *testing.T) {
+	for _, cs := range cases.All() {
+		c := cs.Circuit
+		m := xorLastPO(c)
+		po := c.NumPO() - 1
+		verdict, cex, bad := Diagnose(c, m, 20000)
+		if verdict != sat.Sat || bad != po {
+			t.Errorf("%s: Diagnose = %v at output %d, want Sat at output %d", cs.Name, verdict, bad, po)
+			continue
+		}
+		if len(cex) != c.NumPI() || c.Eval(cex)[po] == m.Eval(cex)[po] {
+			t.Errorf("%s: counterexample %v does not split output %d", cs.Name, cex, po)
+		}
+	}
+}
+
+// xorLastPO copies c with its last output XORed with PI 0, through one
+// node appended to the raw node list.
+func xorLastPO(c *circuit.Circuit) *circuit.Circuit {
+	nodes := make([]circuit.Node, c.NumNodes())
+	for id := range nodes {
+		nodes[id] = c.Node(id)
+	}
+	pis := make([]circuit.Signal, c.NumPI())
+	for i := range pis {
+		pis[i] = c.PISignal(i)
+	}
+	pos := make([]circuit.Signal, c.NumPO())
+	for i := range pos {
+		pos[i] = c.POSignal(i)
+	}
+	last := len(pos) - 1
+	nodes = append(nodes, circuit.Node{Type: circuit.Xor, In0: pos[last], In1: pis[0]})
+	pos[last] = len(nodes) - 1
+	return circuit.FromNodes(nodes, c.PINames(), pis, c.PONames(), pos)
+}
+
+// TestFraigClassesRefine pins refine on hand-made classes: a class is cut
+// by the new word wherever its equal words sit, parts of one node are
+// dropped, the parts of a class follow the byte-reversed word, members keep
+// node order, and classes keep theirs.
+func TestFraigClassesRefine(t *testing.T) {
+	tests := []struct {
+		name          string
+		members, ends []int
+		vals, flip    []uint64 // by node
+		wantMembers   []int
+		wantEnds      []int
+	}{
+		{
+			name:    "equal words apart",
+			members: []int{0, 1, 2}, ends: []int{3},
+			vals: []uint64{0, 0xff, 0}, flip: []uint64{0, 0, 0},
+			wantMembers: []int{0, 2}, wantEnds: []int{2},
+		},
+		{
+			name:    "flip joins complements, no split",
+			members: []int{0, 1, 2}, ends: []int{3},
+			vals: []uint64{5, ^uint64(5), 5}, flip: []uint64{0, ^uint64(0), 0},
+			wantMembers: []int{0, 1, 2}, wantEnds: []int{3},
+		},
+		{
+			// 0x100 sorts after 2 as a number but before it byte-reversed.
+			name:    "parts by byte-reversed word",
+			members: []int{0, 1, 2, 3}, ends: []int{4},
+			vals: []uint64{2, 0x100, 2, 0x100}, flip: []uint64{0, 0, 0, 0},
+			wantMembers: []int{1, 3, 0, 2}, wantEnds: []int{2, 4},
+		},
+		{
+			name:    "single nodes dropped",
+			members: []int{3, 4, 5, 0, 1, 2}, ends: []int{3, 6},
+			vals: []uint64{1, 2, 1, 7, 9, 8}, flip: []uint64{0, 0, 0, 0, 0, 0},
+			wantMembers: []int{0, 2}, wantEnds: []int{2},
+		},
+		{
+			name:    "classes keep their order",
+			members: []int{3, 4, 5, 0, 1, 2}, ends: []int{3, 6},
+			vals: []uint64{1, 1, 6, 7, 9, 7}, flip: []uint64{0, 0, 0, 0, 0, 0},
+			wantMembers: []int{3, 5, 0, 1}, wantEnds: []int{2, 4},
+		},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			c := fraigClasses{members: append([]int(nil), tc.members...), ends: tc.ends}
+			c.refine(tc.vals, tc.flip)
+			if !slices.Equal(c.members, tc.wantMembers) || !slices.Equal(c.ends, tc.wantEnds) {
+				t.Fatalf("refine: members %v ends %v, want %v %v", c.members, c.ends, tc.wantMembers, tc.wantEnds)
+			}
+		})
 	}
 }
 
