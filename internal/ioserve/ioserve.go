@@ -300,6 +300,12 @@ type Conn struct {
 	fo    oracle.FallibleBatch
 	nIn   int
 
+	// A batch frame's buffers, kept for the connection's next frame: its
+	// query lanes, a block of 64 query rows, a block of 64 reply rows and
+	// the reply line.
+	lanes, rows, orows []bitvec.Word
+	line               []byte
+
 	// State is extension scratch (e.g. the attached session); the core
 	// protocol never touches it.
 	State any
@@ -404,9 +410,10 @@ func (s *Server) serveStream(stream io.ReadWriter) {
 			// connection usable after a malformed line. Each line decodes
 			// into a row; every 64 rows transpose into one word per lane.
 			lw := oracle.Words(k)
-			lanes := make([]bitvec.Word, c.nIn*lw)
+			lanes := grow(&c.lanes, c.nIn*lw)
+			clear(lanes) // RowsToLanes ORs into it
 			kw := bitvec.RowWords(c.nIn)
-			rows := make([]bitvec.Word, 64*kw)
+			rows := grow(&c.rows, 64*kw)
 			var lineErr error
 			for q := 0; q < k; q++ {
 				if !c.sc.Scan() {
@@ -436,8 +443,8 @@ func (s *Server) serveStream(stream io.ReadWriter) {
 			fmt.Fprintf(c.w, "batch %d\n", k)
 			nOut := c.fo.NumOutputs()
 			ow := bitvec.RowWords(nOut)
-			orows := make([]bitvec.Word, 64*ow)
-			buf := make([]byte, nOut+1)
+			orows := grow(&c.orows, 64*ow)
+			buf := grow(&c.line, nOut+1)
 			buf[nOut] = '\n'
 			for q := 0; q < k; q++ {
 				p := q & 63
@@ -480,6 +487,16 @@ func (s *Server) serveStream(stream io.ReadWriter) {
 			}
 		}
 	}
+}
+
+// grow resizes *buf to n elements, reallocating only when it is too short,
+// and returns it. The contents are not cleared.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // parseRow decodes one <ibits>/<obits> line of want characters into row

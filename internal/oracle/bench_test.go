@@ -179,22 +179,94 @@ func BenchmarkMemoBatch(b *testing.B) {
 // BenchmarkMemoFill times what a learn with MemoizeQueries pays its memo:
 // one op feeds 32 sweep-sized batches (BenchmarkMemoBatch's) to a fresh
 // default-capacity memo over case_10, about the probes of one remote learn.
-// The shards grow from empty, appends and reindexes included, and the last
-// half of the batches evict.
+// The shards fill from empty, their segments and index growth included,
+// and the last half of the batches evict.
 func BenchmarkMemoFill(b *testing.B) {
+	o, feed := memoFillFeed(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fillMemo(o, feed)
+	}
+	b.ReportMetric(float64(memoFillBatch*len(feed)), "patterns/op")
+}
+
+// memoFillBatch is the size of BenchmarkMemoFill's batches.
+const memoFillBatch = 1 << 14
+
+// memoFillFeed returns BenchmarkMemoFill's oracle and its 32 batches.
+func memoFillFeed(b *testing.B) (oracle.Oracle, [][]bitvec.Word) {
 	o := memoBenchOracle(b)
-	const n, batches = 1 << 14, 32
-	next := sweepBatches(rand.New(rand.NewSource(1)), o.NumInputs(), n)
-	feed := make([][]bitvec.Word, batches)
+	next := sweepBatches(rand.New(rand.NewSource(1)), o.NumInputs(), memoFillBatch)
+	feed := make([][]bitvec.Word, 32)
 	for i := range feed {
 		feed[i] = next()
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := oracle.NewMemo(o)
-		for _, lanes := range feed {
+	return o, feed
+}
+
+// fillMemo feeds the batches to a fresh default-capacity memo over o.
+func fillMemo(o oracle.Oracle, feed [][]bitvec.Word) *oracle.Memo {
+	m := oracle.NewMemo(o)
+	for _, lanes := range feed {
+		m.EvalBatch(lanes, memoFillBatch)
+	}
+	return m
+}
+
+// TestMemoFillAllocatesItsSize bounds what BenchmarkMemoFill's op
+// allocates: filling a default-capacity memo past its bound may allocate
+// at most 1.5 times the memo's final size, the key and response words and
+// LRU links of every entry and each shard's index at twice its slots. The
+// index doubles as it grows, which alone allocates about twice its final
+// size, so the slots must be allocated about once.
+func TestMemoFillAllocatesItsSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race the pool drops EvalBatch's scratch at random")
+	}
+	var m *oracle.Memo
+	var final int64
+	res := testing.Benchmark(func(b *testing.B) {
+		o, feed := memoFillFeed(b)
+		slot := 8*(bitvec.RowWords(o.NumInputs())+bitvec.RowWords(o.NumOutputs())) + 8
+		final = int64(oracle.DefaultMemoCapacity) * int64(slot+2*8)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m = fillMemo(o, feed)
+		}
+	})
+	if res.N == 0 {
+		t.Fatal("the fill did not run")
+	}
+	if st := m.Stats(); st.Entries != oracle.DefaultMemoCapacity || st.Evictions == 0 {
+		t.Fatalf("the feed left %d entries after %d evictions, want a full memo of %d that evicted", st.Entries, st.Evictions, oracle.DefaultMemoCapacity)
+	}
+	if got := res.AllocedBytesPerOp(); got > final*3/2 {
+		t.Fatalf("filling the memo allocated %d bytes, want at most 1.5 times its final %d", got, final)
+	}
+}
+
+// TestSmallMemoStaysSmall bounds what a default-capacity memo holding 100
+// entries allocates, as serve's per-job and per-session memos do: under
+// 64 KiB, the memo and its one batch included.
+func TestSmallMemoStaysSmall(t *testing.T) {
+	const n = 100
+	var m *oracle.Memo
+	res := testing.Benchmark(func(b *testing.B) {
+		o := memoBenchOracle(b)
+		lanes := randomLanes(rand.New(rand.NewSource(2)), o.NumInputs(), n)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m = oracle.NewMemo(o)
 			m.EvalBatch(lanes, n)
 		}
+	})
+	if res.N == 0 {
+		t.Fatal("the batch did not run")
 	}
-	b.ReportMetric(float64(n*batches), "patterns/op")
+	if m.Len() != n {
+		t.Fatalf("the memo holds %d entries, want %d", m.Len(), n)
+	}
+	if got := res.AllocedBytesPerOp(); got >= 64<<10 {
+		t.Fatalf("a memo of %d entries allocated %d bytes, want under 64 KiB", n, got)
+	}
 }

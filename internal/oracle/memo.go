@@ -14,11 +14,16 @@ package oracle
 // It works a word at a time. A key is a pattern's row: its input bits
 // packed into RowWords(nIn) words, taken from the batch by one 64×64 bit
 // transpose per 64 patterns (bitvec.LanesToRows); a cached response is a
-// row of RowWords(nOut) words. Each shard is flat and pointer-free, so the
-// garbage collector never scans it: an arena of key and response words per
-// slot, an open-addressed index of slots tagged with their hash, and an
-// intrusive int32 LRU list through the slots. A slot freed by eviction is
-// refilled at once, so a shard's slots are always 0 to its length - 1.
+// row of RowWords(nOut) words. A shard holds its slots in segments that are
+// allocated as it fills and never moved or copied: segment 0 holds slots 0
+// to 15 and segment k >= 1 slots 8·2^k to 16·2^k - 1, the last one cut at
+// the shard's bound. So a shard of m >= 16 slots has allocated at most 2m
+// slots and a full one exactly its bound, while a small memo stays small.
+// A segment is pointer-free, key and response words and int32 LRU links
+// per slot, so the garbage collector never scans it; beside the segments a
+// shard has an open-addressed index of slots tagged with their hash, which
+// doubles as the shard fills. A slot freed by eviction is refilled at once,
+// so a shard's slots are always 0 to its length - 1.
 //
 // A batch works a shard at a time: its patterns are grouped by shard, and
 // each shard is locked once to probe its group and once to fill its misses.
@@ -29,6 +34,7 @@ package oracle
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -38,8 +44,9 @@ import (
 // DefaultMemoCapacity bounds NewMemo's cache. A cached response costs its
 // key and response words, 8 bytes of LRU links and 16 to 32 bytes of
 // index: about 40 bytes for a contest case of up to 64 inputs and 64
-// outputs, so the default tops out near 10 MB. Shards grow to their bound
-// as entries arrive.
+// outputs, so the default tops out near 10 MB. Shards take their slots in
+// segments as entries arrive, never more than twice the slots in use, and
+// a full shard holds exactly its bound.
 const DefaultMemoCapacity = 1 << 18
 
 // memoShardCount is the shard fan-out for large caches; must be a power of 2.
@@ -108,21 +115,63 @@ type Memo struct {
 	evictions atomic.Int64
 }
 
-// memoShard is one LRU cache of at most limit entries. Slot s holds its
-// key words at words[s*stride:] and its response words right after them
-// (stride = kw+ow); next and prev link the slots from the most recently
-// used (head) to the least (tail), -1 ending the list. index maps a key's
-// hash to its slot by linear probing: a bucket holds slot+1 in its low half
-// and the hash's top half as a tag (0 is an empty bucket), so a probe reads
-// a slot's key only on a tag match; it is at most half full.
+// memoShard is one LRU cache of at most limit entries, in slots 0 to n-1.
+// Slot x lives in segment bits.Len(x>>4), which the shard allocates when
+// it first fills a slot of it (see memoSegStart); a slot's words are its
+// key words and then its response words (stride = kw+ow), and its links
+// chain the slots from the most recently used (head) to the least (tail),
+// -1 ending the list. index maps a key's hash to its slot by linear
+// probing: a bucket holds slot+1 in its low half and the hash's top half as
+// a tag (0 is an empty bucket), so a probe reads a slot's key only on a tag
+// match; it is at most half full.
 type memoShard struct {
 	mu         sync.Mutex
-	limit      int32
+	limit, n   int32
 	head, tail int32
-	next, prev []int32
-	words      []bitvec.Word
+	segs       []memoSeg
 	index      []uint64
 	shift      uint // 64 - log2(len(index)): a hash's top bits pick its bucket
+}
+
+// memoSeg is one segment of a shard's slots: the slot at offset i has its
+// stride words at words[i*stride:] and its LRU links at links[i].
+type memoSeg struct {
+	words []bitvec.Word
+	links []memoLink
+}
+
+// memoLink is a slot's place in its shard's LRU list.
+type memoLink struct{ next, prev int32 }
+
+// memoSegStart is the first slot of segment k: segment 0 holds slots 0 to
+// 15, and segment k >= 1 the 8·2^k slots from 8·2^k, so segments 0 to k
+// hold 16·2^k slots in all.
+func memoSegStart(k int) int {
+	if k == 0 {
+		return 0
+	}
+	return 8 << k
+}
+
+// locate returns the segment k holding slot x and x's offset in it, x less
+// the segment's first slot: x's low four bits in segment 0, and in segment
+// k >= 1 x without its top bit, the one worth 8·2^k.
+func (s *memoShard) locate(x int32) (*memoSeg, int) {
+	k := bits.Len32(uint32(x) >> 4)
+	return &s.segs[k], int(x) & (8<<k - 1 | 15)
+}
+
+// slot returns slot x's stride words: its key words, then its response
+// words.
+func (s *memoShard) slot(x int32, stride int) []bitvec.Word {
+	g, i := s.locate(x)
+	return g.words[i*stride : (i+1)*stride]
+}
+
+// link returns slot x's LRU links.
+func (s *memoShard) link(x int32) *memoLink {
+	g, i := s.locate(x)
+	return &g.links[i]
 }
 
 // NewMemo wraps o with a memoization cache of DefaultMemoCapacity entries.
@@ -251,11 +300,8 @@ func (s *memoShard) find(key []bitvec.Word, h uint64, stride int) (bucket int, s
 		if e == 0 {
 			return b, -1
 		}
-		if e>>32 == h>>32 {
-			at := int(uint32(e)-1) * stride
-			if sameKey(s.words[at:at+len(key)], key) {
-				return b, int32(uint32(e) - 1)
-			}
+		if slot := int32(uint32(e) - 1); e>>32 == h>>32 && sameKey(s.slot(slot, stride)[:len(key)], key) {
+			return b, slot
 		}
 	}
 }
@@ -307,25 +353,24 @@ func (s *memoShard) reindex(size int) {
 
 // unlink takes slot x out of the LRU list.
 func (s *memoShard) unlink(x int32) {
-	p, n := s.prev[x], s.next[x]
-	if p >= 0 {
-		s.next[p] = n
+	l := s.link(x)
+	if l.prev >= 0 {
+		s.link(l.prev).next = l.next
 	} else {
-		s.head = n
+		s.head = l.next
 	}
-	if n >= 0 {
-		s.prev[n] = p
+	if l.next >= 0 {
+		s.link(l.next).prev = l.prev
 	} else {
-		s.tail = p
+		s.tail = l.prev
 	}
 }
 
 // pushFront makes slot x the most recently used.
 func (s *memoShard) pushFront(x int32) {
-	s.prev[x] = -1
-	s.next[x] = s.head
+	*s.link(x) = memoLink{next: s.head, prev: -1}
 	if s.head >= 0 {
-		s.prev[s.head] = x
+		s.link(s.head).prev = x
 	} else {
 		s.tail = x
 	}
@@ -348,8 +393,7 @@ func (o *Memo) get(s *memoShard, key []bitvec.Word, h uint64, resp []bitvec.Word
 	_, slot := s.find(key, h, stride)
 	if slot >= 0 {
 		s.touch(slot)
-		at := int(slot)*stride + o.kw
-		copy(resp, s.words[at:at+o.ow])
+		copy(resp, s.slot(slot, stride)[o.kw:])
 	}
 	s.mu.Unlock()
 	return slot >= 0
@@ -374,20 +418,21 @@ func (s *memoShard) add(key, resp []bitvec.Word, h uint64, stride int) (inserted
 		s.touch(slot)
 		return false, false
 	}
-	if n := len(s.next); n < int(s.limit) {
-		slot = int32(n)
-		s.next = append(s.next, -1)
-		s.prev = append(s.prev, -1)
-		s.words = append(s.words, make([]bitvec.Word, stride)...)
-		if 2*(n+1) > len(s.index) {
+	if s.n < s.limit {
+		slot = s.n
+		s.n++
+		if k := len(s.segs); int(slot) == memoSegStart(k) {
+			size := min(memoSegStart(k+1), int(s.limit)) - int(slot)
+			s.segs = append(s.segs, memoSeg{words: make([]bitvec.Word, size*stride), links: make([]memoLink, size)})
+		}
+		if 2*int(s.n) > len(s.index) {
 			s.reindex(2 * len(s.index))
 			b, _ = s.find(key, h, stride)
 		}
 	} else {
 		slot = s.tail
-		at := int(slot) * stride
 		s.unlink(slot)
-		vh := memoHash(s.words[at : at+kw])
+		vh := memoHash(s.slot(slot, stride)[:kw])
 		vb := int(vh>>(s.shift&63)) & (len(s.index) - 1)
 		for s.index[vb] != indexEntry(vh, slot) {
 			vb = (vb + 1) & (len(s.index) - 1)
@@ -396,9 +441,9 @@ func (s *memoShard) add(key, resp []bitvec.Word, h uint64, stride int) (inserted
 		b, _ = s.find(key, h, stride)
 		evicted = true
 	}
-	at := int(slot) * stride
-	copy(s.words[at:at+kw], key)
-	copy(s.words[at+kw:at+stride], resp)
+	w := s.slot(slot, stride)
+	copy(w[:kw], key)
+	copy(w[kw:], resp)
 	s.index[b] = indexEntry(h, slot)
 	s.pushFront(slot)
 	return true, evicted
@@ -554,8 +599,7 @@ func (o *Memo) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 			}
 			if _, slot := s.find(key, h, stride); slot >= 0 {
 				s.touch(slot)
-				at := int(slot)*stride + kw
-				copy(resp[int(k)*ow:int(k+1)*ow], s.words[at:at+ow])
+				copy(resp[int(k)*ow:int(k+1)*ow], s.slot(slot, stride)[kw:])
 				ref[k] = -1
 				continue
 			}
@@ -597,7 +641,7 @@ func (o *Memo) EvalBatch(patterns []bitvec.Word, n int) []bitvec.Word {
 			s := &o.shards[si]
 			s.mu.Lock()
 			sc.sink += s.warm(fills, hash)
-			if room := int(s.limit) - len(s.next); len(fills) > room {
+			if room := int(s.limit - s.n); len(fills) > room {
 				sc.sink += s.warmVictims(len(fills)-room, kw, stride)
 			}
 			for _, k := range fills {
@@ -655,9 +699,8 @@ func (s *memoShard) warm(group []int32, hash []uint64) uint64 {
 func (s *memoShard) warmVictims(n, kw, stride int) uint64 {
 	mask := len(s.index) - 1
 	var sum uint64
-	for v := s.tail; v >= 0 && n > 0; v, n = s.prev[v], n-1 {
-		at := int(v) * stride
-		sum += s.index[int(memoHash(s.words[at:at+kw])>>(s.shift&63))&mask]
+	for v := s.tail; v >= 0 && n > 0; v, n = s.link(v).prev, n-1 {
+		sum += s.index[int(memoHash(s.slot(v, stride)[:kw])>>(s.shift&63))&mask]
 	}
 	return sum
 }
@@ -715,7 +758,7 @@ func (o *Memo) Len() int {
 	for i := range o.shards {
 		s := &o.shards[i]
 		s.mu.Lock()
-		total += len(s.next)
+		total += int(s.n)
 		s.mu.Unlock()
 	}
 	return total

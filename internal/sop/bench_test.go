@@ -1,8 +1,11 @@
 package sop
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"logicregression/internal/circuit"
 )
 
 // randomCover builds n cubes over v variables with the given literal density.
@@ -21,6 +24,53 @@ func randomCover(rng *rand.Rand, n, v int, density float64) Cover {
 		}
 	}
 	return cv
+}
+
+// treeCover returns the onset of a random decision tree over v variables
+// with the given number of leaves: each split takes a random leaf and a
+// variable its path leaves free, and each leaf joins the onset with
+// probability 1/2. The cubes share their path prefixes, as the covers of
+// fbdt.Build's trees do.
+func treeCover(rng *rand.Rand, leaves, v int) Cover {
+	tree := Cover{{}}
+	for len(tree) < leaves {
+		i, x := rng.Intn(len(tree)), rng.Intn(v)
+		if _, bound := tree[i].Has(x); bound {
+			continue
+		}
+		tree = append(tree, tree[i].With(Literal{Var: x}))
+		tree[i] = tree[i].With(Literal{Var: x, Neg: true})
+	}
+	var on Cover
+	for _, cube := range tree {
+		if rng.Intn(2) == 0 {
+			on = append(on, cube)
+		}
+	}
+	return on
+}
+
+// BenchmarkSynthesizeFactored factors the onset of a random 300-leaf
+// decision tree over 40 variables, about the cover that a learn's
+// 600-node truncated tree hands to synthesis; -benchmem shows what
+// factoring allocates.
+func BenchmarkSynthesizeFactored(b *testing.B) {
+	const nVars = 40
+	cv := treeCover(rand.New(rand.NewSource(8)), 300, nVars)
+	names := make([]string, nVars)
+	for i := range names {
+		names[i] = fmt.Sprintf("x%d", i)
+	}
+	vars := make([]circuit.Signal, nVars)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := circuit.New()
+		for j, name := range names {
+			vars[j] = c.AddPI(name)
+		}
+		SynthesizeFactored(c, cv, vars, false)
+	}
+	b.ReportMetric(float64(len(cv)), "cubes/op")
 }
 
 func BenchmarkMinimizeMintermHeavy(b *testing.B) {

@@ -10,7 +10,11 @@ package sop
 // shrinks gate counts severalfold versus flat AND-OR synthesis — the same
 // role `dc2`-class multilevel synthesis plays for the paper.
 
-import "logicregression/internal/circuit"
+import (
+	"slices"
+
+	"logicregression/internal/circuit"
+)
 
 // SynthesizeFactored builds the cover as factored multi-level gates in c.
 // vars maps variable ids to signals, and every cube variable must index it;
@@ -18,10 +22,10 @@ import "logicregression/internal/circuit"
 // takes the literal in the most cubes, ties to the smallest variable and the
 // positive literal before the negative one, so the structure is a function
 // of the cover alone. The flat Synthesize remains available for callers
-// that need two-level structure.
+// that need two-level structure. cv is read, never modified.
 func SynthesizeFactored(c *circuit.Circuit, cv Cover, vars []circuit.Signal, negate bool) circuit.Signal {
-	lits := newLitSignals(c, vars)
-	out := factor(c, cv.Clone(), lits, make([]int, 2*len(vars)))
+	f := factorer{c: c, sigs: newLitSignals(c, vars), counts: make([]int, 2*len(vars))}
+	out := f.factor(cv)
 	if negate {
 		out = negSignal(c, out)
 	}
@@ -70,37 +74,65 @@ func (ls *litSignals) signal(l Literal) circuit.Signal {
 	return ls.neg[l.Var]
 }
 
-// factor recursively synthesizes the cover. counts is mostFrequentLiteral's
-// scratch, two zeroed entries per variable.
-func factor(c *circuit.Circuit, cv Cover, lits *litSignals, counts []int) circuit.Signal {
+// factorer is one SynthesizeFactored call's working memory: two stacks
+// that hold the covers of the divisions in progress, so that a division
+// allocates nothing once they have grown. A division pushes its quotient's
+// cubes, less the divisor literal, onto lits, and the headers of its
+// quotient and remainder onto cubes; the recursions over them push above
+// that, and each level pops what it pushed when the recursions that read
+// it have returned.
+type factorer struct {
+	c      *circuit.Circuit
+	sigs   *litSignals
+	counts []int // mostFrequentLiteral's scratch, two zeroed entries per variable
+	lits   []Literal
+	cubes  []Cube
+}
+
+// factor recursively synthesizes the cover.
+func (f *factorer) factor(cv Cover) circuit.Signal {
 	switch len(cv) {
 	case 0:
-		return c.Const(false)
+		return f.c.Const(false)
 	case 1:
-		return andCube(c, cv[0], lits)
+		return andCube(f.c, cv[0], f.sigs)
 	}
-	best, count := mostFrequentLiteral(cv, counts)
+	best, count := mostFrequentLiteral(cv, f.counts)
 	if count < 2 {
 		// No sharing available: flat OR of cube ANDs.
 		terms := make([]circuit.Signal, len(cv))
 		for i, cube := range cv {
-			terms[i] = andCube(c, cube, lits)
+			terms[i] = andCube(f.c, cube, f.sigs)
 		}
-		return c.OrTree(terms)
+		return f.c.OrTree(terms)
 	}
-	var quotient, remainder Cover
+	// Reserve the headers: count cubes hold best and form the quotient.
+	litTop, cubeTop := len(f.lits), len(f.cubes)
+	f.cubes = slices.Grow(f.cubes, len(cv))[:cubeTop+len(cv)]
+	mid := cubeTop + count
+	quotient, remainder := f.cubes[cubeTop:cubeTop:mid], f.cubes[mid:mid:len(f.cubes)]
 	for _, cube := range cv {
-		if l, ok := cube.Has(best.Var); ok && l.Neg == best.Neg {
-			quotient = append(quotient, removeVar(cube, best.Var))
-		} else {
+		if l, ok := cube.Has(best.Var); !ok || l.Neg != best.Neg {
 			remainder = append(remainder, cube)
+			continue
 		}
+		start := len(f.lits)
+		for _, l := range cube {
+			if l.Var != best.Var {
+				f.lits = append(f.lits, l)
+			}
+		}
+		quotient = append(quotient, f.lits[start:len(f.lits):len(f.lits)])
 	}
-	q := c.And(lits.signal(best), factor(c, quotient, lits, counts))
-	if len(remainder) == 0 {
-		return q
+	// The divisor literal's NOT gate, when it is new, comes before the
+	// quotient's gates: the order of the gates is the netlist's.
+	out := f.c.And(f.sigs.signal(best), f.factor(quotient))
+	f.lits = f.lits[:litTop]
+	if len(remainder) > 0 {
+		out = f.c.Or(out, f.factor(remainder))
 	}
-	return c.Or(q, factor(c, remainder, lits, counts))
+	f.cubes = f.cubes[:cubeTop]
+	return out
 }
 
 func andCube(c *circuit.Circuit, cube Cube, lits *litSignals) circuit.Signal {
@@ -154,14 +186,4 @@ func less(a, b Literal) bool {
 		return a.Var < b.Var
 	}
 	return !a.Neg && b.Neg
-}
-
-func removeVar(cube Cube, v int) Cube {
-	out := make(Cube, 0, len(cube)-1)
-	for _, l := range cube {
-		if l.Var != v {
-			out = append(out, l)
-		}
-	}
-	return out
 }

@@ -1,6 +1,8 @@
 package sop
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -149,6 +151,115 @@ func TestMostFrequentLiteralMatchesReference(t *testing.T) {
 			if n != 0 {
 				t.Fatalf("cover %v: scratch entry %d left at %d", cv, i, n)
 			}
+		}
+	}
+}
+
+// referenceFactor is the plain recursive form of factoring: each division
+// copies its quotient's cubes without the divisor literal and grows the
+// quotient and remainder as fresh covers. SynthesizeFactored must build
+// the same gates in the same order.
+func referenceFactor(c *circuit.Circuit, cv Cover, lits *litSignals, counts []int) circuit.Signal {
+	switch len(cv) {
+	case 0:
+		return c.Const(false)
+	case 1:
+		return andCube(c, cv[0], lits)
+	}
+	best, count := mostFrequentLiteral(cv, counts)
+	if count < 2 {
+		terms := make([]circuit.Signal, len(cv))
+		for i, cube := range cv {
+			terms[i] = andCube(c, cube, lits)
+		}
+		return c.OrTree(terms)
+	}
+	var quotient, remainder Cover
+	for _, cube := range cv {
+		if l, ok := cube.Has(best.Var); ok && l.Neg == best.Neg {
+			quotient = append(quotient, referenceRemoveVar(cube, best.Var))
+		} else {
+			remainder = append(remainder, cube)
+		}
+	}
+	q := c.And(lits.signal(best), referenceFactor(c, quotient, lits, counts))
+	if len(remainder) == 0 {
+		return q
+	}
+	return c.Or(q, referenceFactor(c, remainder, lits, counts))
+}
+
+func referenceRemoveVar(cube Cube, v int) Cube {
+	out := make(Cube, 0, len(cube)-1)
+	for _, l := range cube {
+		if l.Var != v {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// referenceSynthesizeFactored is SynthesizeFactored over referenceFactor.
+func referenceSynthesizeFactored(c *circuit.Circuit, cv Cover, vars []circuit.Signal, negate bool) circuit.Signal {
+	out := referenceFactor(c, cv.Clone(), newLitSignals(c, vars), make([]int, 2*len(vars)))
+	if negate {
+		out = negSignal(c, out)
+	}
+	return out
+}
+
+// factoredNetlist returns the netlist bytes of a circuit over nVars inputs
+// whose one output synth builds from the cover.
+func factoredNetlist(t *testing.T, cv Cover, nVars int, negate bool,
+	synth func(*circuit.Circuit, Cover, []circuit.Signal, bool) circuit.Signal) string {
+	t.Helper()
+	c := circuit.New()
+	vars := make([]circuit.Signal, nVars)
+	for i := range vars {
+		vars[i] = c.AddPI(fmt.Sprintf("v%d", i))
+	}
+	c.AddPO("z", synth(c, cv, vars, negate))
+	var buf bytes.Buffer
+	if err := circuit.WriteNetlist(&buf, c); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestFactoredMatchesReference requires SynthesizeFactored to write the
+// reference's netlist byte for byte, and to leave its cover as it was, on
+// random covers with negated literals: empty and one-cube covers, covers
+// over a few variables where mostFrequentLiteral often breaks a tie,
+// sparser ones, and decision-tree covers, each with negate on and off. A
+// gate made out of order, such as the divisor literal's NOT after the
+// quotient's gates, renumbers the netlist.
+func TestFactoredMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 1200; trial++ {
+		var cv Cover
+		nVars := 1 + rng.Intn(6)
+		switch trial % 4 {
+		case 0:
+			cv = randomCover(rng, rng.Intn(2), nVars, 0.6)
+		case 1:
+			cv = randomCover(rng, 2+rng.Intn(16), nVars, 0.3+0.6*rng.Float64())
+		case 2:
+			nVars = 6 + rng.Intn(20)
+			cv = randomCover(rng, 2+rng.Intn(40), nVars, 0.1+0.3*rng.Float64())
+		default:
+			nVars = 8 + rng.Intn(16)
+			cv = treeCover(rng, 2+rng.Intn(60), nVars)
+		}
+		before := cv.String()
+		for _, negate := range []bool{false, true} {
+			got := factoredNetlist(t, cv, nVars, negate, SynthesizeFactored)
+			want := factoredNetlist(t, cv, nVars, negate, referenceSynthesizeFactored)
+			if got != want {
+				t.Fatalf("trial %d, cover %v, negate %v: netlist\n%s\nreference\n%s", trial, cv, negate, got, want)
+			}
+		}
+		if after := cv.String(); after != before {
+			t.Fatalf("trial %d: SynthesizeFactored changed its cover from %s to %s", trial, before, after)
 		}
 	}
 }
